@@ -86,24 +86,6 @@ let no_incremental_flag =
            bit-blasted frame) per design.  Incremental mode is the default; \
            verdicts are identical either way.")
 
-let portfolio_arg =
-  let modes =
-    [
-      ("auto", Portfolio.Auto);
-      ("sat", Portfolio.Force Portfolio.Sat_backend);
-      ("bdd", Portfolio.Force Portfolio.Bdd_backend);
-      ("race", Portfolio.Race);
-    ]
-  in
-  Arg.(
-    value
-    & opt (enum modes) Portfolio.Auto
-    & info [ "portfolio" ] ~docv:"MODE"
-        ~doc:
-          "Backend selection per obligation: $(b,auto) (size heuristic \
-           between SAT and BDD), $(b,sat), $(b,bdd), or $(b,race) (both in \
-           parallel, first definitive verdict wins).")
-
 let daemon_arg =
   Arg.(
     value
@@ -167,8 +149,8 @@ let open_cache ~use_cache ~cache_dir =
 (* Engine-path verification of one design (golden or buggy variant):
    enumerate the obligations as jobs, discharge on the pool, reassemble
    the standard report. *)
-let engine_verify ?variant ?only_ports ?cache ?timeout_s ~jobs ~portfolio
-    ~incremental ~memory_abstraction (d : Design.t) rtl =
+let engine_verify ?variant ?only_ports ?cache ?timeout_s ~jobs ~incremental
+    ~memory_abstraction (d : Design.t) rtl =
   let job_list =
     Engine.jobs_of ?variant ?only_ports ~name:d.Design.name
       d.Design.module_ila rtl
@@ -176,8 +158,8 @@ let engine_verify ?variant ?only_ports ?cache ?timeout_s ~jobs ~portfolio
       ()
   in
   let results, summary =
-    Engine.run ~jobs ?cache ?timeout_s ~portfolio ~incremental
-      ~memory_abstraction job_list
+    Engine.run ~jobs ?cache ?timeout_s ~incremental ~memory_abstraction
+      job_list
   in
   (Engine.report_of ~name:d.Design.name ~results, summary)
 
@@ -236,7 +218,7 @@ let print_daemon_results reply =
 (* A failing daemon row whose trace was omitted (too large for the
    reply frame, or an older daemon): recover it transparently by
    re-checking just that instruction in-process. *)
-let recheck_trace (d : Design.t) ~bug ~port_name ~instr =
+let recheck_trace (d : Design.t) ~bug ~memory_abstraction ~port_name ~instr =
   let rtl =
     match bug with
     | None -> Some d.Design.rtl
@@ -259,7 +241,8 @@ let recheck_trace (d : Design.t) ~bug ~port_name ~instr =
     | Some port -> (
       let refmap = d.Design.refmap_for rtl port.Ila.name in
       let pr =
-        Verify.prepare_port ~name:d.Design.name ~port ~rtl ~refmap ()
+        Verify.prepare_port ~memory_abstraction ~name:d.Design.name ~port
+          ~rtl ~refmap ()
       in
       match Verify.check_port_instr pr instr with
       | Checker.Failed tr, _, _ ->
@@ -305,7 +288,10 @@ let daemon_verify ~sock ~bug ~port ~timeout_s ~mem_abs (d : Design.t) =
     Format.printf "daemon verification: %s@." d.Design.name;
     let failed, unknown, missing = print_daemon_results reply in
     List.iter
-      (fun (port_name, instr) -> recheck_trace d ~bug ~port_name ~instr)
+      (fun (port_name, instr) ->
+        recheck_trace d ~bug
+          ~memory_abstraction:(mem_abs_enabled mem_abs)
+          ~port_name ~instr)
       missing;
     (match Json.member "summary" reply with
     | Some s ->
@@ -553,7 +539,7 @@ let verify_cmd =
       & info [ "vcd" ] ~docv:"FILE"
           ~doc:"Dump the first counterexample trace as a VCD waveform.")
   in
-  let run name bug port keep_going vcd jobs use_cache cache_dir portfolio
+  let run name bug port keep_going vcd jobs use_cache cache_dir
       no_incremental timeout_s daemon mem_abs trace_out metrics =
     setup_obs trace_out metrics;
     let incremental = not no_incremental in
@@ -568,9 +554,7 @@ let verify_cmd =
     else begin
     let only_ports = Option.map (fun p -> [ p ]) port in
     let cache = open_cache ~use_cache ~cache_dir in
-    let use_engine =
-      jobs > 1 || cache <> None || portfolio <> Portfolio.Auto
-    in
+    let use_engine = jobs > 1 || cache <> None in
     let find_bug label =
       match
         List.find_opt (fun b -> b.Design.bug_label = label) d.Design.bugs
@@ -595,7 +579,7 @@ let verify_cmd =
         in
         let report, summary =
           engine_verify ?variant ?only_ports ?cache ?timeout_s ~jobs
-            ~portfolio ~incremental ~memory_abstraction d rtl
+            ~incremental ~memory_abstraction d rtl
         in
         Format.printf "%a@." Engine.pp_summary summary;
         report
@@ -626,8 +610,8 @@ let verify_cmd =
        ~doc:"Refinement-check a design's RTL against its module-ILA")
     Term.(
       const run $ design_arg $ bug_arg $ port_arg $ keep_going $ vcd_arg
-      $ jobs_arg $ cache_flag $ cache_dir_arg $ portfolio_arg
-      $ no_incremental_flag $ timeout_arg $ daemon_arg $ mem_abs_arg
+      $ jobs_arg $ cache_flag $ cache_dir_arg $ no_incremental_flag
+      $ timeout_arg $ daemon_arg $ mem_abs_arg
       $ trace_out_arg $ metrics_flag)
 
 (* ---- dimacs ---- *)
@@ -725,8 +709,8 @@ let table_cmd =
             "Use the memory-abstracted datapath and store buffer (the \
              paper's parenthesized configuration).")
   in
-  let run quick jobs use_cache cache_dir portfolio no_incremental timeout_s
-      daemon mem_abs trace_out metrics =
+  let run quick jobs use_cache cache_dir no_incremental timeout_s daemon
+      mem_abs trace_out metrics =
     setup_obs trace_out metrics;
     let incremental = not no_incremental in
     let memory_abstraction = mem_abs_enabled mem_abs in
@@ -742,13 +726,11 @@ let table_cmd =
     if handled_by_daemon then ()
     else begin
     let cache = open_cache ~use_cache ~cache_dir in
-    let use_engine =
-      jobs > 1 || cache <> None || portfolio <> Portfolio.Auto
-    in
+    let use_engine = jobs > 1 || cache <> None in
     let verify d =
       if use_engine then
         fst
-          (engine_verify ?cache ?timeout_s ~jobs ~portfolio ~incremental
+          (engine_verify ?cache ?timeout_s ~jobs ~incremental
              ~memory_abstraction d d.Design.rtl)
       else Design.verify ~incremental ~memory_abstraction ?timeout_s d
     in
@@ -762,8 +744,8 @@ let table_cmd =
     (Cmd.info "table" ~doc:"Reproduce the paper's Table I")
     Term.(
       const run $ quick $ jobs_arg $ cache_flag $ cache_dir_arg
-      $ portfolio_arg $ no_incremental_flag $ timeout_arg $ daemon_arg
-      $ mem_abs_arg $ trace_out_arg $ metrics_flag)
+      $ no_incremental_flag $ timeout_arg $ daemon_arg $ mem_abs_arg
+      $ trace_out_arg $ metrics_flag)
 
 (* ---- reach ---- *)
 

@@ -198,8 +198,6 @@ let prepare ?(simplify = true) ?on_sat (p : Property.t) =
 
 let cnf pr = Bitblast.cnf pr.ctx
 let hypothesis_literals pr = List.map (fun (_, _, lits) -> lits) pr.hyps
-let property pr = pr.prop
-let cnf_size pr = Bitblast.cnf_size pr.ctx
 
 let check_prepared ?(budget = unlimited) pr =
   let p = pr.prop in
@@ -359,11 +357,8 @@ let prepare_shared ?(simplify = true) ?(label = "") ?on_sat props =
     sh_on_sat = on_sat;
   }
 
-let shared_has_hook sh = sh.sh_on_sat <> None
-let prepared_has_hook pr = pr.pr_on_sat <> None
 
 let shared_count sh = Array.length sh.sh_props
-let shared_property sh idx = sh.sh_props.(idx)
 
 (* The guarded encoding of one property: a fresh activation literal per
    cone, Tseitin clauses guarded so the cone only binds while its
@@ -518,7 +513,6 @@ let shared_selectors sh idx =
     List.map (fun so -> [ p_act; so.so_act ]) obs
   | Enc_failed _ | Pending -> []
 
-let shared_cnf_size sh = Bitblast.cnf_size sh.sh_ctx
 let shared_cnf_split sh = Bitblast.cnf_split sh.sh_ctx
 let shared_simplify_removed sh = sh.sh_removed
 

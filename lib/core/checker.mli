@@ -164,12 +164,11 @@ val check :
     The verification engine ({!Ilv_engine}) needs the complete
     bit-blasted encoding of a property {e before} deciding how (or
     whether) to solve it: the CNF is the content address of the
-    persistent proof cache, and its size drives portfolio backend
-    selection.  [prepare] performs the full encoding — assumptions
-    asserted, every obligation's guard and negated goal Tseitin-encoded
-    to a selector literal — without starting any search;
-    [check_prepared] then decides the prepared obligations in the same
-    incremental context. *)
+    persistent proof cache.  [prepare] performs the full encoding —
+    assumptions asserted, every obligation's guard and negated goal
+    Tseitin-encoded to a selector literal — without starting any
+    search; [check_prepared] then decides the prepared obligations in
+    the same incremental context. *)
 
 type prepared
 
@@ -184,11 +183,6 @@ val prepare :
     with the property index pre-applied (a prepared context holds one
     property). *)
 
-val prepared_has_hook : prepared -> bool
-(** True when a SAT-model hook is installed — decision procedures that
-    cannot run the hook (the BDD leg, forked race legs) must not decide
-    such a preparation. *)
-
 val check_prepared : ?budget:budget -> prepared -> verdict * stats
 
 val cnf : prepared -> int * int list list
@@ -199,13 +193,6 @@ val hypothesis_literals : prepared -> int list list
 (** Per obligation (in property order), the selector literals assumed
     for that obligation's query: [assumptions ∧ guard ∧ ¬goal] is
     decided as the prepared CNF under these assumptions. *)
-
-val property : prepared -> Property.t
-(** The property this preparation encodes. *)
-
-val cnf_size : prepared -> int * int
-(** [(variables, clauses)] of the prepared CNF — the cheap size probe
-    behind portfolio backend selection. *)
 
 (** {1 Shared-frame incremental checking}
 
@@ -241,13 +228,7 @@ val prepare_shared :
     satisfying model (see {!sat_hook}); it also rides along the
     degradation ladder's fresh rungs. *)
 
-val shared_has_hook : shared -> bool
-(** True when a SAT-model hook is installed (see
-    {!prepared_has_hook}). *)
-
 val shared_count : shared -> int
-
-val shared_property : shared -> int -> Property.t
 
 val check_shared : ?budget:budget -> shared -> int -> verdict * stats
 (** Decides property [idx]'s obligations in the shared context, with
@@ -301,9 +282,6 @@ val check_shared_degrading :
     absolute deadline.  Stats accumulate across the rungs actually
     run. *)
 
-val shared_cnf_size : shared -> int * int
-(** Current [(variables, clauses)] of the shared context. *)
-
 val shared_cnf_split : shared -> int * int
 (** [(problem, activation)] clause counts of the shared context. *)
 
@@ -313,10 +291,10 @@ val shared_simplify_removed : shared -> int
 
 (** {1 Model decoding helpers}
 
-    Exposed for alternative decision procedures (the BDD leg of the
-    engine's portfolio) that produce the same [(name -> sort -> value)]
-    model shape as {!Ilv_sat.Bitblast} and need to decode it into a
-    counterexample the same way the SAT leg does. *)
+    Exposed for callers that produce the same [(name -> sort ->
+    value)] model shape as {!Ilv_sat.Bitblast} (the memory
+    abstraction's concrete replay) and need to decode it into a
+    counterexample the same way the checker does. *)
 
 val base_vars :
   Property.t -> Property.obligation -> (string * Ilv_expr.Sort.t) list

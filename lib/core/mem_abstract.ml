@@ -6,8 +6,8 @@ open Ilv_expr
    words, which dominates solving time on array-heavy designs (the L2
    cache).  This module rewrites a group of properties into an
    equisatisfiable-or-weaker form with no memory-sorted subterms at
-   all, so everything downstream (shared frames, the proof cache, the
-   portfolio) works unchanged:
+   all, so everything downstream (shared frames, the proof cache)
+   works unchanged:
 
    - Each memory sort gets a bounded {e window} of address terms
      [A_0 .. A_{k-1}]: the syntactic (memory-free) read addresses of
@@ -519,46 +519,5 @@ let replay t ~prop_index ~ob_index model =
 let hook t : Checker.sat_hook =
  fun ~prop_index ~ob_index model -> replay t ~prop_index ~ob_index model
 
-(* ---- fresh-path CEGAR driver ----
-
-   For single-property (non-shared) checking: solve the abstraction,
-   replay SAT answers, re-encode after refinements, and fall back to
-   the concrete encoding when the abstraction stops making progress. *)
-
+(* The refinement ceiling of the CEGAR drivers (in [Verify]). *)
 let max_rounds = 16
-
-let check_property ?budget ?(simplify = true) (p : Property.t) =
-  match create [ p ] with
-  | None ->
-    let v, s = Checker.check ~simplify ?budget p in
-    (v, s, "fresh")
-  | Some t ->
-    let rec attempt round stats_acc =
-      let gen0 = t.ab_generation in
-      let abstract = (abstract_properties t).(0) in
-      let on_sat ~ob_index model = replay t ~prop_index:0 ~ob_index model in
-      let v, s =
-        match Checker.check ~simplify ~on_sat ?budget abstract with
-        | r -> r
-        | exception ((Out_of_memory | Stack_overflow) as fatal) -> raise fatal
-        | exception e ->
-          ( Checker.Unknown ("exception: " ^ Printexc.to_string e),
-            Checker.zero_stats p )
-      in
-      let stats_acc = Checker.merge_stats stats_acc s in
-      match v with
-      | Checker.Unknown r when Checker.is_spurious_reason r ->
-        if t.ab_generation > gen0 && round < max_rounds then
-          attempt (round + 1) stats_acc
-        else begin
-          (* no refinement progress: decide concretely *)
-          let v, s = Checker.check ~simplify ?budget p in
-          (v, Checker.merge_stats stats_acc s, "abstract>concrete")
-        end
-      | _ ->
-        ( v,
-          stats_acc,
-          if round = 0 then "abstract"
-          else Printf.sprintf "abstract+cegar%d" round )
-    in
-    attempt 0 (Checker.zero_stats p)

@@ -90,13 +90,9 @@ val replay :
 val hook : t -> Checker.sat_hook
 (** {!replay} packaged as the checker's SAT-model hook. *)
 
-val check_property :
-  ?budget:Checker.budget ->
-  ?simplify:bool ->
-  Property.t ->
-  Checker.verdict * Checker.stats * string
-(** Single-property CEGAR driver over {!Checker.check}: solve the
-    abstraction, replay, refine and re-encode until a definite answer,
-    falling back to the concrete encoding when refinement stalls.  The
-    third component is the rung tag ("fresh", "abstract",
-    "abstract+cegarN" or "abstract>concrete"). *)
+val max_rounds : int
+(** The CEGAR refinement ceiling per obligation, shared by both drivers
+    ({!Verify.check_port_instr} and {!Verify.check_property}): each
+    round adds at least one concrete address, so it only trips on
+    pathological window churn, and the concrete fallback then still
+    decides. *)

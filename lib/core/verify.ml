@@ -63,114 +63,110 @@ let message_of_exn = function
 
 (* ---- prepare-once / check-many ----
 
-   One port's instructions share a single incremental solver context
-   ([Checker.prepare_shared]); preparing is the expensive step (property
-   generation + shared-frame setup), checking an individual instruction
-   against the prepared context is the cheap, repeatable one.  [run]
-   uses this for its incremental branch, and long-lived callers (the
-   verification daemon) keep [prepared_port] values alive across many
-   requests instead of re-preparing per request. *)
+   One obligation group — a port's instructions, or one engine group's
+   jobs — shares a single incremental solver context
+   ([Checker.prepare_shared]); preparing is the expensive step
+   (property generation + shared-frame setup), checking an individual
+   entry against the prepared context is the cheap, repeatable one.
+   This is the one shared-frame driver: [run], the engine's groups and
+   the daemon's resident frames all decide through [check_port_instr],
+   so the CEGAR ceiling, the concrete fallback, the degradation ladder
+   and the rung names live here only. *)
 
 type prepared_port = {
-  pp_port : Ila.t;
-  mutable pp_shared : Checker.shared;
-      (* rebuilt (with a grown window) after a CEGAR refinement *)
+  pp_names : string list;  (* entry names, in preparation order *)
   pp_slots : (string, (int, string) result) Hashtbl.t;
-      (* instruction name -> property index in [pp_shared], or the
-         generation error that made it uncheckable *)
-  pp_instrs : Ila.instruction list;
+      (* entry name -> property index in the frame, or the generation
+         error that made it uncheckable *)
   pp_concrete : Property.t list;  (* slot-ordered concrete properties *)
   pp_abstraction : Mem_abstract.t option;
   pp_label : string;
-  pp_simplify : bool option;
+  pp_freeze : bool;  (* freeze every frame as soon as it is built *)
+  pp_key_frame : Checker.shared;
+      (* the generation-0 frame, pinned: cache keys come from its frozen
+         snapshot, so they are the same however (or whether) CEGAR
+         refinement re-encoded the live frame *)
+  mutable pp_shared : Checker.shared;
+      (* the live frame, rebuilt with a grown window after a CEGAR
+         refinement *)
   mutable pp_frame_gen : int;
       (* abstraction generation [pp_shared] was built from *)
-  mutable pp_generation : int;
-      (* frame rebuild counter: long-lived callers (the daemon) key
-         cached frame digests on it *)
 }
+
+let generation = function Some ab -> Mem_abstract.generation ab | None -> 0
 
 (* The shared frame: concrete properties directly, or their
    memory-abstracted rewrite with the CEGAR replay hook installed. *)
-let make_shared ~simplify ~label ~abstraction concrete =
-  match abstraction with
-  | None -> Checker.prepare_shared ?simplify ~label concrete
-  | Some ab ->
-    Checker.prepare_shared ?simplify ~label
-      ~on_sat:(Mem_abstract.hook ab)
-      (Array.to_list (Mem_abstract.abstract_properties ab))
-
-let prepare_port ?simplify ?(memory_abstraction = false) ~name ~port ~rtl
-    ~refmap () =
-  let instrs = Ila.leaf_instructions port in
-  let gens =
-    List.map
-      (fun (i : Ila.instruction) ->
-        ( i.Ila.instr_name,
-          try Ok (Propgen.generate_for ~ila:port ~rtl ~refmap i)
-          with e -> Error (message_of_exn e) ))
-      instrs
+let make_shared ~freeze ~label ~abstraction concrete =
+  let sh =
+    match abstraction with
+    | None -> Checker.prepare_shared ~label concrete
+    | Some ab ->
+      Checker.prepare_shared ~label
+        ~on_sat:(Mem_abstract.hook ab)
+        (Array.to_list (Mem_abstract.abstract_properties ab))
   in
-  let label = name ^ "/" ^ port.Ila.name in
-  let concrete = List.filter_map (fun (_, g) -> Result.to_option g) gens in
+  if freeze then Checker.shared_freeze sh;
+  sh
+
+let prepare ~freeze ?(memory_abstraction = false) ~label entries =
+  let concrete = List.filter_map (fun (_, g) -> Result.to_option g) entries in
   let abstraction =
     if memory_abstraction then Mem_abstract.create ~label concrete else None
   in
-  let sh = make_shared ~simplify ~label ~abstraction concrete in
+  let sh = make_shared ~freeze ~label ~abstraction concrete in
   let slots = Hashtbl.create 16 in
   let next = ref 0 in
   List.iter
-    (fun (instr_name, g) ->
+    (fun (name, g) ->
       match g with
       | Ok _ ->
-        Hashtbl.replace slots instr_name (Ok !next);
+        Hashtbl.replace slots name (Ok !next);
         incr next
-      | Error msg -> Hashtbl.replace slots instr_name (Error msg))
-    gens;
+      | Error msg -> Hashtbl.replace slots name (Error msg))
+    entries;
   {
-    pp_port = port;
-    pp_shared = sh;
+    pp_names = List.map fst entries;
     pp_slots = slots;
-    pp_instrs = instrs;
     pp_concrete = concrete;
     pp_abstraction = abstraction;
     pp_label = label;
-    pp_simplify = simplify;
-    pp_frame_gen =
-      (match abstraction with
-      | Some ab -> Mem_abstract.generation ab
-      | None -> 0);
-    pp_generation = 0;
+    pp_freeze = freeze;
+    pp_key_frame = sh;
+    pp_shared = sh;
+    pp_frame_gen = generation abstraction;
   }
 
-let prepared_port_name pr = pr.pp_port.Ila.name
-let prepared_instrs pr = List.map (fun i -> i.Ila.instr_name) pr.pp_instrs
+let prepare_port ?memory_abstraction ~name ~port ~rtl ~refmap () =
+  prepare ~freeze:false ?memory_abstraction
+    ~label:(name ^ "/" ^ port.Ila.name)
+    (List.map
+       (fun (i : Ila.instruction) ->
+         ( i.Ila.instr_name,
+           try Ok (Propgen.generate_for ~ila:port ~rtl ~refmap i)
+           with e -> Error (message_of_exn e) ))
+       (Ila.leaf_instructions port))
+
+let prepare_properties = prepare ~freeze:true
+
+let prepared_instrs pr = pr.pp_names
 let prepared_shared pr = pr.pp_shared
 let prepared_abstraction pr = pr.pp_abstraction
-let frame_generation pr = pr.pp_generation
+let key_frame pr = pr.pp_key_frame
 
-let prepared_slot pr instr_name =
-  match Hashtbl.find_opt pr.pp_slots instr_name with
+let prepared_slot pr name =
+  match Hashtbl.find_opt pr.pp_slots name with
   | Some r -> r
   | None -> Error "instruction not prepared"
 
-(* Refinement ceiling per instruction: each round adds at least one
-   concrete address, so this only trips on pathological window churn —
-   the concrete fallback then still produces a definite verdict. *)
-let max_cegar_rounds = 16
-
 let rebuild_frame pr =
   pr.pp_shared <-
-    make_shared ~simplify:pr.pp_simplify ~label:pr.pp_label
+    make_shared ~freeze:pr.pp_freeze ~label:pr.pp_label
       ~abstraction:pr.pp_abstraction pr.pp_concrete;
-  pr.pp_frame_gen <-
-    (match pr.pp_abstraction with
-    | Some ab -> Mem_abstract.generation ab
-    | None -> 0);
-  pr.pp_generation <- pr.pp_generation + 1
+  pr.pp_frame_gen <- generation pr.pp_abstraction
 
-let check_port_instr ?budget pr instr_name =
-  match prepared_slot pr instr_name with
+let check_port_instr ?budget pr name =
+  match prepared_slot pr name with
   | Ok idx -> (
     (* the ladder: incremental -> fresh -> tightened -> Unknown, each
        demotion observable; with the memory abstraction active, a
@@ -194,33 +190,94 @@ let check_port_instr ?budget pr instr_name =
         let v, s =
           Checker.check_fresh
             ~budget:(Option.value budget ~default:Checker.unlimited)
-            ~simplify:(Option.value pr.pp_simplify ~default:true)
-            p
+            ~simplify:true p
         in
         (v, Checker.merge_stats stats_acc s, "abstract>concrete")
     in
+    (* each refinement adds at least one concrete address, so the
+       ceiling only trips on pathological window churn — the concrete
+       fallback then still produces a definite verdict *)
     let rec attempt round stats_acc =
+      match Checker.shared_error pr.pp_shared idx with
+      | Some msg ->
+        (* a property that cannot be encoded is an error, not a solver
+           give-up: the lower rungs are not tried *)
+        (Checker.Unknown ("exception: " ^ msg), stats_acc, "error")
+      | None -> (
       let v, s, rung = ladder () in
       let stats_acc = Checker.merge_stats stats_acc s in
       match (v, pr.pp_abstraction) with
       | Checker.Unknown r, Some ab when Checker.is_spurious_reason r ->
         if Mem_abstract.generation ab > pr.pp_frame_gen
-           && round < max_cegar_rounds
+           && round < Mem_abstract.max_rounds
         then begin
           rebuild_frame pr;
           attempt (round + 1) stats_acc
         end
         else concrete_fallback stats_acc
-      | _, Some _ ->
+      | _, Some _ when rung <> "error" ->
         let tag = if round = 0 then "+abstract" else
             Printf.sprintf "+cegar%d" round
         in
         (v, stats_acc, rung ^ tag)
-      | _, None -> (v, stats_acc, rung)
+      | _ -> (v, stats_acc, rung))
     in
     attempt 0 empty_stats)
   | Error msg ->
     (Checker.Unknown ("exception: " ^ msg), empty_stats, "error")
+
+(* ---- fresh path ----
+
+   Single-property CEGAR driver over [Checker.check]: solve the
+   abstraction, replay SAT answers, re-encode after refinements, and
+   fall back to the concrete encoding when the abstraction stops making
+   progress. *)
+
+let check_property ?budget (p : Property.t) =
+  match Mem_abstract.create [ p ] with
+  | None ->
+    let v, s = Checker.check ?budget p in
+    (v, s, "fresh")
+  | Some ab ->
+    let rec attempt round stats_acc =
+      let gen0 = Mem_abstract.generation ab in
+      let abstract = (Mem_abstract.abstract_properties ab).(0) in
+      let on_sat = Mem_abstract.replay ab ~prop_index:0 in
+      let v, s =
+        match Checker.check ~on_sat ?budget abstract with
+        | r -> r
+        | exception ((Out_of_memory | Stack_overflow) as fatal) -> raise fatal
+        | exception e ->
+          ( Checker.Unknown ("exception: " ^ Printexc.to_string e),
+            Checker.zero_stats p )
+      in
+      let stats_acc = Checker.merge_stats stats_acc s in
+      match v with
+      | Checker.Unknown r when Checker.is_spurious_reason r ->
+        if Mem_abstract.generation ab > gen0 && round < Mem_abstract.max_rounds
+        then attempt (round + 1) stats_acc
+        else begin
+          (* no refinement progress: decide concretely *)
+          let v, s = Checker.check ?budget p in
+          (v, Checker.merge_stats stats_acc s, "abstract>concrete")
+        end
+      | _ ->
+        ( v,
+          stats_acc,
+          if round = 0 then "abstract"
+          else Printf.sprintf "abstract+cegar%d" round )
+    in
+    attempt 0 (Checker.zero_stats p)
+
+let is_cacheable_rung rung = rung <> "abstract>concrete"
+
+let is_degraded_rung rung =
+  let ladder =
+    match String.index_opt rung '+' with
+    | Some i -> String.sub rung 0 i
+    | None -> rung
+  in
+  List.mem ladder [ "fresh"; "tightened"; "degraded" ]
 
 type task = { task_port : Ila.t; task_instr : Ila.instruction }
 
@@ -290,17 +347,12 @@ let run ?(stop_at_first_failure = true) ?only_ports ?budget ?timeout_s
         in
         let check_instr refmap (i : Ila.instruction) =
           match shared_check with
-          | Some f -> (
-            try f i
-            with e ->
-              ( Checker.Unknown ("exception: " ^ message_of_exn e),
-                empty_stats,
-                "error" ))
+          | Some f -> f i
           | None -> (
             try
               let property = Propgen.generate_for ~ila:port ~rtl ~refmap i in
               if memory_abstraction then
-                Mem_abstract.check_property ?budget property
+                check_property ?budget property
               else
                 let v, s = Checker.check ?budget property in
                 (v, s, "fresh")

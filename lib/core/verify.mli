@@ -41,24 +41,25 @@ val unknowns : report -> instr_result list
 
 (** {1 Prepare once, check many}
 
-    One port's instructions share a single incremental solver context;
-    building it (property generation + shared-frame preparation,
-    {!Checker.prepare_shared}) is the expensive step, and checking one
-    instruction against it is cheap and repeatable.  {!run} uses this
-    internally; long-lived callers — notably the verification daemon
-    ({!Ilv_server.Daemon}) — keep {!prepared_port} values alive across
-    requests and pay the preparation cost once per (design, port)
-    instead of once per request. *)
+    One obligation group — a port's instructions — shares a single
+    incremental solver context; building it (property generation +
+    shared-frame preparation, {!Checker.prepare_shared}) is the
+    expensive step, and checking one instruction against it is cheap
+    and repeatable.  This session is the only shared-frame driver:
+    {!run}, the engine's groups ({!Ilv_engine.Engine}) and the
+    daemon's resident frames ({!Ilv_server.Daemon}) all decide through
+    {!check_port_instr}, which owns the CEGAR loop, its ceiling
+    ({!Mem_abstract.max_rounds}), the concrete fallback, the
+    degradation ladder and the rung names. *)
 
 type prepared_port
-(** A port's complete property set, generated and bound to one shared
+(** A group's complete property set, generated and bound to one shared
     incremental solver context.  Encoding inside the context is lazy
     per property, so preparing is cheap until instructions are actually
     checked; results are memoized by the context, so re-checking an
     instruction returns the first verdict without re-solving. *)
 
 val prepare_port :
-  ?simplify:bool ->
   ?memory_abstraction:bool ->
   name:string ->
   port:Ila.t ->
@@ -70,6 +71,8 @@ val prepare_port :
     context (labelled [name/port] in observability output).  A property
     whose generation raises poisons only its own instruction — checking
     it yields [Unknown "exception: ..."], the others are unaffected.
+    The frame is not frozen: a caller that never keys the cache pays
+    no extra encoding pass.
 
     With [memory_abstraction:true] (default false) and at least one
     memory-sorted state variable in the generated properties, the
@@ -78,50 +81,93 @@ val prepare_port :
     concretely and refine the window ({!check_port_instr} drives the
     CEGAR loop).  Memory-free groups are unaffected. *)
 
-val prepared_port_name : prepared_port -> string
+val prepare_properties :
+  ?memory_abstraction:bool ->
+  label:string ->
+  (string * (Property.t, string) result) list ->
+  prepared_port
+(** The same session built from already-generated properties: one
+    [(name, generated property or its generation error)] entry per
+    obligation, names distinct, the frame holding the [Ok] properties
+    in list order.  Every frame of this session — the first and each
+    one a CEGAR refinement rebuilds — is frozen
+    ({!Checker.shared_freeze}) as soon as it is built, for callers that
+    key every obligation. *)
 
 val prepared_instrs : prepared_port -> string list
-(** Leaf instruction names, in declaration (= report) order. *)
+(** Entry names — leaf instruction names in declaration (= report)
+    order for {!prepare_port}. *)
 
 val prepared_shared : prepared_port -> Checker.shared
-(** The underlying shared context — exposed for callers that need the
-    frozen frame CNF and selectors (proof-cache keying).  Under the
-    memory abstraction this frame is {e replaced} after a CEGAR
-    refinement; key any cached digest on {!frame_generation}. *)
+(** The live shared context: the frame the last decision was made on.
+    Under the memory abstraction it is {e replaced} after a CEGAR
+    refinement. *)
+
+val key_frame : prepared_port -> Checker.shared
+(** The generation-0 shared context, pinned at preparation: cache keys
+    come from its frozen snapshot, so they are the same however (or
+    whether) CEGAR refinement re-encoded the live frame. *)
 
 val prepared_abstraction : prepared_port -> Mem_abstract.t option
-(** The memory-abstraction state, when [prepare_port] was called with
+(** The memory-abstraction state, when the session was prepared with
     [memory_abstraction:true] and the group mentions a memory. *)
 
-val frame_generation : prepared_port -> int
-(** Bumped every time a CEGAR refinement rebuilds the shared frame;
-    starts at 0.  Long-lived callers (the daemon) that cache anything
-    derived from {!prepared_shared} must invalidate when this moves. *)
-
 val prepared_slot : prepared_port -> string -> (int, string) result
-(** The property index of an instruction in {!prepared_shared}'s
-    numbering, or the error that made it uncheckable ([Error
-    "instruction not prepared"] for a name the port does not have). *)
+(** The property index of an entry in the shared contexts' numbering,
+    or the error that made it uncheckable ([Error "instruction not
+    prepared"] for a name the session does not have). *)
 
 val check_port_instr :
   ?budget:Checker.budget ->
   prepared_port ->
   string ->
   Checker.verdict * Checker.stats * string
-(** Decides one instruction in the prepared context through the
-    degradation ladder ({!Checker.check_shared_degrading}); the string
-    names the ladder rung that produced the verdict.  Exceptions and
-    unknown instruction names degrade to [Unknown "exception: ..."]
-    with rung ["error"] — never an escaping exception.
+(** Decides one entry in the prepared context through the degradation
+    ladder ({!Checker.check_shared_degrading}); the string names the
+    rung that produced the verdict.  Exceptions and unknown names
+    degrade to [Unknown "exception: ..."] with rung ["error"] — never
+    an escaping exception.  An entry whose property fails to encode is
+    an ["error"] too: the ladder's lower rungs are not tried.
 
-    When the port was prepared with the memory abstraction, this also
-    drives the CEGAR loop: a spurious abstract counterexample refines
-    the window, rebuilds the shared frame and retries (rung suffixed
-    ["+cegarN"]); if refinement stalls or exceeds its round ceiling the
-    instruction's {e concrete} property is decided with a fresh solver
-    (rung ["abstract>concrete"]).  Verdicts are always concrete-valid:
-    [Failed] traces come from concrete replay, [Proved] from the sound
-    UNSAT direction of the abstraction. *)
+    When the session was prepared with the memory abstraction, this
+    also drives the CEGAR loop: a spurious abstract counterexample
+    refines the window, rebuilds the shared frame and retries; if
+    refinement stalls or exceeds {!Mem_abstract.max_rounds} the
+    entry's {e concrete} property is decided with a fresh solver.
+    Verdicts are always concrete-valid: [Failed] traces come from
+    concrete replay, [Proved] from the sound UNSAT direction of the
+    abstraction.
+
+    The rung vocabulary: the ladder rung (["incremental"], ["fresh"],
+    ["tightened"] or ["degraded"]), suffixed ["+abstract"] (decided on
+    the first abstract frame) or ["+cegarN"] (after [N] refinements)
+    when the abstraction is active; ["abstract>concrete"] for the
+    concrete fallback; ["error"]. *)
+
+val check_property :
+  ?budget:Checker.budget ->
+  Property.t ->
+  Checker.verdict * Checker.stats * string
+(** The fresh-path counterpart of {!check_port_instr}: decides one
+    property on its own solver ({!Checker.check}).  When the property
+    mentions a wide memory it solves the {!Mem_abstract} rewrite,
+    replays SAT answers, refines and re-encodes until a definite answer
+    (at most {!Mem_abstract.max_rounds} rounds), falling back to the
+    concrete encoding when refinement stalls.  The rung is ["fresh"]
+    (no abstraction), ["abstract"], ["abstract+cegarN"] or
+    ["abstract>concrete"]. *)
+
+val is_cacheable_rung : string -> bool
+(** False for the CEGAR concrete fallback ["abstract>concrete"]: its
+    verdict comes from no shared frame, so there is no frame CNF for
+    {!Ilv_engine.Proof_cache.validate} to re-solve, and it is not
+    stored. *)
+
+val is_degraded_rung : string -> bool
+(** True when the rung's ladder part is below the incremental rung
+    (["fresh"], ["tightened"] or ["degraded"], with or without a CEGAR
+    suffix).  The CEGAR concrete fallback ["abstract>concrete"] is a
+    refinement outcome, not a degradation. *)
 
 type task = { task_port : Ila.t; task_instr : Ila.instruction }
 (** One refinement obligation, as data: a leaf (sub-)instruction of one

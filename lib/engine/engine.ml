@@ -120,10 +120,6 @@ let deadlined ~timeout_s budget =
          (Unix.gettimeofday () +. t)
          (Option.value budget ~default:Checker.unlimited))
 
-(* Discharge one job: generate + prepare the property, try the cache,
-   then the portfolio; store definitive fresh verdicts.  Any exception
-   becomes this job's [Unknown] — never the sweep's. *)
-
 (* Abstraction-path fresh discharge.  The cache key comes from the
    generation-0 abstract encoding — deterministic however the CEGAR
    loop unfolds — and an entry is only stored when generation 0 itself
@@ -156,7 +152,7 @@ let discharge_abstract ~cache ~budget (j : job) (t : Mem_abstract.t) =
       ~time_s:(Unix.gettimeofday () -. t0)
       ~backend:"cache" ~cache_hit:true
   | None ->
-    let verdict, stats, backend = Mem_abstract.check_property ?budget p in
+    let verdict, stats, backend = Verify.check_property ?budget p in
     (match (cache, snapshot, backend) with
     | Some c, Some (key, cnf, hyps), "abstract" ->
       Proof_cache.store c
@@ -176,7 +172,11 @@ let discharge_abstract ~cache ~budget (j : job) (t : Mem_abstract.t) =
       ~time_s:(Unix.gettimeofday () -. t0)
       ~backend ~cache_hit:false
 
-let discharge ~cache ~portfolio ~budget ~memory_abstraction (j : job) =
+(* Fresh mode: discharge one job on its own solver — generate +
+   prepare the property, try the cache, then solve; store definitive
+   verdicts.  Any exception becomes this job's [Unknown] — never the
+   sweep's. *)
+let discharge ~cache ~budget ~memory_abstraction (j : job) =
   chaos_kill_point j;
   let t0 = Unix.gettimeofday () in
   try
@@ -214,7 +214,7 @@ let discharge ~cache ~portfolio ~budget ~memory_abstraction (j : job) =
         ~time_s:(Unix.gettimeofday () -. t0)
         ~backend:"cache" ~cache_hit:true
     | None ->
-      let verdict, stats, backend = Portfolio.decide ?budget portfolio pr in
+      let verdict, stats = Checker.check_prepared ?budget pr in
       (match (cache, snapshot) with
       | Some c, Some (key, cnf, hyps) ->
         Proof_cache.store c
@@ -232,7 +232,7 @@ let discharge ~cache ~portfolio ~budget ~memory_abstraction (j : job) =
       | _ -> ());
       result_of_job j ~verdict ~stats
         ~time_s:(Unix.gettimeofday () -. t0)
-        ~backend ~cache_hit:false
+        ~backend:"sat" ~cache_hit:false
   with
   | (Out_of_memory | Stack_overflow) as fatal -> raise fatal
   | e ->
@@ -244,34 +244,12 @@ let discharge ~cache ~portfolio ~budget ~memory_abstraction (j : job) =
 
 (* ---- shared-frame (incremental) dispatch ----
 
-   Jobs of one (design, variant) share a single bit-blasted frame and
-   one incremental solver.  The group state is built by [Pool]'s
-   per-worker [init] — in the worker process, after the fork, once per
-   worker — so a worker pays one [prepare_shared] for all the jobs it
-   serves instead of one [prepare] per job. *)
-
-type shared_state = {
-  mutable st_sh : Checker.shared;
-      (** replaced (re-encoded with a grown window) after a CEGAR
-          refinement *)
-  st_slots : (int, (int, string) Stdlib.result) Hashtbl.t;
-      (** job id -> index into the shared context, or the
-          property-generation error *)
-  mutable st_frame : string Lazy.t;
-      (** digest of the {e current} frame (forces the freeze) *)
-  mutable st_canonical : (int * int list list) Lazy.t;
-  st_key_frame : string Lazy.t;
-      (** digest of the {e generation-0} frame — cache keys come from
-          here so they are deterministic regardless of how (or whether)
-          CEGAR refined the window during a particular sweep *)
-  st_key_selectors : int -> int list list;
-      (** generation-0 selectors, same determinism argument *)
-  st_ab : Mem_abstract.t option;
-  st_concrete : (int, Property.t) Hashtbl.t;
-      (** slot index -> concrete property, for the CEGAR fallback *)
-  mutable st_gen : int;
-      (** abstraction generation [st_sh] was built from *)
-}
+   Jobs of one (design, variant, port) share a single bit-blasted frame
+   and one incremental solver: a {!Verify.prepared_port} session built
+   from the jobs' properties, checked through {!Session.check}.  The
+   session is built by [Pool]'s per-worker group function — in the
+   worker process, after the fork — so a worker pays one frame
+   preparation for all the jobs of the group it serves. *)
 
 (* Group jobs by (design, variant, port), preserving first-appearance
    group order and within-group (instruction) order.  The port — not
@@ -282,8 +260,7 @@ type shared_state = {
    frame almost entirely.  One solver per port keeps the clause
    database dense with reusable structure instead of dragging every
    sibling port's dead Tseitin definitions through each query's watch
-   lists (this mirrors [Verify]'s lazy path, which also scopes its
-   shared context per port). *)
+   lists (the same scope as [Verify.prepare_port]). *)
 let group_jobs job_list =
   let tbl = Hashtbl.create 8 in
   let order = ref [] in
@@ -299,206 +276,45 @@ let group_jobs job_list =
     job_list;
   List.rev_map (fun k -> List.rev !(Hashtbl.find tbl k)) !order
 
-(* The group's shared frame: concrete properties directly, or their
-   memory-abstracted rewrite with the CEGAR replay hook installed
-   (mirrors [Verify.prepare_port]). *)
-let group_shared ~label ~abstraction concrete =
-  let sh =
-    match abstraction with
-    | None -> Checker.prepare_shared ~label concrete
-    | Some ab ->
-      Checker.prepare_shared ~label
-        ~on_sat:(Mem_abstract.hook ab)
-        (Array.to_list (Mem_abstract.abstract_properties ab))
-  in
-  (* Freeze before any solving: the canonical snapshot (built on a
-     throwaway context, so the live solver keeps its lazy working set)
-     provides the cache keys, makes selector numbering identical
-     across workers, and emits the per-design frame span the profiler
-     aggregates. *)
-  Checker.shared_freeze sh;
-  sh
-
+(* The group's session holds exactly its jobs' properties in job order,
+   each entry named by its job id.  Every frame is frozen as soon as it
+   is built: the canonical snapshot (on a throwaway context, so the
+   live solver keeps its lazy working set) provides the cache keys,
+   makes selector numbering identical across workers, and emits the
+   per-design frame span the profiler aggregates. *)
 let init_group ~memory_abstraction group =
-  let gens =
-    List.map
-      (fun j ->
-        ( j.id,
-          match Lazy.force j.property with
-          | p -> Ok p
-          | exception ((Out_of_memory | Stack_overflow) as fatal) ->
-            raise fatal
-          | exception e -> Error (Printexc.to_string e) ))
-      group
-  in
-  let label =
-    match group with
-    | [] -> ""
-    | j :: _ ->
-      (j.design ^ match j.variant with None -> "" | Some v -> "+" ^ v)
-      ^ "/" ^ j.port
-  in
-  let concrete = List.filter_map (fun (_, g) -> Result.to_option g) gens in
-  let abstraction =
-    if memory_abstraction then Mem_abstract.create ~label concrete else None
-  in
-  let sh = group_shared ~label ~abstraction concrete in
-  let slots = Hashtbl.create 16 in
-  let concretes = Hashtbl.create 16 in
-  let next = ref 0 in
-  List.iter
-    (fun (id, g) ->
-      match g with
-      | Ok p ->
-        Hashtbl.replace slots id (Ok !next);
-        Hashtbl.replace concretes !next p;
-        incr next
-      | Error msg -> Hashtbl.replace slots id (Error msg))
-    gens;
-  let frame0 = lazy (Proof_cache.frame_digest (Checker.shared_cnf sh)) in
-  let canonical0 = lazy (Proof_cache.canonical_cnf (Checker.shared_cnf sh)) in
-  {
-    st_sh = sh;
-    st_slots = slots;
-    st_frame = frame0;
-    st_canonical = canonical0;
-    st_key_frame = frame0;
-    st_key_selectors = (fun idx -> Checker.shared_frame_selectors sh idx);
-    st_ab = abstraction;
-    st_concrete = concretes;
-    st_gen =
-      (match abstraction with
-      | Some ab -> Mem_abstract.generation ab
-      | None -> 0);
-  }
+  let label = match group with [] -> "" | j :: _ -> job_chaos_key j in
+  Session.create
+    (Verify.prepare_properties ~memory_abstraction ~label
+       (List.map
+          (fun j ->
+            ( string_of_int j.id,
+              match Lazy.force j.property with
+              | p -> Ok p
+              | exception ((Out_of_memory | Stack_overflow) as fatal) ->
+                raise fatal
+              | exception e -> Error (Printexc.to_string e) ))
+          group))
 
-(* Refinement ceiling, as in [Verify.check_port_instr]. *)
-let max_cegar_rounds = 16
-
-let rebuild_group st label =
-  st.st_sh <- group_shared ~label ~abstraction:st.st_ab [];
-  (* [group_shared] ignores the concrete list when an abstraction is
-     present, which is the only way here *)
-  st.st_frame <-
-    (let sh = st.st_sh in
-     lazy (Proof_cache.frame_digest (Checker.shared_cnf sh)));
-  st.st_canonical <-
-    (let sh = st.st_sh in
-     lazy (Proof_cache.canonical_cnf (Checker.shared_cnf sh)));
-  st.st_gen <-
-    (match st.st_ab with
-    | Some ab -> Mem_abstract.generation ab
-    | None -> 0)
-
-let discharge_shared ~cache ~portfolio ~budget st (j : job) =
+let discharge_shared ~cache ~budget session (j : job) =
   chaos_kill_point j;
   let t0 = Unix.gettimeofday () in
-  let errored msg =
-    result_of_job j
-      ~verdict:(Checker.Unknown ("engine: " ^ msg))
-      ~stats:empty_stats
-      ~time_s:(Unix.gettimeofday () -. t0)
-      ~backend:"error" ~cache_hit:false
+  let verdict, stats, backend, cache_hit =
+    try
+      Session.check ?budget ?cache ~design:j.design
+        ~instr:(j.port ^ "." ^ j.instr)
+        session (string_of_int j.id)
+    with
+    | (Out_of_memory | Stack_overflow) as fatal -> raise fatal
+    | e ->
+      ( Checker.Unknown ("engine: " ^ Printexc.to_string e),
+        empty_stats,
+        "error",
+        false )
   in
-  try
-    match Hashtbl.find_opt st.st_slots j.id with
-    | None -> errored "job missing from its group"
-    | Some (Error msg) -> errored msg
-    | Some (Ok idx) -> (
-      let mode = if st.st_ab = None then None else Some "abstract" in
-      let snapshot =
-        match cache with
-        | None -> None
-        | Some _ -> (
-          (* keys come from the generation-0 frozen snapshot's
-             numbering, so a hit never encodes the property into the
-             live solver at all, and the key is the same whether or not
-             an earlier job's CEGAR refinement already re-encoded this
-             group's frame *)
-          match st.st_key_selectors idx with
-          | [] -> None (* encode failed or no obligations: no key *)
-          | selectors ->
-            Some
-              (Proof_cache.key_of_shared ?mode
-                 ~frame:(Lazy.force st.st_key_frame) ~selectors ()))
-      in
-      let cached =
-        match (cache, snapshot) with
-        | Some c, Some key -> Proof_cache.lookup c key
-        | _ -> None
-      in
-      match cached with
-      | Some (e : Proof_cache.entry) ->
-        result_of_job j ~verdict:e.Proof_cache.verdict
-          ~stats:e.Proof_cache.stats
-          ~time_s:(Unix.gettimeofday () -. t0)
-          ~backend:"cache" ~cache_hit:true
-      | None ->
-        (* the CEGAR loop (no-op without the abstraction): a spurious-
-           counterexample unknown re-encodes the refined window and
-           retries; stalled refinement falls back to the concrete
-           property on a fresh solver *)
-        let rec attempt round stats_acc =
-          let verdict, stats, backend =
-            Portfolio.decide_shared ?budget portfolio st.st_sh idx
-          in
-          let stats_acc = Checker.merge_stats stats_acc stats in
-          match (verdict, st.st_ab) with
-          | Checker.Unknown r, Some ab when Checker.is_spurious_reason r ->
-            if
-              Mem_abstract.generation ab > st.st_gen
-              && round < max_cegar_rounds
-            then begin
-              rebuild_group st (job_chaos_key j);
-              attempt (round + 1) stats_acc
-            end
-            else begin
-              match Hashtbl.find_opt st.st_concrete idx with
-              | None -> (verdict, stats_acc, backend)
-              | Some p ->
-                let v, s =
-                  Checker.check_fresh
-                    ~budget:(Option.value budget ~default:Checker.unlimited)
-                    ~simplify:true p
-                in
-                (v, Checker.merge_stats stats_acc s, "sat>abstract>concrete")
-            end
-          | _, Some _ ->
-            ( verdict,
-              stats_acc,
-              if round = 0 then backend
-              else Printf.sprintf "%s+cegar%d" backend round )
-          | _, None -> (verdict, stats_acc, backend)
-        in
-        let verdict, stats, backend =
-          attempt 0 (Checker.zero_stats (Checker.shared_property st.st_sh idx))
-        in
-        (match (cache, snapshot) with
-        | Some c, Some key ->
-          (* the stored CNF + selectors are the decision-time frame's,
-             so [Proof_cache.validate] re-solves to the stored verdict
-             shape; a concrete-fallback verdict has no frame to store
-             against, so it is simply not cached *)
-          if backend <> "sat>abstract>concrete" then
-            Proof_cache.store c
-              {
-                Proof_cache.key;
-                engine_version = Proof_cache.version;
-                design = j.design;
-                instr = j.port ^ "." ^ j.instr;
-                verdict;
-                stats;
-                cnf = Lazy.force st.st_canonical;
-                hyps = Checker.shared_frame_selectors st.st_sh idx;
-                created_s = Unix.gettimeofday ();
-              }
-        | _ -> ());
-        result_of_job j ~verdict ~stats
-          ~time_s:(Unix.gettimeofday () -. t0)
-          ~backend ~cache_hit:false)
-  with
-  | (Out_of_memory | Stack_overflow) as fatal -> raise fatal
-  | e -> errored (Printexc.to_string e)
+  result_of_job j ~verdict ~stats
+    ~time_s:(Unix.gettimeofday () -. t0)
+    ~backend ~cache_hit
 
 (* The instrumented job: one span per obligation job, tagged at the
    end with what actually happened (backend, verdict, cache hit). *)
@@ -530,7 +346,7 @@ let instrumented ~mode discharge_fn (j : job) =
     r
   end
 
-let run ?(jobs = 1) ?cache ?(portfolio = Portfolio.Auto) ?budget ?timeout_s
+let run ?(jobs = 1) ?cache ?budget ?timeout_s
     ?(incremental = true) ?(memory_abstraction = false) job_list =
   let t0 = Unix.gettimeofday () in
   let run_span =
@@ -542,8 +358,6 @@ let run ?(jobs = 1) ?cache ?(portfolio = Portfolio.Auto) ?budget ?timeout_s
              ("workers", Ilv_obs.Obs.I (max 1 jobs));
              ("cache", Ilv_obs.Obs.B (cache <> None));
              ("incremental", Ilv_obs.Obs.B incremental);
-             ( "portfolio",
-               Ilv_obs.Obs.S (Portfolio.choice_to_string portfolio) );
            ])
     else None
   in
@@ -561,12 +375,10 @@ let run ?(jobs = 1) ?cache ?(portfolio = Portfolio.Auto) ?budget ?timeout_s
       let discharge_group group =
         (* the group's deadline starts here, preparation included *)
         let budget = deadlined ~timeout_s budget in
-        let st = init_group ~memory_abstraction group in
+        let session = init_group ~memory_abstraction group in
         List.map
-          (fun j ->
-            instrumented ~mode:"incremental"
-              (discharge_shared ~cache ~portfolio ~budget st)
-              j)
+          (instrumented ~mode:"incremental"
+             (discharge_shared ~cache ~budget session))
           group
       in
       let group_outcomes = Pool.map ~jobs discharge_group groups in
@@ -591,7 +403,7 @@ let run ?(jobs = 1) ?cache ?(portfolio = Portfolio.Auto) ?budget ?timeout_s
       ( job_list,
         Pool.map ~jobs
           (instrumented ~mode:"fresh" (fun j ->
-               discharge ~cache ~portfolio
+               discharge ~cache
                  ~budget:(deadlined ~timeout_s budget)
                  ~memory_abstraction j))
           job_list )
@@ -630,9 +442,7 @@ let run ?(jobs = 1) ?cache ?(portfolio = Portfolio.Auto) ?budget ?timeout_s
             match r.verdict with Checker.Unknown _ -> true | _ -> false);
       n_errors = count (fun r -> r.backend = "error");
       n_poisoned = count (fun r -> r.backend = "poisoned");
-      n_degraded =
-        count (fun r ->
-            String.length r.backend > 4 && String.sub r.backend 0 4 = "sat>");
+      n_degraded = count (fun r -> Verify.is_degraded_rung r.backend);
       cache_hits = count (fun r -> r.cache_hit);
       cache_misses =
         (match cache with

@@ -5,8 +5,9 @@
     construction.  This module turns a sweep — one design, a Table-I
     suite, a mutation campaign — into an explicit {e job list}, then
     discharges it on a {!Pool} of parallel worker processes, consulting
-    the persistent {!Proof_cache} before any solving and dispatching
-    misses through the {!Portfolio}.
+    the persistent {!Proof_cache} before any solving.  Incremental mode
+    checks each group through one {!Session} — the shared-frame driver
+    of {!Ilv_core.Verify} bound to the cache.
 
     Determinism: job ids follow {!Ilv_core.Verify.enumerate} order and
     results are returned sorted by id, so the verdicts and their order
@@ -52,11 +53,14 @@ type result = {
   stats : Checker.stats;
   time_s : float;  (** wall clock of the whole job, captured once *)
   backend : string;
-      (** what produced the verdict: ["sat"], ["bdd"], ["race:sat"],
-          ["race:bdd"], ["cache"], ["error"], ["poisoned"] (quarantined
-          by pool supervision), or ["sat>"]-prefixed when the
-          degradation ladder demoted the query (["sat>fresh"],
-          ["sat>tightened"], ["sat>degraded"]) *)
+      (** what produced the verdict: in incremental mode the rung of
+          {!Ilv_core.Verify.check_port_instr} (["incremental"],
+          ["fresh"], ["tightened"], ["degraded"], with a ["+abstract"]
+          or ["+cegarN"] suffix under the memory abstraction, or
+          ["abstract>concrete"]); in fresh mode ["sat"], or
+          {!Ilv_core.Verify.check_property}'s ["abstract"] rungs;
+          and ["cache"], ["error"] or ["poisoned"] (quarantined by pool
+          supervision) in either mode *)
   cache_hit : bool;
 }
 
@@ -70,7 +74,9 @@ type summary = {
       (** jobs quarantined after killing two distinct workers *)
   n_degraded : int;
       (** jobs whose verdict came from a lower rung of the degradation
-          ladder (fresh retry, tightened budget, or final give-up) *)
+          ladder (fresh retry, tightened budget, or final give-up —
+          {!Ilv_core.Verify.is_degraded_rung}); the CEGAR concrete
+          fallback is not one *)
   cache_hits : int;
   cache_misses : int;  (** jobs that went to a solver (cache enabled) *)
   fresh_sat_attempts : int;
@@ -82,7 +88,6 @@ type summary = {
 val run :
   ?jobs:int ->
   ?cache:Proof_cache.t ->
-  ?portfolio:Portfolio.choice ->
   ?budget:Checker.budget ->
   ?timeout_s:float ->
   ?incremental:bool ->
@@ -92,9 +97,8 @@ val run :
 (** Discharges every job.  [jobs] (default 1) is the worker count —
     [1] runs in-process with no fork.  With [cache], every job first
     computes its proof-cache key; a hit skips solving entirely, a miss
-    solves and stores any definitive verdict.  [portfolio] (default
-    [Auto]) selects the backend per obligation; [budget] bounds the SAT
-    leg as in {!Checker.check_prepared}.
+    solves and stores any definitive verdict.  [budget] bounds every
+    SAT query as in {!Checker.check_prepared}.
 
     [timeout_s] sets a wall-clock deadline per obligation group — per
     (design, variant, port) group in incremental mode (the clock starts
@@ -103,12 +107,14 @@ val run :
     ["deadline: ..."] [Unknown] verdicts instead of hanging the pool.
     Default: unlimited.
 
-    [incremental] (default [true]) groups jobs by (design, variant)
-    and discharges each group against one shared bit-blasted frame in
-    one incremental solver ({!Checker.prepare_shared}): workers are
-    persistent per group — each worker forks once, prepares the shared
-    context once, and streams job after job against it, so learnt
-    clauses transfer between a design's obligations.  Cache keys in
+    [incremental] (default [true]) groups jobs by (design, variant,
+    port) and discharges each group against one shared bit-blasted
+    frame in one incremental solver ({!Ilv_core.Verify.prepare_properties},
+    checked through {!Session.check}): workers are persistent — each
+    worker forks once, prepares a group's shared context once, and
+    streams the group's jobs against it, so learnt clauses transfer
+    between a port's obligations.  Every frame is frozen when it is
+    built.  Cache keys in
     this mode hash the shared frame plus the property's activation
     selectors ({!Proof_cache.key_of_shared}) and can never alias
     non-incremental entries.  Verdicts and their order are identical
@@ -120,9 +126,9 @@ val run :
     unchanged (abstract proofs are sound; counterexamples are replayed
     concretely, with a fresh-solver concrete fallback when refinement
     stalls); cache keys gain an ["abstract"] mode tag so the two
-    encodings never serve each other's entries; backends may carry
-    ["+cegarN"] / ["sat>abstract>concrete"] suffixes recording the
-    refinement work. *)
+    encodings never serve each other's entries; backends carry the
+    rungs recording the refinement work (["+cegarN"],
+    ["abstract>concrete"]). *)
 
 val report_of : name:string -> results:result list -> Verify.report
 (** Reassembles engine results (of one design sweep) into the

@@ -115,9 +115,6 @@ val key_of_cnf :
     directly — e.g. that permuting clauses, literals, or whole selector
     lists does not change the key. *)
 
-val canonical_hyps : int list list -> int list list
-(** The selector-list canonicalization used by {!key_of_cnf}. *)
-
 val key_of_prepared : Ilv_core.Checker.prepared -> string
 (** Must be taken {e before} solving on the prepared context: the
     solver appends learned clauses to the context's CNF, so a key
@@ -139,10 +136,10 @@ val key_of_shared :
 (** Key of one property's obligations inside a shared frame:
     [frame] is the {!frame_digest} of the design's shared CNF and
     [selectors] the property's activation-selector lists
-    ({!Ilv_core.Checker.shared_selectors}), canonicalized like
-    {!canonical_hyps}.  Tagged distinctly from {!key_of_cnf} keys, so
-    incremental and non-incremental runs never alias; [mode] further
-    segregates encodings, as in {!key_of_cnf}. *)
+    ({!Ilv_core.Checker.shared_frame_selectors}), canonicalized like
+    {!key_of_cnf}'s selector lists.  Tagged distinctly from
+    {!key_of_cnf} keys, so incremental and non-incremental runs never
+    alias; [mode] further segregates encodings, as in {!key_of_cnf}. *)
 
 val lookup : t -> string -> entry option
 (** [None] on a genuine miss {e and} on any unreadable entry — a

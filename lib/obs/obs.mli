@@ -22,11 +22,10 @@
     {2 Forked workers}
 
     The sink's file descriptor is opened in append mode and survives
-    {!Unix.fork}: worker processes ({!Ilv_engine.Pool}, portfolio race
-    legs) inherit it and their events land in the same trace, tagged
-    with their own [pid].  Every line is written and flushed as one
-    buffered chunk, so concurrent appenders do not interleave
-    mid-line.  In-memory counters, by contrast, are per-process: the
+    {!Unix.fork}: worker processes ({!Ilv_engine.Pool}) inherit it and
+    their events land in the same trace, tagged with their own [pid].
+    Every line is written and flushed as one buffered chunk, so
+    concurrent appenders do not interleave mid-line.  In-memory counters, by contrast, are per-process: the
     [--metrics] summary printed by the parent only aggregates what the
     parent itself emitted, while the trace file sees every process. *)
 

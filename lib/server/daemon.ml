@@ -44,21 +44,6 @@ let new_counters () =
 
 (* ---- resident state ---- *)
 
-type frame = {
-  fr_prepared : Verify.prepared_port;
-  fr_key_sh : Checker.shared;
-      (* the generation-0 shared context, pinned at preparation time:
-         cache and memo keys must be deterministic across runs, and the
-         live frame ([Verify.prepared_shared]) is *replaced* when a
-         CEGAR refinement rebuilds it ([Verify.frame_generation]
-         moves) — keying off the live frame after a refinement would
-         mint keys no other run can ever reproduce *)
-  mutable fr_digest : string option;
-      (* [Proof_cache.frame_digest] of the frozen generation-0 CNF,
-         computed on first use (freezing costs one deterministic
-         encoding pass) *)
-}
-
 type memo_entry = {
   m_verdict : Checker.verdict;
   m_rung : string;
@@ -68,8 +53,9 @@ type t = {
   cache : Proof_cache.t option;
   timeout_s : float option;  (* default per-request deadline *)
   max_frame : int;
-  frames : (string, frame) Hashtbl.t;
-      (* "design\x00variant\x00port" -> resident prepared context *)
+  frames : (string, Session.t) Hashtbl.t;
+      (* "design\x00variant\x00port" -> resident prepared context; its
+         generation-0 frame stays pinned for keys after CEGAR rebuilds *)
   memo : (string, memo_entry) Hashtbl.t;
       (* Proof_cache.key_of_shared -> first verdict; what makes two
          clients submitting the identical obligation cost one solve *)
@@ -99,16 +85,10 @@ let get_frame t ~design ~variant ~(port : Ila.t) ~rtl ~refmap
     let label =
       design ^ (match variant with Some v -> "#" ^ v | None -> "")
     in
-    let pr =
-      Verify.prepare_port ~memory_abstraction ~name:label ~port ~rtl ~refmap
-        ()
-    in
     let fr =
-      {
-        fr_prepared = pr;
-        fr_key_sh = Verify.prepared_shared pr;
-        fr_digest = None;
-      }
+      Session.create
+        (Verify.prepare_port ~memory_abstraction ~name:label ~port ~rtl
+           ~refmap ())
     in
     Hashtbl.replace t.frames k fr;
     t.counters.c_frames <- t.counters.c_frames + 1;
@@ -118,26 +98,6 @@ let get_frame t ~design ~variant ~(port : Ila.t) ~rtl ~refmap
         [ ("design", Obs.S label); ("port", Obs.S port.Ila.name) ]
     end;
     fr
-
-let obligation_key fr idx =
-  let sh = fr.fr_key_sh in
-  match Checker.shared_frame_selectors sh idx with
-  | [] -> None (* encoding failed: uncacheable, undedupable *)
-  | selectors ->
-    let digest =
-      match fr.fr_digest with
-      | Some d -> d
-      | None ->
-        let d = Proof_cache.frame_digest (Checker.shared_cnf sh) in
-        fr.fr_digest <- Some d;
-        d
-    in
-    let mode =
-      match Verify.prepared_abstraction fr.fr_prepared with
-      | Some _ -> Some "abstract"
-      | None -> None
-    in
-    Some (Proof_cache.key_of_shared ?mode ~frame:digest ~selectors ())
 
 (* ---- verify core (shared by the verify and table ops) ---- *)
 
@@ -151,71 +111,29 @@ type job_result = {
   jr_cache_hit : bool;
 }
 
-let solve_one t fr ~design ~instr ~budget =
-  let pr = fr.fr_prepared in
-  let key =
-    match Verify.prepared_slot pr instr with
-    | Ok idx -> obligation_key fr idx
-    | Error _ -> None
-  in
-  let memo_hit = Option.bind key (Hashtbl.find_opt t.memo) in
-  match memo_hit with
+(* The memo in front of the shared session: an obligation any client
+   already asked about costs no key lookup on disk and no solve. *)
+let solve_one t fr ~design ~port ~instr ~budget =
+  let key = Session.key fr instr in
+  match Option.bind key (Hashtbl.find_opt t.memo) with
   | Some m ->
     t.counters.c_dedup_hits <- t.counters.c_dedup_hits + 1;
     if Obs.enabled () then Obs.count "daemon.dedup_hits" 1;
     (m.m_verdict, m.m_rung, true, false)
-  | None -> (
-    let cached =
-      match (key, t.cache) with
-      | Some k, Some cache -> Proof_cache.lookup cache k
-      | _ -> None
+  | None ->
+    let verdict, _, rung, cache_hit =
+      Session.check ?budget ?cache:t.cache ~design ~instr:(port ^ "." ^ instr)
+        fr instr
     in
-    match cached with
-    | Some e ->
-      t.counters.c_cache_hits <- t.counters.c_cache_hits + 1;
-      Option.iter
-        (fun k ->
-          Hashtbl.replace t.memo k
-            { m_verdict = e.Proof_cache.verdict; m_rung = "cache" })
-        key;
-      (e.Proof_cache.verdict, "cache", false, true)
-    | None ->
+    if cache_hit then t.counters.c_cache_hits <- t.counters.c_cache_hits + 1
+    else begin
       t.counters.c_solves <- t.counters.c_solves + 1;
-      if Obs.enabled () then Obs.count "daemon.solves" 1;
-      let verdict, stats, rung = Verify.check_port_instr ?budget pr instr in
-      Option.iter
-        (fun k ->
-          Hashtbl.replace t.memo k { m_verdict = verdict; m_rung = rung };
-          match (verdict, t.cache) with
-          | (Checker.Proved | Checker.Failed _), Some cache
-            when rung <> "abstract>concrete" ->
-            (* a concrete-fallback verdict has no abstract frame to
-               validate against, so it is memoized but never stored;
-               decided verdicts store the *decision-time* frame (the
-               CEGAR-refined CNF reproduces the stored verdict shape
-               under [Proof_cache.validate]) while the key stays the
-               deterministic generation-0 one *)
-            let sh = Verify.prepared_shared pr in
-            let selectors =
-              match Verify.prepared_slot pr instr with
-              | Ok idx -> Checker.shared_frame_selectors sh idx
-              | Error _ -> []
-            in
-            Proof_cache.store cache
-              {
-                Proof_cache.key = k;
-                engine_version = Proof_cache.version;
-                design;
-                instr;
-                verdict;
-                stats;
-                cnf = Proof_cache.canonical_cnf (Checker.shared_cnf sh);
-                hyps = Proof_cache.canonical_hyps selectors;
-                created_s = Unix.gettimeofday ();
-              }
-          | _ -> ())
-        key;
-      (verdict, rung, false, false))
+      if Obs.enabled () then Obs.count "daemon.solves" 1
+    end;
+    Option.iter
+      (fun k -> Hashtbl.replace t.memo k { m_verdict = verdict; m_rung = rung })
+      key;
+    (verdict, rung, false, cache_hit)
 
 let verify_core t ~design_name ~variant ~rtl ~refmap_for ~ports ~instrs
     ~timeout_s ~memory_abstraction (d : Design.t) =
@@ -245,7 +163,7 @@ let verify_core t ~design_name ~variant ~rtl ~refmap_for ~ports ~instrs
           ~refmap:(refmap_for port.Ila.name)
           ~memory_abstraction
       in
-      let names = Verify.prepared_instrs fr.fr_prepared in
+      let names = Verify.prepared_instrs (Session.prepared fr) in
       let names =
         match instrs with
         | None -> names
@@ -256,7 +174,8 @@ let verify_core t ~design_name ~variant ~rtl ~refmap_for ~ports ~instrs
           t.counters.c_jobs <- t.counters.c_jobs + 1;
           let t0 = Unix.gettimeofday () in
           let verdict, rung, dedup, cache_hit =
-            solve_one t fr ~design:design_name ~instr ~budget
+            solve_one t fr ~design:design_name ~port:port.Ila.name ~instr
+              ~budget
           in
           {
             jr_port = port.Ila.name;

@@ -21,11 +21,11 @@ let temp_sock () =
   Sys.remove path;
   path
 
-let start_daemon ?max_frame socket =
+let start_daemon ?cache ?max_frame socket =
   match Unix.fork () with
   | 0 ->
     (* the child must never return into the test runner *)
-    (try Daemon.serve ?max_frame ~socket () with _ -> ());
+    (try Daemon.serve ?cache ?max_frame ~socket () with _ -> ());
     Unix._exit 0
   | pid ->
     let rec wait n =
@@ -58,9 +58,9 @@ let stop_daemon pid socket =
   reap 250;
   if Sys.file_exists socket then Sys.remove socket
 
-let with_daemon ?max_frame f =
+let with_daemon ?cache ?max_frame f =
   let socket = temp_sock () in
-  let pid = start_daemon ?max_frame socket in
+  let pid = start_daemon ?cache ?max_frame socket in
   Fun.protect ~finally:(fun () -> stop_daemon pid socket) (fun () -> f socket)
 
 let connect_raw socket =
@@ -382,6 +382,117 @@ let test_memory_abstraction_modes_agree () =
       Alcotest.(check bool) "both modes found the bug" true
         (List.exists (fun (_, _, v) -> v = Some "failed") on))
 
+(* ---- one proof cache, two drivers ----
+
+   The engine's groups and the daemon's resident frames check through
+   the same session, so an entry either one stores is a hit for the
+   other: same keys (generation-0 frame), same verdicts. *)
+
+module Engine = Ilv_engine.Engine
+module Proof_cache = Ilv_engine.Proof_cache
+module Design = Ilv_designs.Design
+
+let cross_designs = [ "AXI Slave"; "Store Buffer" ]
+
+let cross_cache () =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "ilvd-t-cache-%d-%f" (Unix.getpid ())
+         (Unix.gettimeofday ()))
+  in
+  Proof_cache.open_ ~dir ()
+
+let engine_sweep cache =
+  let d name = Option.get (Ilv_designs.Catalog.find name) in
+  let jobs, _ =
+    List.fold_left
+      (fun (acc, first_id) name ->
+        let d = d name in
+        let js =
+          Engine.jobs_of ~first_id ~name:d.Design.name d.Design.module_ila
+            d.Design.rtl
+            ~refmap_for:(d.Design.refmap_for d.Design.rtl)
+            ()
+        in
+        (acc @ js, first_id + List.length js))
+      ([], 0) cross_designs
+  in
+  let results, summary =
+    Engine.run ~jobs:1 ~cache ~memory_abstraction:true jobs
+  in
+  ( List.map
+      (fun (r : Engine.result) ->
+        ( r.Engine.r_design,
+          r.Engine.r_port,
+          r.Engine.r_instr,
+          match r.Engine.verdict with
+          | Ilv_core.Checker.Proved -> "proved"
+          | Ilv_core.Checker.Failed _ -> "failed"
+          | Ilv_core.Checker.Unknown _ -> "unknown" ))
+      results,
+    summary )
+
+(* every row of a daemon verify of each design, abstraction on *)
+let daemon_rows socket =
+  List.concat_map
+    (fun design ->
+      let reply =
+        request_exn socket
+          (Json.Obj
+             [
+               ("op", Json.String "verify");
+               ("design", Json.String design);
+               ("memory_abstraction", Json.String "on");
+             ])
+      in
+      Alcotest.(check bool) ("ok reply: " ^ design) true (Client.ok reply);
+      List.map
+        (fun r ->
+          let s key = Option.value (Protocol.str_member key r) ~default:"" in
+          ( (design, s "port", s "instr", s "verdict"),
+            Json.member "cache_hit" r = Some (Json.Bool true) ))
+        (results_of reply))
+    cross_designs
+
+let test_engine_fills_daemon_hits () =
+  let cache = cross_cache () in
+  Fun.protect
+    ~finally:(fun () -> ignore (Proof_cache.clear cache))
+    (fun () ->
+      let engine_verdicts, s = engine_sweep cache in
+      Alcotest.(check int) "engine solved everything" s.Engine.n_jobs
+        s.Engine.cache_misses;
+      with_daemon ~cache (fun socket ->
+          let rows = daemon_rows socket in
+          List.iter
+            (fun ((design, port, instr, _), hit) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "cache hit: %s %s.%s" design port instr)
+                true hit)
+            rows;
+          Alcotest.(check bool)
+            "daemon verdicts = engine verdicts" true
+            (List.map fst rows = engine_verdicts)))
+
+let test_daemon_fills_engine_hits () =
+  let cache = cross_cache () in
+  Fun.protect
+    ~finally:(fun () -> ignore (Proof_cache.clear cache))
+    (fun () ->
+      let rows = with_daemon ~cache daemon_rows in
+      Alcotest.(check bool)
+        "daemon solved everything" true
+        (List.for_all (fun (_, hit) -> not hit) rows);
+      let engine_verdicts, s = engine_sweep cache in
+      Alcotest.(check int) "engine: every job a cache hit" s.Engine.n_jobs
+        s.Engine.cache_hits;
+      Alcotest.(check int) "engine: zero fresh SAT attempts" 0
+        s.Engine.fresh_sat_attempts;
+      Alcotest.(check bool)
+        "engine verdicts = daemon verdicts" true
+        (engine_verdicts = List.map fst rows))
+
 let suite =
   [
     ( "daemon.protocol",
@@ -414,5 +525,12 @@ let suite =
           test_oversized_traces_are_flagged;
         Alcotest.test_case "abstraction on/off agree over the wire" `Quick
           test_memory_abstraction_modes_agree;
+      ] );
+    ( "daemon.cache",
+      [
+        Alcotest.test_case "an engine-filled cache answers every daemon row"
+          `Quick test_engine_fills_daemon_hits;
+        Alcotest.test_case "a daemon-filled cache answers every engine job"
+          `Quick test_daemon_fills_engine_hits;
       ] );
   ]

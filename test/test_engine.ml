@@ -87,6 +87,47 @@ let key_tests =
         let k1 = Proof_cache.key_of_prepared (prepared_of d) in
         let k2 = Proof_cache.key_of_prepared (prepared_of d) in
         Alcotest.(check string) "same property, same key" k1 k2);
+    t "shared-frame keys are pinned (golden, proof-cache version /5)"
+      (fun () ->
+        (* Keys of warm caches must survive refactors of the drivers:
+           these literals were computed before the engine and the
+           daemon shared one session, and both of its constructors
+           must still mint them.  A deliberate key change bumps
+           [Proof_cache.version] and these literals with it. *)
+        let first_key (d : Design.t) ~memory_abstraction =
+          let port = List.hd d.Design.module_ila.Module_ila.ports in
+          let rtl = d.Design.rtl in
+          let refmap = d.Design.refmap_for rtl port.Ila.name in
+          let by_port =
+            Session.create
+              (Verify.prepare_port ~memory_abstraction ~name:d.Design.name
+                 ~port ~rtl ~refmap ())
+          in
+          let by_jobs =
+            Session.create
+              (Verify.prepare_properties ~memory_abstraction
+                 ~label:d.Design.name
+                 (List.map
+                    (fun (i : Ila.instruction) ->
+                      ( i.Ila.instr_name,
+                        Ok (Propgen.generate_for ~ila:port ~rtl ~refmap i) ))
+                    (Ila.leaf_instructions port)))
+          in
+          let instr =
+            (List.hd (Ila.leaf_instructions port)).Ila.instr_name
+          in
+          let k = Session.key by_port instr in
+          Alcotest.(check (option string))
+            (d.Design.name ^ ": both constructors agree")
+            k (Session.key by_jobs instr);
+          k
+        in
+        Alcotest.(check (option string))
+          "Decoder, concrete" (Some "acfae2d23f6dbf049c71dcc22efda35e")
+          (first_key (design "Decoder") ~memory_abstraction:false);
+        Alcotest.(check (option string))
+          "Store Buffer, abstract" (Some "3c520d3dba09d10ca93b500af92acb6e")
+          (first_key (design "Store Buffer") ~memory_abstraction:true));
     t "solving mutates the context CNF (why the engine snapshots keys)"
       (fun () ->
         (* Regression guard for a real bug: learned clauses appended by
@@ -546,6 +587,88 @@ let engine_tests =
           "verdicts unchanged" true
           (summary_verdicts cold_r = summary_verdicts warm_r);
         ignore (Proof_cache.clear cache));
+    t "degradation counts only ladder rungs below incremental" (fun () ->
+        (* regression: the summary used to count every "sat>" backend,
+           including the CEGAR concrete fallback *)
+        List.iter
+          (fun (rung, degraded) ->
+            Alcotest.(check bool) rung degraded (Verify.is_degraded_rung rung))
+          [
+            ("incremental", false);
+            ("incremental+abstract", false);
+            ("incremental+cegar2", false);
+            ("abstract>concrete", false);
+            ("abstract", false);
+            ("abstract+cegar1", false);
+            ("sat", false);
+            ("cache", false);
+            ("error", false);
+            ("poisoned", false);
+            ("fresh", true);
+            ("fresh+abstract", true);
+            ("tightened", true);
+            ("tightened+cegar3", true);
+            ("degraded", true);
+            ("degraded+abstract", true);
+          ];
+        Alcotest.(check bool)
+          "the concrete fallback is never stored" false
+          (Verify.is_cacheable_rung "abstract>concrete");
+        Alcotest.(check bool)
+          "a shared-frame rung is stored" true
+          (Verify.is_cacheable_rung "incremental+cegar1");
+        let results, s =
+          Engine.run ~jobs:1 ~memory_abstraction:true
+            (jobs_of (design "Store Buffer"))
+        in
+        Alcotest.(check int) "all proved" s.Engine.n_jobs s.Engine.n_proved;
+        Alcotest.(check int) "nothing degraded" 0 s.Engine.n_degraded;
+        List.iter
+          (fun (r : Engine.result) ->
+            Alcotest.(check bool)
+              ("abstract rung: " ^ r.Engine.backend)
+              true
+              (r.Engine.backend = "abstract>concrete"
+              || String.starts_with ~prefix:"incremental+" r.Engine.backend))
+          results);
+    t "a property that fails to encode is an error, not a degradation"
+      (fun () ->
+        (* regression: the shared-frame driver used to send an encoding
+           failure down the ladder, re-encoding it on two fresh solvers
+           and reporting it as degraded *)
+        let clash (p : Property.t) =
+          (* one variable at two sorts: bit-blasting rejects it *)
+          {
+            p with
+            Property.assumptions =
+              Ilv_expr.(
+                Expr.var "clash" Sort.Bool
+                :: Build.eq
+                     (Expr.var "clash" (Sort.Bitvec 4))
+                     (Expr.bv_const (Bitvec.of_int ~width:4 0))
+                :: p.Property.assumptions);
+          }
+        in
+        let jobs =
+          List.map
+            (fun (j : Engine.job) ->
+              if j.Engine.id = 0 then
+                { j with Engine.property = lazy (clash (Lazy.force j.Engine.property)) }
+              else j)
+            (jobs_of (design "Decoder"))
+        in
+        let results, s = Engine.run ~jobs:1 jobs in
+        Alcotest.(check int) "one error" 1 s.Engine.n_errors;
+        Alcotest.(check int) "nothing degraded" 0 s.Engine.n_degraded;
+        Alcotest.(check int) "the others proved" (s.Engine.n_jobs - 1)
+          s.Engine.n_proved;
+        let r = List.hd results in
+        Alcotest.(check string) "error rung" "error" r.Engine.backend;
+        Alcotest.(check bool)
+          "the encoding error is reported" true
+          (match r.Engine.verdict with
+          | Checker.Unknown m -> String.starts_with ~prefix:"exception: " m
+          | _ -> false));
     t "report_of reproduces the sequential verifier's verdicts" (fun () ->
         let d = design "AXI Slave" in
         let results, _ = Engine.run ~jobs:2 (jobs_of d) in
