@@ -70,8 +70,6 @@ let is_deadline_reason r =
   let rec at i = i + m <= n && (String.sub r i m = deadline_sentinel || at (i + 1)) in
   at 0
 
-let is_timeout_reason = is_deadline_reason
-
 (* Sentinel marking a spurious abstract counterexample: the SAT-model
    hook rejected the model and (usually) refined the abstraction, so
    the frame it was solved in is stale.  Like the deadline sentinel it
@@ -101,6 +99,22 @@ type stats = {
   restarts : int;
   attempts : int;
 }
+
+let zero_stats =
+  {
+    time_s = 0.0;
+    obligation_times_s = [];
+    n_obligations = 0;
+    cnf_vars = 0;
+    cnf_clauses = 0;
+    conflicts = 0;
+    restarts = 0;
+    attempts = 0;
+  }
+
+(* the stats of a property no solver ran on *)
+let unchecked (p : Property.t) =
+  { zero_stats with n_obligations = List.length p.Property.obligations }
 
 let base_vars (p : Property.t) (ob : Property.obligation) =
   let add acc e = Expr.vars e @ acc in
@@ -139,14 +153,14 @@ type sat_hook =
   (string -> Sort.t -> Value.t) ->
   verdict option
 
-(* Decide one obligation, escalating the budget on [Unknown]: attempt
-   [k] runs under the initial limit scaled by [escalation_factor^k].
-   Learnt clauses persist in [ctx], so a retry resumes rather than
-   restarts the search. *)
-let decide ctx ~budget:b ~hypotheses attempts =
+(* Decide one obligation under its assumption literals, escalating the
+   budget on [Unknown]: attempt [k] runs under the initial limit scaled
+   by [escalation_factor^k].  Learnt clauses persist in [ctx], so a
+   retry resumes rather than restarts the search. *)
+let decide ctx ~budget:b ~assumptions attempts =
   if is_unlimited b then begin
     incr attempts;
-    Bitblast.check_under ctx ~hypotheses
+    Bitblast.check_assuming ctx ~assumptions
   end
   else begin
     let base = limit_of b in
@@ -159,7 +173,7 @@ let decide ctx ~budget:b ~hypotheses attempts =
             base
       in
       incr attempts;
-      match Bitblast.check_under ~limit ctx ~hypotheses with
+      match Bitblast.check_assuming ~limit ctx ~assumptions with
       | Bitblast.Unknown reason
         when k < b.escalations && not (is_deadline_reason reason) ->
         go (k + 1)
@@ -168,39 +182,15 @@ let decide ctx ~budget:b ~hypotheses attempts =
     go 0
   end
 
-(* A prepared property: the assumptions are asserted into one
-   incremental bit-blasting context, and every obligation's guard and
-   negated goal are pre-encoded to solver literals.  Preparing is the
-   complete CNF encoding of the whole query set — after [prepare] the
-   CNF is stable, which is what makes {!cnf} a sound content address
-   for the proof cache — while the SAT search itself has not started. *)
-type prepared = {
-  prop : Property.t;
-  ctx : Bitblast.t;
-  hyps : (Property.obligation * Expr.t list * int list) list;
-      (* obligation, prepped hypothesis exprs, their literals *)
-  pr_on_sat :
-    (ob_index:int -> (string -> Sort.t -> Value.t) -> verdict option) option;
-}
-
-let prepare ?(simplify = true) ?on_sat (p : Property.t) =
-  let ctx = Bitblast.create () in
-  let prep e = if simplify then Simp.simplify_fix e else e in
-  List.iter (fun a -> Bitblast.assert_bool ctx (prep a)) p.Property.assumptions;
-  let hyps =
-    List.map
-      (fun (ob : Property.obligation) ->
-        let exprs = [ prep ob.Property.guard; Build.not_ (prep ob.Property.goal) ] in
-        (ob, exprs, List.map (Bitblast.lit_of ctx) exprs))
-      p.Property.obligations
-  in
-  { prop = p; ctx; hyps; pr_on_sat = on_sat }
-
-let cnf pr = Bitblast.cnf pr.ctx
-let hypothesis_literals pr = List.map (fun (_, _, lits) -> lits) pr.hyps
-
-let check_prepared ?(budget = unlimited) pr =
-  let p = pr.prop in
+(* The per-obligation loop of both checking modes: decide each
+   (obligation, assumption literals) query of [p] in order, stopping at
+   the first failure.  [retire j] deactivates obligation [j]'s cone once
+   it is decided (a no-op on a fresh context); a spurious model retires
+   nothing, since the caller discards the stale frame.  Solver stats
+   are deltas over the loop, so a shared solver does not report the
+   work of properties decided before [p]. *)
+let check_queries ~mode ~budget ~retire ~on_sat ctx (p : Property.t) queries =
+  let stats0 = Bitblast.solver_stats ctx in
   let attempts = ref 0 in
   let obligation_times = ref [] in
   let timed f =
@@ -215,11 +205,12 @@ let check_prepared ?(budget = unlimited) pr =
       | [] -> Proved
       | (label, reason) :: _ ->
         Unknown (Printf.sprintf "obligation %s: %s" label reason))
-    | (ob, _, _) :: rest when past_deadline budget ->
+    | ((ob : Property.obligation), _) :: rest when past_deadline budget ->
       (* the group clock ran out: no more solver calls, every remaining
          obligation degrades to a timestamped Unknown *)
+      retire j;
       go (j + 1) ((ob.Property.label, deadline_reason budget) :: unknowns) rest
-    | (ob, hypotheses, _lits) :: rest -> (
+    | (ob, assumptions) :: rest -> (
       let span =
         if Ilv_obs.Obs.enabled () then
           Some
@@ -229,6 +220,7 @@ let check_prepared ?(budget = unlimited) pr =
                  ("port", Ilv_obs.Obs.S p.Property.port);
                  ("instr", Ilv_obs.Obs.S p.Property.instr.Ila.instr_name);
                  ("label", Ilv_obs.Obs.S ob.Property.label);
+                 ("mode", Ilv_obs.Obs.S mode);
                ])
         else None
       in
@@ -240,7 +232,7 @@ let check_prepared ?(budget = unlimited) pr =
                 ~key:(p.Property.prop_name ^ "/" ^ ob.Property.label)
               = Ilv_obs.Inject.Fault
             then Bitblast.Unknown "chaos: injected solver stall"
-            else decide pr.ctx ~budget ~hypotheses attempts)
+            else decide ctx ~budget ~assumptions attempts)
       in
       (match span with
       | None -> ()
@@ -263,28 +255,39 @@ let check_prepared ?(budget = unlimited) pr =
             ]
           id);
       match result with
-      | Bitblast.Unsat -> go (j + 1) unknowns rest
+      | Bitblast.Unsat ->
+        retire j;
+        go (j + 1) unknowns rest
       | Bitblast.Unknown reason ->
         (* keep going: a definite failure on a later obligation is more
            informative than this obligation's timeout *)
+        retire j;
         go (j + 1) ((ob.Property.label, reason) :: unknowns) rest
       | Bitblast.Sat model -> (
-        match pr.pr_on_sat with
-        | None -> failed_of_model p ob model
-        | Some hook -> (
-          match hook ~ob_index:j model with
-          | Some verdict -> verdict
-          | None ->
-            (* spurious: the abstraction moved under this encoding; the
-               remaining obligations would solve against the same stale
-               frame, so stop and let the CEGAR driver re-encode *)
-            Unknown (spurious_reason ()))))
+        (* decode before retiring: retiring adds a clause, which
+           invalidates the model *)
+        let disposition =
+          match on_sat with
+          | None -> Some (failed_of_model p ob model)
+          | Some hook -> hook ~ob_index:j model
+        in
+        match disposition with
+        | Some verdict ->
+          for k = j to j + List.length rest do
+            retire k
+          done;
+          verdict
+        | None ->
+          (* spurious: the abstraction moved under this encoding; the
+             remaining obligations would solve against the same stale
+             frame, so stop and let the CEGAR driver re-encode *)
+          Unknown (spurious_reason ())))
   in
-  let verdict = go 0 [] pr.hyps in
-  let cnf_vars, cnf_clauses = Bitblast.cnf_size pr.ctx in
-  let solver_stats = Bitblast.solver_stats pr.ctx in
+  let verdict = go 0 [] queries in
+  let cnf_vars, cnf_clauses = Bitblast.cnf_size ctx in
+  let solver_stats = Bitblast.solver_stats ctx in
   let obligation_times_s = List.rev !obligation_times in
-  let stats =
+  ( verdict,
     {
       (* summed per-obligation wall clock, each delta captured exactly
          once around the solver call: correct and monotone even when
@@ -294,12 +297,46 @@ let check_prepared ?(budget = unlimited) pr =
       n_obligations = List.length p.Property.obligations;
       cnf_vars;
       cnf_clauses;
-      conflicts = solver_stats.Sat.conflicts;
-      restarts = solver_stats.Sat.restarts;
+      conflicts = solver_stats.Sat.conflicts - stats0.Sat.conflicts;
+      restarts = solver_stats.Sat.restarts - stats0.Sat.restarts;
       attempts = !attempts;
-    }
+    } )
+
+(* A prepared property: the assumptions are asserted into one
+   incremental bit-blasting context, and every obligation's guard and
+   negated goal are pre-encoded to solver literals.  Preparing is the
+   complete CNF encoding of the whole query set — after [prepare] the
+   CNF is stable, which is what makes {!cnf} a sound content address
+   for the proof cache — while the SAT search itself has not started. *)
+type prepared = {
+  prop : Property.t;
+  ctx : Bitblast.t;
+  queries : (Property.obligation * int list) list;
+      (* obligation, the literals of its guard and negated goal *)
+  pr_on_sat :
+    (ob_index:int -> (string -> Sort.t -> Value.t) -> verdict option) option;
+}
+
+let prepare ?(simplify = true) ?on_sat (p : Property.t) =
+  let ctx = Bitblast.create () in
+  let prep e = if simplify then Simp.simplify_fix e else e in
+  List.iter (fun a -> Bitblast.assert_bool ctx (prep a)) p.Property.assumptions;
+  let queries =
+    List.map
+      (fun (ob : Property.obligation) ->
+        ( ob,
+          List.map (Bitblast.lit_of ctx)
+            [ prep ob.Property.guard; Build.not_ (prep ob.Property.goal) ] ))
+      p.Property.obligations
   in
-  (verdict, stats)
+  { prop = p; ctx; queries; pr_on_sat = on_sat }
+
+let cnf pr = Bitblast.cnf pr.ctx
+let hypothesis_literals pr = List.map snd pr.queries
+
+let check_prepared ?(budget = unlimited) pr =
+  check_queries ~mode:"fresh" ~budget ~retire:ignore ~on_sat:pr.pr_on_sat
+    pr.ctx pr.prop pr.queries
 
 let check ?simplify ?on_sat ?budget (p : Property.t) =
   check_prepared ?budget (prepare ?simplify ?on_sat p)
@@ -356,9 +393,6 @@ let prepare_shared ?(simplify = true) ?(label = "") ?on_sat props =
     sh_frozen = None;
     sh_on_sat = on_sat;
   }
-
-
-let shared_count sh = Array.length sh.sh_props
 
 (* The guarded encoding of one property: a fresh activation literal per
    cone, Tseitin clauses guarded so the cone only binds while its
@@ -506,207 +540,46 @@ let shared_error sh idx =
   | Encoded _ -> None
   | Pending -> assert false
 
-let shared_selectors sh idx =
-  encode_shared sh idx;
-  match sh.sh_enc.(idx) with
-  | Encoded (p_act, obs) ->
-    List.map (fun so -> [ p_act; so.so_act ]) obs
-  | Enc_failed _ | Pending -> []
-
 let shared_cnf_split sh = Bitblast.cnf_split sh.sh_ctx
 let shared_simplify_removed sh = sh.sh_removed
-
-(* Decide one obligation under its activation literals, escalating the
-   budget on [Unknown] exactly like the fresh-solver path. *)
-let decide_assuming ctx ~budget:b ~assumptions attempts =
-  if is_unlimited b then begin
-    incr attempts;
-    Bitblast.check_assuming ctx ~assumptions
-  end
-  else begin
-    let base = limit_of b in
-    let rec go k =
-      let limit =
-        if k = 0 then base
-        else
-          Sat.scale_limit
-            (int_of_float (float_of_int b.escalation_factor ** float_of_int k))
-            base
-      in
-      incr attempts;
-      match Bitblast.check_assuming ~limit ctx ~assumptions with
-      | Bitblast.Unknown reason
-        when k < b.escalations && not (is_deadline_reason reason) ->
-        go (k + 1)
-      | answer -> answer
-    in
-    go 0
-  end
 
 let check_shared ?(budget = unlimited) sh idx =
   match sh.sh_done.(idx) with
   | Some r -> r
   | None ->
-  encode_shared sh idx;
-  simplify_shared_once sh;
-  let p = sh.sh_props.(idx) in
-  let r =
-  match sh.sh_enc.(idx) with
-  | Pending -> assert false
-  | Enc_failed msg ->
-    ( Unknown ("exception: " ^ msg),
-      {
-        time_s = 0.0;
-        obligation_times_s = [];
-        n_obligations = List.length p.Property.obligations;
-        cnf_vars = 0;
-        cnf_clauses = 0;
-        conflicts = 0;
-        restarts = 0;
-        attempts = 0;
-      } )
-  | Encoded (p_act, obs) ->
-    let stats0 = Bitblast.solver_stats sh.sh_ctx in
-    let attempts = ref 0 in
-    let obligation_times = ref [] in
-    let timed f =
-      let t0 = Unix.gettimeofday () in
-      let r = f () in
-      obligation_times := (Unix.gettimeofday () -. t0) :: !obligation_times;
-      r
-    in
-    let retire so = Bitblast.retire sh.sh_ctx so.so_act in
-    let rec go j unknowns = function
-      | [] -> (
-        match List.rev unknowns with
-        | [] -> Proved
-        | (label, reason) :: _ ->
-          Unknown (Printf.sprintf "obligation %s: %s" label reason))
-      | so :: rest when past_deadline budget ->
-        (* decided by the clock, not the solver; retire the cone so the
-           shared frame stays lean for whoever queries next *)
-        retire so;
-        go (j + 1)
-          ((so.so_ob.Property.label, deadline_reason budget) :: unknowns)
-          rest
-      | so :: rest -> (
-        let ob = so.so_ob in
-        let span =
-          if Ilv_obs.Obs.enabled () then
-            Some
-              (Ilv_obs.Obs.span_begin "checker.obligation"
-                 [
-                   ("prop", Ilv_obs.Obs.S p.Property.prop_name);
-                   ("port", Ilv_obs.Obs.S p.Property.port);
-                   ("instr", Ilv_obs.Obs.S p.Property.instr.Ila.instr_name);
-                   ("label", Ilv_obs.Obs.S ob.Property.label);
-                   ("mode", Ilv_obs.Obs.S "incremental");
-                 ])
-          else None
+    encode_shared sh idx;
+    simplify_shared_once sh;
+    let p = sh.sh_props.(idx) in
+    let r =
+      match sh.sh_enc.(idx) with
+      | Pending -> assert false
+      | Enc_failed msg -> (Unknown ("exception: " ^ msg), unchecked p)
+      | Encoded (p_act, obs) ->
+        let acts = Array.of_list (List.map (fun so -> so.so_act) obs) in
+        let verdict, stats =
+          check_queries ~mode:"incremental" ~budget
+            ~retire:(fun j -> Bitblast.retire sh.sh_ctx acts.(j))
+            ~on_sat:(Option.map (fun hook -> hook ~prop_index:idx) sh.sh_on_sat)
+            sh.sh_ctx p
+            (List.map (fun so -> (so.so_ob, [ p_act; so.so_act ])) obs)
         in
-        let attempts0 = !attempts in
-        let result =
-          timed (fun () ->
-              if
-                Ilv_obs.Inject.fire_once ~point:"solver.stall"
-                  ~key:(p.Property.prop_name ^ "/" ^ ob.Property.label)
-                = Ilv_obs.Inject.Fault
-              then Bitblast.Unknown "chaos: injected solver stall"
-              else
-                decide_assuming sh.sh_ctx ~budget
-                  ~assumptions:[ p_act; so.so_act ] attempts)
-        in
-        (match span with
-        | None -> ()
-        | Some id ->
-          let open Ilv_obs.Obs in
-          let tries = !attempts - attempts0 in
-          count "checker.obligations" 1;
-          count "checker.escalations" (max 0 (tries - 1));
-          span_end
-            ~fields:
-              [
-                ( "outcome",
-                  S
-                    (match result with
-                    | Bitblast.Unsat -> "unsat"
-                    | Bitblast.Sat _ -> "sat"
-                    | Bitblast.Unknown _ -> "unknown") );
-                ("attempts", I tries);
-                ("escalation_level", I (max 0 (tries - 1)));
-              ]
-            id);
-        match result with
-        | Bitblast.Unsat ->
-          retire so;
-          go (j + 1) unknowns rest
-        | Bitblast.Unknown reason ->
-          retire so;
-          go (j + 1) ((ob.Property.label, reason) :: unknowns) rest
-        | Bitblast.Sat model -> (
-          (* decode before retiring: retiring adds a clause, which
-             invalidates the model *)
-          let disposition =
-            match sh.sh_on_sat with
-            | None -> Some (failed_of_model p ob model)
-            | Some hook -> hook ~prop_index:idx ~ob_index:j model
-          in
-          match disposition with
-          | Some verdict ->
-            retire so;
-            List.iter retire rest;
-            verdict
-          | None ->
-            (* spurious: the hook refined the abstraction, making this
-               whole frame stale.  Retire nothing — the caller discards
-               the context and re-prepares from the refined window. *)
-            Unknown (spurious_reason ())))
+        (* the whole property is decided: retire its assumption cone
+           too, then shed every clause the retire units satisfy — the
+           guarded cones and any learnt clause mentioning a retired
+           activation literal — so watch lists don't grow with each
+           finished property.  The subsumption stage is skipped: this
+           runs between every pair of properties and must stay
+           linear. *)
+        Bitblast.retire sh.sh_ctx p_act;
+        ignore (Bitblast.simplify ~subsume:false sh.sh_ctx);
+        Bitblast.age_activity sh.sh_ctx;
+        let cnf_vars, cnf_clauses = Bitblast.cnf_size sh.sh_ctx in
+        (verdict, { stats with cnf_vars; cnf_clauses })
     in
-    let verdict = go 0 [] obs in
-    (* the whole property is decided: retire its assumption cone too,
-       then shed every clause the retire units satisfy — the guarded
-       cones and any learnt clause mentioning a retired activation
-       literal — so watch lists don't grow with each finished property.
-       The subsumption stage is skipped: this runs between every pair
-       of properties and must stay linear. *)
-    Bitblast.retire sh.sh_ctx p_act;
-    ignore (Bitblast.simplify ~subsume:false sh.sh_ctx);
-    Bitblast.age_activity sh.sh_ctx;
-    let cnf_vars, cnf_clauses = Bitblast.cnf_size sh.sh_ctx in
-    let solver_stats = Bitblast.solver_stats sh.sh_ctx in
-    let obligation_times_s = List.rev !obligation_times in
-    let stats =
-      {
-        time_s = List.fold_left ( +. ) 0.0 obligation_times_s;
-        obligation_times_s;
-        n_obligations = List.length p.Property.obligations;
-        cnf_vars;
-        cnf_clauses;
-        (* deltas: the solver is shared across the design's properties,
-           so totals would double-count earlier instructions *)
-        conflicts = solver_stats.Sat.conflicts - stats0.Sat.conflicts;
-        restarts = solver_stats.Sat.restarts - stats0.Sat.restarts;
-        attempts = !attempts;
-      }
-    in
-    (verdict, stats)
-  in
-  sh.sh_done.(idx) <- Some r;
-  r
+    sh.sh_done.(idx) <- Some r;
+    r
 
 (* --- degradation ladder --- *)
-
-let zero_stats (p : Property.t) =
-  {
-    time_s = 0.0;
-    obligation_times_s = [];
-    n_obligations = List.length p.Property.obligations;
-    cnf_vars = 0;
-    cnf_clauses = 0;
-    conflicts = 0;
-    restarts = 0;
-    attempts = 0;
-  }
 
 (* Ladder stats accumulate across rungs: wall clock, conflicts and
    attempts are real work and sum; CNF sizes describe the biggest
@@ -763,7 +636,7 @@ let check_fresh ?on_sat ~budget ~simplify p =
   match check ~simplify ?on_sat ~budget p with
   | r -> r
   | exception ((Out_of_memory | Stack_overflow) as fatal) -> raise fatal
-  | exception e -> (Unknown ("exception: " ^ Printexc.to_string e), zero_stats p)
+  | exception e -> (Unknown ("exception: " ^ Printexc.to_string e), unchecked p)
 
 let check_shared_degrading ?(budget = unlimited) sh idx =
   let p = sh.sh_props.(idx) in

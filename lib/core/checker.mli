@@ -78,10 +78,6 @@ val is_deadline_reason : string -> bool
     degradation ladder, pool supervision) not to burn more work against
     a fixed wall clock. *)
 
-val is_timeout_reason : string -> bool
-(** Deprecated alias of {!is_deadline_reason}, kept for callers written
-    against the old (substring-["timeout:"]) marker. *)
-
 val spurious_sentinel : string
 (** The structured marker (["cegar-spurious:"]) stamped onto the unknown
     produced when a SAT-model hook rejects an abstract counterexample:
@@ -128,8 +124,8 @@ type stats = {
   attempts : int;  (** SAT queries issued, counting escalation retries *)
 }
 
-val zero_stats : Property.t -> stats
-(** All-zero stats for a property (used when no solver ran). *)
+val zero_stats : stats
+(** All-zero stats, for a verdict no solver produced. *)
 
 val merge_stats : stats -> stats -> stats
 (** Accumulates stats across retries/rungs: wall clock, conflicts and
@@ -228,8 +224,6 @@ val prepare_shared :
     satisfying model (see {!sat_hook}); it also rides along the
     degradation ladder's fresh rungs. *)
 
-val shared_count : shared -> int
-
 val check_shared : ?budget:budget -> shared -> int -> verdict * stats
 (** Decides property [idx]'s obligations in the shared context, with
     the same semantics as {!check} (ordering, early [Failed] stop,
@@ -258,11 +252,6 @@ val shared_frame_selectors : shared -> int -> int list list
     numbering (freezes on first use) — the selector half of the cache
     key.  Empty for a property whose encoding failed (uncacheable).
     Does not touch the live context. *)
-
-val shared_selectors : shared -> int -> int list list
-(** Like {!shared_frame_selectors} but in the live solver's (lazy,
-    encode-order-dependent) numbering; encodes property [idx] on first
-    use.  Empty for a property whose encoding failed. *)
 
 val shared_error : shared -> int -> string option
 (** The encoding error of property [idx], if it failed. *)

@@ -42,18 +42,6 @@ let unknowns r =
         p.instr_results)
     r.ports
 
-let empty_stats =
-  {
-    Checker.time_s = 0.0;
-    obligation_times_s = [];
-    n_obligations = 0;
-    cnf_vars = 0;
-    cnf_clauses = 0;
-    conflicts = 0;
-    restarts = 0;
-    attempts = 0;
-  }
-
 (* Errors while checking one instruction (a malformed mutant tripping
    the bit-blaster, an ill-sorted refinement expression, ...) must not
    abort the whole report: they become that instruction's verdict. *)
@@ -177,7 +165,7 @@ let check_port_instr ?budget pr name =
       try Checker.check_shared_degrading ?budget pr.pp_shared idx
       with e ->
         ( Checker.Unknown ("exception: " ^ message_of_exn e),
-          empty_stats,
+          Checker.zero_stats,
           "error" )
     in
     let concrete_fallback stats_acc =
@@ -222,9 +210,9 @@ let check_port_instr ?budget pr name =
         (v, stats_acc, rung ^ tag)
       | _ -> (v, stats_acc, rung))
     in
-    attempt 0 empty_stats)
+    attempt 0 Checker.zero_stats)
   | Error msg ->
-    (Checker.Unknown ("exception: " ^ msg), empty_stats, "error")
+    (Checker.Unknown ("exception: " ^ msg), Checker.zero_stats, "error")
 
 (* ---- fresh path ----
 
@@ -237,19 +225,16 @@ let check_property ?budget (p : Property.t) =
   match Mem_abstract.create [ p ] with
   | None ->
     let v, s = Checker.check ?budget p in
-    (v, s, "fresh")
+    (v, s, "sat")
   | Some ab ->
+    let budget = Option.value budget ~default:Checker.unlimited in
     let rec attempt round stats_acc =
       let gen0 = Mem_abstract.generation ab in
-      let abstract = (Mem_abstract.abstract_properties ab).(0) in
-      let on_sat = Mem_abstract.replay ab ~prop_index:0 in
       let v, s =
-        match Checker.check ~on_sat ?budget abstract with
-        | r -> r
-        | exception ((Out_of_memory | Stack_overflow) as fatal) -> raise fatal
-        | exception e ->
-          ( Checker.Unknown ("exception: " ^ Printexc.to_string e),
-            Checker.zero_stats p )
+        Checker.check_fresh
+          ~on_sat:(Mem_abstract.replay ab ~prop_index:0)
+          ~budget ~simplify:true
+          (Mem_abstract.abstract_properties ab).(0)
       in
       let stats_acc = Checker.merge_stats stats_acc s in
       match v with
@@ -258,7 +243,7 @@ let check_property ?budget (p : Property.t) =
         then attempt (round + 1) stats_acc
         else begin
           (* no refinement progress: decide concretely *)
-          let v, s = Checker.check ?budget p in
+          let v, s = Checker.check ~budget p in
           (v, Checker.merge_stats stats_acc s, "abstract>concrete")
         end
       | _ ->
@@ -267,7 +252,7 @@ let check_property ?budget (p : Property.t) =
           if round = 0 then "abstract"
           else Printf.sprintf "abstract+cegar%d" round )
     in
-    attempt 0 (Checker.zero_stats p)
+    attempt 0 Checker.zero_stats
 
 let is_cacheable_rung rung = rung <> "abstract>concrete"
 
@@ -281,35 +266,27 @@ let is_degraded_rung rung =
 
 type task = { task_port : Ila.t; task_instr : Ila.instruction }
 
-let enumerate ?only_ports (module_ila : Module_ila.t) =
-  let selected =
-    match only_ports with
-    | None -> module_ila.Module_ila.ports
-    | Some names ->
-      List.filter
-        (fun (p : Ila.t) -> List.mem p.Ila.name names)
-        module_ila.Module_ila.ports
-  in
+let selected_ports ?only_ports (module_ila : Module_ila.t) =
+  match only_ports with
+  | None -> module_ila.Module_ila.ports
+  | Some names ->
+    List.filter
+      (fun (p : Ila.t) -> List.mem p.Ila.name names)
+      module_ila.Module_ila.ports
+
+let enumerate ?only_ports module_ila =
   List.concat_map
     (fun (port : Ila.t) ->
       List.map
         (fun (i : Ila.instruction) -> { task_port = port; task_instr = i })
         (Ila.leaf_instructions port))
-    selected
+    (selected_ports ?only_ports module_ila)
 
 let run ?(stop_at_first_failure = true) ?only_ports ?budget ?timeout_s
     ?(incremental = true) ?(memory_abstraction = false) ~name module_ila rtl
     ~refmap_for =
   let t0 = Unix.gettimeofday () in
   let first_failure = ref None in
-  let selected =
-    match only_ports with
-    | None -> module_ila.Module_ila.ports
-    | Some names ->
-      List.filter
-        (fun (p : Ila.t) -> List.mem p.Ila.name names)
-        module_ila.Module_ila.ports
-  in
   let ports =
     List.map
       (fun (port : Ila.t) ->
@@ -355,10 +332,10 @@ let run ?(stop_at_first_failure = true) ?only_ports ?budget ?timeout_s
                 check_property ?budget property
               else
                 let v, s = Checker.check ?budget property in
-                (v, s, "fresh")
+                (v, s, "sat")
             with e ->
               ( Checker.Unknown ("exception: " ^ message_of_exn e),
-                empty_stats,
+                Checker.zero_stats,
                 "error" ))
         in
         let rec check_all = function
@@ -385,7 +362,9 @@ let run ?(stop_at_first_failure = true) ?only_ports ?budget ?timeout_s
                 match refmap with
                 | Ok refmap -> check_instr refmap i
                 | Error msg ->
-                  (Checker.Unknown ("exception: " ^ msg), empty_stats, "error")
+                  ( Checker.Unknown ("exception: " ^ msg),
+                    Checker.zero_stats,
+                    "error" )
               in
               (match span with
               | None -> ()
@@ -428,7 +407,7 @@ let run ?(stop_at_first_failure = true) ?only_ports ?budget ?timeout_s
           instr_results = List.rev !results;
           port_time_s = Unix.gettimeofday () -. pt0;
         })
-      selected
+      (selected_ports ?only_ports module_ila)
   in
   {
     design = name;

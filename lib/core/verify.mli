@@ -153,9 +153,9 @@ val check_property :
     mentions a wide memory it solves the {!Mem_abstract} rewrite,
     replays SAT answers, refines and re-encodes until a definite answer
     (at most {!Mem_abstract.max_rounds} rounds), falling back to the
-    concrete encoding when refinement stalls.  The rung is ["fresh"]
-    (no abstraction), ["abstract"], ["abstract+cegarN"] or
-    ["abstract>concrete"]. *)
+    concrete encoding when refinement stalls.  The rung is ["sat"]
+    (no abstraction — not the ladder's ["fresh"] demotion),
+    ["abstract"], ["abstract+cegarN"] or ["abstract>concrete"]. *)
 
 val is_cacheable_rung : string -> bool
 (** False for the CEGAR concrete fallback ["abstract>concrete"]: its

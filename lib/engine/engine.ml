@@ -57,18 +57,6 @@ type summary = {
   jobs_used : int;
 }
 
-let empty_stats =
-  {
-    Checker.time_s = 0.0;
-    obligation_times_s = [];
-    n_obligations = 0;
-    cnf_vars = 0;
-    cnf_clauses = 0;
-    conflicts = 0;
-    restarts = 0;
-    attempts = 0;
-  }
-
 let result_of_job (j : job) ~verdict ~stats ~time_s ~backend ~cache_hit =
   {
     job_id = j.id;
@@ -120,127 +108,24 @@ let deadlined ~timeout_s budget =
          (Unix.gettimeofday () +. t)
          (Option.value budget ~default:Checker.unlimited))
 
-(* Abstraction-path fresh discharge.  The cache key comes from the
-   generation-0 abstract encoding — deterministic however the CEGAR
-   loop unfolds — and an entry is only stored when generation 0 itself
-   decided the verdict (rung "abstract"), so the stored CNF re-solves
-   to the stored verdict shape under [Proof_cache.validate]. *)
-let discharge_abstract ~cache ~budget (j : job) (t : Mem_abstract.t) =
-  let t0 = Unix.gettimeofday () in
-  let p = (Mem_abstract.concrete_properties t).(0) in
-  let snapshot =
-    match cache with
-    | None -> None
-    | Some _ ->
-      let pr0 = Checker.prepare (Mem_abstract.abstract_properties t).(0) in
-      let n_vars, clauses = Checker.cnf pr0 in
-      let hyps = Checker.hypothesis_literals pr0 in
-      Some
-        ( Proof_cache.key_of_cnf ~mode:"abstract" ~n_vars ~clauses ~hyps (),
-          Proof_cache.canonical_cnf (n_vars, clauses),
-          hyps )
-  in
-  let cached =
-    match (cache, snapshot) with
-    | Some c, Some (key, _, _) ->
-      Option.map (fun e -> (key, e)) (Proof_cache.lookup c key)
-    | _ -> None
-  in
-  match cached with
-  | Some (_, (e : Proof_cache.entry)) ->
-    result_of_job j ~verdict:e.Proof_cache.verdict ~stats:e.Proof_cache.stats
-      ~time_s:(Unix.gettimeofday () -. t0)
-      ~backend:"cache" ~cache_hit:true
-  | None ->
-    let verdict, stats, backend = Verify.check_property ?budget p in
-    (match (cache, snapshot, backend) with
-    | Some c, Some (key, cnf, hyps), "abstract" ->
-      Proof_cache.store c
-        {
-          Proof_cache.key;
-          engine_version = Proof_cache.version;
-          design = j.design;
-          instr = j.port ^ "." ^ j.instr;
-          verdict;
-          stats;
-          cnf;
-          hyps;
-          created_s = Unix.gettimeofday ();
-        }
-    | _ -> ());
-    result_of_job j ~verdict ~stats
-      ~time_s:(Unix.gettimeofday () -. t0)
-      ~backend ~cache_hit:false
-
-(* Fresh mode: discharge one job on its own solver — generate +
-   prepare the property, try the cache, then solve; store definitive
-   verdicts.  Any exception becomes this job's [Unknown] — never the
-   sweep's. *)
-let discharge ~cache ~budget ~memory_abstraction (j : job) =
+(* Discharge one job through a cache-aware [check] (a {!Session} step,
+   given the job's cache labels).  Any exception becomes this job's
+   [Unknown] — never the sweep's. *)
+let discharge check (j : job) =
   chaos_kill_point j;
   let t0 = Unix.gettimeofday () in
-  try
-    let p = Lazy.force j.property in
-    match
-      if memory_abstraction then Mem_abstract.create [ p ] else None
-    with
-    | Some t -> discharge_abstract ~cache ~budget j t
-    | None ->
-    let pr = Checker.prepare p in
-    (* Snapshot the proof problem before any solving: the solver appends
-       learned clauses to the context's CNF, so a key computed afterwards
-       would never match a fresh run's lookup. *)
-    let snapshot =
-      match cache with
-      | None -> None
-      | Some _ ->
-        let n_vars, clauses = Checker.cnf pr in
-        let hyps = Checker.hypothesis_literals pr in
-        Some
-          ( Proof_cache.key_of_cnf ~n_vars ~clauses ~hyps (),
-            Proof_cache.canonical_cnf (n_vars, clauses),
-            hyps )
-    in
-    let cached =
-      match (cache, snapshot) with
-      | Some c, Some (key, _, _) ->
-        Option.map (fun e -> (key, e)) (Proof_cache.lookup c key)
-      | _ -> None
-    in
-    match cached with
-    | Some (_, (e : Proof_cache.entry)) ->
-      result_of_job j ~verdict:e.Proof_cache.verdict
-        ~stats:e.Proof_cache.stats
-        ~time_s:(Unix.gettimeofday () -. t0)
-        ~backend:"cache" ~cache_hit:true
-    | None ->
-      let verdict, stats = Checker.check_prepared ?budget pr in
-      (match (cache, snapshot) with
-      | Some c, Some (key, cnf, hyps) ->
-        Proof_cache.store c
-          {
-            Proof_cache.key;
-            engine_version = Proof_cache.version;
-            design = j.design;
-            instr = j.port ^ "." ^ j.instr;
-            verdict;
-            stats;
-            cnf;
-            hyps;
-            created_s = Unix.gettimeofday ();
-          }
-      | _ -> ());
-      result_of_job j ~verdict ~stats
-        ~time_s:(Unix.gettimeofday () -. t0)
-        ~backend:"sat" ~cache_hit:false
-  with
-  | (Out_of_memory | Stack_overflow) as fatal -> raise fatal
-  | e ->
-    result_of_job j
-      ~verdict:(Checker.Unknown ("engine: " ^ Printexc.to_string e))
-      ~stats:empty_stats
-      ~time_s:(Unix.gettimeofday () -. t0)
-      ~backend:"error" ~cache_hit:false
+  let verdict, stats, backend, cache_hit =
+    try check ~design:j.design ~instr:(j.port ^ "." ^ j.instr) j with
+    | (Out_of_memory | Stack_overflow) as fatal -> raise fatal
+    | e ->
+      ( Checker.Unknown ("engine: " ^ Printexc.to_string e),
+        Checker.zero_stats,
+        "error",
+        false )
+  in
+  result_of_job j ~verdict ~stats
+    ~time_s:(Unix.gettimeofday () -. t0)
+    ~backend ~cache_hit
 
 (* ---- shared-frame (incremental) dispatch ----
 
@@ -295,26 +180,6 @@ let init_group ~memory_abstraction group =
                 raise fatal
               | exception e -> Error (Printexc.to_string e) ))
           group))
-
-let discharge_shared ~cache ~budget session (j : job) =
-  chaos_kill_point j;
-  let t0 = Unix.gettimeofday () in
-  let verdict, stats, backend, cache_hit =
-    try
-      Session.check ?budget ?cache ~design:j.design
-        ~instr:(j.port ^ "." ^ j.instr)
-        session (string_of_int j.id)
-    with
-    | (Out_of_memory | Stack_overflow) as fatal -> raise fatal
-    | e ->
-      ( Checker.Unknown ("engine: " ^ Printexc.to_string e),
-        empty_stats,
-        "error",
-        false )
-  in
-  result_of_job j ~verdict ~stats
-    ~time_s:(Unix.gettimeofday () -. t0)
-    ~backend ~cache_hit
 
 (* The instrumented job: one span per obligation job, tagged at the
    end with what actually happened (backend, verdict, cache hit). *)
@@ -378,7 +243,9 @@ let run ?(jobs = 1) ?cache ?budget ?timeout_s
         let session = init_group ~memory_abstraction group in
         List.map
           (instrumented ~mode:"incremental"
-             (discharge_shared ~cache ~budget session))
+             (discharge (fun ~design ~instr j ->
+                  Session.check ?budget ?cache ~design ~instr session
+                    (string_of_int j.id))))
           group
       in
       let group_outcomes = Pool.map ~jobs discharge_group groups in
@@ -402,10 +269,12 @@ let run ?(jobs = 1) ?cache ?budget ?timeout_s
     else
       ( job_list,
         Pool.map ~jobs
-          (instrumented ~mode:"fresh" (fun j ->
-               discharge ~cache
-                 ~budget:(deadlined ~timeout_s budget)
-                 ~memory_abstraction j))
+          (instrumented ~mode:"fresh"
+             (discharge (fun ~design ~instr j ->
+                  Session.check_property
+                    ?budget:(deadlined ~timeout_s budget)
+                    ?cache ~memory_abstraction ~design ~instr
+                    (Lazy.force j.property))))
           job_list )
   in
   let results =
@@ -416,13 +285,14 @@ let run ?(jobs = 1) ?cache ?budget ?timeout_s
         | Pool.Crashed reason ->
           result_of_job j
             ~verdict:(Checker.Unknown ("engine: " ^ reason))
-            ~stats:empty_stats ~time_s:0.0 ~backend:"error" ~cache_hit:false
+            ~stats:Checker.zero_stats ~time_s:0.0 ~backend:"error"
+            ~cache_hit:false
         | Pool.Poisoned reason ->
           (* quarantined by pool supervision: an explicit, machine-
              readable verdict with the kill history, not a hang *)
           result_of_job j
             ~verdict:(Checker.Unknown ("engine: poisoned: " ^ reason))
-            ~stats:empty_stats ~time_s:0.0 ~backend:"poisoned"
+            ~stats:Checker.zero_stats ~time_s:0.0 ~backend:"poisoned"
             ~cache_hit:false)
       ordered_jobs outcomes
   in

@@ -5,9 +5,10 @@
     construction.  This module turns a sweep — one design, a Table-I
     suite, a mutation campaign — into an explicit {e job list}, then
     discharges it on a {!Pool} of parallel worker processes, consulting
-    the persistent {!Proof_cache} before any solving.  Incremental mode
-    checks each group through one {!Session} — the shared-frame driver
-    of {!Ilv_core.Verify} bound to the cache.
+    the persistent {!Proof_cache} before any solving.  Both modes check
+    through {!Session}: incremental mode each group through one session
+    (the shared-frame driver of {!Ilv_core.Verify} bound to the cache),
+    fresh mode each job through {!Session.check_property}.
 
     Determinism: job ids follow {!Ilv_core.Verify.enumerate} order and
     results are returned sorted by id, so the verdicts and their order
@@ -117,8 +118,9 @@ val run :
     built.  Cache keys in
     this mode hash the shared frame plus the property's activation
     selectors ({!Proof_cache.key_of_shared}) and can never alias
-    non-incremental entries.  Verdicts and their order are identical
-    in both modes.
+    non-incremental entries.  [incremental:false] discharges each job
+    on its own solver through {!Session.check_property}.  Verdicts and
+    their order are identical in both modes.
 
     [memory_abstraction] (default [false]) encodes memory-mentioning
     properties through the {!Ilv_core.Mem_abstract} CEGAR window

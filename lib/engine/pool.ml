@@ -95,18 +95,10 @@ let obs_event name fields =
 
 let obs_count name n = Ilv_obs.Obs.count name n
 
-(* [map_init]: like [map], but every worker lazily builds a per-worker
-   state with [init] before its first job, and [f] receives that state.
-   The lazy cell is created after the fork, so [init] runs in the child
-   (per-design shared solver contexts are built exactly once per
-   worker, not per job).  An [init] failure is re-raised by every
-   [Lazy.force], degrading each of that worker's jobs to [Crashed]
-   without killing the pool. *)
-let map_init ?(jobs = 1) ~init ~f items =
+let map ?(jobs = 1) f items =
   let n = List.length items in
   if jobs <= 1 || n <= 1 then begin
-    let st = lazy (init ()) in
-    List.map (fun x -> protected (fun x -> f (Lazy.force st) x) x) items
+    List.map (protected f) items
   end
   else begin
     let arr = Array.of_list items in
@@ -151,10 +143,8 @@ let map_init ?(jobs = 1) ~init ~f items =
             (try Unix.close w.job_fd with Unix.Unix_error _ -> ());
             (try Unix.close w.res_fd with Unix.Unix_error _ -> ()))
           !alive;
-        (* per-worker state, built in the child on first job *)
         in_worker_flag := true;
-        let st = lazy (init ()) in
-        serve_jobs arr (fun x -> f (Lazy.force st) x) jr rw;
+        serve_jobs arr f jr rw;
         Unix._exit 0
       | pid ->
         Unix.close jr;
@@ -387,14 +377,3 @@ let map_init ?(jobs = 1) ~init ~f items =
            | None -> Crashed "internal: job never completed")
          results)
   end
-
-let map ?jobs f items = map_init ?jobs ~init:(fun () -> ()) ~f:(fun () x -> f x) items
-
-(* Groups run sequentially; parallelism lives inside each group.  That
-   is the right granularity for per-design verification: one group's
-   workers share a prepared context, and a machine-wide [jobs] cap is
-   respected because at most one group is active at a time. *)
-let map_groups ?jobs ~init ~f groups =
-  List.concat_map
-    (fun (g, items) -> map_init ?jobs ~init:(fun () -> init g) ~f items)
-    groups

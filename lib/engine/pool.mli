@@ -74,30 +74,3 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b outcome list
     [jobs <= 1] (the default) everything runs in the calling process —
     no fork, identical outcomes.  Results are transported with
     [Marshal] and must not contain closures. *)
-
-val map_init :
-  ?jobs:int -> init:(unit -> 's) -> f:('s -> 'a -> 'b) -> 'a list ->
-  'b outcome list
-(** Like {!map}, but each worker builds a per-worker state with [init]
-    before its first job and passes it to every [f] call.  [init] runs
-    {e in the worker process} (after the fork), exactly once per
-    worker — this is how a pool amortizes an expensive preparation
-    (e.g. a shared bit-blasted solver context) across the jobs a
-    worker serves, instead of paying it per job.  If [init] raises,
-    each of that worker's jobs degrades to [Crashed] (the pool and the
-    other workers are unaffected).  With [jobs <= 1] the state is
-    built once in the calling process. *)
-
-val map_groups :
-  ?jobs:int ->
-  init:('g -> 's) ->
-  f:('s -> 'a -> 'b) ->
-  ('g * 'a list) list ->
-  'b outcome list
-(** [map_groups ~jobs ~init ~f groups] runs each group's items through
-    {!map_init} with that group's state seed, one group at a time, and
-    returns the outcomes flattened in input order (group order, then
-    item order — deterministic like {!map}).  At most [jobs] workers
-    are forked {e per group}; workers never outlive their group, so a
-    group's per-worker state is never reused against another group's
-    items. *)

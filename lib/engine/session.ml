@@ -46,21 +46,25 @@ let canonical s sh =
     s.s_canonical <- Some (sh, cnf);
     cnf
 
-let check ?budget ?cache ~design ~instr s name =
+(* The one lookup -> decide -> store step of both solving modes.  [key]
+   yields the entry's cache key with a thunk for the CNF and selectors
+   to store beside it; [decide] solves on a miss; [storable] is the
+   mode's store rule on the deciding rung.  Only definitive verdicts are
+   stored. *)
+let cached ?cache ~design ~instr ~key ~storable decide =
   let keyed =
     match cache with
     | None -> None
-    | Some c -> Option.map (fun (idx, k) -> (c, idx, k)) (slot_key s name)
+    | Some c -> Option.map (fun k -> (c, k)) (key ())
   in
-  match Option.bind keyed (fun (c, _, k) -> Proof_cache.lookup c k) with
+  match Option.bind keyed (fun (c, (k, _)) -> Proof_cache.lookup c k) with
   | Some e -> (e.Proof_cache.verdict, e.Proof_cache.stats, "cache", true)
   | None ->
-    let pr = s.s_prepared in
-    let verdict, stats, rung = Verify.check_port_instr ?budget pr name in
+    let verdict, stats, rung = decide () in
     (match (keyed, verdict) with
-    | Some (c, idx, key), (Checker.Proved | Checker.Failed _)
-      when Verify.is_cacheable_rung rung ->
-      let sh = Verify.prepared_shared pr in
+    | Some (c, (key, proof)), (Checker.Proved | Checker.Failed _)
+      when storable rung ->
+      let cnf, hyps = proof () in
       Proof_cache.store c
         {
           Proof_cache.key;
@@ -69,9 +73,55 @@ let check ?budget ?cache ~design ~instr s name =
           instr;
           verdict;
           stats;
-          cnf = canonical s sh;
-          hyps = Checker.shared_frame_selectors sh idx;
+          cnf;
+          hyps;
           created_s = Unix.gettimeofday ();
         }
     | _ -> ());
     (verdict, stats, rung, false)
+
+let check ?budget ?cache ~design ~instr s name =
+  let pr = s.s_prepared in
+  cached ?cache ~design ~instr
+    ~key:(fun () ->
+      Option.map
+        (fun (idx, key) ->
+          ( key,
+            fun () ->
+              (* the decision-time frame: CEGAR may have replaced the
+                 one the key came from *)
+              let sh = Verify.prepared_shared pr in
+              (canonical s sh, Checker.shared_frame_selectors sh idx) ))
+        (slot_key s name))
+    ~storable:Verify.is_cacheable_rung
+    (fun () -> Verify.check_port_instr ?budget pr name)
+
+(* A fresh context's key must be taken before solving: the solver
+   appends learnt clauses to the context's CNF. *)
+let fresh_key ?mode pr =
+  let n_vars, clauses = Checker.cnf pr in
+  let hyps = Checker.hypothesis_literals pr in
+  ( Proof_cache.key_of_cnf ?mode ~n_vars ~clauses ~hyps (),
+    fun () -> (Proof_cache.canonical_cnf (n_vars, clauses), hyps) )
+
+let check_property ?budget ?cache ~memory_abstraction ~design ~instr p =
+  match if memory_abstraction then Mem_abstract.create [ p ] else None with
+  | None ->
+    let pr = Checker.prepare p in
+    cached ?cache ~design ~instr
+      ~key:(fun () -> Some (fresh_key pr))
+      ~storable:(fun _ -> true)
+      (fun () ->
+        let verdict, stats = Checker.check_prepared ?budget pr in
+        (verdict, stats, "sat"))
+  | Some ab ->
+    (* keyed on the generation-0 abstract encoding, and stored only when
+       generation 0 decided, so the stored CNF re-solves to the stored
+       verdict shape under [Proof_cache.validate] *)
+    cached ?cache ~design ~instr
+      ~key:(fun () ->
+        Some
+          (fresh_key ~mode:"abstract"
+             (Checker.prepare (Mem_abstract.abstract_properties ab).(0))))
+      ~storable:(String.equal "abstract")
+      (fun () -> Verify.check_property ?budget p)

@@ -1,9 +1,12 @@
-(** A prepared obligation session ({!Ilv_core.Verify.prepared_port})
-    bound to the persistent {!Proof_cache}: the one place where a
-    shared-frame obligation is keyed, looked up, decided and stored.
-    {!Engine.run}'s groups and the daemon's resident frames both check
-    through {!check}; the daemon only puts its in-memory memo in front
-    (keyed by {!key}). *)
+(** The one place where an obligation is keyed, looked up in the
+    persistent {!Proof_cache}, decided and stored — in both solving
+    modes.  A shared-frame session binds a prepared obligation group
+    ({!Ilv_core.Verify.prepared_port}) to the cache: {!Engine.run}'s
+    groups and the daemon's resident frames both check through
+    {!check}; the daemon only puts its in-memory memo in front (keyed
+    by {!key}).  Fresh mode checks one property on its own solver
+    through {!check_property}.  Both go through the same
+    lookup→decide→store step. *)
 
 open Ilv_core
 
@@ -38,3 +41,23 @@ val check :
     re-solves to the stored verdict shape.  Verdicts of rungs that are
     not {!Verify.is_cacheable_rung} (the concrete fallback) are not
     stored.  [design] and [instr] only label the stored entry. *)
+
+val check_property :
+  ?budget:Checker.budget ->
+  ?cache:Proof_cache.t ->
+  memory_abstraction:bool ->
+  design:string ->
+  instr:string ->
+  Property.t ->
+  Checker.verdict * Checker.stats * string * bool
+(** {!check} for one property on its own solver (fresh mode), with the
+    same result shape.  The key ({!Proof_cache.key_of_cnf}) is taken
+    from the generation-0 encoding before any solving: the concrete
+    {!Checker.prepare}, or — when [memory_abstraction] rewrites the
+    property — the first abstract property with the ["abstract"] mode
+    tag.  A miss decides the concrete property with
+    {!Checker.check_prepared} on the keyed context (rung ["sat"]) or
+    through {!Verify.check_property}.  Concrete definitive verdicts are
+    always stored; abstract ones only from the rung that is exactly
+    ["abstract"], since only generation 0's stored CNF re-solves to the
+    stored verdict shape. *)

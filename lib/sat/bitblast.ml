@@ -218,13 +218,6 @@ let check ?limit t =
   | Sat.Result Sat.Sat -> Sat (fun name sort -> decode_bits t name sort)
   | Sat.Unknown reason -> Unknown reason
 
-let check_under ?limit t ~hypotheses =
-  let assumptions = List.map (lit_of t) hypotheses in
-  match Sat.solve_bounded ~assumptions ?limit t.ctx.solver with
-  | Sat.Result Sat.Unsat -> Unsat
-  | Sat.Result Sat.Sat -> Sat (fun name sort -> decode_bits t name sort)
-  | Sat.Unknown reason -> Unknown reason
-
 let check_assuming ?limit t ~assumptions =
   match Sat.solve_bounded ~assumptions ?limit t.ctx.solver with
   | Sat.Result Sat.Unsat -> Unsat

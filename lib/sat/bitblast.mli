@@ -13,8 +13,8 @@
 
     A context accumulates assertions over a shared variable namespace
     (a variable name + sort always maps to the same CNF bits);
-    {!check} and {!check_under} decide their conjunction, incrementally
-    (clauses and learnt facts persist across queries). *)
+    {!check} and {!check_assuming} decide their conjunction,
+    incrementally (clauses and learnt facts persist across queries). *)
 
 open Ilv_expr
 
@@ -83,13 +83,11 @@ val check : ?limit:Sat.limit -> t -> answer
     with [Unknown] once a bound is exceeded (the context stays
     usable). *)
 
-val check_under : ?limit:Sat.limit -> t -> hypotheses:Expr.t list -> answer
-(** Like {!check}, additionally assuming the hypotheses for this query
-    only (via solver assumptions — nothing is permanently asserted). *)
-
 val check_assuming : ?limit:Sat.limit -> t -> assumptions:int list -> answer
-(** Like {!check_under} but with raw solver literals (e.g. activation
-    literals from {!fresh_selector}) instead of expressions. *)
+(** Like {!check}, additionally assuming the given solver literals
+    (e.g. {!lit_of} results or activation literals from
+    {!fresh_selector}) for this query only — nothing is permanently
+    asserted. *)
 
 val age_activity : t -> unit
 (** {!Sat.age_activity} on the underlying solver: demote branching

@@ -5,9 +5,9 @@
    abstraction is a no-op for them, memory designs because abstract
    proofs are sound and abstract counterexamples are replayed
    concretely.  Buggy variants must keep failing with a concrete
-   trace.  The L2 Cache timing is printed (the bench --check gate
-   enforces the speedup floor; a smoke run on a loaded machine only
-   reports it). *)
+   trace, on shared frames and on fresh solvers alike.  The L2 Cache
+   timing is printed (the bench --check gate enforces the speedup
+   floor; a smoke run on a loaded machine only reports it). *)
 
 open Ilv_designs
 open Ilv_core
@@ -65,6 +65,10 @@ let () =
         (fun (bug : Design.bug) ->
           let off = Design.verify_buggy ~memory_abstraction:false d bug in
           let on = Design.verify_buggy ~memory_abstraction:true d bug in
+          let fresh =
+            Design.verify_buggy ~incremental:false ~memory_abstraction:true d
+              bug
+          in
           let failed (r : Verify.report) =
             match r.Verify.first_failure with
             | Some { Verify.verdict = Checker.Failed tr; _ } ->
@@ -80,7 +84,11 @@ let () =
           if not (failed on) then
             fail "abstraction smoke: %s [%s]: abstract run found no bug"
               d.Design.name bug.Design.bug_label;
-          Format.printf "abstraction smoke: %-26s [%s] bug found in both modes@."
+          if not (failed fresh) then
+            fail "abstraction smoke: %s [%s]: fresh abstract run found no bug"
+              d.Design.name bug.Design.bug_label;
+          Format.printf
+            "abstraction smoke: %-26s [%s] bug found in all three modes@."
             d.Design.name bug.Design.bug_label)
         d.Design.bugs)
     [ "L2 Cache"; "Store Buffer" ];
@@ -120,7 +128,47 @@ let () =
     Engine.run ~jobs:1 ~cache ~memory_abstraction:true jobs
   in
   ignore (Proof_cache.clear cache);
+  (* fresh mode: one solver per job, keyed on generation 0 and stored
+     only when generation 0 decided (rung "abstract", or "sat" for a
+     property with no memory to abstract) *)
+  let timed f =
+    let t0 = Unix.gettimeofday () in
+    let r = f () in
+    (r, Unix.gettimeofday () -. t0)
+  in
+  let (r_fresh, _), t_fresh =
+    timed (fun () ->
+        Engine.run ~jobs:1 ~cache ~incremental:false ~memory_abstraction:true
+          jobs)
+  in
+  let (r_fresh_warm, s_fresh_warm), t_fresh_warm =
+    timed (fun () ->
+        Engine.run ~jobs:1 ~cache ~incremental:false ~memory_abstraction:true
+          jobs)
+  in
+  ignore (Proof_cache.clear cache);
   (try Unix.rmdir cache_dir with Unix.Unix_error _ -> ());
+  let stored =
+    List.length
+      (List.filter
+         (fun (r : Engine.result) ->
+           List.mem r.Engine.backend [ "abstract"; "sat" ])
+         r_fresh)
+  in
+  if engine_verdicts r_conc <> engine_verdicts r_fresh then
+    fail "abstraction smoke: fresh abstract engine verdicts differ";
+  if engine_verdicts r_conc <> engine_verdicts r_fresh_warm then
+    fail "abstraction smoke: warm fresh abstract engine verdicts differ";
+  if stored = 0 || s_fresh_warm.Engine.cache_hits <> stored then
+    fail
+      "abstraction smoke: fresh abstract entries missed the cache (%d hits, \
+       %d stored)"
+      s_fresh_warm.Engine.cache_hits stored;
+  Format.printf
+    "abstraction smoke: fresh engine sweep agrees (cold %.3fs, warm %.3fs, \
+     %d of %d jobs from the cache)@."
+    t_fresh t_fresh_warm s_fresh_warm.Engine.cache_hits
+    s_fresh_warm.Engine.n_jobs;
   if engine_verdicts r_conc <> engine_verdicts r_abs then
     fail "abstraction smoke: engine verdicts differ between modes";
   if engine_verdicts r_conc <> engine_verdicts r_warm then

@@ -174,8 +174,8 @@ let prop_tests =
            let abstract, _, rung = Verify.check_property p in
            (* the smart constructors can fold a goal over constant
               memories down to a constant: exactly the properties left
-              without a wide memory take the fresh path *)
-           (rung = "fresh") = not (has_wide_memory p)
+              without a wide memory take the concrete path *)
+           (rung = "sat") = not (has_wide_memory p)
            && verdict_shape concrete = verdict_shape abstract));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make

@@ -128,6 +128,40 @@ let key_tests =
         Alcotest.(check (option string))
           "Store Buffer, abstract" (Some "3c520d3dba09d10ca93b500af92acb6e")
           (first_key (design "Store Buffer") ~memory_abstraction:true));
+    t "fresh-mode keys are pinned (golden, proof-cache version /5)"
+      (fun () ->
+        (* Fresh mode keys each property's generation-0 encoding: the
+           concrete [Checker.prepare], or the first abstract property
+           with the "abstract" mode tag.  These literals were computed
+           before fresh mode went through [Session.check_property]; a
+           cold check must store under them and a second check hit. *)
+        let check_first (d : Design.t) ~memory_abstraction golden =
+          let port = List.hd d.Design.module_ila.Module_ila.ports in
+          let instr = List.hd (Ila.leaf_instructions port) in
+          let refmap = d.Design.refmap_for d.Design.rtl port.Ila.name in
+          let p =
+            Propgen.generate_for ~ila:port ~rtl:d.Design.rtl ~refmap instr
+          in
+          let cache = Proof_cache.open_ ~dir:(fresh_dir ()) () in
+          let check () =
+            Session.check_property ~cache ~memory_abstraction
+              ~design:d.Design.name ~instr:instr.Ila.instr_name p
+          in
+          let _, _, rung, hit = check () in
+          Alcotest.(check bool) (d.Design.name ^ ": cold miss") false hit;
+          Alcotest.(check bool)
+            (d.Design.name ^ ": stored under the golden key (rung " ^ rung
+           ^ ")")
+            true
+            (Proof_cache.lookup cache golden <> None);
+          let _, _, _, hit = check () in
+          Alcotest.(check bool) (d.Design.name ^ ": warm hit") true hit;
+          ignore (Proof_cache.clear cache)
+        in
+        check_first (design "Decoder") ~memory_abstraction:false
+          "d2d288a4ac8e4631758cdde41459887a";
+        check_first (design "Store Buffer") ~memory_abstraction:true
+          "c36a76dd56bf0d9f179bae20d1134aad");
     t "solving mutates the context CNF (why the engine snapshots keys)"
       (fun () ->
         (* Regression guard for a real bug: learned clauses appended by
@@ -611,6 +645,20 @@ let engine_tests =
             ("degraded", true);
             ("degraded+abstract", true);
           ];
+        (* the fresh path's concrete rung is "sat", never the ladder's
+           "fresh" demotion *)
+        let d = design "Decoder" in
+        let port = List.hd d.Design.module_ila.Module_ila.ports in
+        let _, _, rung =
+          Verify.check_property
+            (Propgen.generate_for ~ila:port ~rtl:d.Design.rtl
+               ~refmap:(d.Design.refmap_for d.Design.rtl port.Ila.name)
+               (List.hd (Ila.leaf_instructions port)))
+        in
+        Alcotest.(check string) "check_property's concrete rung" "sat" rung;
+        Alcotest.(check bool)
+          "check_property's concrete rung is not degraded" false
+          (Verify.is_degraded_rung rung);
         Alcotest.(check bool)
           "the concrete fallback is never stored" false
           (Verify.is_cacheable_rung "abstract>concrete");
@@ -631,6 +679,93 @@ let engine_tests =
               (r.Engine.backend = "abstract>concrete"
               || String.starts_with ~prefix:"incremental+" r.Engine.backend))
           results);
+    t "fresh abstract mode stores only generation-0 verdicts" (fun () ->
+        (* only the rung that is exactly "abstract" is stored: the
+           stored CNF is generation 0's, which must re-solve to the
+           stored verdict shape, so a verdict reached after a CEGAR
+           refinement (or the concrete fallback) is not stored.  Every
+           Store Buffer job decides at generation 0, so one extra job
+           needs a refinement: its goal reads a 13th address, past the
+           12-slot window. *)
+        let d = design "Store Buffer" in
+        let refines =
+          let open Ilv_expr in
+          let m = Build.mem_var "rtl.mem@0" ~addr_width:5 ~data_width:8 in
+          let read mem i = Expr.read ~mem ~addr:(Build.bv ~width:5 i) in
+          let byte = Build.bv ~width:8 in
+          let p = Lazy.force (List.hd (jobs_of d)).Engine.property in
+          {
+            p with
+            Property.prop_name = "refines";
+            assumptions =
+              List.init 12 (fun i -> Build.eq (read m i) (byte 0))
+              @ [ Build.eq (read m 12) (byte 5) ];
+            obligations =
+              [
+                {
+                  Property.at_cycle = 0;
+                  guard = Build.tt;
+                  goal =
+                    Build.eq
+                      (read (Expr.write ~mem:m ~addr:(Build.bv ~width:5 0)
+                               ~data:(byte 0)) 12)
+                      (byte 5);
+                  label = "goal";
+                };
+              ];
+            ila_bindings = [];
+          }
+        in
+        let jobs =
+          jobs_of d
+          @ [
+              {
+                Engine.id = List.length (jobs_of d);
+                design = d.Design.name;
+                variant = None;
+                port = "refines";
+                instr = "refines";
+                property = Lazy.from_val refines;
+              };
+            ]
+        in
+        let cache = Proof_cache.open_ ~dir:(fresh_dir ()) () in
+        let run () =
+          Engine.run ~jobs:1 ~incremental:false ~memory_abstraction:true
+            ~cache jobs
+        in
+        let cold, _ = run () in
+        let abstract_ids =
+          List.filter_map
+            (fun (r : Engine.result) ->
+              if r.Engine.backend = "abstract" then Some r.Engine.job_id
+              else None)
+            cold
+        in
+        Alcotest.(check (list string))
+          "rungs" [ "abstract"; "abstract+cegar1" ]
+          (List.sort_uniq compare
+             (List.map (fun (r : Engine.result) -> r.Engine.backend) cold));
+        Alcotest.(check bool)
+          "all proved" true
+          (List.for_all
+             (fun (r : Engine.result) -> r.Engine.verdict = Checker.Proved)
+             cold);
+        (* a fresh directory: one entry per store *)
+        Alcotest.(check int)
+          "cold stores = abstract-rung results" (List.length abstract_ids)
+          (Proof_cache.stats cache).Proof_cache.entries;
+        let warm, _ = run () in
+        Alcotest.(check (list int))
+          "warm hits exactly the stored jobs" abstract_ids
+          (List.filter_map
+             (fun (r : Engine.result) ->
+               if r.Engine.cache_hit then Some r.Engine.job_id else None)
+             warm);
+        Alcotest.(check bool)
+          "verdicts unchanged" true
+          (summary_verdicts cold = summary_verdicts warm);
+        ignore (Proof_cache.clear cache));
     t "a property that fails to encode is an error, not a degradation"
       (fun () ->
         (* regression: the shared-frame driver used to send an encoding

@@ -121,10 +121,6 @@ let timeout_reason_tests =
           "per-call wall budget message" false
           (Checker.is_deadline_reason "timeout: deadline exceeded (0.5s)");
         Alcotest.(check bool)
-          "deprecated alias agrees" false
-          (Checker.is_timeout_reason
-             "solver: timeout: wall budget exceeded (10s)");
-        Alcotest.(check bool)
           "real deadline reason matches" true
           (Checker.is_deadline_reason
              (String.concat " "
