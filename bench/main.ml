@@ -313,8 +313,8 @@ let extensions () =
   (* self-refinement spot check: the composed core against its derived
      step-ILA *)
   let ila, refmap = Ila_of_rtl.derive Soc_top.rtl in
-  let self =
-    Verify.run ~name:"soc-self"
+  let self, _ =
+    Ilv_engine.Engine.verify ~name:"soc-self"
       (Compose.union ~name:"SELF" [ ila ])
       Soc_top.rtl
       ~refmap_for:(fun _ -> refmap)

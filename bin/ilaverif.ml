@@ -146,22 +146,19 @@ let open_cache ~use_cache ~cache_dir =
   if use_cache || cache_dir <> None then Some (Proof_cache.open_ ?dir:cache_dir ())
   else None
 
-(* Engine-path verification of one design (golden or buggy variant):
-   enumerate the obligations as jobs, discharge on the pool, reassemble
-   the standard report. *)
-let engine_verify ?variant ?only_ports ?cache ?timeout_s ~jobs ~incremental
-    ~memory_abstraction (d : Design.t) rtl =
-  let job_list =
-    Engine.jobs_of ?variant ?only_ports ~name:d.Design.name
-      d.Design.module_ila rtl
-      ~refmap_for:(fun port -> d.Design.refmap_for rtl port)
-      ()
+(* One design, golden or a buggy variant, through the verification
+   driver. *)
+let verify_design ?(stop_at_first_failure = true) ?jobs ?cache ?only_ports
+    ?timeout_s ~incremental ~memory_abstraction (d : Design.t) bug =
+  let name, rtl =
+    match bug with
+    | None -> (d.Design.name, d.Design.rtl)
+    | Some (b : Design.bug) ->
+      (d.Design.name ^ " [" ^ b.Design.bug_label ^ "]", b.Design.buggy_rtl)
   in
-  let results, summary =
-    Engine.run ~jobs ?cache ?timeout_s ~incremental ~memory_abstraction
-      job_list
-  in
-  (Engine.report_of ~name:d.Design.name ~results, summary)
+  Engine.verify ~stop_at_first_failure ?jobs ?cache ?only_ports ?timeout_s
+    ~incremental ~memory_abstraction ~name d.Design.module_ila rtl
+    ~refmap_for:(d.Design.refmap_for rtl)
 
 (* ---- daemon client mode ----
 
@@ -530,7 +527,9 @@ let verify_cmd =
     Arg.(
       value & flag
       & info [ "keep-going"; "k" ]
-          ~doc:"Check all instructions even after a failure.")
+          ~doc:
+            "Check all instructions even after a failure (with $(b,-j), \
+             $(b,--cache) or neither).")
   in
   let vcd_arg =
     Arg.(
@@ -554,7 +553,6 @@ let verify_cmd =
     else begin
     let only_ports = Option.map (fun p -> [ p ]) port in
     let cache = open_cache ~use_cache ~cache_dir in
-    let use_engine = jobs > 1 || cache <> None in
     let find_bug label =
       match
         List.find_opt (fun b -> b.Design.bug_label = label) d.Design.bugs
@@ -568,31 +566,12 @@ let verify_cmd =
                 (List.map (fun b -> b.Design.bug_label) d.Design.bugs)));
         exit 2
     in
-    let report =
-      if use_engine then begin
-        (* the engine sweeps every obligation (it cannot stop a worker
-           that is mid-proof), so --keep-going is implied here *)
-        let variant, rtl =
-          match bug with
-          | None -> (None, d.Design.rtl)
-          | Some label -> (Some label, (find_bug label).Design.buggy_rtl)
-        in
-        let report, summary =
-          engine_verify ?variant ?only_ports ?cache ?timeout_s ~jobs
-            ~incremental ~memory_abstraction d rtl
-        in
-        Format.printf "%a@." Engine.pp_summary summary;
-        report
-      end
-      else
-        match bug with
-        | None ->
-          Design.verify ~stop_at_first_failure:(not keep_going) ?only_ports
-            ~incremental ~memory_abstraction ?timeout_s d
-        | Some label ->
-          Design.verify_buggy ~stop_at_first_failure:(not keep_going)
-            ~incremental ~memory_abstraction ?timeout_s d (find_bug label)
+    let report, summary =
+      verify_design ~stop_at_first_failure:(not keep_going) ~jobs ?cache
+        ?only_ports ?timeout_s ~incremental ~memory_abstraction d
+        (Option.map find_bug bug)
     in
+    Format.printf "%a@." Engine.pp_summary summary;
     Format.printf "%a@." Verify.pp_report report;
     (match (vcd, report.Verify.first_failure) with
     | Some file, Some { verdict = Checker.Failed trace; _ } ->
@@ -726,13 +705,16 @@ let table_cmd =
     if handled_by_daemon then ()
     else begin
     let cache = open_cache ~use_cache ~cache_dir in
-    let use_engine = jobs > 1 || cache <> None in
-    let verify d =
-      if use_engine then
-        fst
-          (engine_verify ?cache ?timeout_s ~jobs ~incremental
-             ~memory_abstraction d d.Design.rtl)
-      else Design.verify ~incremental ~memory_abstraction ?timeout_s d
+    (* the golden column uses every option; the t(bug) hunt runs
+       in-process, stops at the first failure and skips the cache, so it
+       stays solving time *)
+    let verify d bug =
+      let jobs, cache =
+        if Option.is_none bug then (jobs, cache) else (1, None)
+      in
+      fst
+        (verify_design ~jobs ?cache ?timeout_s ~incremental
+           ~memory_abstraction d bug)
     in
     let rows = List.map (Table_one.measure ~verify) suite in
     Table_one.print_rows Format.std_formatter rows;

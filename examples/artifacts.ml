@@ -67,8 +67,8 @@ let () =
       (Refmap_text.print
          (decoder.Design.refmap_for decoder.Design.rtl "DECODER"))
   in
-  let report =
-    Verify.run ~name:"reloaded decoder"
+  let report, _ =
+    Ilv_engine.Engine.verify ~name:"reloaded decoder"
       (Compose.union ~name:"DECODER" [ reloaded_ila ])
       decoder.Design.rtl
       ~refmap_for:(fun _ -> reloaded_map)

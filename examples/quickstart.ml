@@ -116,7 +116,9 @@ let refmap rtl =
 
 let verify rtl =
   let module_ila = Compose.union ~name:"MINMAX" [ ila ] in
-  Verify.run ~name:"minmax" module_ila rtl ~refmap_for:(fun _ -> refmap rtl)
+  fst
+    (Ilv_engine.Engine.verify ~name:"minmax" module_ila rtl
+       ~refmap_for:(fun _ -> refmap rtl))
 
 let () =
   Format.printf "The specification:@.@.%a@.@." Ila.pp_sketch ila;

@@ -33,6 +33,15 @@ let is_unlimited b =
 
 let with_deadline d b = { b with deadline_s = Some d }
 
+let with_timeout timeout_s b =
+  match timeout_s with
+  | None -> b
+  | Some t ->
+    Some
+      (with_deadline
+         (Unix.gettimeofday () +. t)
+         (Option.value b ~default:unlimited))
+
 let limit_of b =
   Sat.limit ?conflicts:b.conflicts ?propagations:b.propagations
     ?wall_s:b.wall_s ?deadline_s:b.deadline_s ()

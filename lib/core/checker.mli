@@ -62,6 +62,12 @@ val with_deadline : float -> budget -> budget
     (Unix epoch seconds) — how callers stamp a per-group wall clock
     onto a shared base budget. *)
 
+val with_timeout : float option -> budget option -> budget option
+(** [with_timeout (Some t) b] starts a [t]-second group clock now: [b]
+    (or {!unlimited}) with the absolute deadline [now + t].  [None]
+    leaves [b] as it is.  How a driver deadlines an obligation group
+    when it picks the group up. *)
+
 val deadline_sentinel : string
 (** The structured marker (["deadline:"]) stamped onto every unknown an
     absolute group deadline produces — and onto nothing else.  It is

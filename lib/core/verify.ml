@@ -56,8 +56,8 @@ let message_of_exn = function
    ([Checker.prepare_shared]); preparing is the expensive step
    (property generation + shared-frame setup), checking an individual
    entry against the prepared context is the cheap, repeatable one.
-   This is the one shared-frame driver: [run], the engine's groups and
-   the daemon's resident frames all decide through [check_port_instr],
+   This is the one shared-frame driver: the engine's groups and the
+   daemon's resident frames both decide through [check_port_instr],
    so the CEGAR ceiling, the concrete fallback, the degradation ladder
    and the rung names live here only. *)
 
@@ -69,7 +69,6 @@ type prepared_port = {
   pp_concrete : Property.t list;  (* slot-ordered concrete properties *)
   pp_abstraction : Mem_abstract.t option;
   pp_label : string;
-  pp_freeze : bool;  (* freeze every frame as soon as it is built *)
   pp_key_frame : Checker.shared;
       (* the generation-0 frame, pinned: cache keys come from its frozen
          snapshot, so they are the same however (or whether) CEGAR
@@ -85,24 +84,20 @@ let generation = function Some ab -> Mem_abstract.generation ab | None -> 0
 
 (* The shared frame: concrete properties directly, or their
    memory-abstracted rewrite with the CEGAR replay hook installed. *)
-let make_shared ~freeze ~label ~abstraction concrete =
-  let sh =
-    match abstraction with
-    | None -> Checker.prepare_shared ~label concrete
-    | Some ab ->
-      Checker.prepare_shared ~label
-        ~on_sat:(Mem_abstract.hook ab)
-        (Array.to_list (Mem_abstract.abstract_properties ab))
-  in
-  if freeze then Checker.shared_freeze sh;
-  sh
+let make_shared ~label ~abstraction concrete =
+  match abstraction with
+  | None -> Checker.prepare_shared ~label concrete
+  | Some ab ->
+    Checker.prepare_shared ~label
+      ~on_sat:(Mem_abstract.hook ab)
+      (Array.to_list (Mem_abstract.abstract_properties ab))
 
-let prepare ~freeze ?(memory_abstraction = false) ~label entries =
+let prepare_properties ?(memory_abstraction = false) ~label entries =
   let concrete = List.filter_map (fun (_, g) -> Result.to_option g) entries in
   let abstraction =
     if memory_abstraction then Mem_abstract.create ~label concrete else None
   in
-  let sh = make_shared ~freeze ~label ~abstraction concrete in
+  let sh = make_shared ~label ~abstraction concrete in
   let slots = Hashtbl.create 16 in
   let next = ref 0 in
   List.iter
@@ -119,14 +114,13 @@ let prepare ~freeze ?(memory_abstraction = false) ~label entries =
     pp_concrete = concrete;
     pp_abstraction = abstraction;
     pp_label = label;
-    pp_freeze = freeze;
     pp_key_frame = sh;
     pp_shared = sh;
     pp_frame_gen = generation abstraction;
   }
 
 let prepare_port ?memory_abstraction ~name ~port ~rtl ~refmap () =
-  prepare ~freeze:false ?memory_abstraction
+  prepare_properties ?memory_abstraction
     ~label:(name ^ "/" ^ port.Ila.name)
     (List.map
        (fun (i : Ila.instruction) ->
@@ -134,8 +128,6 @@ let prepare_port ?memory_abstraction ~name ~port ~rtl ~refmap () =
            try Ok (Propgen.generate_for ~ila:port ~rtl ~refmap i)
            with e -> Error (message_of_exn e) ))
        (Ila.leaf_instructions port))
-
-let prepare_properties = prepare ~freeze:true
 
 let prepared_instrs pr = pr.pp_names
 let prepared_shared pr = pr.pp_shared
@@ -149,8 +141,8 @@ let prepared_slot pr name =
 
 let rebuild_frame pr =
   pr.pp_shared <-
-    make_shared ~freeze:pr.pp_freeze ~label:pr.pp_label
-      ~abstraction:pr.pp_abstraction pr.pp_concrete;
+    make_shared ~label:pr.pp_label ~abstraction:pr.pp_abstraction
+      pr.pp_concrete;
   pr.pp_frame_gen <- generation pr.pp_abstraction
 
 let check_port_instr ?budget pr name =
@@ -281,140 +273,6 @@ let enumerate ?only_ports module_ila =
         (fun (i : Ila.instruction) -> { task_port = port; task_instr = i })
         (Ila.leaf_instructions port))
     (selected_ports ?only_ports module_ila)
-
-let run ?(stop_at_first_failure = true) ?only_ports ?budget ?timeout_s
-    ?(incremental = true) ?(memory_abstraction = false) ~name module_ila rtl
-    ~refmap_for =
-  let t0 = Unix.gettimeofday () in
-  let first_failure = ref None in
-  let ports =
-    List.map
-      (fun (port : Ila.t) ->
-        let pt0 = Unix.gettimeofday () in
-        (* the timeout is per obligation group — here, per port: each
-           port's clock starts when its first instruction is picked up,
-           so a slow early port cannot starve the rest of the report *)
-        let budget =
-          match timeout_s with
-          | None -> budget
-          | Some t ->
-            Some
-              (Checker.with_deadline (pt0 +. t)
-                 (Option.value budget ~default:Checker.unlimited))
-        in
-        let refmap =
-          try Ok (refmap_for port.Ila.name)
-          with e -> Error (message_of_exn e)
-        in
-        let results = ref [] in
-        (* Incremental mode: generate every property of the port up
-           front and share one solver context across them (encoding
-           inside the context stays lazy, so early stopping still skips
-           the unchecked instructions' CNF).  Fresh mode regenerates
-           and re-blasts per instruction. *)
-        let shared_check =
-          match refmap with
-          | Error _ -> None
-          | Ok refmap when incremental ->
-            let pr = prepare_port ~memory_abstraction ~name ~port ~rtl ~refmap () in
-            Some
-              (fun (i : Ila.instruction) ->
-                check_port_instr ?budget pr i.Ila.instr_name)
-          | Ok _ -> None
-        in
-        let check_instr refmap (i : Ila.instruction) =
-          match shared_check with
-          | Some f -> f i
-          | None -> (
-            try
-              let property = Propgen.generate_for ~ila:port ~rtl ~refmap i in
-              if memory_abstraction then
-                check_property ?budget property
-              else
-                let v, s = Checker.check ?budget property in
-                (v, s, "sat")
-            with e ->
-              ( Checker.Unknown ("exception: " ^ message_of_exn e),
-                Checker.zero_stats,
-                "error" ))
-        in
-        let rec check_all = function
-          | [] -> ()
-          | (i : Ila.instruction) :: rest ->
-            if stop_at_first_failure && !first_failure <> None then ()
-            else begin
-              (* wall time per instruction (property generation included),
-                 captured as one gettimeofday delta around the check *)
-              let span =
-                if Ilv_obs.Obs.enabled () then
-                  Some
-                    (Ilv_obs.Obs.span_begin "verify.instr"
-                       [
-                         ("design", Ilv_obs.Obs.S name);
-                         ("port", Ilv_obs.Obs.S port.Ila.name);
-                         ("instr", Ilv_obs.Obs.S i.Ila.instr_name);
-                         ("backend", Ilv_obs.Obs.S "sat");
-                       ])
-                else None
-              in
-              let it0 = Unix.gettimeofday () in
-              let verdict, stats, rung =
-                match refmap with
-                | Ok refmap -> check_instr refmap i
-                | Error msg ->
-                  ( Checker.Unknown ("exception: " ^ msg),
-                    Checker.zero_stats,
-                    "error" )
-              in
-              (match span with
-              | None -> ()
-              | Some id ->
-                let open Ilv_obs.Obs in
-                count "verify.instructions" 1;
-                span_end
-                  ~fields:
-                    [
-                      ( "verdict",
-                        S
-                          (match verdict with
-                          | Checker.Proved -> "proved"
-                          | Checker.Failed _ -> "failed"
-                          | Checker.Unknown _ -> "unknown") );
-                      ("attempts", I stats.Checker.attempts);
-                      ("rung", S rung);
-                    ]
-                  id);
-              let result =
-                {
-                  instr = i.Ila.instr_name;
-                  port = port.Ila.name;
-                  verdict;
-                  stats;
-                  time_s = Unix.gettimeofday () -. it0;
-                }
-              in
-              results := result :: !results;
-              (match verdict with
-              | Checker.Failed _ when !first_failure = None ->
-                first_failure := Some result
-              | Checker.Failed _ | Checker.Proved | Checker.Unknown _ -> ());
-              check_all rest
-            end
-        in
-        check_all (Ila.leaf_instructions port);
-        {
-          port_name = port.Ila.name;
-          instr_results = List.rev !results;
-          port_time_s = Unix.gettimeofday () -. pt0;
-        })
-      (selected_ports ?only_ports module_ila)
-  in
-  {
-    design = name;
-    ports;
-    total_time_s = Unix.gettimeofday () -. t0;
-    first_failure = !first_failure;
-  }
 
 let pp_report fmt r =
   let open Format in

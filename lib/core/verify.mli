@@ -1,9 +1,10 @@
-(** The verification driver (Fig. 4 of the paper).
+(** Verification of one obligation group (Fig. 4 of the paper).
 
     For each independent port of a module-ILA: generate the complete
     property set from the refinement map and check every (sub-)
-    instruction.  Optionally first run the model-level decode checks
-    (coverage / determinism) that back the completeness claim. *)
+    instruction against one prepared session.  The sweep over a
+    module's ports — job enumeration, scheduling, early stop and the
+    {!report} — is {!Ilv_engine.Engine.verify}. *)
 
 type instr_result = {
   instr : string;
@@ -11,22 +12,24 @@ type instr_result = {
   verdict : Checker.verdict;
   stats : Checker.stats;
   time_s : float;
-      (** wall clock of this instruction's check (property generation
-          included), captured as a single [Unix.gettimeofday] delta —
-          monotone, and the number reports and engine job records
-          display *)
+      (** wall clock of this instruction's check, captured as a single
+          [Unix.gettimeofday] delta — the number reports and engine job
+          records display *)
 }
 
 type port_report = {
   port_name : string;
   instr_results : instr_result list;
   port_time_s : float;
+      (** wall clock of the port's obligation group, preparation
+          (property generation, frame setup) included, measured in the
+          process that ran it — at least the sum of its rows' times *)
 }
 
 type report = {
   design : string;
   ports : port_report list;
-  total_time_s : float;
+  total_time_s : float;  (** wall clock of the whole run *)
   first_failure : instr_result option;
 }
 
@@ -45,9 +48,9 @@ val unknowns : report -> instr_result list
     incremental solver context; building it (property generation +
     shared-frame preparation, {!Checker.prepare_shared}) is the
     expensive step, and checking one instruction against it is cheap
-    and repeatable.  This session is the only shared-frame driver:
-    {!run}, the engine's groups ({!Ilv_engine.Engine}) and the
-    daemon's resident frames ({!Ilv_server.Daemon}) all decide through
+    and repeatable.  This session is the only shared-frame driver: the
+    engine's groups ({!Ilv_engine.Engine}) and the daemon's resident
+    frames ({!Ilv_server.Daemon}) both decide through
     {!check_port_instr}, which owns the CEGAR loop, its ceiling
     ({!Mem_abstract.max_rounds}), the concrete fallback, the
     degradation ladder and the rung names. *)
@@ -71,8 +74,6 @@ val prepare_port :
     context (labelled [name/port] in observability output).  A property
     whose generation raises poisons only its own instruction — checking
     it yields [Unknown "exception: ..."], the others are unaffected.
-    The frame is not frozen: a caller that never keys the cache pays
-    no extra encoding pass.
 
     With [memory_abstraction:true] (default false) and at least one
     memory-sorted state variable in the generated properties, the
@@ -89,10 +90,9 @@ val prepare_properties :
 (** The same session built from already-generated properties: one
     [(name, generated property or its generation error)] entry per
     obligation, names distinct, the frame holding the [Ok] properties
-    in list order.  Every frame of this session — the first and each
-    one a CEGAR refinement rebuilds — is frozen
-    ({!Checker.shared_freeze}) as soon as it is built, for callers that
-    key every obligation. *)
+    in list order.  No frame is frozen ({!Checker.shared_freeze}) when
+    it is built: the first cache key or stored CNF freezes it, so a
+    caller that never keys the cache pays no extra encoding pass. *)
 
 val prepared_instrs : prepared_port -> string list
 (** Entry names — leaf instruction names in declaration (= report)
@@ -174,55 +174,13 @@ type task = { task_port : Ila.t; task_instr : Ila.instruction }
     port.  The paper's flow discharges these independently, which is
     what lets {!Ilv_engine} schedule them on parallel workers. *)
 
+val selected_ports : ?only_ports:string list -> Module_ila.t -> Ila.t list
+(** The module's ports named in [only_ports] (default: all), in
+    declaration order. *)
+
 val enumerate : ?only_ports:string list -> Module_ila.t -> task list
 (** Every leaf (sub-)instruction of every (selected) port, in the
-    deterministic report order of {!run}: ports in declaration order,
+    deterministic report order: ports in declaration order,
     instructions in declaration order within each port. *)
-
-val run :
-  ?stop_at_first_failure:bool ->
-  ?only_ports:string list ->
-  ?budget:Checker.budget ->
-  ?timeout_s:float ->
-  ?incremental:bool ->
-  ?memory_abstraction:bool ->
-  name:string ->
-  Module_ila.t ->
-  Ilv_rtl.Rtl.t ->
-  refmap_for:(string -> Refmap.t) ->
-  report
-(** Verifies the RTL against each port-ILA.  [refmap_for] supplies the
-    refinement map of each port by name.  With
-    [stop_at_first_failure:true] (default), checking stops at the first
-    failing instruction — matching the paper's "Time (bug)" runs.
-    [budget] bounds every obligation's SAT query
-    ({!Checker.check}); exhausted budgets surface as per-instruction
-    {!Checker.Unknown} verdicts rather than hangs.  Exceptions raised
-    while checking one instruction (including from [refmap_for] or the
-    property generator) are converted into an [Unknown] verdict with
-    the exception message instead of aborting the whole report.
-
-    [timeout_s] sets a per-port wall-clock deadline (each port's clock
-    starts when its first instruction is picked up): once it passes,
-    the port's remaining obligations are reported [Unknown] with a
-    timestamped ["deadline: ..."] reason instead of hanging.  Default:
-    unlimited.
-
-    [incremental] (default true) shares one solver context per port
-    across all of its instructions' properties
-    ({!Checker.prepare_shared}): the common unrolled frame is blasted
-    once and learnt clauses transfer between queries.  An incremental
-    query that returns [Unknown] is retried down the degradation
-    ladder ({!Checker.check_shared_degrading}) before the verdict is
-    accepted.  [incremental:false] restores the
-    fresh-solver-per-instruction behavior; the verdicts are the same
-    either way (only [Unknown] cutoff points can differ under a
-    {!Checker.budget}).
-
-    [memory_abstraction] (default false) checks memory-mentioning
-    properties through the {!Mem_abstract} window encoding with CEGAR
-    refinement instead of bit-blasting whole arrays; verdicts are
-    unchanged (abstract proofs are sound, counterexamples are replayed
-    concretely), only speed differs on array-heavy designs. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -28,11 +28,17 @@ let class_to_string = function
   | Multi_port_independent -> "multi-port, no shared states"
   | Multi_port_shared -> "multi-port, shared states"
 
+let verify_rtl ?stop_at_first_failure ?only_ports ?incremental ?timeout_s
+    ?memory_abstraction d ~name rtl =
+  fst
+    (Ilv_engine.Engine.verify ?stop_at_first_failure ?only_ports ?incremental
+       ?timeout_s ?memory_abstraction ~name d.module_ila rtl
+       ~refmap_for:(d.refmap_for rtl))
+
 let verify ?stop_at_first_failure ?only_ports ?incremental ?timeout_s
     ?memory_abstraction d =
-  Verify.run ?stop_at_first_failure ?only_ports ?incremental ?timeout_s
-    ?memory_abstraction ~name:d.name d.module_ila d.rtl
-    ~refmap_for:(d.refmap_for d.rtl)
+  verify_rtl ?stop_at_first_failure ?only_ports ?incremental ?timeout_s
+    ?memory_abstraction d ~name:d.name d.rtl
 
 let check_invariants d =
   List.filter_map
@@ -48,8 +54,7 @@ let check_invariants d =
 
 let verify_buggy ?stop_at_first_failure ?incremental ?timeout_s
     ?memory_abstraction d bug =
-  Verify.run ?stop_at_first_failure ?incremental ?timeout_s
-    ?memory_abstraction
+  verify_rtl ?stop_at_first_failure ?incremental ?timeout_s
+    ?memory_abstraction d
     ~name:(d.name ^ " [" ^ bug.bug_label ^ "]")
-    d.module_ila bug.buggy_rtl
-    ~refmap_for:(d.refmap_for bug.buggy_rtl)
+    bug.buggy_rtl

@@ -42,11 +42,14 @@ val verify :
   ?memory_abstraction:bool ->
   t ->
   Verify.report
-(** Verifies the golden RTL against the module-ILA.  [incremental]
-    (default true) is {!Verify.run}'s shared-solver mode; [timeout_s]
-    its per-port wall-clock deadline (default unlimited);
-    [memory_abstraction] (default false) its CEGAR window encoding for
-    memory-sorted state ({!Ilv_core.Mem_abstract}). *)
+(** Verifies the golden RTL against the module-ILA in-process, through
+    {!Ilv_engine.Engine.verify}: [stop_at_first_failure] (default true)
+    stops at the first failing instruction; [incremental] (default
+    true) is its shared-solver mode; [timeout_s] its wall-clock
+    deadline (default unlimited), per port in incremental mode and per
+    instruction in fresh mode; [memory_abstraction]
+    (default false) its CEGAR window encoding for memory-sorted state
+    ({!Ilv_core.Mem_abstract}). *)
 
 val verify_buggy :
   ?stop_at_first_failure:bool ->

@@ -15,7 +15,11 @@ type row = {
   proved : bool;
 }
 
-let measure ?(verify = fun d -> Design.verify d) (d : Design.t) =
+let measure
+    ?(verify =
+      fun d -> function
+        | None -> Design.verify d
+        | Some bug -> Design.verify_buggy d bug) (d : Design.t) =
   let rtl_stats = Ilv_rtl.Rtl_stats.of_design d.Design.rtl in
   let ila_stats = Ila_stats.of_module d.Design.module_ila in
   let refmap_loc =
@@ -28,12 +32,12 @@ let measure ?(verify = fun d -> Design.verify d) (d : Design.t) =
     match d.Design.bugs with
     | [] -> None
     | bug :: _ ->
-      let report = Design.verify_buggy d bug in
+      let report = verify d (Some bug) in
       assert (not (Verify.proved report));
       Some report.Verify.total_time_s
   in
   let alloc0 = Gc.allocated_bytes () in
-  let report = verify d in
+  let report = verify d None in
   let alloc_mb = (Gc.allocated_bytes () -. alloc0) /. 1_048_576. in
   let ports =
     if

@@ -19,13 +19,16 @@ type row = {
   proved : bool;
 }
 
-val measure : ?verify:(Design.t -> Ilv_core.Verify.report) -> Design.t -> row
-(** Runs the buggy variant (if any) and the golden verification.
-    [verify] (default {!Design.verify}) overrides how the golden run is
-    produced — the hook through which [ilaverif table -j N] substitutes
-    the parallel verification engine without this library depending on
-    it.  The verdict column is identical for any conforming override;
-    only times differ. *)
+val measure :
+  ?verify:(Design.t -> Design.bug option -> Ilv_core.Verify.report) ->
+  Design.t ->
+  row
+(** Runs the first buggy variant (if any) and the golden verification,
+    both through [verify] ([None] for the golden RTL; default
+    {!Design.verify} and {!Design.verify_buggy}) — the hook through
+    which [ilaverif table] applies its options to both columns.  The
+    verdict column is identical for any conforming override; only
+    times differ. *)
 
 val paper : (string * int * int * string * int * int * int * int * float option * float * float) list
 (** The paper's Table I, for side-by-side comparison: (name, RTL LoC,

@@ -32,9 +32,8 @@ let shape = function
   | Checker.Unknown _ -> "unknown"
 
 let result_key (r : Engine.result) =
-  Printf.sprintf "%s%s/%s/%s" r.Engine.r_design
-    (match r.Engine.r_variant with None -> "" | Some v -> "+" ^ v)
-    r.Engine.r_port r.Engine.r_instr
+  Printf.sprintf "%s/%s/%s" r.Engine.r_design r.Engine.r_port
+    r.Engine.r_instr
 
 (* Deterministic damage: [`Truncate] simulates a torn write (the file
    ends mid-payload), [`Bitflip] simulates rot (the file parses but

@@ -3,13 +3,12 @@ open Ilv_core
 type job = {
   id : int;
   design : string;
-  variant : string option;
   port : string;
   instr : string;
   property : Property.t Lazy.t;
 }
 
-let jobs_of ?variant ?only_ports ?(first_id = 0) ~name module_ila rtl
+let jobs_of ?only_ports ?(first_id = 0) ~name module_ila rtl
     ~refmap_for () =
   let tasks = Verify.enumerate ?only_ports module_ila in
   List.mapi
@@ -19,7 +18,6 @@ let jobs_of ?variant ?only_ports ?(first_id = 0) ~name module_ila rtl
       {
         id = first_id + i;
         design = name;
-        variant;
         port = port.Ila.name;
         instr = instr.Ila.instr_name;
         property =
@@ -32,7 +30,6 @@ let jobs_of ?variant ?only_ports ?(first_id = 0) ~name module_ila rtl
 type result = {
   job_id : int;
   r_design : string;
-  r_variant : string option;
   r_port : string;
   r_instr : string;
   verdict : Checker.verdict;
@@ -61,7 +58,6 @@ let result_of_job (j : job) ~verdict ~stats ~time_s ~backend ~cache_hit =
   {
     job_id = j.id;
     r_design = j.design;
-    r_variant = j.variant;
     r_port = j.port;
     r_instr = j.instr;
     verdict;
@@ -81,14 +77,11 @@ let verdict_string = function
    the pool's supervision is concerned, which is the point.  Guarded by
    [Pool.in_worker] so an in-process run ([jobs <= 1]) can never shoot
    the main process; keyed on the job's {e group} identity (design +
-   variant + port — the pool's scheduling atom in incremental mode), so
+   port — the pool's scheduling atom in incremental mode), so
    the one-shot ledger both survives the retry running in a different
    worker and guarantees at most one kill per group: a second kill on
    any job of the same group would poison the whole group. *)
-let job_chaos_key (j : job) =
-  j.design
-  ^ (match j.variant with None -> "" | Some v -> "+" ^ v)
-  ^ "/" ^ j.port
+let job_chaos_key (j : job) = j.design ^ "/" ^ j.port
 
 let chaos_kill_point (j : job) =
   if
@@ -96,17 +89,6 @@ let chaos_kill_point (j : job) =
     && Ilv_obs.Inject.fire_once ~point:"pool.kill" ~key:(job_chaos_key j)
        = Ilv_obs.Inject.Fault
   then Unix.kill (Unix.getpid ()) Sys.sigkill
-
-(* Per-group (or per-job, in fresh mode) absolute deadline: the clock
-   starts when the group is picked up, preparation included. *)
-let deadlined ~timeout_s budget =
-  match timeout_s with
-  | None -> budget
-  | Some t ->
-    Some
-      (Checker.with_deadline
-         (Unix.gettimeofday () +. t)
-         (Option.value budget ~default:Checker.unlimited))
 
 (* Discharge one job through a cache-aware [check] (a {!Session} step,
    given the job's cache labels).  Any exception becomes this job's
@@ -129,14 +111,14 @@ let discharge check (j : job) =
 
 (* ---- shared-frame (incremental) dispatch ----
 
-   Jobs of one (design, variant, port) share a single bit-blasted frame
+   Jobs of one (design, port) share a single bit-blasted frame
    and one incremental solver: a {!Verify.prepared_port} session built
    from the jobs' properties, checked through {!Session.check}.  The
    session is built by [Pool]'s per-worker group function — in the
    worker process, after the fork — so a worker pays one frame
    preparation for all the jobs of the group it serves. *)
 
-(* Group jobs by (design, variant, port), preserving first-appearance
+(* Group jobs by (design, port), preserving first-appearance
    group order and within-group (instruction) order.  The port — not
    the whole design — is the sharing unit: a module's ports are
    pairwise independent by construction (no shared states), so
@@ -151,7 +133,7 @@ let group_jobs job_list =
   let order = ref [] in
   List.iter
     (fun j ->
-      let k = (j.design, j.variant, j.port) in
+      let k = (j.design, j.port) in
       match Hashtbl.find_opt tbl k with
       | Some r -> r := j :: !r
       | None ->
@@ -161,25 +143,24 @@ let group_jobs job_list =
     job_list;
   List.rev_map (fun k -> List.rev !(Hashtbl.find tbl k)) !order
 
+(* The job's property, or the message of what its refinement map or
+   the property generator raised. *)
+let property_of j =
+  match Lazy.force j.property with
+  | p -> Ok p
+  | exception ((Out_of_memory | Stack_overflow) as fatal) -> raise fatal
+  | exception e -> Error (Printexc.to_string e)
+
 (* The group's session holds exactly its jobs' properties in job order,
-   each entry named by its job id.  Every frame is frozen as soon as it
-   is built: the canonical snapshot (on a throwaway context, so the
-   live solver keeps its lazy working set) provides the cache keys,
-   makes selector numbering identical across workers, and emits the
-   per-design frame span the profiler aggregates. *)
+   each entry named by its job id.  No frame is frozen here: the first
+   cache key freezes the generation-0 frame (a canonical snapshot on a
+   throwaway context, so the live solver keeps its lazy working set),
+   and a run without a cache never pays that extra encoding pass. *)
 let init_group ~memory_abstraction group =
   let label = match group with [] -> "" | j :: _ -> job_chaos_key j in
   Session.create
     (Verify.prepare_properties ~memory_abstraction ~label
-       (List.map
-          (fun j ->
-            ( string_of_int j.id,
-              match Lazy.force j.property with
-              | p -> Ok p
-              | exception ((Out_of_memory | Stack_overflow) as fatal) ->
-                raise fatal
-              | exception e -> Error (Printexc.to_string e) ))
-          group))
+       (List.map (fun j -> (string_of_int j.id, property_of j)) group))
 
 (* The instrumented job: one span per obligation job, tagged at the
    end with what actually happened (backend, verdict, cache hit). *)
@@ -189,14 +170,13 @@ let instrumented ~mode discharge_fn (j : job) =
     let open Ilv_obs.Obs in
     let span =
       span_begin "engine.job"
-        ([
-           ("job_id", I j.id);
-           ("design", S j.design);
-           ("port", S j.port);
-           ("instr", S j.instr);
-           ("mode", S mode);
-         ]
-        @ match j.variant with None -> [] | Some v -> [ ("variant", S v) ])
+        [
+          ("job_id", I j.id);
+          ("design", S j.design);
+          ("port", S j.port);
+          ("instr", S j.instr);
+          ("mode", S mode);
+        ]
     in
     count "engine.jobs" 1;
     let r = discharge_fn j in
@@ -211,8 +191,27 @@ let instrumented ~mode discharge_fn (j : job) =
     r
   end
 
-let run ?(jobs = 1) ?cache ?budget ?timeout_s
-    ?(incremental = true) ?(memory_abstraction = false) job_list =
+let crashed_result ~backend ~reason j =
+  result_of_job j
+    ~verdict:(Checker.Unknown ("engine: " ^ reason))
+    ~stats:Checker.zero_stats ~time_s:0.0 ~backend ~cache_hit:false
+
+(* Everything after the first [Failed] in job order. *)
+let cut_after_failure results =
+  let rec keep = function
+    | [] -> []
+    | r :: rest -> (
+      match r.verdict with
+      | Checker.Failed _ -> [ r ]
+      | Checker.Proved | Checker.Unknown _ -> r :: keep rest)
+  in
+  keep results
+
+(* The sweep: results sorted by job id, each group with the wall time it
+   took in the process that ran it (preparation included), and the
+   summary. *)
+let sweep ~stop_at_first_failure ?(jobs = 1) ?cache ?budget
+    ?timeout_s ?(incremental = true) ?(memory_abstraction = false) job_list =
   let t0 = Unix.gettimeofday () in
   let run_span =
     if Ilv_obs.Obs.enabled () then
@@ -226,77 +225,93 @@ let run ?(jobs = 1) ?cache ?budget ?timeout_s
            ])
     else None
   in
-  let ordered_jobs, outcomes =
-    if incremental then begin
-      (* The group — one port's jobs — is the scheduling atom: a worker
-         takes a whole group, prepares its shared frame once, and
-         solves the group's queries back to back so every query after
-         the first inherits the earlier ones' learnt clauses.  Workers
-         persist across groups (one fork per worker for the whole
-         sweep, not per group).  Splitting a group across workers would
-         re-prepare the frame in each and forfeit the learnt-clause
-         transfer that makes incremental solving pay. *)
-      let groups = group_jobs job_list in
-      let discharge_group group =
-        (* the group's deadline starts here, preparation included *)
-        let budget = deadlined ~timeout_s budget in
-        let session = init_group ~memory_abstraction group in
-        List.map
-          (instrumented ~mode:"incremental"
-             (discharge (fun ~design ~instr j ->
-                  Session.check ?budget ?cache ~design ~instr session
-                    (string_of_int j.id))))
-          group
-      in
-      let group_outcomes = Pool.map ~jobs discharge_group groups in
-      ( List.concat groups,
-        List.concat
-          (List.map2
-             (fun g outcome ->
-               match outcome with
-               | Pool.Done rs when List.length rs = List.length g ->
-                 List.map (fun r -> Pool.Done r) rs
-               | Pool.Done _ ->
-                 List.map
-                   (fun _ -> Pool.Crashed "engine: group result arity mismatch")
-                   g
-               | Pool.Crashed reason ->
-                 List.map (fun _ -> Pool.Crashed reason) g
-               | Pool.Poisoned reason ->
-                 List.map (fun _ -> Pool.Poisoned reason) g)
-             groups group_outcomes) )
-    end
-    else
-      ( job_list,
-        Pool.map ~jobs
-          (instrumented ~mode:"fresh"
-             (discharge (fun ~design ~instr j ->
-                  Session.check_property
-                    ?budget:(deadlined ~timeout_s budget)
-                    ?cache ~memory_abstraction ~design ~instr
-                    (Lazy.force j.property))))
-          job_list )
+  (* The group — one port's jobs — is the scheduling atom in
+     incremental mode: a worker takes a whole group, prepares its shared
+     frame once, and solves the group's queries back to back so every
+     query after the first inherits the earlier ones' learnt clauses.
+     Workers persist across groups (one fork per worker for the whole
+     sweep, not per group).  Splitting a group across workers would
+     re-prepare the frame in each and forfeit the learnt-clause transfer
+     that makes incremental solving pay.  Fresh mode schedules each job
+     as a group of its own. *)
+  let groups =
+    if incremental then group_jobs job_list
+    else List.map (fun j -> [ j ]) job_list
   in
-  let results =
+  let mode = if incremental then "incremental" else "fresh" in
+  (* The lowest id of a [Failed] job this process has discharged.  With
+     [stop_at_first_failure], a job after it is skipped: in-process the
+     groups arrive in job order, so later groups are neither prepared
+     nor solved; a worker only knows its own failures, and a retried
+     group with earlier ids still runs. *)
+  let failed_at = ref max_int in
+  let skipped j = stop_at_first_failure && j.id > !failed_at in
+  let discharge_group group =
+    let g0 = Unix.gettimeofday () in
+    let results =
+      if List.for_all skipped group then []
+      else begin
+        (* the group's deadline starts here, preparation included *)
+        let budget = Checker.with_timeout timeout_s budget in
+        let check =
+          if incremental then begin
+            let session = init_group ~memory_abstraction group in
+            fun ~design ~instr j ->
+              Session.check ?budget ?cache ~design ~instr session
+                (string_of_int j.id)
+          end
+          else fun ~design ~instr j ->
+            match property_of j with
+            | Ok p ->
+              Session.check_property ?budget ?cache ~memory_abstraction
+                ~design ~instr p
+            | Error msg ->
+              (* the same verdict [init_group]'s session gives such a job *)
+              ( Checker.Unknown ("exception: " ^ msg),
+                Checker.zero_stats,
+                "error",
+                false )
+        in
+        List.filter_map
+          (fun j ->
+            if skipped j then None
+            else begin
+              let r = instrumented ~mode (discharge check) j in
+              (match r.verdict with
+              | Checker.Failed _ -> failed_at := min !failed_at j.id
+              | Checker.Proved | Checker.Unknown _ -> ());
+              Some r
+            end)
+          group
+      end
+    in
+    (results, Unix.gettimeofday () -. g0)
+  in
+  let timed_groups =
     List.map2
-      (fun j outcome ->
+      (fun g outcome ->
         match outcome with
-        | Pool.Done r -> r
+        | Pool.Done (rs, wall) -> (g, rs, wall)
         | Pool.Crashed reason ->
-          result_of_job j
-            ~verdict:(Checker.Unknown ("engine: " ^ reason))
-            ~stats:Checker.zero_stats ~time_s:0.0 ~backend:"error"
-            ~cache_hit:false
+          (g, List.map (crashed_result ~backend:"error" ~reason) g, 0.0)
         | Pool.Poisoned reason ->
           (* quarantined by pool supervision: an explicit, machine-
              readable verdict with the kill history, not a hang *)
-          result_of_job j
-            ~verdict:(Checker.Unknown ("engine: poisoned: " ^ reason))
-            ~stats:Checker.zero_stats ~time_s:0.0 ~backend:"poisoned"
-            ~cache_hit:false)
-      ordered_jobs outcomes
+          let reason = "poisoned: " ^ reason in
+          (g, List.map (crashed_result ~backend:"poisoned" ~reason) g, 0.0))
+      groups
+      (Pool.map ~jobs discharge_group groups)
   in
-  let results = List.sort (fun a b -> compare a.job_id b.job_id) results in
+  let results =
+    List.sort
+      (fun a b -> compare a.job_id b.job_id)
+      (List.concat_map (fun (_, rs, _) -> rs) timed_groups)
+  in
+  (* a worker may have solved past the first failure: cut there, so the
+     results are the same for any worker count *)
+  let results =
+    if stop_at_first_failure then cut_after_failure results else results
+  in
   let count p = List.length (List.filter p results) in
   let summary =
     {
@@ -347,16 +362,24 @@ let run ?(jobs = 1) ?cache ?budget ?timeout_s
           ("cache_misses", Ilv_obs.Obs.I summary.cache_misses);
         ]
       id);
+  (results, timed_groups, summary)
+
+let run ?jobs ?cache ?budget ?timeout_s ?incremental ?memory_abstraction
+    job_list =
+  let results, _, summary =
+    sweep ~stop_at_first_failure:false ?jobs ?cache ?budget ?timeout_s
+      ?incremental ?memory_abstraction job_list
+  in
   (results, summary)
 
-let report_of ~name ~results =
-  let rec group = function
-    | [] -> []
-    | r :: _ as rs ->
-      let mine, rest =
-        List.partition (fun x -> x.r_port = r.r_port) rs
-      in
-      (r.r_port, mine) :: group rest
+let verify ?(stop_at_first_failure = true) ?jobs ?cache ?budget ?timeout_s
+    ?incremental ?memory_abstraction ?only_ports ~name module_ila rtl
+    ~refmap_for =
+  let t0 = Unix.gettimeofday () in
+  let results, timed_groups, summary =
+    sweep ~stop_at_first_failure ?jobs ?cache ?budget ?timeout_s ?incremental
+      ?memory_abstraction
+      (jobs_of ?only_ports ~name module_ila rtl ~refmap_for ())
   in
   let instr_result r =
     {
@@ -367,32 +390,35 @@ let report_of ~name ~results =
       time_s = r.time_s;
     }
   in
-  let ports =
-    List.map
-      (fun (port_name, rs) ->
-        {
-          Verify.port_name;
-          instr_results = List.map instr_result rs;
-          port_time_s =
-            List.fold_left (fun acc r -> acc +. r.time_s) 0.0 rs;
-        })
-      (group results)
+  let port_report (port : Ila.t) =
+    let mine r = r.r_port = port.Ila.name in
+    {
+      Verify.port_name = port.Ila.name;
+      instr_results = List.map instr_result (List.filter mine results);
+      port_time_s =
+        List.fold_left
+          (fun acc (g, _, wall) ->
+            match g with j :: _ when j.port = port.Ila.name -> acc +. wall
+            | _ -> acc)
+          0.0 timed_groups;
+    }
   in
-  let first_failure =
-    List.find_map
-      (fun r ->
-        match r.verdict with
-        | Checker.Failed _ -> Some (instr_result r)
-        | _ -> None)
-      results
+  let report =
+    {
+      Verify.design = name;
+      ports =
+        List.map port_report (Verify.selected_ports ?only_ports module_ila);
+      total_time_s = Unix.gettimeofday () -. t0;
+      first_failure =
+        List.find_map
+          (fun r ->
+            match r.verdict with
+            | Checker.Failed _ -> Some (instr_result r)
+            | Checker.Proved | Checker.Unknown _ -> None)
+          results;
+    }
   in
-  {
-    Verify.design = name;
-    ports;
-    total_time_s =
-      List.fold_left (fun acc r -> acc +. r.time_s) 0.0 results;
-    first_failure;
-  }
+  (report, summary)
 
 let pp_summary fmt s =
   Format.fprintf fmt

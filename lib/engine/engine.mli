@@ -21,8 +21,7 @@ open Ilv_core
 
 type job = {
   id : int;  (** position in the deterministic enumeration *)
-  design : string;
-  variant : string option;  (** bug label or mutant description, if any *)
+  design : string;  (** with the bug label or mutant description, if any *)
   port : string;
   instr : string;
   property : Property.t Lazy.t;
@@ -31,7 +30,6 @@ type job = {
 }
 
 val jobs_of :
-  ?variant:string ->
   ?only_ports:string list ->
   ?first_id:int ->
   name:string ->
@@ -47,7 +45,6 @@ val jobs_of :
 type result = {
   job_id : int;
   r_design : string;
-  r_variant : string option;
   r_port : string;
   r_instr : string;
   verdict : Checker.verdict;
@@ -102,20 +99,20 @@ val run :
     SAT query as in {!Checker.check_prepared}.
 
     [timeout_s] sets a wall-clock deadline per obligation group — per
-    (design, variant, port) group in incremental mode (the clock starts
-    when a worker picks the group up, preparation included), per job in
-    fresh mode.  When it passes, remaining obligations yield timestamped
+    (design, port) group in incremental mode (the clock starts when a
+    worker picks the group up, preparation included), per job in fresh
+    mode.  When it passes, remaining obligations yield timestamped
     ["deadline: ..."] [Unknown] verdicts instead of hanging the pool.
     Default: unlimited.
 
-    [incremental] (default [true]) groups jobs by (design, variant,
-    port) and discharges each group against one shared bit-blasted
-    frame in one incremental solver ({!Ilv_core.Verify.prepare_properties},
-    checked through {!Session.check}): workers are persistent — each
-    worker forks once, prepares a group's shared context once, and
-    streams the group's jobs against it, so learnt clauses transfer
-    between a port's obligations.  Every frame is frozen when it is
-    built.  Cache keys in
+    [incremental] (default [true]) groups jobs by (design, port) and
+    discharges each group against one shared bit-blasted frame in one
+    incremental solver ({!Ilv_core.Verify.prepare_properties}, checked
+    through {!Session.check}): workers are persistent — each worker
+    forks once, prepares a group's shared context once, and streams the
+    group's jobs against it, so learnt clauses transfer between a
+    port's obligations.  A frame is frozen ({!Checker.shared_freeze})
+    only when the proof cache keys or stores against it.  Cache keys in
     this mode hash the shared frame plus the property's activation
     selectors ({!Proof_cache.key_of_shared}) and can never alias
     non-incremental entries.  [incremental:false] discharges each job
@@ -132,9 +129,37 @@ val run :
     rungs recording the refinement work (["+cegarN"],
     ["abstract>concrete"]). *)
 
-val report_of : name:string -> results:result list -> Verify.report
-(** Reassembles engine results (of one design sweep) into the
-    standard {!Verify.report} shape — same verdicts, same order as a
-    sequential {!Verify.run} with [stop_at_first_failure:false]. *)
+val verify :
+  ?stop_at_first_failure:bool ->
+  ?jobs:int ->
+  ?cache:Proof_cache.t ->
+  ?budget:Checker.budget ->
+  ?timeout_s:float ->
+  ?incremental:bool ->
+  ?memory_abstraction:bool ->
+  ?only_ports:string list ->
+  name:string ->
+  Module_ila.t ->
+  Ilv_rtl.Rtl.t ->
+  refmap_for:(string -> Refmap.t) ->
+  Verify.report * summary
+(** The verification driver (Fig. 4): verifies the RTL against each
+    (selected) port-ILA by enumerating its obligations ({!jobs_of}),
+    discharging them with {!run} and assembling the report.
+    [refmap_for] supplies each port's refinement map; an exception it
+    or the property generator raises becomes the affected
+    instructions' [Unknown] verdict instead of aborting the report.
+    Every selected port has a row list, empty when none of its
+    instructions was checked.  Each port's time is its group's wall
+    clock, preparation included; the total is this call's wall clock.
+
+    [stop_at_first_failure] (default [true]) skips every job after a
+    job that [Failed] (an [Unknown] does not stop the run) and cuts the
+    report after the first failure in job order, so it is the same for
+    any worker count — the paper's "Time (bug)" runs.  In-process,
+    groups after the failing one are neither prepared nor solved; a
+    worker skips the jobs after a failure it discharged itself, and
+    other workers' groups are cut from the report.  The other options
+    are {!run}'s. *)
 
 val pp_summary : Format.formatter -> summary -> unit

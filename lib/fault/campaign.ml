@@ -107,8 +107,8 @@ let classify_mutant (d : Design.t) ~budget ~timeout_s ~fallback_sim ~sim_seeds
            ])
     else None
   in
-  let report =
-    Verify.run ~stop_at_first_failure:true ~budget ?timeout_s
+  let report, _ =
+    Ilv_engine.Engine.verify ~budget ?timeout_s
       ~name:(d.Design.name ^ " [" ^ Mutate.describe m.Mutate.mutation ^ "]")
       d.Design.module_ila rtl
       ~refmap_for:(fun port -> d.Design.refmap_for rtl port)

@@ -79,7 +79,7 @@ val run :
     bounded checker could not decide — and for mutants every property
     proved, where it is the only check that can catch reset faults.
     [timeout_s] puts a wall-clock deadline on each mutant's per-port
-    verification ({!Ilv_core.Verify.run}'s [timeout_s]); obligations
+    verification ({!Ilv_engine.Engine.verify}'s [timeout_s]); obligations
     past it classify as inconclusive (or fall to the simulation hunt)
     instead of hanging the campaign.
     [jobs] (default 1) classifies mutants on that many parallel worker

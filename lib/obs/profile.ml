@@ -45,7 +45,7 @@ let str ?(default = "?") key json =
 let fl key json = Option.bind (Json.member key json) Json.to_float
 let int_of key json = Option.bind (Json.member key json) Json.to_int
 
-let interesting name = name = "engine.job" || name = "verify.instr"
+let job_span = "engine.job"
 let frame_span = "checker.prepare_shared"
 
 let of_trace lines =
@@ -83,7 +83,7 @@ let of_trace lines =
     (fun line ->
       let ev = str "ev" line and name = str "name" line in
       match ev with
-      | "span_begin" when interesting name || name = frame_span -> (
+      | "span_begin" when name = job_span || name = frame_span -> (
         match span_key line with
         | Some k -> Hashtbl.replace begins k line
         | None -> ())
@@ -118,7 +118,7 @@ let of_trace lines =
             prepare_s =
               dur +. (match prev with Some f -> f.prepare_s | None -> 0.0);
           }
-      | "span_end" when interesting name ->
+      | "span_end" when name = job_span ->
         let opened =
           Option.bind (span_key line) (Hashtbl.find_opt begins)
         in

@@ -2,13 +2,14 @@
     per-backend effort table behind [ilaverif profile].
 
     Works on the span and counter lines {!Obs} emits: every
-    ["engine.job"] or ["verify.instr"] span becomes one observation of
+    ["engine.job"] span becomes one observation of
     (design, port, instruction, backend, verdict, duration), summed
     into rows; ["counter"] lines are summed per name across all
     processes; an ["engine.run"] span, when present, supplies the
     sweep's wall clock so the report can show how much of it the
     instruction spans account for.  ["checker.prepare_shared"] spans
-    (incremental mode) are folded into one {!frame} record per design,
+    (incremental mode, emitted when the proof cache freezes a frame)
+    are folded into one {!frame} record per design,
     showing the shared frame's size — variables, problem vs activation
     clauses, clauses removed by CNF simplification — and how many
     workers built it.  Pool supervision events (["pool.crash"],

@@ -137,27 +137,10 @@ let solve_one t fr ~design ~port ~instr ~budget =
 
 let verify_core t ~design_name ~variant ~rtl ~refmap_for ~ports ~instrs
     ~timeout_s ~memory_abstraction (d : Design.t) =
-  let selected =
-    match ports with
-    | None -> d.Design.module_ila.Module_ila.ports
-    | Some names ->
-      List.filter
-        (fun (p : Ila.t) -> List.mem p.Ila.name names)
-        d.Design.module_ila.Module_ila.ports
-  in
   List.concat_map
     (fun (port : Ila.t) ->
-      (* the deadline is per obligation group, here per port — same
-         contract as [Verify.run] *)
-      let budget =
-        match timeout_s with
-        | None -> None
-        | Some s ->
-          Some
-            (Checker.with_deadline
-               (Unix.gettimeofday () +. s)
-               Checker.unlimited)
-      in
+      (* the deadline is per obligation group, here per port *)
+      let budget = Checker.with_timeout timeout_s None in
       let fr =
         get_frame t ~design:design_name ~variant ~port ~rtl
           ~refmap:(refmap_for port.Ila.name)
@@ -187,7 +170,7 @@ let verify_core t ~design_name ~variant ~rtl ~refmap_for ~ports ~instrs
             jr_cache_hit = cache_hit;
           })
         names)
-    selected
+    (Verify.selected_ports ?only_ports:ports d.Design.module_ila)
 
 let result_json ~trace_budget r =
   let verdict, reason, trace =

@@ -7,6 +7,7 @@
 
 open Ilv_core
 open Ilv_designs
+open Ilv_engine
 module Json = Ilv_obs.Json
 module Client = Ilv_server.Client
 module Daemon = Ilv_server.Daemon
@@ -31,8 +32,8 @@ let verdict_str = function
   | Checker.Unknown _ -> "unknown"
 
 let in_process_verdicts ~name ~rtl (d : Design.t) =
-  let report =
-    Verify.run ~stop_at_first_failure:false ~name d.Design.module_ila rtl
+  let report, _ =
+    Engine.verify ~stop_at_first_failure:false ~name d.Design.module_ila rtl
       ~refmap_for:(d.Design.refmap_for rtl)
   in
   List.concat_map

@@ -122,8 +122,10 @@ let slow_refmap ~use_within =
 let module_of ila = Compose.union ~name:"m" [ ila ]
 
 let verify ?stop ila rtl refmap =
-  Verify.run ?stop_at_first_failure:stop ~name:"test" (module_of ila) rtl
-    ~refmap_for:(fun _ -> refmap)
+  fst
+    (Ilv_engine.Engine.verify ?stop_at_first_failure:stop ~name:"test"
+       (module_of ila) rtl
+       ~refmap_for:(fun _ -> refmap))
 
 (* ---------- ILA model tests ---------- *)
 

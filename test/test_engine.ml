@@ -722,7 +722,6 @@ let engine_tests =
               {
                 Engine.id = List.length (jobs_of d);
                 design = d.Design.name;
-                variant = None;
                 port = "refines";
                 instr = "refines";
                 property = Lazy.from_val refines;
@@ -804,24 +803,165 @@ let engine_tests =
           (match r.Engine.verdict with
           | Checker.Unknown m -> String.starts_with ~prefix:"exception: " m
           | _ -> false));
-    t "report_of reproduces the sequential verifier's verdicts" (fun () ->
-        let d = design "AXI Slave" in
-        let results, _ = Engine.run ~jobs:2 (jobs_of d) in
-        let report = Engine.report_of ~name:d.Design.name ~results in
-        let reference = Design.verify d in
-        Alcotest.(check bool) "proved" true (Verify.proved report);
+    t "-j1 and -j2 reports agree on the paper's bugs, stop on and off"
+      (fun () ->
         let shape (r : Verify.report) =
+          ( List.map
+              (fun (p : Verify.port_report) ->
+                ( p.Verify.port_name,
+                  List.map
+                    (fun (ir : Verify.instr_result) ->
+                      (ir.Verify.port, ir.Verify.instr, ir.Verify.verdict))
+                    p.Verify.instr_results ))
+              r.Verify.ports,
+            Option.map
+              (fun (ir : Verify.instr_result) ->
+                (ir.Verify.port, ir.Verify.instr, ir.Verify.verdict))
+              r.Verify.first_failure )
+        in
+        List.iter
+          (fun (name, label) ->
+            let d = design name in
+            let bug =
+              List.find (fun b -> b.Design.bug_label = label) d.Design.bugs
+            in
+            List.iter
+              (fun stop ->
+                let report jobs =
+                  fst
+                    (Engine.verify ~stop_at_first_failure:stop ~jobs
+                       ~memory_abstraction:true ~name d.Design.module_ila
+                       bug.Design.buggy_rtl
+                       ~refmap_for:(d.Design.refmap_for bug.Design.buggy_rtl))
+                in
+                let r1 = report 1 and r2 = report 2 in
+                let what = Printf.sprintf "%s [%s], stop %b" name label stop in
+                Alcotest.(check bool)
+                  (what ^ ": a failure is found") true
+                  (r1.Verify.first_failure <> None);
+                Alcotest.(check bool)
+                  (what ^ ": same ports, rows, verdicts and first failure")
+                  true
+                  (shape r1 = shape r2))
+              [ true; false ])
+          [
+            ("AXI Slave", "rd_burst");
+            ("L2 Cache", "msg_flag");
+            ("Store Buffer", "full_flag");
+          ]);
+    t "with stop on, -j1 solves no job after the first failure" (fun () ->
+        (* AXI Slave [rd_burst] fails at READ's third instruction (job
+           2): the rest of READ is prepared but not solved, and the
+           WRITE group is neither prepared nor solved — its refinement
+           map is never asked for *)
+        let d = design "AXI Slave" in
+        let bug = List.hd d.Design.bugs in
+        let rtl = bug.Design.buggy_rtl in
+        let asked = ref [] in
+        let buggy_verify () =
+          Engine.verify ~jobs:1 ~name:d.Design.name d.Design.module_ila rtl
+            ~refmap_for:(fun port ->
+              asked := port :: !asked;
+              d.Design.refmap_for rtl port)
+        in
+        let report, _ = buggy_verify () in
+        let ports_asked = List.sort_uniq compare !asked in
+        (* the same run, traced in a child process so this process's
+           counters stay untouched: which jobs reached the solver *)
+        let trace = Filename.temp_file "ilv-test-stop" ".jsonl" in
+        (match Unix.fork () with
+        | 0 ->
+          Ilv_obs.Obs.configure ~trace_out:trace ();
+          ignore (buggy_verify ());
+          Ilv_obs.Obs.shutdown ();
+          Unix._exit 0
+        | pid -> ignore (Unix.waitpid [] pid));
+        let ic = open_in_bin trace in
+        let body = really_input_string ic (in_channel_length ic) in
+        close_in ic;
+        Sys.remove trace;
+        let field k l = Ilv_obs.Json.member k l in
+        let solved =
+          match Ilv_obs.Json.parse_lines body with
+          | Error msg -> Alcotest.fail msg
+          | Ok lines ->
+            List.filter_map
+              (fun l ->
+                if
+                  Option.bind (field "ev" l) Ilv_obs.Json.to_string
+                  = Some "span_begin"
+                  && Option.bind (field "name" l) Ilv_obs.Json.to_string
+                     = Some "engine.job"
+                then Option.bind (field "job_id" l) Ilv_obs.Json.to_int
+                else None)
+              lines
+        in
+        let rows =
           List.map
             (fun (p : Verify.port_report) ->
               ( p.Verify.port_name,
                 List.map
-                  (fun (ir : Verify.instr_result) -> ir.Verify.instr)
+                  (fun (ir : Verify.instr_result) ->
+                    match ir.Verify.verdict with
+                    | Checker.Proved -> "proved"
+                    | Checker.Failed _ -> "failed"
+                    | Checker.Unknown _ -> "unknown")
                   p.Verify.instr_results ))
-            r.Verify.ports
+            report.Verify.ports
         in
-        Alcotest.(check bool)
-          "same port/instruction structure" true
-          (shape report = shape reference));
+        Alcotest.(check (list (pair string (list string))))
+          "rows end at the failure; WRITE is listed with no rows"
+          [ ("READ", [ "proved"; "proved"; "failed" ]); ("WRITE", []) ]
+          rows;
+        Alcotest.(check (list int)) "only jobs up to the failure solved"
+          [ 0; 1; 2 ] solved;
+        Alcotest.(check (list string)) "only READ's refinement map asked"
+          [ "READ" ] ports_asked);
+    t "a port's time covers its instructions' times" (fun () ->
+        List.iter
+          (fun (name, jobs, incremental) ->
+            let d = design name in
+            let report, _ =
+              Engine.verify ~jobs ~incremental ~memory_abstraction:true
+                ~name d.Design.module_ila d.Design.rtl
+                ~refmap_for:(d.Design.refmap_for d.Design.rtl)
+            in
+            let ports_total =
+              List.fold_left
+                (fun acc (p : Verify.port_report) ->
+                  let rows =
+                    List.fold_left
+                      (fun acc (ir : Verify.instr_result) ->
+                        acc +. ir.Verify.time_s)
+                      0.0 p.Verify.instr_results
+                  in
+                  (* an incremental group also spends its preparation
+                     (property generation, frame setup) outside the rows *)
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s -j%d: port %s %.6fs %s rows %.6fs" name
+                       jobs p.Verify.port_name p.Verify.port_time_s
+                       (if incremental then ">" else ">=")
+                       rows)
+                    true
+                    (p.Verify.instr_results <> []
+                    &&
+                    if incremental then p.Verify.port_time_s > rows
+                    else p.Verify.port_time_s >= rows);
+                  acc +. p.Verify.port_time_s)
+                0.0 report.Verify.ports
+            in
+            if jobs = 1 then
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: total %.4fs >= ports %.4fs" name
+                   report.Verify.total_time_s ports_total)
+                true
+                (report.Verify.total_time_s >= ports_total))
+          [
+            ("AXI Slave", 1, true);
+            ("AXI Slave", 2, true);
+            ("AXI Slave", 1, false);
+            ("Store Buffer", 1, true);
+          ]);
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -4,6 +4,7 @@
 open Ilv_sat
 open Ilv_core
 open Ilv_designs
+open Ilv_engine
 open Ilv_fault
 
 let t name f = Alcotest.test_case name `Quick f
@@ -81,8 +82,8 @@ let verify_budget_tests =
     t "zero wall budget makes every verdict Unknown" (fun () ->
         let d = Clock_gen.design in
         let budget = Checker.budget ~wall_s:0.0 ~escalations:0 () in
-        let report =
-          Verify.run ~budget ~name:d.Design.name d.Design.module_ila
+        let report, _ =
+          Engine.verify ~budget ~name:d.Design.name d.Design.module_ila
             d.Design.rtl
             ~refmap_for:(fun port -> d.Design.refmap_for d.Design.rtl port)
         in
@@ -96,8 +97,8 @@ let verify_budget_tests =
     t "generous bounded budget still proves Clock Gen" (fun () ->
         let d = Clock_gen.design in
         let budget = Checker.budget ~conflicts:200_000 ~escalations:1 () in
-        let report =
-          Verify.run ~budget ~name:d.Design.name d.Design.module_ila
+        let report, _ =
+          Engine.verify ~budget ~name:d.Design.name d.Design.module_ila
             d.Design.rtl
             ~refmap_for:(fun port -> d.Design.refmap_for d.Design.rtl port)
         in
@@ -109,35 +110,39 @@ let verify_budget_tests =
         let budget =
           Checker.budget ~conflicts:1 ~escalations:4 ~escalation_factor:10 ()
         in
-        let report =
-          Verify.run ~budget ~name:d.Design.name d.Design.module_ila
+        let report, _ =
+          Engine.verify ~budget ~name:d.Design.name d.Design.module_ila
             d.Design.rtl
             ~refmap_for:(fun port -> d.Design.refmap_for d.Design.rtl port)
         in
         Alcotest.(check bool) "proved" true (Verify.proved report));
     t "exceptions in refmap_for become Unknown verdicts" (fun () ->
         let d = Clock_gen.design in
-        let report =
-          Verify.run ~name:d.Design.name d.Design.module_ila d.Design.rtl
-            ~refmap_for:(fun _ -> failwith "boom")
-        in
-        Alcotest.(check bool) "not proved" false (Verify.proved report);
-        let unknowns = Verify.unknowns report in
-        Alcotest.(check bool) "all unknown" true (unknowns <> []);
         List.iter
-          (fun (ir : Verify.instr_result) ->
-            match ir.Verify.verdict with
-            | Checker.Unknown reason ->
-              Alcotest.(check bool)
-                "mentions the exception" true
-                (String.length reason >= 4
-                && String.sub reason 0 4 = "exce")
-            | _ -> Alcotest.fail "expected Unknown")
-          unknowns);
+          (fun incremental ->
+            let report, _ =
+              Engine.verify ~incremental ~name:d.Design.name
+                d.Design.module_ila d.Design.rtl
+                ~refmap_for:(fun _ -> failwith "boom")
+            in
+            Alcotest.(check bool) "not proved" false (Verify.proved report);
+            let unknowns = Verify.unknowns report in
+            Alcotest.(check bool) "all unknown" true (unknowns <> []);
+            List.iter
+              (fun (ir : Verify.instr_result) ->
+                match ir.Verify.verdict with
+                | Checker.Unknown reason ->
+                  Alcotest.(check bool)
+                    "mentions the exception" true
+                    (String.length reason >= 4
+                    && String.sub reason 0 4 = "exce")
+                | _ -> Alcotest.fail "expected Unknown")
+              unknowns)
+          [ true; false ]);
     t "per-obligation times sum to the reported wall-clock" (fun () ->
         let d = Clock_gen.design in
-        let report =
-          Verify.run ~name:d.Design.name d.Design.module_ila d.Design.rtl
+        let report, _ =
+          Engine.verify ~name:d.Design.name d.Design.module_ila d.Design.rtl
             ~refmap_for:(fun port -> d.Design.refmap_for d.Design.rtl port)
         in
         List.iter

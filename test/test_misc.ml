@@ -3,6 +3,7 @@
 
 open Ilv_core
 open Ilv_designs
+open Ilv_engine
 
 let t name f = Alcotest.test_case name `Quick f
 
@@ -10,8 +11,8 @@ let verify_tests =
   [
     t "only_ports restricts verification" (fun () ->
         let d = Axi_slave.design in
-        let report =
-          Verify.run ~only_ports:[ "READ" ] ~name:"axi-read-only"
+        let report, _ =
+          Engine.verify ~only_ports:[ "READ" ] ~name:"axi-read-only"
             d.Design.module_ila d.Design.rtl
             ~refmap_for:(d.Design.refmap_for d.Design.rtl)
         in

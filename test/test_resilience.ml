@@ -127,8 +127,8 @@ let timeout_reason_tests =
                 [ Checker.deadline_sentinel; "group deadline exceeded" ])));
     t "an expired deadline yields deadline unknowns, not a hang" (fun () ->
         let d = design "AXI Slave" in
-        let report =
-          Verify.run ~timeout_s:0.0 ~name:d.Design.name d.Design.module_ila
+        let report, _ =
+          Engine.verify ~timeout_s:0.0 ~name:d.Design.name d.Design.module_ila
             d.Design.rtl
             ~refmap_for:(d.Design.refmap_for d.Design.rtl)
         in

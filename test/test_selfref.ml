@@ -12,15 +12,17 @@ open Ilv_expr
 open Ilv_rtl
 open Ilv_core
 open Ilv_designs
+open Ilv_engine
 
 let t name f = Alcotest.test_case name `Quick f
 
 let self_verify rtl =
   let ila, refmap = Ila_of_rtl.derive rtl in
-  Verify.run ~name:("self:" ^ rtl.Rtl.name)
-    (Compose.union ~name:"SELF" [ ila ])
-    rtl
-    ~refmap_for:(fun _ -> refmap)
+  fst
+    (Engine.verify ~name:("self:" ^ rtl.Rtl.name)
+       (Compose.union ~name:"SELF" [ ila ])
+       rtl
+       ~refmap_for:(fun _ -> refmap))
 
 let selfref_tests =
   List.map
@@ -184,8 +186,8 @@ let mutation_case (rtl : Rtl.t) seeds =
                 ~instruction_maps:[ Refmap.imap "STEP" (Refmap.After_cycles 1) ]
                 ()
             in
-            let report =
-              Verify.run ~name:"mutation"
+            let report, _ =
+              Engine.verify ~name:"mutation"
                 (Compose.union ~name:"SELF" [ ila ])
                 mutated ~refmap_for
             in

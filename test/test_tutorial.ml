@@ -118,8 +118,8 @@ let suite =
               Alcotest.(check string) "state" "enabled" gap.Compose.state
             | Error gaps -> Alcotest.failf "%d gaps" (List.length gaps));
         t "the implementation verifies" (fun () ->
-            let report =
-              Verify.run ~name:"pwm"
+            let report, _ =
+              Ilv_engine.Engine.verify ~name:"pwm"
                 (Compose.union ~name:"PWM" [ pwm_port ])
                 rtl
                 ~refmap_for:(fun _ -> refmap)
