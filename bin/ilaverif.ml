@@ -994,9 +994,10 @@ let cache_cmd =
         value & flag
         & info [ "full" ]
             ~doc:
-              "Re-solve every entry instead of a sample — the recovery \
-               audit after a crash or suspected disk damage.  Corrupt and \
-               mismatched entries are quarantined, not just reported.")
+              "Re-solve every entry instead of a sample, after checking \
+               every frame blob — the recovery audit after a crash or \
+               suspected disk damage.  Corrupt and mismatched entries and \
+               damaged blobs are quarantined, not just reported.")
     in
     let run cache_dir sample full =
       let c = open_from_dir cache_dir in
@@ -1012,7 +1013,9 @@ let cache_cmd =
         (fun key -> Format.printf "  MISMATCH %s@." key)
         v.Proof_cache.mismatched;
       List.iter
-        (fun file -> Format.printf "  stale %s (other engine version)@." file)
+        (fun file ->
+          Format.printf "  stale %s (other engine version or file format)@."
+            file)
         v.Proof_cache.stale_entries;
       List.iter
         (fun file -> Format.printf "  corrupt %s (quarantined)@." file)
@@ -1028,7 +1031,7 @@ let cache_cmd =
          ~doc:
            "Guard against stale or corrupted entries: re-solve a sample of \
             cached obligations (every one with $(b,--full)) from their \
-            stored CNF, compare verdicts, and quarantine damage")
+            frame blobs, compare verdicts, and quarantine damage")
       Term.(const run $ cache_dir_arg $ sample_arg $ full_arg)
   in
   Cmd.group

@@ -6,6 +6,7 @@ type report = {
   kills : int;
   stalls : int;
   corrupted : int;
+  corrupted_frames : int;
   quarantined : int;
   unquarantined_corrupt : int;
   mismatches : string list;
@@ -58,8 +59,9 @@ let corrupt_file path mode =
   close_out oc
 
 (* dir-relative paths; entries live in two-character shard
-   subdirectories (plus the root for legacy flat layouts) *)
-let proof_files dir =
+   subdirectories (plus the root for legacy flat layouts), frame blobs
+   in [frames/] *)
+let cache_files dir =
   let entries d =
     match Sys.readdir d with
     | fs -> Array.to_list fs
@@ -75,20 +77,20 @@ let proof_files dir =
         with Sys_error _ -> false)
       top
   in
-  top
-  @ List.concat_map
-      (fun s ->
-        List.map (Filename.concat s) (entries (Filename.concat dir s)))
-      shards
-  |> List.filter (fun f -> Filename.check_suffix f ".proof")
+  let under s =
+    List.map (Filename.concat s) (entries (Filename.concat dir s))
+  in
+  List.filter (fun f -> Filename.check_suffix f ".proof")
+    (top @ List.concat_map under shards)
+  @ List.filter (fun f -> Filename.check_suffix f ".cnf") (under "frames")
   |> List.sort compare
 
-(* Damage a deterministic subset of the cache's entry files, selected
+(* Damage a deterministic subset of the cache's entry and blob files, selected
    by the same seeded hash the injection points use (so the schedule
    is reproducible from the seed alone).  At least one file is always
    damaged — a chaos campaign that corrupts nothing tests nothing. *)
 let corrupt_cache dir =
-  let files = proof_files dir in
+  let files = cache_files dir in
   let chosen =
     List.filter
       (fun f -> Ilv_obs.Inject.would_fire ~point:"cache.corrupt" ~key:f)
@@ -108,7 +110,8 @@ let corrupt_cache dir =
       in
       corrupt_file (Filename.concat dir f) mode)
     chosen;
-  List.length chosen
+  ( List.length chosen,
+    List.length (List.filter (fun f -> Filename.check_suffix f ".cnf") chosen) )
 
 let compare_runs ~label baseline disturbed =
   let tbl = Hashtbl.create 64 in
@@ -167,15 +170,17 @@ let run ?(jobs = 2) ?(seed = 1) ?(kill_p = 0.3) ?(stall_p = 0.2)
   let stalls = Ilv_obs.Inject.fired ~point:"solver.stall" in
   (* 3. Damage the cache the disturbed sweep just filled, then run warm:
      every damaged entry must be quarantined and transparently
-     re-solved; an undamaged entry must still hit. *)
-  let corrupted = corrupt_cache cache_dir in
+     re-solved; an undamaged entry must still hit.  A lookup never reads
+     a blob, so a damaged blob still serves its entries' verdicts. *)
+  let corrupted, corrupted_frames = corrupt_cache cache_dir in
   let t2 = Unix.gettimeofday () in
   let warm, _ = Engine.run ~jobs ~cache job_list in
   let warm_wall_s = Unix.gettimeofday () -. t2 in
   Ilv_obs.Inject.disable ();
-  (* 4. Eager recovery must find nothing left: everything damaged was
+  (* 4. Eager recovery must find nothing left: a damaged entry was
      already quarantined on contact during the warm sweep, or is caught
-     now — either way zero corrupt entries remain in the key space. *)
+     now, and a damaged blob is caught now with the entries that refer
+     to it — either way zero corrupt files remain in the key space. *)
   let _ = Proof_cache.recover cache in
   let cstats = Proof_cache.stats cache in
   let mismatches =
@@ -188,6 +193,7 @@ let run ?(jobs = 2) ?(seed = 1) ?(kill_p = 0.3) ?(stall_p = 0.2)
     kills;
     stalls;
     corrupted;
+    corrupted_frames;
     quarantined = Proof_cache.quarantined_count cache;
     unquarantined_corrupt = cstats.Proof_cache.corrupt;
     mismatches;
@@ -200,10 +206,11 @@ let pp_report fmt r =
   let open Format in
   fprintf fmt "@[<v>chaos campaign: %d jobs over %d designs@," r.n_jobs
     (List.length r.designs);
-  fprintf fmt "  injected: %d worker kills, %d solver stalls, %d corrupted \
-               cache entries@,"
-    r.kills r.stalls r.corrupted;
-  fprintf fmt "  cache: %d quarantined, %d corrupt entries remaining@,"
+  fprintf fmt
+    "  injected: %d worker kills, %d solver stalls, %d corrupted cache files \
+     (%d frame blobs)@,"
+    r.kills r.stalls r.corrupted r.corrupted_frames;
+  fprintf fmt "  cache: %d quarantined, %d corrupt files remaining@,"
     r.quarantined r.unquarantined_corrupt;
   fprintf fmt "  walls: baseline %.2fs, chaos %.2fs, warm %.2fs@,"
     r.baseline_wall_s r.chaos_wall_s r.warm_wall_s;

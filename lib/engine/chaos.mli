@@ -9,14 +9,14 @@
     + {e chaos} — {!Ilv_obs.Inject} armed: workers are SIGKILLed
       mid-job (["pool.kill"]), solver calls return injected [Unknown]s
       (["solver.stall"]), and a cold proof cache fills along the way;
-    + {e warm} — a deterministic subset of the cache entries written
-      by the chaos sweep is damaged (torn writes and bit-rot), then
-      the sweep runs again against the damaged cache.
+    + {e warm} — a deterministic subset of the cache entries and frame
+      blobs written by the chaos sweep is damaged (torn writes and
+      bit-rot), then the sweep runs again against the damaged cache.
 
     The campaign passes iff every verdict of the chaos and warm sweeps
     has the same shape (proved / failed / unknown) as the baseline's,
-    and after {!Proof_cache.recover} no corrupt entry remains outside
-    the quarantine directory.
+    and after {!Proof_cache.recover} no corrupt entry or blob remains
+    outside the quarantine directory.
 
     All injection is a pure function of the seed (see
     {!Ilv_obs.Inject}), so a failing campaign replays exactly. *)
@@ -26,10 +26,11 @@ type report = {
   n_jobs : int;
   kills : int;  (** workers SIGKILLed by the ["pool.kill"] point *)
   stalls : int;  (** solver calls stalled by ["solver.stall"] *)
-  corrupted : int;  (** cache entry files deliberately damaged *)
+  corrupted : int;  (** cache entry and blob files deliberately damaged *)
+  corrupted_frames : int;  (** of which frame blobs *)
   quarantined : int;  (** files in the cache's quarantine directory *)
   unquarantined_corrupt : int;
-      (** corrupt entries still in the key space after
+      (** corrupt entries and blobs still in the key space after
           {!Proof_cache.recover} — must be 0 *)
   mismatches : string list;
       (** human-readable verdict-shape disagreements vs baseline *)
@@ -57,8 +58,9 @@ val run :
     [jobs] (default 2, minimum 2 — kills need forked workers to land
     in) is the worker count for every sweep; [seed] (default 1) fixes
     the fault schedule; [kill_p], [stall_p] and [corrupt_p] are the
-    per-site firing probabilities (defaults 0.3 / 0.2 / 0.3).  At
-    least one cache entry is always damaged even if the seed selects
+    per-site firing probabilities (defaults 0.3 / 0.2 / 0.3); the
+    ["cache.corrupt"] point picks entry and blob files alike.  At
+    least one cache file is always damaged even if the seed selects
     none.
 
     The sweeps run in incremental mode: the degradation ladder — the
@@ -66,6 +68,7 @@ val run :
     backend. *)
 
 val passed : report -> bool
-(** No verdict mismatches and no un-quarantined corrupt entries. *)
+(** No verdict mismatches and no un-quarantined corrupt entries or
+    blobs. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -156,9 +156,9 @@ let property_of j =
    cache key freezes the generation-0 frame (a canonical snapshot on a
    throwaway context, so the live solver keeps its lazy working set),
    and a run without a cache never pays that extra encoding pass. *)
-let init_group ~memory_abstraction group =
+let init_group ?cache ~memory_abstraction group =
   let label = match group with [] -> "" | j :: _ -> job_chaos_key j in
-  Session.create
+  Session.create ?cache
     (Verify.prepare_properties ~memory_abstraction ~label
        (List.map (fun j -> (string_of_int j.id, property_of j)) group))
 
@@ -255,9 +255,9 @@ let sweep ~stop_at_first_failure ?(jobs = 1) ?cache ?budget
         let budget = Checker.with_timeout timeout_s budget in
         let check =
           if incremental then begin
-            let session = init_group ~memory_abstraction group in
+            let session = init_group ?cache ~memory_abstraction group in
             fun ~design ~instr j ->
-              Session.check ?budget ?cache ~design ~instr session
+              Session.check ?budget ~design ~instr session
                 (string_of_int j.id)
           end
           else fun ~design ~instr j ->

@@ -12,11 +12,22 @@ open Ilv_core
    their clause sets coincide.  Version bumps make older entries stale
    rather than silently unreachable. *)
 let version = "ilaverif-engine/5"
-let magic = "ilaverif-proof-cache/2\n"
 
-(* the pre-checksum file format: well-formed entries in it are an
-   expected leftover of an upgrade, not damage *)
-let old_magic = "ilaverif-proof-cache/1\n"
+(* File format /3: an entry holds its frame's digest, and the frame
+   lives once in a blob.  Keys did not change, so neither did
+   [version]: a /2 file under a live key is stale, and the next store
+   overwrites it. *)
+let magic = "ilaverif-proof-cache/3\n"
+
+(* older file formats: well-formed entries in them are an expected
+   leftover of an upgrade, not damage *)
+let old_magics =
+  [
+    ( "ilaverif-proof-cache/1\n",
+      "pre-checksum file format (ilaverif-proof-cache/1)" );
+    ( "ilaverif-proof-cache/2\n",
+      "CNF-carrying file format (ilaverif-proof-cache/2)" );
+  ]
 
 type t = { cache_dir : string }
 
@@ -99,8 +110,11 @@ let sweep_dead_tmp_in dir =
         end)
       files
 
+let frames_dir_of cache_dir = Filename.concat cache_dir "frames"
+
 let sweep_dead_tmp cache_dir =
   sweep_dead_tmp_in cache_dir;
+  sweep_dead_tmp_in (frames_dir_of cache_dir);
   List.iter sweep_dead_tmp_in (shard_dirs cache_dir)
 
 let open_ ?dir () =
@@ -111,6 +125,7 @@ let open_ ?dir () =
 
 let dir t = t.cache_dir
 let quarantine_dir t = Filename.concat t.cache_dir "quarantine"
+let frames_dir t = frames_dir_of t.cache_dir
 
 (* Quarantine, never delete: a corrupt entry is evidence (of a torn
    write, disk fault, or injected chaos) that an operator may want to
@@ -188,30 +203,25 @@ let with_lock t ~key f =
         try Unix.close fd with Unix.Unix_error _ -> ())
       f
 
-type entry = {
-  key : string;
-  engine_version : string;
-  design : string;
-  instr : string;
-  verdict : Checker.verdict;
-  stats : Checker.stats;
-  cnf : int * int list list;
-  hyps : int list list;
-  created_s : float;
+(* ---- frames ----
+
+   A frame is a canonical CNF: literals sorted and deduplicated within
+   each clause, clauses sorted.  Its serialization is what
+   [frame_digest] hashes and what a frame blob holds, so both are
+   computed at most once per frame.  A frame read back from an entry
+   knows only its digest; its text and CNF come from the blob on first
+   use. *)
+
+type frame = {
+  f_cnf : (int * int list list) Lazy.t;
+  f_text : string Lazy.t;
+  f_digest : string Lazy.t;
 }
 
-(* ---- keys ---- *)
-
-let canonical_cnf (n_vars, clauses) =
-  let clauses = List.map (List.sort_uniq compare) clauses in
-  (n_vars, List.sort compare clauses)
-
-(* Selector literal lists get the same treatment as clauses: literals
-   sort_uniq'd within each list, lists sorted overall.  An obligation
-   set that merely arrives reordered (or with a duplicated selector)
-   therefore hashes to the same key instead of missing the cache. *)
-let canonical_hyps hyps =
-  List.sort compare (List.map (List.sort_uniq compare) hyps)
+(* Monomorphic, and the same order as polymorphic [compare]: a list
+   that is a prefix of another sorts first. *)
+let compare_lits = List.compare Int.compare
+let canonical_lits lits = List.sort_uniq Int.compare lits
 
 let add_lit_lists b lists =
   List.iter
@@ -223,6 +233,82 @@ let add_lit_lists b lists =
           Buffer.add_char b ',')
         lits)
     lists
+
+let frame_text (n_vars, clauses) =
+  let b = Buffer.create 65536 in
+  Buffer.add_string b "v";
+  Buffer.add_string b (string_of_int n_vars);
+  add_lit_lists b clauses;
+  Buffer.contents b
+
+let canonical_cnf (n_vars, clauses) =
+  let cnf =
+    (n_vars, List.sort compare_lits (List.map canonical_lits clauses))
+  in
+  let text = lazy (frame_text cnf) in
+  {
+    f_cnf = Lazy.from_val cnf;
+    f_text = text;
+    f_digest = lazy (Digest.to_hex (Digest.string (Lazy.force text)));
+  }
+
+let digest fr = Lazy.force fr.f_digest
+
+exception Bad_frame
+
+(* The inverse of [frame_text]: "v<n_vars>" then ";lit,lit,..." per
+   clause. *)
+let parse_frame s =
+  let len = String.length s in
+  let read_int i =
+    let neg = i < len && s.[i] = '-' in
+    let start = if neg then i + 1 else i in
+    let rec digits j n =
+      if j < len && s.[j] >= '0' && s.[j] <= '9' then
+        digits (j + 1) ((n * 10) + Char.code s.[j] - 48)
+      else (n, j)
+    in
+    let n, j = digits start 0 in
+    if j = start then raise Bad_frame;
+    ((if neg then -n else n), j)
+  in
+  if len = 0 || s.[0] <> 'v' then raise Bad_frame;
+  let n_vars, i = read_int 1 in
+  let rec lits i acc =
+    if i = len || s.[i] = ';' then (List.rev acc, i)
+    else
+      let lit, j = read_int i in
+      if j >= len || s.[j] <> ',' then raise Bad_frame;
+      lits (j + 1) (lit :: acc)
+  in
+  let rec clauses i acc =
+    if i = len then List.rev acc
+    else if s.[i] <> ';' then raise Bad_frame
+    else
+      let clause, j = lits (i + 1) [] in
+      clauses j (clause :: acc)
+  in
+  (n_vars, clauses i [])
+
+type entry = {
+  key : string;
+  engine_version : string;
+  design : string;
+  instr : string;
+  verdict : Checker.verdict;
+  stats : Checker.stats;
+  cnf : frame;
+  hyps : int list list;
+  created_s : float;
+}
+
+(* ---- keys ---- *)
+
+(* Selector literal lists get the same treatment as clauses: literals
+   sort_uniq'd within each list, lists sorted overall.  An obligation
+   set that merely arrives reordered (or with a duplicated selector)
+   therefore hashes to the same key instead of missing the cache. *)
+let canonical_hyps hyps = List.sort compare_lits (List.map canonical_lits hyps)
 
 (* The optional [mode] tag segregates encodings of the same obligation:
    a verdict reached through the memory-abstraction rewrite is stored
@@ -236,16 +322,12 @@ let add_mode b = function
     Buffer.add_char b ';'
 
 let key_of_cnf ?mode ~n_vars ~clauses ~hyps () =
-  let _, clauses = canonical_cnf (n_vars, clauses) in
-  let hyps = canonical_hyps hyps in
   let b = Buffer.create 65536 in
   Buffer.add_string b "F;";
   add_mode b mode;
-  Buffer.add_string b "v";
-  Buffer.add_string b (string_of_int n_vars);
-  add_lit_lists b clauses;
+  Buffer.add_string b (Lazy.force (canonical_cnf (n_vars, clauses)).f_text);
   Buffer.add_string b "#H";
-  add_lit_lists b hyps;
+  add_lit_lists b (canonical_hyps hyps);
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 let key_of_prepared pr =
@@ -256,13 +338,7 @@ let key_of_prepared pr =
    design's obligations — is digested once per design, and each
    property's key combines that digest with its canonical activation
    selectors.  The "I;" tag keeps these disjoint from "F;" keys. *)
-let frame_digest (n_vars, clauses) =
-  let n_vars, clauses = canonical_cnf (n_vars, clauses) in
-  let b = Buffer.create 65536 in
-  Buffer.add_string b "v";
-  Buffer.add_string b (string_of_int n_vars);
-  add_lit_lists b clauses;
-  Digest.to_hex (Digest.string (Buffer.contents b))
+let frame_digest cnf = digest (canonical_cnf cnf)
 
 let key_of_shared ?mode ~frame ~selectors () =
   let b = Buffer.create 4096 in
@@ -272,6 +348,108 @@ let key_of_shared ?mode ~frame ~selectors () =
   Buffer.add_string b "#S";
   add_lit_lists b (canonical_hyps selectors);
   Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* ---- files ---- *)
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* Written through a temp file in the target's directory and renamed
+   over it, so a reader sees the old file or the whole new one. *)
+let write_atomic ~tmp path content =
+  try
+    let oc = open_out_bin tmp in
+    Fun.protect
+      ~finally:(fun () -> close_out_noerr oc)
+      (fun () -> output_string oc content);
+    Sys.rename tmp path
+  with e ->
+    (try Sys.remove tmp with Sys_error _ -> ());
+    raise e
+
+let tmp_name dir name =
+  Filename.concat dir (Printf.sprintf ".tmp-%d-%s" (Unix.getpid ()) name)
+
+(* ---- frame blobs ----
+
+   [<dir>/frames/<digest>.cnf] holds a frame's text, so a blob verifies
+   itself: its MD5 must equal its name.  Every entry of a frame refers
+   to the one blob by digest.  Racing writers write identical bytes, so
+   a blob needs no lock: it is written only when absent, through a temp
+   file and a rename. *)
+
+let blob_suffix = ".cnf"
+let blob_path t d = Filename.concat (frames_dir t) (d ^ blob_suffix)
+
+let stored_frame t d =
+  let text =
+    lazy
+      (let s = read_file (blob_path t d) in
+       if Digest.to_hex (Digest.string s) <> d then raise Bad_frame;
+       s)
+  in
+  {
+    f_digest = Lazy.from_val d;
+    f_text = text;
+    f_cnf = lazy (parse_frame (Lazy.force text));
+  }
+
+let frame_cnf fr = Lazy.force fr.f_cnf
+
+let store_frame t fr =
+  let d = digest fr in
+  let path = blob_path t d in
+  if not (Sys.file_exists path) then begin
+    let text = Lazy.force fr.f_text in
+    mkdir_p (frames_dir t);
+    write_atomic ~tmp:(tmp_name (frames_dir t) d) path text;
+    if Ilv_obs.Obs.enabled () then begin
+      let open Ilv_obs.Obs in
+      count "cache.frame_stores" 1;
+      event "cache.frame_store"
+        [ ("frame", S d); ("bytes", I (String.length text)) ]
+    end
+  end
+
+(* The digests of the blobs on disk, sorted. *)
+let blob_digests t =
+  match Sys.readdir (frames_dir t) with
+  | exception Sys_error _ -> []
+  | files ->
+    Array.to_list files
+    |> List.filter (fun f -> Filename.check_suffix f blob_suffix)
+    |> List.sort compare
+    |> List.map (fun f -> Filename.chop_suffix f blob_suffix)
+
+type blob_state = Sound | Damaged | Absent | Unreadable
+
+let blob_state t d =
+  match Lazy.force (stored_frame t d).f_text with
+  | _ -> Sound
+  | exception Bad_frame -> Damaged
+  | exception (Sys_error _ | End_of_file) ->
+    if Sys.file_exists (blob_path t d) then Unreadable else Absent
+
+(* One maintenance pass's view of the blobs: each is read at most once.
+   [on_damaged] runs on a damaged blob when it is first seen; when it
+   returns true (the blob was quarantined) the blob counts as absent
+   from then on. *)
+let blob_checker t ~on_damaged =
+  let seen = Hashtbl.create 16 in
+  fun d ->
+    match Hashtbl.find_opt seen d with
+    | Some st -> st
+    | None ->
+      let st =
+        match blob_state t d with
+        | Damaged when on_damaged (blob_path t d) -> Absent
+        | st -> st
+      in
+      Hashtbl.add seen d st;
+      st
 
 (* ---- entry files ---- *)
 
@@ -286,69 +464,93 @@ let file_of t key =
    readable (lookup falls back to it), never written to. *)
 let legacy_file_of t key = Filename.concat t.cache_dir (key ^ entry_suffix)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+(* What an entry file holds: the entry with its frame replaced by the
+   frame's digest. *)
+type record = {
+  r_key : string;
+  r_engine_version : string;
+  r_design : string;
+  r_instr : string;
+  r_verdict : Checker.verdict;
+  r_stats : Checker.stats;
+  r_frame : string;
+  r_hyps : int list list;
+  r_created_s : float;
+}
 
-(* A non-entry splits two ways: [Stale] is a well-formed entry written
-   by a foreign engine version (expected after an upgrade, harmless),
-   [Corrupt] is anything unreadable — truncation, garbage, a digest
-   filed under the wrong name, or an [Unknown] verdict that should
-   never have been stored.  Both are misses on lookup, but [stats] and
-   [validate] report them separately. *)
-type loaded = Entry of entry | Stale of string | Corrupt
+(* A non-entry splits three ways: [Stale] is a well-formed entry written
+   by a foreign engine version or an older file format (expected after
+   an upgrade, harmless), [Corrupt] is damage — truncation, garbage, a
+   digest filed under the wrong name, an [Unknown] verdict that should
+   never have been stored, or (in a maintenance pass) a frame blob that
+   is missing or damaged — and [Unreadable] is a read that failed for
+   reasons of its own ([EMFILE], a file removed by a concurrent
+   [clear]).  All are misses on lookup; only [Corrupt] is quarantined,
+   and [stats] and [validate] report [Stale] and [Corrupt] separately. *)
+type loaded = Entry of entry | Stale of string | Corrupt | Unreadable
 
-(* Entry file layout (format /2):
+(* Entry file layout (format /3):
      magic ^ md5hex(payload) ^ "\n" ^ payload
-   where payload is the marshalled entry.  The checksum is verified on
-   every read, so truncation and bit-rot — not just unparseable bytes —
-   are caught before [Marshal] ever sees the payload. *)
+   where payload is the marshalled [record].  The checksum is verified
+   on every read, so truncation and bit-rot — not just unparseable
+   bytes — are caught before [Marshal] ever sees the payload. *)
 let checksum_hex_len = 32
 
-let load_entry path key =
+let load_entry t path key =
   match read_file path with
-  | exception _ -> Corrupt
-  | raw ->
+  | exception (Sys_error _ | End_of_file) -> Unreadable
+  | raw -> (
     let mlen = String.length magic in
-    let omlen = String.length old_magic in
-    if String.length raw >= omlen && String.sub raw 0 omlen = old_magic then
-      Stale "pre-checksum file format (ilaverif-proof-cache/1)"
-    else if
-      String.length raw <= mlen + checksum_hex_len + 1
-      || String.sub raw 0 mlen <> magic
-    then Corrupt
-    else begin
-      let sum = String.sub raw mlen checksum_hex_len in
-      let body_ofs = mlen + checksum_hex_len + 1 in
-      let payload =
-        String.sub raw body_ofs (String.length raw - body_ofs)
-      in
+    let older (prefix, _) = String.starts_with ~prefix raw in
+    match List.find_opt older old_magics with
+    | Some (_, why) -> Stale why
+    | None ->
       if
-        raw.[mlen + checksum_hex_len] <> '\n'
-        || Digest.to_hex (Digest.string payload) <> sum
+        String.length raw <= mlen + checksum_hex_len + 1
+        || not (String.starts_with ~prefix:magic raw)
       then Corrupt
       else begin
-        match (Marshal.from_string payload 0 : entry) with
-        | exception _ -> Corrupt
-        | e ->
-          if e.engine_version <> version then Stale e.engine_version
-          else if key <> "" && e.key <> key then Corrupt
-          else (
-            match e.verdict with
-            | Checker.Proved | Checker.Failed _ -> Entry e
-            | Checker.Unknown _ -> Corrupt)
-      end
-    end
+        let sum = String.sub raw mlen checksum_hex_len in
+        let body_ofs = mlen + checksum_hex_len + 1 in
+        let payload =
+          String.sub raw body_ofs (String.length raw - body_ofs)
+        in
+        if
+          raw.[mlen + checksum_hex_len] <> '\n'
+          || Digest.to_hex (Digest.string payload) <> sum
+        then Corrupt
+        else begin
+          match (Marshal.from_string payload 0 : record) with
+          | exception _ -> Corrupt
+          | r ->
+            if r.r_engine_version <> version then Stale r.r_engine_version
+            else if key <> "" && r.r_key <> key then Corrupt
+            else (
+              match r.r_verdict with
+              | Checker.Proved | Checker.Failed _ ->
+                Entry
+                  {
+                    key = r.r_key;
+                    engine_version = r.r_engine_version;
+                    design = r.r_design;
+                    instr = r.r_instr;
+                    verdict = r.r_verdict;
+                    stats = r.r_stats;
+                    cnf = stored_frame t r.r_frame;
+                    hyps = r.r_hyps;
+                    created_s = r.r_created_s;
+                  }
+              | Checker.Unknown _ -> Corrupt)
+        end
+      end)
 
 let lookup t key =
   let try_path path =
     if not (Sys.file_exists path) then None
     else
-      match load_entry path key with
+      match load_entry t path key with
       | Entry e -> Some e
-      | Stale _ -> None
+      | Stale _ | Unreadable -> None
       | Corrupt ->
         (* quarantine on first contact: the miss re-solves and re-stores
            the entry, and the damaged file keeps no seat in the key
@@ -388,25 +590,34 @@ let store t entry =
           ("instr", S entry.instr);
         ]
     end;
-    let payload = Marshal.to_string entry [] in
-    let content =
-      magic ^ Digest.to_hex (Digest.string payload) ^ "\n" ^ payload
-    in
-    let shard = Filename.concat t.cache_dir (shard_of entry.key) in
-    let tmp =
-      Filename.concat shard
-        (Printf.sprintf ".tmp-%d-%s" (Unix.getpid ()) entry.key)
-    in
     try
-      (* with_lock creates the shard directory, so [tmp]'s parent
-         exists by the time the body runs; temp and final name share a
-         directory, keeping the rename atomic *)
+      (* the blob first: an entry on disk always has its frame *)
+      store_frame t entry.cnf;
+      let payload =
+        Marshal.to_string
+          {
+            r_key = entry.key;
+            r_engine_version = entry.engine_version;
+            r_design = entry.design;
+            r_instr = entry.instr;
+            r_verdict = entry.verdict;
+            r_stats = entry.stats;
+            r_frame = digest entry.cnf;
+            r_hyps = entry.hyps;
+            r_created_s = entry.created_s;
+          }
+          []
+      in
+      let content =
+        magic ^ Digest.to_hex (Digest.string payload) ^ "\n" ^ payload
+      in
+      (* with_lock creates the shard directory; temp and final name
+         share it, keeping the rename atomic *)
+      let shard = Filename.concat t.cache_dir (shard_of entry.key) in
       with_lock t ~key:entry.key (fun () ->
-          let oc = open_out_bin tmp in
-          output_string oc content;
-          close_out oc;
-          Sys.rename tmp (file_of t entry.key))
-    with _ -> ( try Sys.remove tmp with _ -> ()))
+          write_atomic ~tmp:(tmp_name shard entry.key) (file_of t entry.key)
+            content)
+    with _ -> ())
 
 (* ---- maintenance ---- *)
 
@@ -420,13 +631,25 @@ let entry_files_in dir =
     |> List.map (Filename.concat dir)
 
 (* Shard directories first (the write path), then legacy flat entries;
-   the quarantine directory is not a shard and is never walked. *)
+   the quarantine and frames directories are not shards and are never
+   walked. *)
 let entry_files t =
   List.concat_map entry_files_in (shard_dirs t.cache_dir)
   @ entry_files_in t.cache_dir
 
+(* An entry as a maintenance pass sees it: usable only while its blob
+   is sound (or could not be read, which is no evidence of damage). *)
+let classify t blob path =
+  match load_entry t path "" with
+  | Entry e as l -> (
+    match blob (digest e.cnf) with
+    | Sound | Unreadable -> l
+    | Damaged | Absent -> Corrupt)
+  | l -> l
+
 type cache_stats = {
   entries : int;
+  frames : int;
   bytes : int;
   proved : int;
   failed : int;
@@ -435,13 +658,35 @@ type cache_stats = {
   quarantined : int;
 }
 
+let file_size path =
+  try (Unix.stat path).Unix.st_size with Unix.Unix_error _ -> 0
+
 let stats t =
+  let blob = blob_checker t ~on_damaged:(fun _ -> false) in
+  let acc =
+    List.fold_left
+      (fun acc d ->
+        let bytes = acc.bytes + file_size (blob_path t d) in
+        match blob d with
+        | Damaged -> { acc with bytes; corrupt = acc.corrupt + 1 }
+        | _ -> { acc with bytes; frames = acc.frames + 1 })
+      {
+        entries = 0;
+        frames = 0;
+        bytes = 0;
+        proved = 0;
+        failed = 0;
+        stale = 0;
+        corrupt = 0;
+        quarantined = quarantined_count t;
+      }
+      (blob_digests t)
+  in
   List.fold_left
     (fun acc path ->
-      let bytes =
-        acc.bytes + (try (Unix.stat path).Unix.st_size with _ -> 0)
-      in
-      match load_entry path "" with
+      let bytes = acc.bytes + file_size path in
+      match classify t blob path with
+      | Unreadable -> { acc with bytes }
       | Corrupt -> { acc with bytes; corrupt = acc.corrupt + 1 }
       | Stale _ -> { acc with bytes; stale = acc.stale + 1 }
       | Entry e ->
@@ -456,35 +701,49 @@ let stats t =
             (acc.failed
             + match e.verdict with Checker.Failed _ -> 1 | _ -> 0);
         })
-    {
-      entries = 0;
-      bytes = 0;
-      proved = 0;
-      failed = 0;
-      stale = 0;
-      corrupt = 0;
-      quarantined = quarantined_count t;
-    }
-    (entry_files t)
+    acc (entry_files t)
 
-(* Startup recovery, part 2: sweep every entry file and quarantine the
-   unreadable ones.  Returns how many were quarantined.  [open_] keeps
-   its O(directory) cost by not calling this — a corrupt entry is also
-   quarantined lazily the first time a lookup touches it; this full
-   sweep is for the CLI and the chaos harness, which must assert that
-   zero corrupt entries remain in the key space. *)
+(* Startup recovery, part 2: sweep every blob and entry file and
+   quarantine the damaged ones — a blob whose MD5 is not its name, and
+   an entry that is unreadable or whose blob is gone.  Returns how many
+   files were quarantined.  [open_] keeps its O(directory) cost by not
+   calling this — a corrupt entry is also quarantined lazily the first
+   time a lookup touches it; this full sweep is for the CLI and the
+   chaos harness, which must assert that nothing corrupt remains in the
+   key space. *)
 let recover t =
-  List.fold_left
-    (fun n path ->
-      match load_entry path "" with
-      | Entry _ | Stale _ -> n
-      | Corrupt -> if quarantine t path then n + 1 else n)
-    0 (entry_files t)
+  let n = ref 0 in
+  let quarantine_counted path =
+    let moved = quarantine t path in
+    if moved then incr n;
+    moved
+  in
+  let blob = blob_checker t ~on_damaged:quarantine_counted in
+  List.iter (fun d -> ignore (blob d)) (blob_digests t);
+  List.iter
+    (fun path ->
+      match classify t blob path with
+      | Corrupt -> ignore (quarantine_counted path)
+      | Entry _ | Stale _ | Unreadable -> ())
+    (entry_files t);
+  !n
 
 let clear t =
-  List.fold_left
-    (fun n path -> try Sys.remove path; n + 1 with _ -> n)
-    0 (entry_files t)
+  let removed =
+    List.fold_left
+      (fun n path -> try Sys.remove path; n + 1 with Sys_error _ -> n)
+      0 (entry_files t)
+  in
+  let frames = frames_dir t in
+  (match Sys.readdir frames with
+  | exception Sys_error _ -> ()
+  | files ->
+    Array.iter
+      (fun f ->
+        try Sys.remove (Filename.concat frames f) with Sys_error _ -> ())
+      files);
+  (try Unix.rmdir frames with Unix.Unix_error _ -> ());
+  removed
 
 type validation = {
   checked : int;
@@ -494,10 +753,10 @@ type validation = {
   corrupt_entries : string list;
 }
 
-(* Re-solve one stored entry from its canonicalized CNF with a fresh
-   solver: Proved iff every obligation's query is UNSAT. *)
+(* Re-solve one stored entry from its frame with a fresh solver: Proved
+   iff every obligation's query is UNSAT. *)
 let resolve_entry (e : entry) =
-  let n_vars, clauses = e.cnf in
+  let n_vars, clauses = frame_cnf e.cnf in
   let s = Ilv_sat.Sat.create () in
   for _ = 1 to n_vars do
     ignore (Ilv_sat.Sat.new_var s)
@@ -531,13 +790,19 @@ let stride_sample sample files =
     |> List.map (fun i -> files.(i))
 
 let validate ?(sample = 5) ?(full = false) t =
+  let blob = blob_checker t ~on_damaged:(quarantine t) in
   let files =
     let all = entry_files t in
-    if full then all else stride_sample sample all
+    if full then begin
+      List.iter (fun d -> ignore (blob d)) (blob_digests t);
+      all
+    end
+    else stride_sample sample all
   in
   List.fold_left
     (fun acc path ->
-      match load_entry path "" with
+      match classify t blob path with
+      | Unreadable -> acc
       | Corrupt ->
         (* out of the key space, kept as evidence — validation reports,
            it never errors mid-sweep *)
@@ -574,7 +839,7 @@ let validate ?(sample = 5) ?(full = false) t =
 
 let pp_stats fmt s =
   Format.fprintf fmt
-    "%d entries (%d proved, %d failed), %d stale (other engine version), %d \
-     corrupt, %d quarantined, %.1f KiB"
-    s.entries s.proved s.failed s.stale s.corrupt s.quarantined
+    "%d entries (%d proved, %d failed), %d frames, %d stale (other engine \
+     version or file format), %d corrupt, %d quarantined, %.1f KiB"
+    s.entries s.proved s.failed s.frames s.stale s.corrupt s.quarantined
     (float_of_int s.bytes /. 1024.0)

@@ -29,14 +29,22 @@
     [Unknown] depends on the resource budget of the particular run and
     is never stored.  Each entry also records the solver statistics of
     the original run, the engine version (a version bump invalidates
-    the whole cache), and the canonicalized CNF itself, which is what
-    lets {!validate} re-solve entries from the store alone.
+    the whole cache), the per-obligation selector literals, and the
+    digest of its canonical frame CNF.  The frame itself is stored once,
+    as a {e frame blob} shared by every entry of that frame; entry and
+    blob together are what lets {!validate} re-solve entries from the
+    store alone.
 
     {2 Layout and crash safety}
 
     Entries are sharded into 256 subdirectories by the first two hex
     characters of the key ([<dir>/ab/<key>.proof]); entries from the
     older flat layout are still found by {!lookup} but never written.
+    A frame blob lives at [<dir>/frames/<digest>.cnf] and holds the
+    canonical serialization {!frame_digest} hashes, so it verifies
+    itself: its MD5 is its name.  It is written once, before the first
+    entry that refers to it, and only when absent.  {!lookup} reads the
+    entry file alone and never a blob.
     Writes are atomic (temp file + rename within the shard).
     Concurrent writers serialize on a {e per-shard} advisory lock —
     acquired with a {e bounded} [F_TLOCK]-and-retry loop, never an
@@ -45,10 +53,11 @@
     wedging behind a stalled lock holder.  Every entry carries a
     checksum of its payload that is verified on read — truncation and
     bit-rot are detected before [Marshal] ever parses a byte.  Damaged
-    entries are
-    {e quarantined} into [<dir>/quarantine/], never deleted: lazily on
-    the first lookup that touches one, eagerly by {!recover} and
-    {!validate}.  {!open_} additionally sweeps temp files left by
+    entries and blobs are
+    {e quarantined} into [<dir>/quarantine/], never deleted: an entry
+    lazily on the first lookup that touches it, entries and blobs
+    eagerly by {!recover} and {!validate}, which also quarantine an
+    entry whose blob is missing or damaged.  {!open_} additionally sweeps temp files left by
     crashed writers (the owning pid is dead).  All of it is
     best-effort: the cache is an accelerator, and no I/O failure in
     this module is allowed to become a sweep failure. *)
@@ -72,18 +81,34 @@ val open_ : ?dir:string -> unit -> t
 val dir : t -> string
 
 val quarantine_dir : t -> string
-(** [<dir>/quarantine] — where damaged entry files are moved. *)
+(** [<dir>/quarantine] — where damaged entry and blob files are moved. *)
 
 val quarantined_count : t -> int
 (** How many files sit in the quarantine directory. *)
 
 val recover : t -> int
-(** Scans every entry file and quarantines the unreadable ones
-    (bad magic, checksum mismatch, unparseable payload, wrong key,
-    stored [Unknown]); returns how many were quarantined.  Well-formed
-    entries of other engine versions are left in place (stale, not
-    damaged).  This is the eager complement of the lazy
-    quarantine-on-lookup path. *)
+(** Scans every frame blob and entry file and quarantines the damaged
+    ones (a blob whose MD5 is not its name; an entry with bad magic,
+    checksum mismatch, unparseable payload, wrong key, stored
+    [Unknown], or a missing or damaged blob); returns how many files
+    were quarantined.  Well-formed entries of other engine versions or
+    file formats are left in place (stale, not damaged), and a file
+    that merely fails to read is left alone.  This is the eager
+    complement of the lazy quarantine-on-lookup path. *)
+
+type frame
+(** A canonical frame CNF ({!canonical_cnf}) with its serialization and
+    digest, each computed at most once.  The frame of an entry returned
+    by {!lookup} holds only the digest; its CNF is read from the frame
+    blob when {!validate} first needs it. *)
+
+val canonical_cnf : int * int list list -> frame
+(** Sorted-clause form: literals sorted and deduplicated within each
+    clause, clauses sorted — as hashed and as stored in blobs. *)
+
+val digest : frame -> string
+(** The frame's digest, equal to {!frame_digest} of its CNF: the name
+    of its blob. *)
 
 type entry = {
   key : string;
@@ -92,7 +117,7 @@ type entry = {
   instr : string;
   verdict : Ilv_core.Checker.verdict;
   stats : Ilv_core.Checker.stats;
-  cnf : int * int list list;  (** canonicalized problem CNF *)
+  cnf : frame;  (** canonicalized problem CNF, stored as a blob *)
   hyps : int list list;  (** per-obligation selector literals *)
   created_s : float;  (** [Unix.gettimeofday] at store time *)
 }
@@ -121,9 +146,6 @@ val key_of_prepared : Ilv_core.Checker.prepared -> string
     computed after {!Ilv_core.Checker.check_prepared} does not match
     the one a fresh preparation of the same property produces. *)
 
-val canonical_cnf : int * int list list -> int * int list list
-(** Sorted-clause form, as hashed and as stored in entries. *)
-
 val frame_digest : int * int list list -> string
 (** Digest of a canonicalized shared-frame CNF
     ({!Ilv_core.Checker.shared_cnf}).  Computed once per design and
@@ -145,13 +167,17 @@ val lookup : t -> string -> entry option
 (** [None] on a genuine miss {e and} on any unreadable entry — a
     truncated, corrupted or version-mismatched file is a miss, never an
     error.  An entry whose checksum fails is quarantined on the spot
-    (the subsequent miss re-solves and re-stores it). *)
+    (the subsequent miss re-solves and re-stores it); a read that fails
+    for another reason ([EMFILE], a concurrent {!clear}) is a plain
+    miss.  Only the entry file is read. *)
 
 val store : t -> entry -> unit
-(** Atomic (write-then-rename within the key's shard, serialized by the
+(** Writes the entry's frame blob when it is absent, then the entry:
+    atomic (write-then-rename within the key's shard, serialized by the
     shard's advisory lock when it can be acquired within the bounded
     retry schedule), with a payload checksum in the file.  Entries with
-    an [Unknown] verdict are silently dropped.  I/O failures are
+    an [Unknown] verdict are silently dropped; an entry whose blob
+    cannot be written is not written either.  I/O failures are
     swallowed: the cache is an accelerator, never a correctness
     dependency.  Contended stores that fall back to lock-free writes
     bump the ["cache.lock_contended"] observability counter. *)
@@ -167,40 +193,48 @@ val lock_retry_delay : key:string -> attempt:int -> float
 
 type cache_stats = {
   entries : int;
-  bytes : int;
+  frames : int;  (** sound frame blobs *)
+  bytes : int;  (** entry files and frame blobs *)
   proved : int;
   failed : int;
   stale : int;
       (** well-formed entries written by a different engine version (or
-          the pre-checksum file format) — unusable but expected after
-          an upgrade, not damage *)
-  corrupt : int;  (** genuinely unreadable entry files found on disk *)
+          an older file format) — unusable but expected after an
+          upgrade, not damage *)
+  corrupt : int;
+      (** damaged files found on disk: entries that do not parse or
+          whose blob is missing or damaged, and blobs whose MD5 is not
+          their name *)
   quarantined : int;  (** files already moved to [quarantine/] *)
 }
 
 val stats : t -> cache_stats
 
 val clear : t -> int
-(** Removes every entry file; returns how many were removed. *)
+(** Removes every entry file, every frame blob and the [frames/]
+    directory; returns how many entries were removed. *)
 
 type validation = {
   checked : int;
   agreed : int;
   mismatched : string list;  (** keys whose re-solved verdict differs *)
-  stale_entries : string list;  (** entry files from another engine version *)
-  corrupt_entries : string list;  (** unreadable entry files *)
+  stale_entries : string list;
+      (** entry files from another engine version or file format *)
+  corrupt_entries : string list;
+      (** unreadable entry files, and entries whose blob is missing or
+          damaged *)
 }
 
 val validate : ?sample:int -> ?full:bool -> t -> validation
-(** Re-solves stored entries from their canonicalized CNF with a fresh
+(** Re-solves stored entries from their frame blob with a fresh
     SAT solver and compares the verdict shape (every obligation UNSAT ⇔
     [Proved]) against the stored one — the guard against rotted entries
     that still parse.  By default up to [sample] (default 5) entries
     are checked, striding evenly across the sorted entry listing (first
     and last file always included) so no region of the key space is
     systematically unchecked; [full:true] checks {e every} entry,
-    closing the stride's blind spot.  Damage is handled, not just
-    reported: corrupt files and mismatched entries are quarantined into
-    [quarantine/]. *)
+    closing the stride's blind spot, and first checks every blob.
+    Damage is handled, not just reported: corrupt files, damaged blobs
+    and mismatched entries are quarantined into [quarantine/]. *)
 
 val pp_stats : Format.formatter -> cache_stats -> unit

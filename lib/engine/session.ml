@@ -2,17 +2,28 @@ open Ilv_core
 
 type t = {
   s_prepared : Verify.prepared_port;
-  s_digest : string Lazy.t;  (* of the generation-0 frozen frame *)
-  mutable s_canonical : (Checker.shared * (int * int list list)) option;
-      (* canonical CNF of the last live frame stored against *)
+  s_cache : Proof_cache.t option;
+  s_frame0 : Proof_cache.frame Lazy.t;
+      (* the generation-0 frozen frame, canonical; forced only with a
+         cache, where its key and its stored blob share it *)
+  s_digest : string Lazy.t;  (* of [s_frame0] *)
+  mutable s_refined : (Checker.shared * Proof_cache.frame) option;
+      (* canonical CNF of the last CEGAR-refined frame stored against *)
 }
 
-let create pr =
-  let frame0 = Verify.key_frame pr in
+let create ?cache pr =
+  let cnf0 () = Checker.shared_cnf (Verify.key_frame pr) in
+  let frame0 = lazy (Proof_cache.canonical_cnf (cnf0 ())) in
   {
     s_prepared = pr;
-    s_digest = lazy (Proof_cache.frame_digest (Checker.shared_cnf frame0));
-    s_canonical = None;
+    s_cache = cache;
+    s_frame0 = frame0;
+    s_digest =
+      lazy
+        (match cache with
+        | Some _ -> Proof_cache.digest (Lazy.force frame0)
+        | None -> Proof_cache.frame_digest (cnf0 ()));
+    s_refined = None;
   }
 
 let prepared s = s.s_prepared
@@ -36,15 +47,17 @@ let slot_key s name =
 
 let key s name = Option.map snd (slot_key s name)
 
-(* The live frame's canonical CNF, kept until a CEGAR refinement
-   replaces the frame. *)
+(* The live frame's canonical CNF: the generation-0 one until a CEGAR
+   refinement replaces the frame. *)
 let canonical s sh =
-  match s.s_canonical with
-  | Some (sh', cnf) when sh' == sh -> cnf
-  | _ ->
-    let cnf = Proof_cache.canonical_cnf (Checker.shared_cnf sh) in
-    s.s_canonical <- Some (sh, cnf);
-    cnf
+  if sh == Verify.key_frame s.s_prepared then Lazy.force s.s_frame0
+  else
+    match s.s_refined with
+    | Some (sh', fr) when sh' == sh -> fr
+    | _ ->
+      let fr = Proof_cache.canonical_cnf (Checker.shared_cnf sh) in
+      s.s_refined <- Some (sh, fr);
+      fr
 
 (* The one lookup -> decide -> store step of both solving modes.  [key]
    yields the entry's cache key with a thunk for the CNF and selectors
@@ -80,9 +93,9 @@ let cached ?cache ~design ~instr ~key ~storable decide =
     | _ -> ());
     (verdict, stats, rung, false)
 
-let check ?budget ?cache ~design ~instr s name =
+let check ?budget ~design ~instr s name =
   let pr = s.s_prepared in
-  cached ?cache ~design ~instr
+  cached ?cache:s.s_cache ~design ~instr
     ~key:(fun () ->
       Option.map
         (fun (idx, key) ->

@@ -12,7 +12,11 @@ open Ilv_core
 
 type t
 
-val create : Verify.prepared_port -> t
+val create : ?cache:Proof_cache.t -> Verify.prepared_port -> t
+(** A session checking against [cache], when given.  With a cache the
+    generation-0 frame is canonicalized once, and its keys and the
+    frame blob stored beside the entries share that one result; without
+    one the session keeps only the frame's digest. *)
 
 val prepared : t -> Verify.prepared_port
 
@@ -27,7 +31,6 @@ val key : t -> string -> string option
 
 val check :
   ?budget:Checker.budget ->
-  ?cache:Proof_cache.t ->
   design:string ->
   instr:string ->
   t ->
@@ -36,8 +39,8 @@ val check :
 (** Decides one entry; the flag is true for a cache hit.  A hit answers
     with the stored verdict and rung ["cache"]; a miss decides through
     {!Verify.check_port_instr} (same rung vocabulary) and stores a
-    definitive verdict under {!key} together with the {e decision-time}
-    frame's canonical CNF and selectors, so {!Proof_cache.validate}
+    definitive verdict in the session's cache under {!key} together
+    with the {e decision-time} frame's canonical CNF and selectors, so {!Proof_cache.validate}
     re-solves to the stored verdict shape.  Verdicts of rungs that are
     not {!Verify.is_cacheable_rung} (the concrete fallback) are not
     stored.  [design] and [instr] only label the stored entry. *)

@@ -86,7 +86,7 @@ let get_frame t ~design ~variant ~(port : Ila.t) ~rtl ~refmap
       design ^ (match variant with Some v -> "#" ^ v | None -> "")
     in
     let fr =
-      Session.create
+      Session.create ?cache:t.cache
         (Verify.prepare_port ~memory_abstraction ~name:label ~port ~rtl
            ~refmap ())
     in
@@ -122,7 +122,7 @@ let solve_one t fr ~design ~port ~instr ~budget =
     (m.m_verdict, m.m_rung, true, false)
   | None ->
     let verdict, _, rung, cache_hit =
-      Session.check ?budget ?cache:t.cache ~design ~instr:(port ^ "." ^ instr)
+      Session.check ?budget ~design ~instr:(port ^ "." ^ instr)
         fr instr
     in
     if cache_hit then t.counters.c_cache_hits <- t.counters.c_cache_hits + 1

@@ -1,8 +1,8 @@
 (* Seeded chaos campaign over the quick catalog, wired into the
    default test alias: workers are SIGKILLed mid-group, solver calls
-   stall, cache entries are torn and bit-rotted — and the sweep must
-   still produce verdicts identical to an undisturbed baseline, with
-   every damaged cache entry quarantined.  The schedule is a pure
+   stall, cache entries and frame blobs are torn and bit-rotted — and
+   the sweep must still produce verdicts identical to an undisturbed
+   baseline, with every damaged cache file quarantined.  The schedule is a pure
    function of the seed, so a failure here replays exactly. *)
 
 open Ilv_designs
@@ -43,8 +43,10 @@ let () =
   if r.Chaos.stalls = 0 then
     fail "chaos smoke: seed 7 injected no solver stalls — harness inert";
   if r.Chaos.corrupted = 0 then
-    fail "chaos smoke: no cache entries were damaged — harness inert";
+    fail "chaos smoke: no cache files were damaged — harness inert";
+  if r.Chaos.corrupted_frames = 0 then
+    fail "chaos smoke: seed 7 damaged no frame blob — harness inert";
   if r.Chaos.quarantined < r.Chaos.corrupted then
-    fail "chaos smoke: %d entries damaged but only %d quarantined"
+    fail "chaos smoke: %d files damaged but only %d quarantined"
       r.Chaos.corrupted r.Chaos.quarantined;
   if not (Chaos.passed r) then fail "chaos smoke: campaign FAILED"

@@ -1,7 +1,8 @@
 (* Smoke test for the parallel verification engine, wired into the
    default test alias: a tiny two-design parallel sweep against a
    throwaway proof cache, then a warm rerun that must be served from
-   the cache (hit count positive, zero fresh SAT attempts) and must
+   the cache (hit count positive, zero fresh SAT attempts; one frame
+   blob per frozen frame) and must
    not be slower than the cold run beyond a generous slack.  Finally,
    the incremental/fresh equivalence sweep: on every catalog design
    (quick configuration), the default incremental mode must produce
@@ -41,6 +42,18 @@ let () =
   if cold.Engine.cache_misses <> cold.Engine.n_jobs then
     fail "engine smoke: cold run should miss on all %d jobs, missed %d"
       cold.Engine.n_jobs cold.Engine.cache_misses;
+  (* every (design, port) group froze one frame, and its entries share
+     that frame's one blob *)
+  let groups =
+    List.sort_uniq compare
+      (List.map
+         (fun (j : Engine.job) -> (j.Engine.design, j.Engine.port))
+         (all_jobs ()))
+  in
+  let frames = (Proof_cache.stats cache).Proof_cache.frames in
+  if frames <> List.length groups then
+    fail "engine smoke: cold run left %d frame blobs for %d frozen frames"
+      frames (List.length groups);
   let _, warm = Engine.run ~jobs:2 ~cache (all_jobs ()) in
   Format.printf "warm: %a@." Engine.pp_summary warm;
   ignore (Proof_cache.clear cache);

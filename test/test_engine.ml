@@ -120,6 +120,17 @@ let key_tests =
           Alcotest.(check (option string))
             (d.Design.name ^ ": both constructors agree")
             k (Session.key by_jobs instr);
+          (* with a cache the key comes from the canonical frame the
+             session stores, not from [frame_digest] *)
+          let with_cache =
+            Session.create
+              ~cache:(Proof_cache.open_ ~dir:(fresh_dir ()) ())
+              (Verify.prepare_port ~memory_abstraction ~name:d.Design.name
+                 ~port ~rtl ~refmap ())
+          in
+          Alcotest.(check (option string))
+            (d.Design.name ^ ": a session with a cache agrees")
+            k (Session.key with_cache instr);
           k
         in
         Alcotest.(check (option string))
@@ -277,6 +288,146 @@ let cache_tests =
         let v = Proof_cache.validate ~sample:5 cache in
         Alcotest.(check int) "checked" 1 v.Proof_cache.checked;
         Alcotest.(check int) "agreed" 1 v.Proof_cache.agreed);
+    t "entries of one frame share one blob and stay small" (fun () ->
+        let dir = fresh_dir () in
+        let cache = Proof_cache.open_ ~dir () in
+        let e = entry_of (design "AXI Slave") in
+        let keys = List.init 6 (fun i -> Printf.sprintf "%02x-sibling" i) in
+        List.iter
+          (fun key -> Proof_cache.store cache { e with Proof_cache.key })
+          keys;
+        let blobs = Sys.readdir (Filename.concat dir "frames") in
+        Alcotest.(check int) "exactly one blob" 1 (Array.length blobs);
+        let digest = Proof_cache.digest e.Proof_cache.cnf in
+        Alcotest.(check string)
+          "the blob is named by the frame digest" (digest ^ ".cnf") blobs.(0);
+        let pr = prepared_of (design "AXI Slave") in
+        Alcotest.(check string)
+          "the frame digest is frame_digest of its CNF"
+          (Proof_cache.frame_digest (Checker.cnf pr))
+          digest;
+        List.iter
+          (fun key ->
+            let size = (Unix.stat (sharded_path dir key)).Unix.st_size in
+            Alcotest.(check bool)
+              (Printf.sprintf "entry %s is %d B, under 1 KiB" key size)
+              true (size < 1024))
+          keys;
+        let s = Proof_cache.stats cache in
+        Alcotest.(check int) "entries" 6 s.Proof_cache.entries;
+        Alcotest.(check int) "frames" 1 s.Proof_cache.frames;
+        Alcotest.(check int) "clear removes the entries" 6
+          (Proof_cache.clear cache);
+        Alcotest.(check bool)
+          "and the frames directory" false
+          (Sys.file_exists (Filename.concat dir "frames")));
+    t "a format-/2 file under a live key is a miss, and a store replaces it"
+      (fun () ->
+        let dir = fresh_dir () in
+        let cache = Proof_cache.open_ ~dir () in
+        let e = entry_of (design "AXI Slave") in
+        let path = sharded_path dir e.Proof_cache.key in
+        Unix.mkdir (Filename.dirname path) 0o755;
+        let payload = Marshal.to_string (e.Proof_cache.key, "old CNF") [] in
+        let oc = open_out_bin path in
+        output_string oc
+          ("ilaverif-proof-cache/2\n"
+          ^ Digest.to_hex (Digest.string payload)
+          ^ "\n" ^ payload);
+        close_out oc;
+        Alcotest.(check bool)
+          "miss" true
+          (Proof_cache.lookup cache e.Proof_cache.key = None);
+        Alcotest.(check int) "stale, not damage" 1
+          (Proof_cache.stats cache).stale;
+        Alcotest.(check int) "nothing quarantined" 0
+          (Proof_cache.quarantined_count cache);
+        Proof_cache.store cache e;
+        Alcotest.(check bool)
+          "the store replaced it" true
+          (Proof_cache.lookup cache e.Proof_cache.key <> None);
+        Alcotest.(check int) "no stale file left" 0
+          (Proof_cache.stats cache).stale);
+    t "a read that fails is a plain miss and quarantines nothing" (fun () ->
+        let dir = fresh_dir () in
+        let cache = Proof_cache.open_ ~dir () in
+        let e = entry_of (design "AXI Slave") in
+        (* a directory under the entry's name: opening it works, reading
+           it fails with EISDIR, as a read under EMFILE or of a file a
+           concurrent clear removed fails *)
+        let path = sharded_path dir e.Proof_cache.key in
+        Unix.mkdir (Filename.dirname path) 0o755;
+        Unix.mkdir path 0o755;
+        Alcotest.(check bool)
+          "miss" true
+          (Proof_cache.lookup cache e.Proof_cache.key = None);
+        Alcotest.(check int) "not quarantined" 0
+          (Proof_cache.quarantined_count cache);
+        Alcotest.(check int) "recover leaves it" 0 (Proof_cache.recover cache);
+        Alcotest.(check int) "not counted corrupt" 0
+          (Proof_cache.stats cache).corrupt;
+        Unix.rmdir path);
+    t "a rewritten blob is quarantined with the entries that refer to it"
+      (fun () ->
+        let dir = fresh_dir () in
+        let cache = Proof_cache.open_ ~dir () in
+        let e = entry_of (design "AXI Slave") in
+        let keys = [ "aa-first"; "bb-second"; "cc-third" ] in
+        List.iter
+          (fun key -> Proof_cache.store cache { e with Proof_cache.key })
+          keys;
+        let blob =
+          Filename.concat
+            (Filename.concat dir "frames")
+            (Proof_cache.digest e.Proof_cache.cnf ^ ".cnf")
+        in
+        (* well-formed frame text, but not the frame named *)
+        let oc = open_out_bin blob in
+        output_string oc "v1;1,;-1,";
+        close_out oc;
+        Alcotest.(check bool)
+          "lookup reads no blob: still a hit" true
+          (Proof_cache.lookup cache "aa-first" <> None);
+        Alcotest.(check int) "stats counts the blob and its entries" 4
+          (Proof_cache.stats cache).corrupt;
+        let v = Proof_cache.validate ~full:true cache in
+        Alcotest.(check (list string))
+          "every referring entry reported"
+          (List.map (fun k -> k ^ ".proof") keys)
+          (List.sort compare v.Proof_cache.corrupt_entries);
+        Alcotest.(check int) "none re-solved" 0 v.Proof_cache.checked;
+        Alcotest.(check int) "blob and entries quarantined" 4
+          (Proof_cache.quarantined_count cache);
+        Alcotest.(check bool) "the blob left the frames directory" false
+          (Sys.file_exists blob);
+        let s = Proof_cache.stats cache in
+        Alcotest.(check int) "nothing corrupt left" 0 s.Proof_cache.corrupt;
+        Alcotest.(check int) "no entries left" 0 s.Proof_cache.entries);
+    t "validate agrees on an entry whose blob a sibling wrote" (fun () ->
+        let dir = fresh_dir () in
+        let cache = Proof_cache.open_ ~dir () in
+        let e = entry_of (design "AXI Slave") in
+        Proof_cache.store cache { e with Proof_cache.key = "aa-writer" };
+        let blob =
+          Filename.concat
+            (Filename.concat dir "frames")
+            (Proof_cache.digest e.Proof_cache.cnf ^ ".cnf")
+        in
+        let mtime () = (Unix.stat blob).Unix.st_mtime in
+        Unix.utimes blob 1.0 1.0;
+        Proof_cache.store cache { e with Proof_cache.key = "bb-sibling" };
+        Alcotest.(check (float 0.0)) "the sibling left the blob alone" 1.0
+          (mtime ());
+        Sys.remove (sharded_path dir "aa-writer");
+        (match Proof_cache.lookup cache "bb-sibling" with
+        | Some got ->
+          Alcotest.(check string)
+            "its frame is the writer's" (Proof_cache.digest e.Proof_cache.cnf)
+            (Proof_cache.digest got.Proof_cache.cnf)
+        | None -> Alcotest.fail "expected a hit");
+        let v = Proof_cache.validate ~sample:5 cache in
+        Alcotest.(check int) "checked" 1 v.Proof_cache.checked;
+        Alcotest.(check int) "agreed" 1 v.Proof_cache.agreed);
     t "stale (foreign version) and corrupt entries classify separately"
       (fun () ->
         (* Pre-fix, both landed in the same [corrupt] bucket, so a
@@ -336,7 +487,7 @@ let cache_tests =
             instr = "t";
             verdict = Checker.Proved;
             stats = no_stats;
-            cnf;
+            cnf = Proof_cache.canonical_cnf cnf;
             hyps = [ [ 1 ] ];
             created_s = 0.0;
           }
