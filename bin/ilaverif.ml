@@ -146,16 +146,18 @@ let open_cache ~use_cache ~cache_dir =
   if use_cache || cache_dir <> None then Some (Proof_cache.open_ ?dir:cache_dir ())
   else None
 
-(* One design, golden or a buggy variant, through the verification
-   driver. *)
+let variant_or_die (d : Design.t) bug =
+  match Design.variant d bug with
+  | Ok v -> v
+  | Error msg ->
+    prerr_endline msg;
+    exit 2
+
+(* One design, golden or the bug variant with that label, through the
+   verification driver. *)
 let verify_design ?(stop_at_first_failure = true) ?jobs ?cache ?only_ports
     ?timeout_s ~incremental ~memory_abstraction (d : Design.t) bug =
-  let name, rtl =
-    match bug with
-    | None -> (d.Design.name, d.Design.rtl)
-    | Some (b : Design.bug) ->
-      (d.Design.name ^ " [" ^ b.Design.bug_label ^ "]", b.Design.buggy_rtl)
-  in
+  let name, rtl = variant_or_die d bug in
   Engine.verify ~stop_at_first_failure ?jobs ?cache ?only_ports ?timeout_s
     ~incremental ~memory_abstraction ~name d.Design.module_ila rtl
     ~refmap_for:(d.Design.refmap_for rtl)
@@ -216,41 +218,24 @@ let print_daemon_results reply =
    reply frame, or an older daemon): recover it transparently by
    re-checking just that instruction in-process. *)
 let recheck_trace (d : Design.t) ~bug ~memory_abstraction ~port_name ~instr =
-  let rtl =
-    match bug with
-    | None -> Some d.Design.rtl
-    | Some label ->
-      Option.map
-        (fun (b : Design.bug) -> b.Design.buggy_rtl)
-        (List.find_opt
-           (fun (b : Design.bug) -> b.Design.bug_label = label)
-           d.Design.bugs)
+  let report, _ =
+    verify_design ~stop_at_first_failure:false ~only_ports:[ port_name ]
+      ~incremental:true ~memory_abstraction d bug
   in
-  match rtl with
-  | None -> ()
-  | Some rtl -> (
-    match
-      List.find_opt
-        (fun (p : Ila.t) -> p.Ila.name = port_name)
-        d.Design.module_ila.Module_ila.ports
-    with
-    | None -> ()
-    | Some port -> (
-      let refmap = d.Design.refmap_for rtl port.Ila.name in
-      let pr =
-        Verify.prepare_port ~memory_abstraction ~name:d.Design.name ~port
-          ~rtl ~refmap ()
-      in
-      match Verify.check_port_instr pr instr with
-      | Checker.Failed tr, _, _ ->
-        Format.printf
-          "  (trace exceeded the reply frame; re-derived in-process)@.%a@."
-          Trace.pp tr
-      | _ ->
-        Format.printf
-          "  (trace of %s/%s exceeded the reply frame and the in-process \
-           re-check did not reproduce it)@."
-          port_name instr))
+  match
+    List.find_opt
+      (fun (r : Verify.instr_result) -> r.Verify.instr = instr)
+      (List.concat_map (fun p -> p.Verify.instr_results) report.Verify.ports)
+  with
+  | Some { Verify.verdict = Checker.Failed tr; _ } ->
+    Format.printf
+      "  (trace exceeded the reply frame; re-derived in-process)@.%a@."
+      Trace.pp tr
+  | _ ->
+    Format.printf
+      "  (trace of %s/%s exceeded the reply frame and the in-process \
+       re-check did not reproduce it)@."
+      port_name instr
 
 (* Returns true when the daemon handled the command (this process
    should not solve anything); exits non-zero itself on verification
@@ -553,23 +538,9 @@ let verify_cmd =
     else begin
     let only_ports = Option.map (fun p -> [ p ]) port in
     let cache = open_cache ~use_cache ~cache_dir in
-    let find_bug label =
-      match
-        List.find_opt (fun b -> b.Design.bug_label = label) d.Design.bugs
-      with
-      | Some bug -> bug
-      | None ->
-        prerr_endline
-          (Printf.sprintf "no bug %S in %s (available: %s)" label
-             d.Design.name
-             (String.concat ", "
-                (List.map (fun b -> b.Design.bug_label) d.Design.bugs)));
-        exit 2
-    in
     let report, summary =
       verify_design ~stop_at_first_failure:(not keep_going) ~jobs ?cache
-        ?only_ports ?timeout_s ~incremental ~memory_abstraction d
-        (Option.map find_bug bug)
+        ?only_ports ?timeout_s ~incremental ~memory_abstraction d bug
     in
     Format.printf "%a@." Engine.pp_summary summary;
     Format.printf "%a@." Verify.pp_report report;
@@ -714,7 +685,8 @@ let table_cmd =
       in
       fst
         (verify_design ~jobs ?cache ?timeout_s ~incremental
-           ~memory_abstraction d bug)
+           ~memory_abstraction d
+           (Option.map (fun b -> b.Design.bug_label) bug))
     in
     let rows = List.map (Table_one.measure ~verify) suite in
     Table_one.print_rows Format.std_formatter rows;
@@ -817,18 +789,7 @@ let cosim_cmd =
   in
   let run name cycles seeds bug =
     let d = or_die (find_design name) in
-    let rtl =
-      match bug with
-      | None -> d.Design.rtl
-      | Some label -> (
-        match
-          List.find_opt (fun b -> b.Design.bug_label = label) d.Design.bugs
-        with
-        | Some b -> b.Design.buggy_rtl
-        | None ->
-          prerr_endline ("no bug " ^ label);
-          exit 2)
-    in
+    let _, rtl = variant_or_die d bug in
     let diverged = ref false in
     for seed = 1 to seeds do
       match Cosim.run_rtl ~cycles ~seed d rtl with

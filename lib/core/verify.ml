@@ -56,10 +56,10 @@ let message_of_exn = function
    ([Checker.prepare_shared]); preparing is the expensive step
    (property generation + shared-frame setup), checking an individual
    entry against the prepared context is the cheap, repeatable one.
-   This is the one shared-frame driver: the engine's groups and the
-   daemon's resident frames both decide through [check_port_instr],
-   so the CEGAR ceiling, the concrete fallback, the degradation ladder
-   and the rung names live here only. *)
+   This is the one shared-frame driver: the engine's groups, resident
+   or not, decide through [check_port_instr], so the CEGAR ceiling,
+   the concrete fallback, the degradation ladder and the rung names
+   live here only. *)
 
 type prepared_port = {
   pp_names : string list;  (* entry names, in preparation order *)

@@ -49,9 +49,9 @@ val unknowns : report -> instr_result list
     shared-frame preparation, {!Checker.prepare_shared}) is the
     expensive step, and checking one instruction against it is cheap
     and repeatable.  This session is the only shared-frame driver: the
-    engine's groups ({!Ilv_engine.Engine}) and the daemon's resident
-    frames ({!Ilv_server.Daemon}) both decide through
-    {!check_port_instr}, which owns the CEGAR loop, its ceiling
+    engine's groups ({!Ilv_engine.Engine}), including the ones the
+    daemon keeps resident, decide through {!check_port_instr}, which
+    owns the CEGAR loop, its ceiling
     ({!Mem_abstract.max_rounds}), the concrete fallback, the
     degradation ladder and the rung names. *)
 

@@ -52,9 +52,19 @@ let check_invariants d =
             Invariant.check_inductive ~rtl:d.rtl invs ))
     d.module_ila.Module_ila.ports
 
+let bug_name d bug = d.name ^ " [" ^ bug.bug_label ^ "]"
+
+let variant d = function
+  | None -> Ok (d.name, d.rtl)
+  | Some label -> (
+    match List.find_opt (fun b -> b.bug_label = label) d.bugs with
+    | Some b -> Ok (bug_name d b, b.buggy_rtl)
+    | None ->
+      Error
+        (Printf.sprintf "no bug %S in %s (available: %s)" label d.name
+           (String.concat ", " (List.map (fun b -> b.bug_label) d.bugs))))
+
 let verify_buggy ?stop_at_first_failure ?incremental ?timeout_s
     ?memory_abstraction d bug =
   verify_rtl ?stop_at_first_failure ?incremental ?timeout_s
-    ?memory_abstraction d
-    ~name:(d.name ^ " [" ^ bug.bug_label ^ "]")
-    bug.buggy_rtl
+    ?memory_abstraction d ~name:(bug_name d bug) bug.buggy_rtl

@@ -34,6 +34,12 @@ type t = {
 
 val class_to_string : module_class -> string
 
+val variant : t -> string option -> (string * Ilv_rtl.Rtl.t, string) result
+(** The name and RTL of the golden design ([None]) or of its bug variant
+    with that label, named ["<design> [<label>]"] as in-process runs and
+    the daemon label it; an error naming the available labels when the
+    design has no such bug. *)
+
 val verify :
   ?stop_at_first_failure:bool ->
   ?only_ports:string list ->
@@ -59,8 +65,9 @@ val verify_buggy :
   t ->
   bug ->
   Verify.report
-(** Verifies a buggy variant (expected to fail, yielding the paper's
-    "Time (bug)" measurement and a counterexample trace). *)
+(** Verifies a buggy variant, named as by {!variant} (expected to fail,
+    yielding the paper's "Time (bug)" measurement and a counterexample
+    trace). *)
 
 val check_invariants : t -> (string * Invariant.result) list
 (** Discharges the soundness side condition for every port's

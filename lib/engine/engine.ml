@@ -152,15 +152,62 @@ let property_of j =
   | exception e -> Error (Printexc.to_string e)
 
 (* The group's session holds exactly its jobs' properties in job order,
-   each entry named by its job id.  No frame is frozen here: the first
-   cache key freezes the generation-0 frame (a canonical snapshot on a
-   throwaway context, so the live solver keeps its lazy working set),
-   and a run without a cache never pays that extra encoding pass. *)
-let init_group ?cache ~memory_abstraction group =
+   each entry named by its position in the group.  No frame is frozen
+   here: the first cache key freezes the generation-0 frame (a canonical
+   snapshot on a throwaway context, so the live solver keeps its lazy
+   working set), and a run without a cache or memo never pays that extra
+   encoding pass. *)
+let init_group ?cache ?memo ~memory_abstraction group =
   let label = match group with [] -> "" | j :: _ -> job_chaos_key j in
-  Session.create ?cache
+  Session.create ?cache ?memo
     (Verify.prepare_properties ~memory_abstraction ~label
-       (List.map (fun j -> (string_of_int j.id, property_of j)) group))
+       (List.mapi (fun i j -> (string_of_int i, property_of j)) group))
+
+(* ---- resident state ----
+
+   What a long-lived caller keeps between runs: each group's session
+   and the memo in front of the proof cache.  A group is identified by
+   its design label, encoding and instruction list, so a group built
+   from a different job set never answers for another. *)
+
+type resident = {
+  sessions : (string, Session.t) Hashtbl.t;
+  memo : Session.memo;
+}
+
+let resident () = { sessions = Hashtbl.create 16; memo = Session.memo () }
+let resident_groups r = Hashtbl.length r.sessions
+
+let group_key ~memory_abstraction group =
+  String.concat "\x00"
+    ((if memory_abstraction then "abstract" else "concrete")
+    :: (match group with [] -> [] | j :: _ -> [ j.design; j.port ])
+    @ List.map (fun j -> j.instr) group)
+
+let group_session ?cache ?resident ~memory_abstraction group =
+  match resident with
+  | None -> init_group ?cache ~memory_abstraction group
+  | Some r -> (
+    let k = group_key ~memory_abstraction group in
+    match Hashtbl.find_opt r.sessions k with
+    | Some s -> s
+    | None ->
+      let s = init_group ?cache ~memo:r.memo ~memory_abstraction group in
+      Hashtbl.replace r.sessions k s;
+      s)
+
+(* A deadline skip leaves its [Unknown] pinned in the session's frame
+   (the skipped cones are retired): drop such a group so the next run
+   rebuilds it. *)
+let evict_deadlined r ~memory_abstraction group results =
+  if
+    List.exists
+      (fun res ->
+        match res.verdict with
+        | Checker.Unknown why -> Checker.is_deadline_reason why
+        | Checker.Proved | Checker.Failed _ -> false)
+      results
+  then Hashtbl.remove r.sessions (group_key ~memory_abstraction group)
 
 (* The instrumented job: one span per obligation job, tagged at the
    end with what actually happened (backend, verdict, cache hit). *)
@@ -210,8 +257,11 @@ let cut_after_failure results =
 (* The sweep: results sorted by job id, each group with the wall time it
    took in the process that ran it (preparation included), and the
    summary. *)
-let sweep ~stop_at_first_failure ?(jobs = 1) ?cache ?budget
+let sweep ~stop_at_first_failure ?(jobs = 1) ?cache ?resident ?budget
     ?timeout_s ?(incremental = true) ?(memory_abstraction = false) job_list =
+  if resident <> None && jobs > 1 then
+    invalid_arg "Engine.run: ~resident needs ~jobs:1 (a worker's sessions \
+                 would die with it)";
   let t0 = Unix.gettimeofday () in
   let run_span =
     if Ilv_obs.Obs.enabled () then
@@ -253,17 +303,19 @@ let sweep ~stop_at_first_failure ?(jobs = 1) ?cache ?budget
       else begin
         (* the group's deadline starts here, preparation included *)
         let budget = Checker.with_timeout timeout_s budget in
+        let memo = Option.map (fun r -> r.memo) resident in
         let check =
           if incremental then begin
-            let session = init_group ?cache ~memory_abstraction group in
-            fun ~design ~instr j ->
-              Session.check ?budget ~design ~instr session
-                (string_of_int j.id)
+            let session =
+              group_session ?cache ?resident ~memory_abstraction group
+            in
+            fun i ~design ~instr _ ->
+              Session.check ?budget ~design ~instr session (string_of_int i)
           end
-          else fun ~design ~instr j ->
+          else fun _ ~design ~instr j ->
             match property_of j with
             | Ok p ->
-              Session.check_property ?budget ?cache ~memory_abstraction
+              Session.check_property ?budget ?cache ?memo ~memory_abstraction
                 ~design ~instr p
             | Error msg ->
               (* the same verdict [init_group]'s session gives such a job *)
@@ -272,17 +324,24 @@ let sweep ~stop_at_first_failure ?(jobs = 1) ?cache ?budget
                 "error",
                 false )
         in
-        List.filter_map
-          (fun j ->
-            if skipped j then None
-            else begin
-              let r = instrumented ~mode (discharge check) j in
-              (match r.verdict with
-              | Checker.Failed _ -> failed_at := min !failed_at j.id
-              | Checker.Proved | Checker.Unknown _ -> ());
-              Some r
-            end)
-          group
+        let results =
+          List.concat
+            (List.mapi
+               (fun i j ->
+                 if skipped j then []
+                 else begin
+                   let r = instrumented ~mode (discharge (check i)) j in
+                   (match r.verdict with
+                   | Checker.Failed _ -> failed_at := min !failed_at j.id
+                   | Checker.Proved | Checker.Unknown _ -> ());
+                   [ r ]
+                 end)
+               group)
+        in
+        Option.iter
+          (fun r -> evict_deadlined r ~memory_abstraction group results)
+          resident;
+        results
       end
     in
     (results, Unix.gettimeofday () -. g0)
@@ -335,8 +394,7 @@ let sweep ~stop_at_first_failure ?(jobs = 1) ?cache ?budget
         | Some _ ->
           count (fun r ->
               (not r.cache_hit)
-              && r.backend <> "error"
-              && r.backend <> "poisoned"));
+              && not (List.mem r.backend [ "error"; "poisoned"; "memo" ])));
       fresh_sat_attempts =
         List.fold_left
           (fun acc r ->
@@ -364,11 +422,11 @@ let sweep ~stop_at_first_failure ?(jobs = 1) ?cache ?budget
       id);
   (results, timed_groups, summary)
 
-let run ?jobs ?cache ?budget ?timeout_s ?incremental ?memory_abstraction
-    job_list =
+let run ?jobs ?cache ?resident ?budget ?timeout_s ?incremental
+    ?memory_abstraction job_list =
   let results, _, summary =
-    sweep ~stop_at_first_failure:false ?jobs ?cache ?budget ?timeout_s
-      ?incremental ?memory_abstraction job_list
+    sweep ~stop_at_first_failure:false ?jobs ?cache ?resident ?budget
+      ?timeout_s ?incremental ?memory_abstraction job_list
   in
   (results, summary)
 

@@ -57,8 +57,9 @@ type result = {
           or ["+cegarN"] suffix under the memory abstraction, or
           ["abstract>concrete"]); in fresh mode ["sat"], or
           {!Ilv_core.Verify.check_property}'s ["abstract"] rungs;
-          and ["cache"], ["error"] or ["poisoned"] (quarantined by pool
-          supervision) in either mode *)
+          and ["memo"] ({!resident} runs), ["cache"], ["error"] or
+          ["poisoned"] (quarantined by pool supervision) in either
+          mode *)
   cache_hit : bool;
 }
 
@@ -78,14 +79,29 @@ type summary = {
   cache_hits : int;
   cache_misses : int;  (** jobs that went to a solver (cache enabled) *)
   fresh_sat_attempts : int;
-      (** SAT queries issued by this run — cache hits contribute zero *)
+      (** SAT queries issued by this run — cache and memo hits
+          contribute zero *)
   wall_s : float;
   jobs_used : int;
 }
 
+type resident
+(** State a long-lived caller keeps between runs: one {!Session} per
+    obligation group, identified by the jobs' design label, the
+    encoding ([memory_abstraction]) and the group's instruction list,
+    and one {!Session.memo} in front of the proof cache shared by all
+    of them. *)
+
+val resident : unit -> resident
+(** Empty resident state. *)
+
+val resident_groups : resident -> int
+(** Sessions currently held. *)
+
 val run :
   ?jobs:int ->
   ?cache:Proof_cache.t ->
+  ?resident:resident ->
   ?budget:Checker.budget ->
   ?timeout_s:float ->
   ?incremental:bool ->
@@ -127,7 +143,17 @@ val run :
     stalls); cache keys gain an ["abstract"] mode tag so the two
     encodings never serve each other's entries; backends carry the
     rungs recording the refinement work (["+cegarN"],
-    ["abstract>concrete"]). *)
+    ["abstract>concrete"]).
+
+    [resident] keeps state across runs (the daemon's): in incremental
+    mode a group's session is looked up before one is built and kept
+    afterwards, and in both modes the memo answers any obligation a
+    previous run decided definitively, with backend ["memo"] — not a
+    cache hit, no cache miss, no SAT attempt.  A group whose results
+    include a deadline [Unknown] ({!Checker.is_deadline_reason}) is
+    dropped, since its session pins the skipped verdicts; the next run
+    rebuilds it.  Raises [Invalid_argument] with [jobs > 1]: sessions
+    built in forked workers would be lost with them. *)
 
 val verify :
   ?stop_at_first_failure:bool ->

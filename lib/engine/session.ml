@@ -1,8 +1,13 @@
 open Ilv_core
 
+type memo = (string, Checker.verdict) Hashtbl.t
+
+let memo () : memo = Hashtbl.create 256
+
 type t = {
   s_prepared : Verify.prepared_port;
   s_cache : Proof_cache.t option;
+  s_memo : memo option;
   s_frame0 : Proof_cache.frame Lazy.t;
       (* the generation-0 frozen frame, canonical; forced only with a
          cache, where its key and its stored blob share it *)
@@ -11,12 +16,13 @@ type t = {
       (* canonical CNF of the last CEGAR-refined frame stored against *)
 }
 
-let create ?cache pr =
+let create ?cache ?memo pr =
   let cnf0 () = Checker.shared_cnf (Verify.key_frame pr) in
   let frame0 = lazy (Proof_cache.canonical_cnf (cnf0 ())) in
   {
     s_prepared = pr;
     s_cache = cache;
+    s_memo = memo;
     s_frame0 = frame0;
     s_digest =
       lazy
@@ -59,43 +65,52 @@ let canonical s sh =
       s.s_refined <- Some (sh, fr);
       fr
 
-(* The one lookup -> decide -> store step of both solving modes.  [key]
-   yields the entry's cache key with a thunk for the CNF and selectors
-   to store beside it; [decide] solves on a miss; [storable] is the
-   mode's store rule on the deciding rung.  Only definitive verdicts are
-   stored. *)
-let cached ?cache ~design ~instr ~key ~storable decide =
-  let keyed =
-    match cache with
-    | None -> None
-    | Some c -> Option.map (fun k -> (c, k)) (key ())
+(* The one lookup -> decide -> store step of both solving modes: the
+   in-memory [memo], then the persistent [cache], then [decide].  [key]
+   yields the entry's key with a thunk for the CNF and selectors to
+   store beside it; [storable] is the mode's cache-store rule on the
+   deciding rung.  Only definitive verdicts are memoized or stored. *)
+let cached ?cache ?memo ~design ~instr ~key ~storable decide =
+  let key = if cache = None && memo = None then None else key () in
+  let find tier lookup =
+    match (tier, key) with Some t, Some (k, _) -> lookup t k | _ -> None
   in
-  match Option.bind keyed (fun (c, (k, _)) -> Proof_cache.lookup c k) with
-  | Some e -> (e.Proof_cache.verdict, e.Proof_cache.stats, "cache", true)
+  match find memo Hashtbl.find_opt with
+  | Some verdict -> (verdict, Checker.zero_stats, "memo", false)
   | None ->
-    let verdict, stats, rung = decide () in
-    (match (keyed, verdict) with
-    | Some (c, (key, proof)), (Checker.Proved | Checker.Failed _)
-      when storable rung ->
-      let cnf, hyps = proof () in
-      Proof_cache.store c
-        {
-          Proof_cache.key;
-          engine_version = Proof_cache.version;
-          design;
-          instr;
-          verdict;
-          stats;
-          cnf;
-          hyps;
-          created_s = Unix.gettimeofday ();
-        }
+    let ((verdict, _, _, _) as answer) =
+      match find cache Proof_cache.lookup with
+      | Some e -> (e.Proof_cache.verdict, e.Proof_cache.stats, "cache", true)
+      | None ->
+        let verdict, stats, rung = decide () in
+        (match (cache, key, verdict) with
+        | Some c, Some (key, proof), (Checker.Proved | Checker.Failed _)
+          when storable rung ->
+          let cnf, hyps = proof () in
+          Proof_cache.store c
+            {
+              Proof_cache.key;
+              engine_version = Proof_cache.version;
+              design;
+              instr;
+              verdict;
+              stats;
+              cnf;
+              hyps;
+              created_s = Unix.gettimeofday ();
+            }
+        | _ -> ());
+        (verdict, stats, rung, false)
+    in
+    (match (memo, key, verdict) with
+    | Some m, Some (k, _), (Checker.Proved | Checker.Failed _) ->
+      Hashtbl.replace m k verdict
     | _ -> ());
-    (verdict, stats, rung, false)
+    answer
 
 let check ?budget ~design ~instr s name =
   let pr = s.s_prepared in
-  cached ?cache:s.s_cache ~design ~instr
+  cached ?cache:s.s_cache ?memo:s.s_memo ~design ~instr
     ~key:(fun () ->
       Option.map
         (fun (idx, key) ->
@@ -117,11 +132,12 @@ let fresh_key ?mode pr =
   ( Proof_cache.key_of_cnf ?mode ~n_vars ~clauses ~hyps (),
     fun () -> (Proof_cache.canonical_cnf (n_vars, clauses), hyps) )
 
-let check_property ?budget ?cache ~memory_abstraction ~design ~instr p =
+let check_property ?budget ?cache ?memo ~memory_abstraction ~design ~instr
+    p =
   match if memory_abstraction then Mem_abstract.create [ p ] else None with
   | None ->
     let pr = Checker.prepare p in
-    cached ?cache ~design ~instr
+    cached ?cache ?memo ~design ~instr
       ~key:(fun () -> Some (fresh_key pr))
       ~storable:(fun _ -> true)
       (fun () ->
@@ -131,7 +147,7 @@ let check_property ?budget ?cache ~memory_abstraction ~design ~instr p =
     (* keyed on the generation-0 abstract encoding, and stored only when
        generation 0 decided, so the stored CNF re-solves to the stored
        verdict shape under [Proof_cache.validate] *)
-    cached ?cache ~design ~instr
+    cached ?cache ?memo ~design ~instr
       ~key:(fun () ->
         Some
           (fresh_key ~mode:"abstract"

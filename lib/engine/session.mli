@@ -1,22 +1,30 @@
-(** The one place where an obligation is keyed, looked up in the
-    persistent {!Proof_cache}, decided and stored — in both solving
-    modes.  A shared-frame session binds a prepared obligation group
-    ({!Ilv_core.Verify.prepared_port}) to the cache: {!Engine.run}'s
-    groups and the daemon's resident frames both check through
-    {!check}; the daemon only puts its in-memory memo in front (keyed
-    by {!key}).  Fresh mode checks one property on its own solver
-    through {!check_property}.  Both go through the same
-    lookup→decide→store step. *)
+(** The one place where an obligation is keyed, looked up, decided and
+    stored — in both solving modes.  A shared-frame session binds a
+    prepared obligation group ({!Ilv_core.Verify.prepared_port}) to the
+    persistent {!Proof_cache} and, for a long-lived caller, to an
+    in-memory {!memo}: {!Engine.run}'s groups check through {!check},
+    resident ones (the daemon's) included.  Fresh mode checks one
+    property on its own solver through {!check_property}.  Both go
+    through the same lookup→decide→store step: memo, then proof cache,
+    then the solver. *)
 
 open Ilv_core
 
+type memo
+(** Definitive verdicts by proof-cache key, in memory: the tier in
+    front of the proof cache.  A hit answers with rung ["memo"], no
+    cache-hit flag and zero stats — nothing was read or solved. *)
+
+val memo : unit -> memo
+(** An empty memo. *)
+
 type t
 
-val create : ?cache:Proof_cache.t -> Verify.prepared_port -> t
-(** A session checking against [cache], when given.  With a cache the
-    generation-0 frame is canonicalized once, and its keys and the
-    frame blob stored beside the entries share that one result; without
-    one the session keeps only the frame's digest. *)
+val create : ?cache:Proof_cache.t -> ?memo:memo -> Verify.prepared_port -> t
+(** A session checking against [memo] and [cache], when given.  With a
+    cache the generation-0 frame is canonicalized once, and its keys
+    and the frame blob stored beside the entries share that one result;
+    without one the session keeps only the frame's digest. *)
 
 val prepared : t -> Verify.prepared_port
 
@@ -36,18 +44,22 @@ val check :
   t ->
   string ->
   Checker.verdict * Checker.stats * string * bool
-(** Decides one entry; the flag is true for a cache hit.  A hit answers
-    with the stored verdict and rung ["cache"]; a miss decides through
+(** Decides one entry; the flag is true for a cache hit.  A memo hit
+    answers with rung ["memo"] ({!memo}); a cache hit with the stored
+    verdict and rung ["cache"]; a miss decides through
     {!Verify.check_port_instr} (same rung vocabulary) and stores a
     definitive verdict in the session's cache under {!key} together
     with the {e decision-time} frame's canonical CNF and selectors, so {!Proof_cache.validate}
     re-solves to the stored verdict shape.  Verdicts of rungs that are
     not {!Verify.is_cacheable_rung} (the concrete fallback) are not
-    stored.  [design] and [instr] only label the stored entry. *)
+    stored.  Every definitive verdict, however it was reached, is
+    memoized under {!key}.  [design] and [instr] only label the stored
+    entry. *)
 
 val check_property :
   ?budget:Checker.budget ->
   ?cache:Proof_cache.t ->
+  ?memo:memo ->
   memory_abstraction:bool ->
   design:string ->
   instr:string ->

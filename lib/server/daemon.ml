@@ -5,15 +5,14 @@ module Json = Ilv_obs.Json
 module Obs = Ilv_obs.Obs
 
 (* The daemon exists to keep the expensive state of a verification
-   session resident: prepared shared frames (one bit-blasted
-   incremental solver context per (design, variant, port)), the
-   in-memory result memo keyed on the persistent proof cache's shared
-   keys, and the proof cache handle itself.  Requests then pay only for
-   queries nobody has asked before — and the resilience machinery
-   (per-request deadlines, the degradation ladder, exception
-   containment) applies per request: a request that fails, times out,
-   or is poisoned answers with an error or labelled Unknown verdicts
-   and leaves the process serving. *)
+   session resident: each obligation group's prepared session, the
+   in-memory memo of definitive verdicts, and the proof cache handle
+   ({!Engine.resident}).  Requests go through [Engine.run] like any
+   in-process sweep and pay only for queries nobody has asked before;
+   Engine's resilience (per-group deadlines, the degradation ladder,
+   per-job exception containment) applies per request, and a request
+   that fails outright answers with an error and leaves the process
+   serving. *)
 
 (* ---- counters ---- *)
 
@@ -23,7 +22,6 @@ type counters = {
   mutable c_solves : int;  (* queries actually sent to a solver *)
   mutable c_dedup_hits : int;  (* answered from the in-memory memo *)
   mutable c_cache_hits : int;  (* answered from the persistent cache *)
-  mutable c_frames : int;  (* prepared shared contexts alive *)
   mutable c_errors : int;  (* error replies sent *)
   mutable c_batches : int;  (* select rounds that carried >= 1 request *)
   mutable c_max_batch : int;  (* deepest request batch seen *)
@@ -36,145 +34,27 @@ let new_counters () =
     c_solves = 0;
     c_dedup_hits = 0;
     c_cache_hits = 0;
-    c_frames = 0;
     c_errors = 0;
     c_batches = 0;
     c_max_batch = 0;
   }
 
-(* ---- resident state ---- *)
-
-type memo_entry = {
-  m_verdict : Checker.verdict;
-  m_rung : string;
-}
-
 type t = {
   cache : Proof_cache.t option;
   timeout_s : float option;  (* default per-request deadline *)
   max_frame : int;
-  frames : (string, Session.t) Hashtbl.t;
-      (* "design\x00variant\x00port" -> resident prepared context; its
-         generation-0 frame stays pinned for keys after CEGAR rebuilds *)
-  memo : (string, memo_entry) Hashtbl.t;
-      (* Proof_cache.key_of_shared -> first verdict; what makes two
-         clients submitting the identical obligation cost one solve *)
+  resident : Engine.resident;
   counters : counters;
   started_s : float;
 }
 
-let frame_key ~design ~variant ~port ~memory_abstraction =
-  String.concat "\x00"
-    [
-      design;
-      Option.value variant ~default:"";
-      port;
-      (* abstract and concrete encodings of the same port are distinct
-         resident contexts — they must never serve each other's memo *)
-      (if memory_abstraction then "abstract" else "concrete");
-    ]
+(* ---- reply rows ---- *)
 
-let get_frame t ~design ~variant ~(port : Ila.t) ~rtl ~refmap
-    ~memory_abstraction =
-  let k =
-    frame_key ~design ~variant ~port:port.Ila.name ~memory_abstraction
-  in
-  match Hashtbl.find_opt t.frames k with
-  | Some fr -> fr
-  | None ->
-    let label =
-      design ^ (match variant with Some v -> "#" ^ v | None -> "")
-    in
-    let fr =
-      Session.create ?cache:t.cache
-        (Verify.prepare_port ~memory_abstraction ~name:label ~port ~rtl
-           ~refmap ())
-    in
-    Hashtbl.replace t.frames k fr;
-    t.counters.c_frames <- t.counters.c_frames + 1;
-    if Obs.enabled () then begin
-      Obs.count "daemon.frames" 1;
-      Obs.event "daemon.frame_prepared"
-        [ ("design", Obs.S label); ("port", Obs.S port.Ila.name) ]
-    end;
-    fr
+let is_dedup (r : Engine.result) = r.Engine.backend = "memo"
 
-(* ---- verify core (shared by the verify and table ops) ---- *)
-
-type job_result = {
-  jr_port : string;
-  jr_instr : string;
-  jr_verdict : Checker.verdict;
-  jr_rung : string;
-  jr_time_s : float;
-  jr_dedup : bool;
-  jr_cache_hit : bool;
-}
-
-(* The memo in front of the shared session: an obligation any client
-   already asked about costs no key lookup on disk and no solve. *)
-let solve_one t fr ~design ~port ~instr ~budget =
-  let key = Session.key fr instr in
-  match Option.bind key (Hashtbl.find_opt t.memo) with
-  | Some m ->
-    t.counters.c_dedup_hits <- t.counters.c_dedup_hits + 1;
-    if Obs.enabled () then Obs.count "daemon.dedup_hits" 1;
-    (m.m_verdict, m.m_rung, true, false)
-  | None ->
-    let verdict, _, rung, cache_hit =
-      Session.check ?budget ~design ~instr:(port ^ "." ^ instr)
-        fr instr
-    in
-    if cache_hit then t.counters.c_cache_hits <- t.counters.c_cache_hits + 1
-    else begin
-      t.counters.c_solves <- t.counters.c_solves + 1;
-      if Obs.enabled () then Obs.count "daemon.solves" 1
-    end;
-    Option.iter
-      (fun k -> Hashtbl.replace t.memo k { m_verdict = verdict; m_rung = rung })
-      key;
-    (verdict, rung, false, cache_hit)
-
-let verify_core t ~design_name ~variant ~rtl ~refmap_for ~ports ~instrs
-    ~timeout_s ~memory_abstraction (d : Design.t) =
-  List.concat_map
-    (fun (port : Ila.t) ->
-      (* the deadline is per obligation group, here per port *)
-      let budget = Checker.with_timeout timeout_s None in
-      let fr =
-        get_frame t ~design:design_name ~variant ~port ~rtl
-          ~refmap:(refmap_for port.Ila.name)
-          ~memory_abstraction
-      in
-      let names = Verify.prepared_instrs (Session.prepared fr) in
-      let names =
-        match instrs with
-        | None -> names
-        | Some only -> List.filter (fun n -> List.mem n only) names
-      in
-      List.map
-        (fun instr ->
-          t.counters.c_jobs <- t.counters.c_jobs + 1;
-          let t0 = Unix.gettimeofday () in
-          let verdict, rung, dedup, cache_hit =
-            solve_one t fr ~design:design_name ~port:port.Ila.name ~instr
-              ~budget
-          in
-          {
-            jr_port = port.Ila.name;
-            jr_instr = instr;
-            jr_verdict = verdict;
-            jr_rung = rung;
-            jr_time_s = Unix.gettimeofday () -. t0;
-            jr_dedup = dedup;
-            jr_cache_hit = cache_hit;
-          })
-        names)
-    (Verify.selected_ports ?only_ports:ports d.Design.module_ila)
-
-let result_json ~trace_budget r =
+let result_json ~trace_budget (r : Engine.result) =
   let verdict, reason, trace =
-    match r.jr_verdict with
+    match r.Engine.verdict with
     | Checker.Proved -> ("proved", None, [])
     | Checker.Failed tr ->
       (* the counterexample travels in the reply row — unless its
@@ -188,8 +68,8 @@ let result_json ~trace_budget r =
   in
   Json.Obj
     ([
-       ("port", Json.String r.jr_port);
-       ("instr", Json.String r.jr_instr);
+       ("port", Json.String r.Engine.r_port);
+       ("instr", Json.String r.Engine.r_instr);
        ("verdict", Json.String verdict);
      ]
     @ (match reason with
@@ -197,32 +77,30 @@ let result_json ~trace_budget r =
       | None -> [])
     @ trace
     @ [
-        ("rung", Json.String r.jr_rung);
-        ("time_s", Json.Float r.jr_time_s);
-        ("dedup", Json.Bool r.jr_dedup);
-        ("cache_hit", Json.Bool r.jr_cache_hit);
+        ("rung", Json.String r.Engine.backend);
+        ("time_s", Json.Float r.Engine.time_s);
+        ("dedup", Json.Bool (is_dedup r));
+        ("cache_hit", Json.Bool r.Engine.cache_hit);
       ])
 
 let summary_json results t0 =
   let count p = List.length (List.filter p results) in
+  let verdict r = r.Engine.verdict in
   Json.Obj
     [
       ("n_jobs", Json.Int (List.length results));
-      ( "n_proved",
-        Json.Int (count (fun r -> r.jr_verdict = Checker.Proved)) );
+      ("n_proved", Json.Int (count (fun r -> verdict r = Checker.Proved)));
       ( "n_failed",
         Json.Int
           (count (fun r ->
-               match r.jr_verdict with Checker.Failed _ -> true | _ -> false))
-      );
+               match verdict r with Checker.Failed _ -> true | _ -> false)) );
       ( "n_unknown",
         Json.Int
           (count (fun r ->
-               match r.jr_verdict with
-               | Checker.Unknown _ -> true
-               | _ -> false)) );
-      ("n_dedup", Json.Int (count (fun r -> r.jr_dedup)));
-      ("n_cache_hits", Json.Int (count (fun r -> r.jr_cache_hit)));
+               match verdict r with Checker.Unknown _ -> true | _ -> false))
+      );
+      ("n_dedup", Json.Int (count is_dedup));
+      ("n_cache_hits", Json.Int (count (fun r -> r.Engine.cache_hit)));
       ("time_s", Json.Float (Unix.gettimeofday () -. t0));
     ]
 
@@ -237,6 +115,37 @@ let memory_abstraction_of req =
   | Some "off" -> false
   | Some _ | None -> true
 
+let timeout_of t req =
+  match Protocol.float_member "timeout_s" req with
+  | Some s -> Some s
+  | None -> t.timeout_s
+
+(* One design's jobs, golden or the bug variant, through the resident
+   sessions (shared by the verify and table ops). *)
+let verify_design t req ?only_ports (d : Design.t) (name, rtl) =
+  let results, _ =
+    Engine.run ?cache:t.cache ~resident:t.resident
+      ?timeout_s:(timeout_of t req)
+      ~memory_abstraction:(memory_abstraction_of req)
+      (Engine.jobs_of ?only_ports ~name d.Design.module_ila rtl
+         ~refmap_for:(d.Design.refmap_for rtl) ())
+  in
+  let c = t.counters in
+  List.iter
+    (fun r ->
+      c.c_jobs <- c.c_jobs + 1;
+      if is_dedup r then begin
+        c.c_dedup_hits <- c.c_dedup_hits + 1;
+        if Obs.enabled () then Obs.count "daemon.dedup_hits" 1
+      end
+      else if r.Engine.cache_hit then c.c_cache_hits <- c.c_cache_hits + 1
+      else begin
+        c.c_solves <- c.c_solves + 1;
+        if Obs.enabled () then Obs.count "daemon.solves" 1
+      end)
+    results;
+  results
+
 (* a failing row's trace may not crowd out the rest of the reply: cap
    each one well under the frame limit, and let the client re-derive
    the rare giant trace in-process *)
@@ -244,46 +153,23 @@ let trace_budget t = t.max_frame / 4
 
 let handle_verify t req =
   let t0 = Unix.gettimeofday () in
-  match Protocol.str_member "design" req with
-  | None -> Protocol.error_reply "verify: missing \"design\""
-  | Some design_name -> (
+  match (Protocol.str_member "design" req, Json.member "instrs" req) with
+  | None, _ -> Protocol.error_reply "verify: missing \"design\""
+  | Some _, Some _ ->
+    Protocol.error_reply "verify: the \"instrs\" field is not supported"
+  | Some design_name, None -> (
     match Catalog.find design_name with
     | None ->
       Protocol.error_reply
         (Printf.sprintf "verify: unknown design %S" design_name)
     | Some d -> (
-      let variant = Protocol.str_member "bug" req in
-      let rtl_of_variant =
-        match variant with
-        | None -> Ok d.Design.rtl
-        | Some label -> (
-          match
-            List.find_opt
-              (fun (b : Design.bug) -> b.Design.bug_label = label)
-              d.Design.bugs
-          with
-          | Some b -> Ok b.Design.buggy_rtl
-          | None ->
-            Error
-              (Printf.sprintf "verify: design %S has no bug %S" design_name
-                 label))
-      in
-      match rtl_of_variant with
-      | Error msg -> Protocol.error_reply msg
-      | Ok rtl ->
-        let timeout_s =
-          match Protocol.float_member "timeout_s" req with
-          | Some s -> Some s
-          | None -> t.timeout_s
-        in
+      match Design.variant d (Protocol.str_member "bug" req) with
+      | Error msg -> Protocol.error_reply ("verify: " ^ msg)
+      | Ok variant ->
         let results =
-          verify_core t ~design_name:d.Design.name ~variant ~rtl
-            ~refmap_for:(d.Design.refmap_for rtl)
-            ~ports:(Protocol.str_list_member "ports" req)
-            ~instrs:(Protocol.str_list_member "instrs" req)
-            ~timeout_s
-            ~memory_abstraction:(memory_abstraction_of req)
-            d
+          verify_design t req
+            ?only_ports:(Protocol.str_list_member "ports" req)
+            d variant
         in
         Protocol.ok_reply
           [
@@ -301,11 +187,6 @@ let handle_table t req =
     | Some names -> names
     | None -> List.map (fun d -> d.Design.name) Catalog.quick
   in
-  let timeout_s =
-    match Protocol.float_member "timeout_s" req with
-    | Some s -> Some s
-    | None -> t.timeout_s
-  in
   let rows =
     List.map
       (fun name ->
@@ -319,12 +200,7 @@ let handle_table t req =
         | Some d ->
           let t0 = Unix.gettimeofday () in
           let results =
-            verify_core t ~design_name:d.Design.name ~variant:None
-              ~rtl:d.Design.rtl
-              ~refmap_for:(d.Design.refmap_for d.Design.rtl)
-              ~ports:None ~instrs:None ~timeout_s
-              ~memory_abstraction:(memory_abstraction_of req)
-              d
+            verify_design t req d (d.Design.name, d.Design.rtl)
           in
           Json.Obj
             [
@@ -348,11 +224,7 @@ let handle_mutate t req =
       let max_mutants =
         Option.value (Protocol.int_member "max_mutants" req) ~default:20
       in
-      let timeout_s =
-        match Protocol.float_member "timeout_s" req with
-        | Some s -> Some s
-        | None -> t.timeout_s
-      in
+      let timeout_s = timeout_of t req in
       (* campaigns run in-process (jobs=1): the daemon is the resident
          session, and a forked pool inside it would duplicate every
          resident frame into short-lived children *)
@@ -380,7 +252,7 @@ let stats_json t =
     ("solves", Json.Int c.c_solves);
     ("dedup_hits", Json.Int c.c_dedup_hits);
     ("cache_hits", Json.Int c.c_cache_hits);
-    ("frames", Json.Int c.c_frames);
+    ("frames", Json.Int (Engine.resident_groups t.resident));
     ("errors", Json.Int c.c_errors);
     ("batches", Json.Int c.c_batches);
     ("max_batch", Json.Int c.c_max_batch);
@@ -445,8 +317,7 @@ let serve ?cache ?timeout_s ?(max_frame = Protocol.default_max_frame)
       cache;
       timeout_s;
       max_frame;
-      frames = Hashtbl.create 16;
-      memo = Hashtbl.create 256;
+      resident = Engine.resident ();
       counters = new_counters ();
       started_s = Unix.gettimeofday ();
     }

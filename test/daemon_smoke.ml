@@ -1,7 +1,7 @@
 (* daemon-smoke: the end-to-end daemon exercise wired into `dune
    runtest`.  Forks [Daemon.serve] on a temp socket, drives a mixed
-   workload (ping / verify / repeat-verify / bug variant / table /
-   stats) through the client, checks every daemon verdict against the
+   workload (ping / expired-deadline verify and a plain rerun / verify /
+   repeat-verify / bug variant / table / stats) through the client, checks every daemon verdict against the
    in-process driver, and verifies a clean shutdown (child exits 0,
    socket unlinked). *)
 
@@ -100,6 +100,28 @@ let () =
     end
   in
   wait_up 250;
+
+  (* an expired deadline answers unknowns and leaves nothing resident
+     behind: the plain request after it proves (this runs first, before
+     any request could put the design's verdicts in the memo) *)
+  let deadline_design = List.hd designs in
+  let expired =
+    request socket
+      (Json.Obj
+         [
+           ("op", Json.String "verify");
+           ("design", Json.String deadline_design);
+           ("timeout_s", Json.Float 1e-9);
+         ])
+  in
+  if summary_int "n_unknown" expired <> summary_int "n_jobs" expired then
+    fail "an expired deadline did not answer every job unknown";
+  let after = request socket (verify_req deadline_design) in
+  if summary_int "n_proved" after <> summary_int "n_jobs" after then
+    fail "the request after an expired deadline did not prove %s"
+      deadline_design;
+  Format.printf "daemon-smoke: %-12s proves again after an expired deadline@."
+    deadline_design;
 
   (* mixed workload: every design verified through the daemon must
      produce exactly the in-process verdicts *)

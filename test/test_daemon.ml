@@ -280,6 +280,14 @@ let test_identical_obligations_solve_once () =
         (delta "solves");
       Alcotest.(check int) "every repeat hit the memo" n_jobs
         (delta "dedup_hits");
+      List.iter
+        (fun row ->
+          Alcotest.(check (option string))
+            "a dedup row answers from the memo rung" (Some "memo")
+            (Protocol.str_member "rung" row))
+        (match Json.member "results" b with
+        | Some (Json.List rows) -> rows
+        | _ -> Alcotest.fail "reply has no results");
       (* verdict agreement between the solved and deduped runs *)
       let verdicts reply =
         match Json.member "results" reply with
@@ -295,6 +303,57 @@ let test_identical_obligations_solve_once () =
       Alcotest.(check bool)
         "identical verdicts" true
         (verdicts a = verdicts b))
+
+(* An expired deadline answers Unknown for the request that carried it
+   and leaves nothing behind: neither its session (whose skipped
+   obligations stay retired) nor its verdicts (the memo holds only
+   definitive ones) may answer the next request. *)
+let test_deadline_does_not_poison () =
+  with_daemon (fun socket ->
+      let expired =
+        request_exn socket
+          (Json.Obj
+             [
+               ("op", Json.String "verify");
+               ("design", Json.String "Decoder");
+               ("timeout_s", Json.Float 1e-9);
+             ])
+      in
+      Alcotest.(check bool) "deadline request ok" true (Client.ok expired);
+      let n_jobs = summary_field "n_jobs" expired in
+      Alcotest.(check int) "every verdict unknown at the deadline" n_jobs
+        (summary_field "n_unknown" expired);
+      let plain = request_exn socket (verify_req "Decoder") in
+      Alcotest.(check int) "same jobs" n_jobs (summary_field "n_jobs" plain);
+      Alcotest.(check int) "the plain request proves everything" n_jobs
+        (summary_field "n_proved" plain);
+      Alcotest.(check int) "no unknown was memoized" 0
+        (summary_field "n_dedup" plain))
+
+let contains hay needle =
+  let n = String.length needle in
+  let rec at i =
+    i + n <= String.length hay && (String.sub hay i n = needle || at (i + 1))
+  in
+  at 0
+
+let test_instrs_field_rejected () =
+  with_daemon (fun socket ->
+      let reply =
+        request_exn socket
+          (Json.Obj
+             [
+               ("op", Json.String "verify");
+               ("design", Json.String "Decoder");
+               ("instrs", Json.List [ Json.String "NOP" ]);
+             ])
+      in
+      Alcotest.(check bool) "error reply" false (Client.ok reply);
+      let msg = Client.error_of reply in
+      Alcotest.(check bool)
+        ("the error names the field: " ^ msg)
+        true
+        (contains msg "\"instrs\""))
 
 (* ---- failing replies carry the counterexample (the satellite
    bugfix: daemon rows used to return "failed" with no trace) ---- *)
@@ -519,6 +578,10 @@ let suite =
           test_disconnect_mid_job;
         Alcotest.test_case "identical obligations across clients solve once"
           `Quick test_identical_obligations_solve_once;
+        Alcotest.test_case "an expired deadline does not poison the next request"
+          `Quick test_deadline_does_not_poison;
+        Alcotest.test_case "a verify carrying \"instrs\" is an error" `Quick
+          test_instrs_field_rejected;
         Alcotest.test_case "failing replies carry a decodable trace" `Quick
           test_failed_rows_carry_traces;
         Alcotest.test_case "oversized traces are flagged, not dropped" `Quick

@@ -772,6 +772,75 @@ let engine_tests =
           "verdicts unchanged" true
           (summary_verdicts cold_r = summary_verdicts warm_r);
         ignore (Proof_cache.clear cache));
+    t "a resident run answers repeated obligations from the memo"
+      (fun () ->
+        let d = design "AXI Slave" in
+        let resident = Engine.resident () in
+        let all_memo results =
+          List.for_all (fun r -> r.Engine.backend = "memo") results
+        in
+        let cold_r, _ = Engine.run ~resident (jobs_of d) in
+        Alcotest.(check bool) "cold run solves" false (all_memo cold_r);
+        Alcotest.(check int) "one session per port"
+          (List.length d.Design.module_ila.Module_ila.ports)
+          (Engine.resident_groups resident);
+        let warm_r, warm = Engine.run ~resident (jobs_of d) in
+        Alcotest.(check bool) "warm run all memo" true (all_memo warm_r);
+        Alcotest.(check int) "zero fresh SAT attempts" 0
+          warm.Engine.fresh_sat_attempts;
+        Alcotest.(check int) "memo rows are not cache hits" 0
+          warm.Engine.cache_hits;
+        Alcotest.(check bool)
+          "verdicts unchanged" true
+          (summary_verdicts cold_r = summary_verdicts warm_r);
+        (* with a cache, memo rows are neither hits nor misses *)
+        let cache = Proof_cache.open_ ~dir:(fresh_dir ()) () in
+        let cached_r, cached = Engine.run ~cache ~resident (jobs_of d) in
+        Alcotest.(check bool) "memo before the cache" true (all_memo cached_r);
+        Alcotest.(check int) "no cache misses" 0 cached.Engine.cache_misses;
+        Alcotest.(check int) "no cache hits" 0 cached.Engine.cache_hits;
+        ignore (Proof_cache.clear cache);
+        (* a port on its own is the same group, whatever its job ids *)
+        let last = List.hd (List.rev d.Design.module_ila.Module_ila.ports) in
+        let port_r, _ =
+          Engine.run ~resident
+            (Engine.jobs_of ~only_ports:[ last.Ila.name ] ~name:d.Design.name
+               d.Design.module_ila d.Design.rtl
+               ~refmap_for:(d.Design.refmap_for d.Design.rtl) ())
+        in
+        Alcotest.(check bool) "one port alone: all memo" true
+          (port_r <> [] && all_memo port_r);
+        Alcotest.(check int) "no session built for it"
+          (List.length d.Design.module_ila.Module_ila.ports)
+          (Engine.resident_groups resident);
+        (* fresh mode has no sessions to keep but shares the memo *)
+        let fresh_r, _ =
+          Engine.run ~resident ~incremental:false (jobs_of (design "Decoder"))
+        in
+        Alcotest.(check bool) "fresh cold run solves" false (all_memo fresh_r);
+        let fresh_warm, _ =
+          Engine.run ~resident ~incremental:false (jobs_of (design "Decoder"))
+        in
+        Alcotest.(check bool) "fresh warm run all memo" true
+          (all_memo fresh_warm));
+    t "a deadline drops the resident group and memoizes nothing" (fun () ->
+        let d = design "Decoder" in
+        let resident = Engine.resident () in
+        let _, expired = Engine.run ~resident ~timeout_s:1e-9 (jobs_of d) in
+        Alcotest.(check int) "every verdict unknown" expired.Engine.n_jobs
+          expired.Engine.n_unknown;
+        Alcotest.(check int) "no group kept" 0
+          (Engine.resident_groups resident);
+        let plain_r, plain = Engine.run ~resident (jobs_of d) in
+        Alcotest.(check int) "the next run proves everything"
+          plain.Engine.n_jobs plain.Engine.n_proved;
+        Alcotest.(check bool) "nothing came from the memo" true
+          (List.for_all (fun r -> r.Engine.backend <> "memo") plain_r));
+    t "a resident run refuses forked workers" (fun () ->
+        let resident = Engine.resident () in
+        match Engine.run ~jobs:2 ~resident (jobs_of (design "Decoder")) with
+        | _ -> Alcotest.fail "~resident with ~jobs:2 ran"
+        | exception Invalid_argument _ -> ());
     t "degradation counts only ladder rungs below incremental" (fun () ->
         (* regression: the summary used to count every "sat>" backend,
            including the CEGAR concrete fallback *)
