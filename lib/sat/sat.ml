@@ -10,11 +10,21 @@ type clause = {
   mutable deleted : bool;
 }
 
+(* The watchers of one literal (MiniSat 2.2 layout): parallel vectors of
+   clauses and blocker literals, [size] entries live.  A blocker is some
+   other literal of its clause; while it is true the clause is satisfied
+   and [propagate] skips it without reading the clause. *)
+type watches = {
+  mutable wclauses : clause array;
+  mutable blockers : int array;
+  mutable size : int;
+}
+
 type t = {
   mutable n_vars : int;
   mutable clauses : clause list; (* problem clauses *)
   mutable learnts : clause list;
-  mutable watches : clause list array; (* indexed by internal literal *)
+  mutable watches : watches array; (* indexed by internal literal *)
   mutable assign : int array; (* per var: 0 undef / 1 true / 2 false *)
   mutable level : int array;
   mutable reason : clause option array;
@@ -41,6 +51,7 @@ type t = {
   mutable propagations : int;
   mutable conflicts : int;
   mutable restarts : int;
+  mutable reductions : int; (* reduce_db calls *)
   mutable learnt_literals : int;
 }
 
@@ -49,12 +60,27 @@ and result = Sat | Unsat
 let var_decay = 1.0 /. 0.95
 let cla_decay = 1.0 /. 0.999
 
+(* fills watch-vector slots past [size], so they keep no clause alive *)
+let no_clause =
+  {
+    lits = [||];
+    learnt = false;
+    activation = false;
+    activity = 0.0;
+    deleted = true;
+  }
+
+let new_watches () = { wclauses = [||]; blockers = [||]; size = 0 }
+
+(* fills the slots of literals whose variable is not allocated yet *)
+let no_watches = new_watches ()
+
 let create () =
   {
     n_vars = 0;
     clauses = [];
     learnts = [];
-    watches = Array.make 16 [];
+    watches = Array.make 16 no_watches;
     assign = Array.make 8 0;
     level = Array.make 8 0;
     reason = Array.make 8 None;
@@ -80,6 +106,7 @@ let create () =
     propagations = 0;
     conflicts = 0;
     restarts = 0;
+    reductions = 0;
     learnt_literals = 0;
   }
 
@@ -118,7 +145,11 @@ let new_var s =
   s.trail <- grow_array s.trail n 0;
   s.trail_lim <- grow_array s.trail_lim n 0;
   s.seen <- grow_array s.seen n false;
-  s.watches <- grow_array s.watches (2 * n + 2) [];
+  (* each literal's own vector is made here, with its variable, so
+     growing the array stays a pointer copy *)
+  s.watches <- grow_array s.watches ((2 * n) + 2) no_watches;
+  s.watches.(pos v) <- new_watches ();
+  s.watches.(pos v + 1) <- new_watches ();
   (* insert into the order heap *)
   s.heap.(s.heap_size) <- v;
   s.heap_pos.(v) <- s.heap_size;
@@ -250,66 +281,128 @@ let cancel_until s lvl =
 
 exception Conflict of clause
 
+let watch s l c blocker =
+  let w = s.watches.(l) in
+  if w.size = Array.length w.wclauses then begin
+    let cap = max 4 (2 * w.size) in
+    let cs = Array.make cap no_clause and bs = Array.make cap 0 in
+    Array.blit w.wclauses 0 cs 0 w.size;
+    Array.blit w.blockers 0 bs 0 w.size;
+    w.wclauses <- cs;
+    w.blockers <- bs
+  end;
+  w.wclauses.(w.size) <- c;
+  w.blockers.(w.size) <- blocker;
+  w.size <- w.size + 1
+
+(* Each watched literal's watcher starts with the other one as blocker. *)
 let attach s c =
-  s.watches.(neg_of c.lits.(0)) <- c :: s.watches.(neg_of c.lits.(0));
-  s.watches.(neg_of c.lits.(1)) <- c :: s.watches.(neg_of c.lits.(1))
+  watch s (neg_of c.lits.(0)) c c.lits.(1);
+  watch s (neg_of c.lits.(1)) c c.lits.(0)
+
+(* Drops deleted clauses from every watch vector: [propagate] drops only
+   those it reads, so without this a deleted clause watched by literals
+   that never become true stays reachable for good.  Clears the slots
+   past each vector's end, and shrinks a vector left under a quarter
+   full. *)
+let purge_watches s =
+  for l = 2 to (2 * s.n_vars) + 1 do
+    let w = s.watches.(l) in
+    let cs = w.wclauses and bs = w.blockers in
+    let j = ref 0 in
+    for i = 0 to w.size - 1 do
+      if not cs.(i).deleted then begin
+        cs.(!j) <- cs.(i);
+        bs.(!j) <- bs.(i);
+        incr j
+      end
+    done;
+    w.size <- !j;
+    if 4 * !j < Array.length cs then begin
+      w.wclauses <- Array.sub cs 0 !j;
+      w.blockers <- Array.sub bs 0 !j
+    end
+    else Array.fill cs !j (Array.length cs - !j) no_clause
+  done
+
+(* index of the first literal of [lits] from [i] on that is not false,
+   or -1 *)
+let rec find_watch s lits i =
+  if i >= Array.length lits then -1
+  else if lit_value s lits.(i) <> 2 then i
+  else find_watch s lits (i + 1)
 
 (* Propagate all enqueued facts; raises [Conflict] on a falsified
-   clause.  Clauses are stored in [watches.(l)] when the *falsification*
-   of one of their watched literals should trigger a visit, i.e. clause
-   c sits in watches.(neg c.lits.(0)) and watches.(neg c.lits.(1)). *)
+   clause.  A clause is in the watch vector of [l] when the
+   *falsification* of one of its watched literals should trigger a
+   visit, i.e. clause c is watched by neg c.lits.(0) and neg c.lits.(1).
+   The vector of the literal being propagated is compacted in place: a
+   watcher moved to a new literal, or of a deleted clause, leaves it.
+   A kept clause is stored back only once an earlier watcher has left
+   ([!j < !i - 1]): storing a pointer into the array costs a write
+   barrier. *)
 let propagate s =
   while s.qhead < s.trail_size do
     let p = s.trail.(s.qhead) in
     s.qhead <- s.qhead + 1;
     s.propagations <- s.propagations + 1;
-    let watching = s.watches.(p) in
-    s.watches.(p) <- [];
-    let rec go = function
-      | [] -> ()
-      | c :: rest when c.deleted -> go rest
-      | c :: rest ->
-        (* make sure the false literal (neg p) is at position 1 *)
-        let false_lit = neg_of p in
-        if c.lits.(0) = false_lit then begin
-          c.lits.(0) <- c.lits.(1);
-          c.lits.(1) <- false_lit
+    let false_lit = neg_of p in
+    let ws = s.watches.(p) in
+    let cs = ws.wclauses and bs = ws.blockers and n = ws.size in
+    let i = ref 0 and j = ref 0 in
+    while !i < n do
+      let c = cs.(!i) and blocker = bs.(!i) in
+      incr i;
+      if lit_value s blocker = 1 then begin
+        if !j < !i - 1 then begin
+          cs.(!j) <- c;
+          bs.(!j) <- blocker
         end;
-        if lit_value s c.lits.(0) = 1 then begin
-          (* satisfied; keep watching *)
-          s.watches.(p) <- c :: s.watches.(p);
-          go rest
+        incr j
+      end
+      else if not c.deleted then begin
+        (* make sure the false literal (neg p) is at position 1 *)
+        let lits = c.lits in
+        if lits.(0) = false_lit then begin
+          lits.(0) <- lits.(1);
+          lits.(1) <- false_lit
+        end;
+        let first = lits.(0) in
+        if first <> blocker && lit_value s first = 1 then begin
+          (* satisfied by the other watch: keep it as the blocker *)
+          if !j < !i - 1 then cs.(!j) <- c;
+          bs.(!j) <- first;
+          incr j
         end
         else begin
-          (* look for a new literal to watch *)
-          let n = Array.length c.lits in
-          let rec find i =
-            if i >= n then None
-            else if lit_value s c.lits.(i) <> 2 then Some i
-            else find (i + 1)
-          in
-          match find 2 with
-          | Some i ->
-            c.lits.(1) <- c.lits.(i);
-            c.lits.(i) <- false_lit;
-            s.watches.(neg_of c.lits.(1)) <- c :: s.watches.(neg_of c.lits.(1));
-            go rest
-          | None ->
+          let k = find_watch s lits 2 in
+          if k >= 0 then begin
+            lits.(1) <- lits.(k);
+            lits.(k) <- false_lit;
+            watch s (neg_of lits.(1)) c first
+          end
+          else begin
             (* unit or conflicting *)
-            s.watches.(p) <- c :: s.watches.(p);
-            if lit_value s c.lits.(0) = 2 then begin
-              (* conflict: restore remaining watchers before raising *)
-              s.watches.(p) <- List.rev_append rest s.watches.(p);
+            if !j < !i - 1 then cs.(!j) <- c;
+            bs.(!j) <- first;
+            incr j;
+            if lit_value s first = 2 then begin
+              (* conflict: keep the unvisited watchers before raising *)
+              let rest = n - !i in
+              if !j < !i then begin
+                Array.blit cs !i cs !j rest;
+                Array.blit bs !i bs !j rest
+              end;
+              ws.size <- !j + rest;
               s.qhead <- s.trail_size;
               raise (Conflict c)
             end
-            else begin
-              enqueue s c.lits.(0) (Some c);
-              go rest
-            end
+            else enqueue s first (Some c)
+          end
         end
-    in
-    go watching
+      end
+    done;
+    ws.size <- !j
   done
 
 (* --- clause addition (level 0 only) --- *)
@@ -491,6 +584,7 @@ let simplify ?(subsume = true) s =
         keyed
     end
   end;
+  purge_watches s;
   max 0 (before - (s.n_clauses + s.n_learnts))
 
 (* --- conflict analysis (first UIP) --- *)
@@ -604,9 +698,9 @@ let reduce_db s =
       end)
     arr;
   s.learnts <- List.filter (fun c -> not c.deleted) s.learnts;
-  s.n_learnts <- List.length s.learnts
-(* deleted clauses are skipped lazily and dropped from watch lists
-   during propagation *)
+  s.n_learnts <- List.length s.learnts;
+  s.reductions <- s.reductions + 1;
+  purge_watches s
 
 (* --- search --- *)
 
@@ -689,6 +783,7 @@ let solve_bounded ?(assumptions = []) ?(limit = no_limit) s =
   in
   let conflicts0 = s.conflicts and propagations0 = s.propagations in
   let decisions0 = s.decisions and restarts0 = s.restarts in
+  let reductions0 = s.reductions in
   let t_start = Unix.gettimeofday () in
   let deadline =
     Option.map (fun w -> Unix.gettimeofday () +. w) limit.max_wall_s
@@ -824,7 +919,8 @@ let solve_bounded ?(assumptions = []) ?(limit = no_limit) s =
     let decisions = s.decisions - decisions0
     and conflicts = s.conflicts - conflicts0
     and propagations = s.propagations - propagations0
-    and restarts = s.restarts - restarts0 in
+    and restarts = s.restarts - restarts0
+    and reductions = s.reductions - reductions0 in
     event "sat.solve"
       [
         ( "outcome",
@@ -837,6 +933,8 @@ let solve_bounded ?(assumptions = []) ?(limit = no_limit) s =
         ("conflicts", I conflicts);
         ("propagations", I propagations);
         ("restarts", I restarts);
+        ("learnts", I s.n_learnts);
+        ("reductions", I reductions);
         ("n_vars", I s.n_vars);
         ("n_clauses", I s.n_clauses);
         ("n_problem_clauses", I (s.n_clauses - s.n_activation));
@@ -848,7 +946,8 @@ let solve_bounded ?(assumptions = []) ?(limit = no_limit) s =
     count "sat.decisions" decisions;
     count "sat.conflicts" conflicts;
     count "sat.propagations" propagations;
-    count "sat.restarts" restarts
+    count "sat.restarts" restarts;
+    count "sat.reductions" reductions
   end;
   result
 

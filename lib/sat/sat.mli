@@ -7,9 +7,23 @@
     VSIDS variable activities with phase saving, Luby restarts and
     activity-based deletion of learnt clauses.
 
-    Usage is non-incremental: create a solver, allocate variables, add
-    clauses, then call {!solve} once.  Literals are non-zero integers:
-    [+v] for variable [v], [-v] for its negation (DIMACS convention). *)
+    Propagation uses the MiniSat 2.2 watcher layout: each literal owns
+    one growable vector of (clause, blocker literal) watchers.  The
+    blocker is another literal of the clause; while it is true the
+    clause is satisfied and propagation skips it without reading the
+    clause.  Propagation compacts the vector it scans in place, and
+    learnt-DB reduction and {!simplify} purge the watchers of deleted
+    clauses.
+
+    Solving is incremental.  Create a solver, allocate variables, add
+    clauses, then call {!solve} (or {!solve_bounded}) as often as
+    needed, each time under its own assumption literals; clauses and
+    variables may be added and {!simplify} run between calls, and
+    learnt clauses carry over.  An obligation is typically guarded by
+    an activation literal: its clauses carry the literal's negation,
+    it is checked by assuming the literal, and it is retired by adding
+    the negation as a unit.  Literals are non-zero integers: [+v] for
+    variable [v], [-v] for its negation (DIMACS convention). *)
 
 type t
 

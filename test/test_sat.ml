@@ -22,6 +22,10 @@ let mk n_vars clauses =
 
 let solve n_vars clauses = Sat.solve (mk n_vars clauses)
 
+(* does the last model satisfy every clause? *)
+let satisfies s clauses =
+  List.for_all (List.exists (fun l -> Sat.value s (abs l) = (l > 0))) clauses
+
 let unit_tests =
   [
     t "empty problem is sat" (fun () ->
@@ -121,6 +125,82 @@ let pigeonhole_tests =
             cs
         in
         Alcotest.(check bool) "model satisfies" true ok);
+    t "php 8 into 7 reaches reduce_db and the solver stays incremental"
+      (fun () ->
+        (* Hard enough that the learnt DB outgrows 4000 + 2 * clauses, so
+           reduce_db deletes learnts and purges their watchers.  Then the
+           engine's between-query step: retire the query, simplify (a
+           second purge), and solve a sat query on the same variables,
+           php 7 7, whose models are permutations. *)
+        let n, cs = php 8 7 in
+        let act = n + 1 in
+        let s = mk act [] in
+        List.iter (fun c -> Sat.add_clause ~activation:true s (-act :: c)) cs;
+        (* the same solve, traced in a child process so this process's
+           counters stay untouched *)
+        let file = Filename.temp_file "ilv-sat-test" ".jsonl" in
+        let child =
+          match Unix.fork () with
+          | 0 ->
+            Ilv_obs.Obs.configure ~trace_out:file ();
+            ignore (Sat.solve ~assumptions:[ act ] s);
+            Ilv_obs.Obs.shutdown ();
+            Unix._exit 0
+          | pid -> pid
+        in
+        let verdict = Sat.solve ~assumptions:[ act ] s in
+        ignore (Unix.waitpid [] child);
+        let raw = In_channel.with_open_bin file In_channel.input_all in
+        Sys.remove file;
+        Alcotest.check result "unsat under act" Sat.Unsat verdict;
+        let conflicts = (Sat.stats s).Sat.conflicts in
+        Alcotest.(check bool)
+          (Printf.sprintf "%d conflicts > 4000 + 2 * %d clauses" conflicts
+             (Sat.num_clauses s))
+          true
+          (conflicts > 4000 + (2 * Sat.num_clauses s));
+        let solve_event =
+          match Ilv_obs.Json.parse_lines raw with
+          | Ok lines ->
+            List.find
+              (fun j ->
+                Option.bind (Ilv_obs.Json.member "name" j)
+                  Ilv_obs.Json.to_string
+                = Some "sat.solve")
+              lines
+          | Error msg -> Alcotest.fail msg
+        in
+        let field k =
+          Option.bind (Ilv_obs.Json.member k solve_event) Ilv_obs.Json.to_int
+        in
+        Alcotest.(check bool)
+          "sat.solve reports reductions" true
+          (Option.value ~default:0 (field "reductions") >= 1);
+        Alcotest.(check bool)
+          "sat.solve reports live learnts" true
+          (field "learnts" <> None);
+        Sat.add_clause ~activation:true s [ -act ];
+        ignore (Sat.simplify ~subsume:false s);
+        let php77 = snd (php 7 7) in
+        let act2 = Sat.new_var s and act3 = Sat.new_var s in
+        List.iter
+          (fun c -> Sat.add_clause ~activation:true s (-act2 :: c))
+          php77;
+        Alcotest.check result "php 7 7 under act2" Sat.Sat
+          (Sat.solve ~assumptions:[ act2 ] s);
+        Alcotest.(check bool) "model is a permutation" true (satisfies s php77);
+        (* activation-guarded extra clauses: act2 also keeps pigeon 0
+           out of hole 0, act3 puts it there *)
+        Sat.add_clause ~activation:true s [ -act2; -1 ];
+        Sat.add_clause ~activation:true s [ -act3; 1 ];
+        Alcotest.check result "sat under act2" Sat.Sat
+          (Sat.solve ~assumptions:[ act2 ] s);
+        Alcotest.(check bool)
+          "model satisfies the guarded clause" true
+          (satisfies s ([ -1 ] :: php77));
+        Alcotest.check result "unsat under act2 and act3" Sat.Unsat
+          (Sat.solve ~assumptions:[ act2; act3 ] s);
+        Alcotest.check result "sat without assumptions" Sat.Sat (Sat.solve s));
   ]
 
 (* --- activation literals and between-query maintenance: the solver
@@ -362,6 +442,79 @@ let incremental_props =
            first = Sat.solve ~assumptions s));
   ]
 
+(* Incremental differential check: random step sequences over one
+   solver, each solve compared with brute force over every clause added
+   so far plus the assumptions as units.  Interleaving additions,
+   simplification and aging with solves exercises watchers left behind
+   by earlier searches and by deleted clauses. *)
+type step =
+  | Add of int list list
+  | Solve of int list
+  | Simplify of bool (* ~subsume *)
+  | Age
+
+let pp_step = function
+  | Add cs ->
+    "add "
+    ^ String.concat " "
+        (List.map
+           (fun c -> "(" ^ String.concat "|" (List.map string_of_int c) ^ ")")
+           cs)
+  | Solve a -> "solve [" ^ String.concat "," (List.map string_of_int a) ^ "]"
+  | Simplify subsume -> Printf.sprintf "simplify ~subsume:%b" subsume
+  | Age -> "age"
+
+let arb_steps =
+  QCheck.make
+    ~print:(fun (n, steps) ->
+      Printf.sprintf "%d vars: %s" n
+        (String.concat "; " (List.map pp_step steps)))
+    QCheck.Gen.(
+      int_range 1 8 >>= fun n_vars ->
+      let lit = int_range 1 n_vars >>= fun v -> oneofl [ v; -v ] in
+      let clause = list_size (int_range 1 4) lit in
+      let step =
+        frequency
+          [
+            (3, map (fun cs -> Add cs) (list_size (int_range 1 8) clause));
+            (3, map (fun a -> Solve a) (list_size (int_range 0 3) lit));
+            (2, map (fun b -> Simplify b) bool);
+            (1, return Age);
+          ]
+      in
+      list_size (int_range 1 16) step >>= fun steps ->
+      return (n_vars, steps @ [ Solve [] ]))
+
+let step_props =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"step sequences on one solver match brute force" ~count:1000
+         arb_steps (fun (n_vars, steps) ->
+           let s = mk n_vars [] in
+           let added = ref [] in
+           List.for_all
+             (function
+               | Add cs ->
+                 List.iter (Sat.add_clause s) cs;
+                 added := cs @ !added;
+                 true
+               | Simplify subsume ->
+                 ignore (Sat.simplify ~subsume s);
+                 true
+               | Age ->
+                 Sat.age_activity s;
+                 true
+               | Solve assumptions -> (
+                 let units = List.map (fun l -> [ l ]) assumptions in
+                 let expected = brute_force n_vars (units @ !added) in
+                 match (Sat.solve ~assumptions s, expected) with
+                 | Sat.Unsat, None -> true
+                 | Sat.Sat, Some _ -> satisfies s (units @ !added)
+                 | _ -> false))
+             steps));
+  ]
+
 let suite =
   [
     ("sat:unit", unit_tests);
@@ -369,5 +522,5 @@ let suite =
     ("sat:activation", activation_tests);
     ("sat:simplify", simplify_tests);
     ("sat:props", prop_tests);
-    ("sat:incremental", incremental_props);
+    ("sat:incremental", incremental_props @ step_props);
   ]
