@@ -514,7 +514,9 @@ let shared_freeze sh =
           | exception _ -> [] (* uncacheable; check_shared reports it *))
         sh.sh_props
     in
+    let t0 = Ilv_obs.Obs.now_s () in
     let removed = if sh.sh_simplify then Bitblast.simplify ctx else 0 in
+    let simplify_s = Ilv_obs.Obs.now_s () -. t0 in
     sh.sh_removed <- removed;
     sh.sh_frozen <- Some (Bitblast.cnf ctx, selectors);
     match span with
@@ -530,6 +532,7 @@ let shared_freeze sh =
             ("n_problem_clauses", Ilv_obs.Obs.I problem);
             ("n_activation_clauses", Ilv_obs.Obs.I activation);
             ("simplify_removed", Ilv_obs.Obs.I removed);
+            ("simplify_s", Ilv_obs.Obs.F simplify_s);
           ]
         id
   end

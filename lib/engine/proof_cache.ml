@@ -221,33 +221,86 @@ type frame = {
 (* Monomorphic, and the same order as polymorphic [compare]: a list
    that is a prefix of another sorts first. *)
 let compare_lits = List.compare Int.compare
-let canonical_lits lits = List.sort_uniq Int.compare lits
 
-let add_lit_lists b lists =
-  List.iter
-    (fun lits ->
-      Buffer.add_char b ';';
-      List.iter
-        (fun lit ->
-          Buffer.add_string b (string_of_int lit);
-          Buffer.add_char b ',')
-        lits)
-    lists
+(* [List.sort_uniq Int.compare lits], through a scratch array grown as
+   needed: an insertion sort there, then one list of the distinct
+   literals.  Clauses are short, so this beats the generic sort and
+   allocates only the result. *)
+let canonical_lits scratch lits =
+  match lits with
+  | [] | [ _ ] -> lits
+  | _ ->
+    let n = List.length lits in
+    if Array.length !scratch < n then scratch := Array.make (2 * n) 0;
+    let a = !scratch in
+    List.iteri
+      (fun i x ->
+        let j = ref (i - 1) in
+        while !j >= 0 && a.(!j) > x do
+          a.(!j + 1) <- a.(!j);
+          decr j
+        done;
+        a.(!j + 1) <- x)
+      lits;
+    let acc = ref [ a.(n - 1) ] in
+    for i = n - 2 downto 0 do
+      if a.(i) <> a.(i + 1) then acc := a.(i) :: !acc
+    done;
+    !acc
 
-let frame_text (n_vars, clauses) =
-  let b = Buffer.create 65536 in
-  Buffer.add_string b "v";
-  Buffer.add_string b (string_of_int n_vars);
-  add_lit_lists b clauses;
-  Buffer.contents b
+(* Clauses and selector lists alike: literals sorted and deduplicated
+   within each list, lists sorted. *)
+let canonical_lists lists =
+  let scratch = ref (Array.make 16 0) in
+  List.sort compare_lits (List.map (canonical_lits scratch) lists)
+
+(* Text is written digit by digit into bytes sized exactly beforehand,
+   with no intermediate strings. *)
+let rec digits n = if n < 10 then 1 else 1 + digits (n / 10)
+let int_width n = if n < 0 then 1 + digits (-n) else digits n
+
+(* writes [n] at [pos]; returns the position after it *)
+let put_int b pos n =
+  let w = int_width n in
+  let rec go p m =
+    Bytes.set b p (Char.chr (48 + (m mod 10)));
+    if m >= 10 then go (p - 1) (m / 10)
+  in
+  go (pos + w - 1) (abs n);
+  if n < 0 then Bytes.set b pos '-';
+  pos + w
+
+(* [prefix], then ";lit,lit,...," per list: the text of a frame
+   ("v<n_vars>" prefix) and of a key's selector lists *)
+let lit_lists_text ~prefix lists =
+  let len =
+    List.fold_left
+      (fun acc lits ->
+        List.fold_left (fun acc l -> acc + int_width l + 1) (acc + 1) lits)
+      (String.length prefix) lists
+  in
+  let b = Bytes.create len in
+  Bytes.blit_string prefix 0 b 0 (String.length prefix);
+  ignore
+    (List.fold_left
+       (fun pos lits ->
+         Bytes.set b pos ';';
+         List.fold_left
+           (fun pos l ->
+             let pos = put_int b pos l in
+             Bytes.set b pos ',';
+             pos + 1)
+           (pos + 1) lits)
+       (String.length prefix) lists);
+  Bytes.unsafe_to_string b
 
 let canonical_cnf (n_vars, clauses) =
-  let cnf =
-    (n_vars, List.sort compare_lits (List.map canonical_lits clauses))
+  let clauses = canonical_lists clauses in
+  let text =
+    lazy (lit_lists_text ~prefix:("v" ^ string_of_int n_vars) clauses)
   in
-  let text = lazy (frame_text cnf) in
   {
-    f_cnf = Lazy.from_val cnf;
+    f_cnf = Lazy.from_val (n_vars, clauses);
     f_text = text;
     f_digest = lazy (Digest.to_hex (Digest.string (Lazy.force text)));
   }
@@ -256,7 +309,7 @@ let digest fr = Lazy.force fr.f_digest
 
 exception Bad_frame
 
-(* The inverse of [frame_text]: "v<n_vars>" then ";lit,lit,..." per
+(* The inverse of a frame's text: "v<n_vars>" then ";lit,lit,..." per
    clause. *)
 let parse_frame s =
   let len = String.length s in
@@ -304,31 +357,29 @@ type entry = {
 
 (* ---- keys ---- *)
 
-(* Selector literal lists get the same treatment as clauses: literals
-   sort_uniq'd within each list, lists sorted overall.  An obligation
-   set that merely arrives reordered (or with a duplicated selector)
-   therefore hashes to the same key instead of missing the cache. *)
-let canonical_hyps hyps = List.sort compare_lits (List.map canonical_lits hyps)
-
 (* The optional [mode] tag segregates encodings of the same obligation:
    a verdict reached through the memory-abstraction rewrite is stored
    under a different key than the concrete bit-blast, even though both
    are sound for the same property. *)
-let add_mode b = function
-  | None -> ()
-  | Some m ->
-    Buffer.add_string b "M";
-    Buffer.add_string b m;
-    Buffer.add_char b ';'
+let mode_tag = function None -> "" | Some m -> "M" ^ m ^ ";"
+
+(* Selector literal lists get the same treatment as clauses
+   ([canonical_lists]).  An obligation set that merely arrives
+   reordered (or with a duplicated selector) therefore hashes to the
+   same key instead of missing the cache. *)
+let key_of_frame ?mode frame ~hyps =
+  Digest.to_hex
+    (Digest.string
+       (String.concat ""
+          [
+            "F;";
+            mode_tag mode;
+            Lazy.force frame.f_text;
+            lit_lists_text ~prefix:"#H" (canonical_lists hyps);
+          ]))
 
 let key_of_cnf ?mode ~n_vars ~clauses ~hyps () =
-  let b = Buffer.create 65536 in
-  Buffer.add_string b "F;";
-  add_mode b mode;
-  Buffer.add_string b (Lazy.force (canonical_cnf (n_vars, clauses)).f_text);
-  Buffer.add_string b "#H";
-  add_lit_lists b (canonical_hyps hyps);
-  Digest.to_hex (Digest.string (Buffer.contents b))
+  key_of_frame ?mode (canonical_cnf (n_vars, clauses)) ~hyps
 
 let key_of_prepared pr =
   let n_vars, clauses = Checker.cnf pr in
@@ -341,13 +392,15 @@ let key_of_prepared pr =
 let frame_digest cnf = digest (canonical_cnf cnf)
 
 let key_of_shared ?mode ~frame ~selectors () =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "I;";
-  add_mode b mode;
-  Buffer.add_string b frame;
-  Buffer.add_string b "#S";
-  add_lit_lists b (canonical_hyps selectors);
-  Digest.to_hex (Digest.string (Buffer.contents b))
+  Digest.to_hex
+    (Digest.string
+       (String.concat ""
+          [
+            "I;";
+            mode_tag mode;
+            frame;
+            lit_lists_text ~prefix:"#S" (canonical_lists selectors);
+          ]))
 
 (* ---- files ---- *)
 

@@ -140,6 +140,12 @@ val key_of_cnf :
     directly — e.g. that permuting clauses, literals, or whole selector
     lists does not change the key. *)
 
+val key_of_frame : ?mode:string -> frame -> hyps:int list list -> string
+(** {!key_of_cnf} of a frame already canonicalized by {!canonical_cnf}:
+    [key_of_cnf ?mode ~n_vars ~clauses ~hyps ()] is
+    [key_of_frame ?mode (canonical_cnf (n_vars, clauses)) ~hyps].  A
+    caller that also stores the frame canonicalizes it once. *)
+
 val key_of_prepared : Ilv_core.Checker.prepared -> string
 (** Must be taken {e before} solving on the prepared context: the
     solver appends learned clauses to the context's CNF, so a key

@@ -125,20 +125,28 @@ let check ?budget ~design ~instr s name =
     (fun () -> Verify.check_port_instr ?budget pr name)
 
 (* A fresh context's key must be taken before solving: the solver
-   appends learnt clauses to the context's CNF. *)
-let fresh_key ?mode pr =
+   appends learnt clauses to the context's CNF.  When a cache will store
+   the frame, the key and the stored blob share one canonical frame;
+   otherwise (a memo only) the frame is garbage once the key is built
+   and the thunk holds only the raw clauses. *)
+let fresh_key ?mode ~stored pr =
   let n_vars, clauses = Checker.cnf pr in
   let hyps = Checker.hypothesis_literals pr in
-  ( Proof_cache.key_of_cnf ?mode ~n_vars ~clauses ~hyps (),
-    fun () -> (Proof_cache.canonical_cnf (n_vars, clauses), hyps) )
+  if stored then
+    let frame = Proof_cache.canonical_cnf (n_vars, clauses) in
+    (Proof_cache.key_of_frame ?mode frame ~hyps, fun () -> (frame, hyps))
+  else
+    ( Proof_cache.key_of_cnf ?mode ~n_vars ~clauses ~hyps (),
+      fun () -> (Proof_cache.canonical_cnf (n_vars, clauses), hyps) )
 
 let check_property ?budget ?cache ?memo ~memory_abstraction ~design ~instr
     p =
+  let stored = Option.is_some cache in
   match if memory_abstraction then Mem_abstract.create [ p ] else None with
   | None ->
     let pr = Checker.prepare p in
     cached ?cache ?memo ~design ~instr
-      ~key:(fun () -> Some (fresh_key pr))
+      ~key:(fun () -> Some (fresh_key ~stored pr))
       ~storable:(fun _ -> true)
       (fun () ->
         let verdict, stats = Checker.check_prepared ?budget pr in
@@ -150,7 +158,7 @@ let check_property ?budget ?cache ?memo ~memory_abstraction ~design ~instr
     cached ?cache ?memo ~design ~instr
       ~key:(fun () ->
         Some
-          (fresh_key ~mode:"abstract"
+          (fresh_key ~mode:"abstract" ~stored
              (Checker.prepare (Mem_abstract.abstract_properties ab).(0))))
       ~storable:(String.equal "abstract")
       (fun () -> Verify.check_property ?budget p)

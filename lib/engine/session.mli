@@ -66,8 +66,9 @@ val check_property :
   Property.t ->
   Checker.verdict * Checker.stats * string * bool
 (** {!check} for one property on its own solver (fresh mode), with the
-    same result shape.  The key ({!Proof_cache.key_of_cnf}) is taken
-    from the generation-0 encoding before any solving: the concrete
+    same result shape.  The key ({!Proof_cache.key_of_frame}, sharing
+    its canonical frame with the stored blob when there is a [cache])
+    is taken from the generation-0 encoding before any solving: the concrete
     {!Checker.prepare}, or — when [memory_abstraction] rewrites the
     property — the first abstract property with the ["abstract"] mode
     tag.  A miss decides the concrete property with

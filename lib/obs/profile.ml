@@ -18,6 +18,7 @@ type frame = {
   simplify_removed : int;
   preparations : int;  (** how many workers built this frame *)
   prepare_s : float;
+  simplify_s : float;
 }
 
 type disposition = {
@@ -102,7 +103,7 @@ let of_trace lines =
         let design =
           match opened with Some b -> str ~default:"?" "design" b | None -> "?"
         in
-        let dur = Option.value ~default:0.0 (fl "dur_s" line) in
+        let ffield key = Option.value ~default:0.0 (fl key line) in
         let prev = Hashtbl.find_opt frames design in
         Hashtbl.replace frames design
           {
@@ -116,7 +117,11 @@ let of_trace lines =
             preparations =
               1 + (match prev with Some f -> f.preparations | None -> 0);
             prepare_s =
-              dur +. (match prev with Some f -> f.prepare_s | None -> 0.0);
+              ffield "dur_s"
+              +. (match prev with Some f -> f.prepare_s | None -> 0.0);
+            simplify_s =
+              ffield "simplify_s"
+              +. (match prev with Some f -> f.simplify_s | None -> 0.0);
           }
       | "span_end" when name = job_span ->
         let opened =
@@ -256,14 +261,15 @@ let pp fmt p =
   | [] -> ()
   | frames ->
     fprintf fmt "@,@,shared frames (incremental mode):";
-    fprintf fmt "@,  %-28s %5s %8s %8s %8s %8s %8s %5s %9s" "design" "props"
-      "vars" "clauses" "problem" "activ" "removed" "preps" "prep_s";
+    fprintf fmt "@,  %-28s %5s %8s %8s %8s %8s %8s %5s %9s %9s" "design"
+      "props" "vars" "clauses" "problem" "activ" "removed" "preps" "prep_s"
+      "simp_s";
     List.iter
       (fun f ->
-        fprintf fmt "@,  %-28s %5d %8d %8d %8d %8d %8d %5d %9.4f"
+        fprintf fmt "@,  %-28s %5d %8d %8d %8d %8d %8d %5d %9.4f %9.4f"
           f.frame_design f.n_properties f.frame_vars f.frame_clauses
           f.problem_clauses f.activation_clauses f.simplify_removed
-          f.preparations f.prepare_s)
+          f.preparations f.prepare_s f.simplify_s)
       frames);
   (match p.dispositions with
   | [] -> ()

@@ -38,6 +38,8 @@ type frame = {
   simplify_removed : int;  (** removed by the CNF-level pass *)
   preparations : int;  (** how many workers built this frame *)
   prepare_s : float;  (** total preparation time across workers *)
+  simplify_s : float;
+      (** the part of [prepare_s] spent in CNF simplification *)
 }
 
 type disposition = {

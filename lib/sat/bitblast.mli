@@ -95,9 +95,12 @@ val age_activity : t -> unit
 
 val simplify : ?subsume:bool -> t -> int
 (** Runs the solver's level-0 simplification ({!Sat.simplify}) on the
-    accumulated CNF; returns the number of clauses removed.  Sound at
-    any point; changes what {!cnf} reports.  [~subsume:false] restricts
-    it to the linear passes (see {!Sat.simplify}). *)
+    accumulated CNF; returns the number of clauses removed.  Besides
+    level-0 propagation it removes duplicate clauses (the first in
+    clause order stays) and every clause with a strict subset of at
+    most 8 literals.  Sound at any point; changes what {!cnf} reports.
+    [~subsume:false] restricts it to the linear passes (see
+    {!Sat.simplify}). *)
 
 val cnf : t -> int * int list list
 (** The accumulated CNF ([n_vars], clauses as external literals), for

@@ -446,17 +446,151 @@ let add_clause ?(activation = false) s ext_lits =
 
 (* --- level-0 simplification --- *)
 
+(* Duplicate elimination and backward subsumption over the live problem
+   clauses.  The rule: of clauses with equal literal sets the first in
+   [s.clauses] order stays, and every clause with a strict subset of at
+   most 8 literals among the others goes.  That set does not depend on
+   the order clauses are visited in: a clause removed as a superset
+   only has supersets that its own (shorter, surviving) subsumer also
+   removes.
+
+   Everything is flat arrays, so the pass allocates a handful of
+   blocks however many clauses there are: clause [i]'s sorted literals
+   are [lits.(off.(i)) .. lits.(off.(i + 1) - 1)]; duplicates are found
+   by open addressing on a multiplicative hash; occurrence lists are
+   one array indexed like [lits] (CSR); and a 63-bit signature (one bit
+   per literal modulo 63) rules most candidate pairs out before the
+   subset test reads them. *)
+let dedup_and_subsume s delete =
+  let n =
+    List.fold_left (fun n c -> if c.deleted then n else n + 1) 0 s.clauses
+  in
+  let cls = Array.make n no_clause in
+  let off = Array.make (n + 1) 0 in
+  let i = ref 0 in
+  List.iter
+    (fun c ->
+      if not c.deleted then begin
+        cls.(!i) <- c;
+        off.(!i + 1) <- off.(!i) + Array.length c.lits;
+        incr i
+      end)
+    s.clauses;
+  let lits = Array.make off.(n) 0 in
+  for i = 0 to n - 1 do
+    (* insertion sort while copying: clauses are short *)
+    let lo = off.(i) in
+    Array.iteri
+      (fun k x ->
+        let j = ref (lo + k - 1) in
+        while !j >= lo && lits.(!j) > x do
+          lits.(!j + 1) <- lits.(!j);
+          decr j
+        done;
+        lits.(!j + 1) <- x)
+      cls.(i).lits
+  done;
+  let len i = off.(i + 1) - off.(i) in
+  let equal i j =
+    len i = len j
+    &&
+    let d = off.(j) - off.(i) in
+    let rec go k = k = off.(i + 1) || (lits.(k) = lits.(k + d) && go (k + 1)) in
+    go off.(i)
+  in
+  (* is clause [i] a subset of clause [j]? (both sorted) *)
+  let subset i j =
+    let ei = off.(i + 1) and ej = off.(j + 1) in
+    let rec go a b =
+      if a = ei then true
+      else if ej - b < ei - a then false
+      else if lits.(a) = lits.(b) then go (a + 1) (b + 1)
+      else if lits.(a) > lits.(b) then go a (b + 1)
+      else false
+    in
+    go off.(i) off.(j)
+  in
+  (* duplicates: the first clause of each literal set claims its slot *)
+  let bits =
+    let rec log2 b = if 1 lsl b >= 2 * n then b else log2 (b + 1) in
+    log2 4
+  in
+  let table = Array.make (1 lsl bits) (-1) in
+  for i = 0 to n - 1 do
+    let h = ref (len i) in
+    for k = off.(i) to off.(i + 1) - 1 do
+      h := (!h lxor lits.(k)) * 0x9E3779B97F4A7C1
+    done;
+    let rec probe slot =
+      let j = table.(slot) in
+      if j < 0 then table.(slot) <- i
+      else if equal i j then delete cls.(i)
+      else probe ((slot + 1) land ((1 lsl bits) - 1))
+    in
+    probe (!h lsr (63 - bits))
+  done;
+  (* occurrences of the survivors: literal [l] occurs in clauses
+     [occ.(start.(l)) .. occ.(start.(l + 1) - 1)] *)
+  let n_lits = (2 * s.n_vars) + 2 in
+  let start = Array.make (n_lits + 1) 0 in
+  for i = 0 to n - 1 do
+    if not cls.(i).deleted then
+      for k = off.(i) to off.(i + 1) - 1 do
+        start.(lits.(k) + 1) <- start.(lits.(k) + 1) + 1
+      done
+  done;
+  for l = 1 to n_lits do
+    start.(l) <- start.(l) + start.(l - 1)
+  done;
+  let occ = Array.make start.(n_lits) 0 in
+  let fill = Array.sub start 0 n_lits in
+  for i = 0 to n - 1 do
+    if not cls.(i).deleted then
+      for k = off.(i) to off.(i + 1) - 1 do
+        occ.(fill.(lits.(k))) <- i;
+        fill.(lits.(k)) <- fill.(lits.(k)) + 1
+      done
+  done;
+  let sigs =
+    Array.init n (fun i ->
+        let sg = ref 0 in
+        for k = off.(i) to off.(i + 1) - 1 do
+          sg := !sg lor (1 lsl (lits.(k) mod 63))
+        done;
+        !sg)
+  in
+  for i = 0 to n - 1 do
+    if (not cls.(i).deleted) && len i <= 8 then begin
+      let size l = start.(l + 1) - start.(l) in
+      let rarest = ref lits.(off.(i)) in
+      for k = off.(i) + 1 to off.(i + 1) - 1 do
+        if size lits.(k) < size !rarest then rarest := lits.(k)
+      done;
+      for o = start.(!rarest) to start.(!rarest + 1) - 1 do
+        let j = occ.(o) in
+        if
+          j <> i
+          && (not cls.(j).deleted)
+          && len j > len i
+          && sigs.(i) land lnot sigs.(j) = 0
+          && subset i j
+        then delete cls.(j)
+      done
+    end
+  done
+
 (* SatELite-lite: runs only at decision level 0.  Unit propagation to
    fixpoint, removal of satisfied clauses, stripping of false literals
    (rebuilding the clause so the watch invariant holds), then duplicate
-   elimination and light backward subsumption over the problem clauses.
-   Deleting a clause that is the reason of a level-0 assignment is safe:
-   conflict analysis never dereferences level-0 reasons, and level 0 is
-   never backtracked; reasons are cleared anyway for hygiene.
-   [~subsume:false] skips the quadratic-ish dedup/subsumption stage and
-   keeps only the linear propagation passes — cheap enough to run
-   between incremental queries, where its job is shedding clauses
-   satisfied by retire units rather than deep preprocessing. *)
+   elimination and backward subsumption over the problem clauses
+   ([dedup_and_subsume]).  Deleting a clause that is the reason of a
+   level-0 assignment is safe: conflict analysis never dereferences
+   level-0 reasons, and level 0 is never backtracked; reasons are
+   cleared anyway for hygiene.  [~subsume:false] skips the
+   dedup/subsumption stage and keeps only the linear propagation
+   passes — cheap enough to run between incremental queries, where its
+   job is shedding clauses satisfied by retire units rather than deep
+   preprocessing. *)
 let simplify ?(subsume = true) s =
   cancel_until s 0;
   s.solved <- None;
@@ -485,30 +619,43 @@ let simplify ?(subsume = true) s =
       changed := false;
       let strengthen kept c =
         if s.unsat || c.deleted then kept
-        else if Array.exists (fun l -> lit_value s l = 1) c.lits then begin
-          delete c;
-          kept
-        end
         else begin
-          let live =
-            List.filter
-              (fun l -> lit_value s l <> 2)
-              (Array.to_list c.lits)
-          in
-          if List.length live = Array.length c.lits then c :: kept
+          let lits = c.lits in
+          let n = Array.length lits in
+          let satisfied = ref false and n_false = ref 0 in
+          for i = 0 to n - 1 do
+            match lit_value s lits.(i) with
+            | 1 -> satisfied := true
+            | 2 -> incr n_false
+            | _ -> ()
+          done;
+          if !satisfied then begin
+            delete c;
+            kept
+          end
+          else if !n_false = 0 then c :: kept
           else begin
             delete c;
             changed := true;
+            let live = Array.make (n - !n_false) 0 in
+            let k = ref 0 in
+            Array.iter
+              (fun l ->
+                if lit_value s l <> 2 then begin
+                  live.(!k) <- l;
+                  incr k
+                end)
+              lits;
             match live with
-            | [] ->
+            | [||] ->
               s.unsat <- true;
               kept
-            | [ l ] ->
+            | [| l |] ->
               enqueue s l None;
               (try propagate s with Conflict _ -> s.unsat <- true);
               kept
             | _ ->
-              let c' = { c with lits = Array.of_list live; deleted = false } in
+              let c' = { c with lits = live; deleted = false } in
               count_in c';
               attach s c';
               c' :: kept
@@ -526,63 +673,7 @@ let simplify ?(subsume = true) s =
     for i = 0 to level0_bound - 1 do
       s.reason.(var_of s.trail.(i)) <- None
     done;
-    if subsume && not s.unsat then begin
-      (* duplicate elimination + backward subsumption (problem clauses
-         only; subsumers capped at 8 literals to bound the scan) *)
-      let canon c =
-        let a = Array.copy c.lits in
-        Array.sort compare a;
-        a
-      in
-      let keyed =
-        List.filter_map
-          (fun c -> if c.deleted then None else Some (c, canon c))
-          s.clauses
-      in
-      let tbl = Hashtbl.create (max 16 (List.length keyed)) in
-      List.iter
-        (fun (c, k) ->
-          let key = Array.to_list k in
-          if Hashtbl.mem tbl key then delete c else Hashtbl.add tbl key ())
-        keyed;
-      let keyed = List.filter (fun (c, _) -> not c.deleted) keyed in
-      let occ = Array.make ((2 * s.n_vars) + 2) [] in
-      List.iter
-        (fun ck -> Array.iter (fun l -> occ.(l) <- ck :: occ.(l)) (snd ck))
-        keyed;
-      (* [subset a b]: sorted literal arrays, is a ⊆ b? *)
-      let subset a b =
-        let na = Array.length a and nb = Array.length b in
-        let rec go i j =
-          if i >= na then true
-          else if j >= nb then false
-          else if a.(i) = b.(j) then go (i + 1) (j + 1)
-          else if a.(i) > b.(j) then go i (j + 1)
-          else false
-        in
-        go 0 0
-      in
-      List.iter
-        (fun (c, k) ->
-          if (not c.deleted) && Array.length k <= 8 then begin
-            let rarest = ref k.(0) in
-            Array.iter
-              (fun l ->
-                if List.length occ.(l) < List.length occ.(!rarest) then
-                  rarest := l)
-              k;
-            List.iter
-              (fun (d, kd) ->
-                if
-                  d != c
-                  && (not d.deleted)
-                  && Array.length kd > Array.length k
-                  && subset k kd
-                then delete d)
-              occ.(!rarest)
-          end)
-        keyed
-    end
+    if subsume && not s.unsat then dedup_and_subsume s delete
   end;
   purge_watches s;
   max 0 (before - (s.n_clauses + s.n_learnts))
@@ -825,6 +916,9 @@ let solve_bounded ?(assumptions = []) ?(limit = no_limit) s =
         let restart_count = ref 0 in
         let answer = ref None in
         let new_level () =
+          (* assumptions that already hold open placeholder levels, so
+             there can be more levels than variables *)
+          s.trail_lim <- grow_array s.trail_lim (s.trail_lim_size + 1) 0;
           s.trail_lim.(s.trail_lim_size) <- s.trail_size;
           s.trail_lim_size <- s.trail_lim_size + 1
         in

@@ -70,10 +70,17 @@ val age_activity : t -> unit
 val simplify : ?subsume:bool -> t -> int
 (** Level-0 simplification: propagates pending units to fixpoint,
     removes satisfied clauses, strips false literals, then eliminates
-    duplicate and (lightly) subsumed problem clauses.  Returns the
-    number of clauses removed (net).  Preserves satisfiability and all
-    models; invalidates the previous model like {!add_clause} does.
-    Cheap enough to run once after loading a large problem.
+    duplicate and subsumed problem clauses (activation clauses
+    included, learnt clauses not) by this rule: of clauses with equal
+    literal sets, the first in clause order stays; every clause that
+    has a strict subset of at most 8 literals among the remaining
+    clauses goes.  Which clauses go does not depend on the order the
+    pass visits them in.  Returns the number of clauses removed (net).
+    Preserves satisfiability and all models; invalidates the previous
+    model like {!add_clause} does.  Near-linear in the size of the
+    problem (sorted literal copies, a hash table for duplicates,
+    occurrence arrays and a 63-bit signature filter for subsets), so
+    cheap enough to run once after loading a large problem.
     [~subsume:false] skips the dedup/subsumption stage, leaving only
     the linear propagation passes — the right setting for the
     between-query cleanups of an incremental session, where the goal is

@@ -189,6 +189,117 @@ let key_tests =
           "pre-solve key matches a fresh preparation" k_before k_fresh);
   ]
 
+(* The list-based canonical form and serialization that frame digests
+   and keys were defined by (proof-cache version /5), kept as the
+   reference for the implementation that writes bytes directly: its
+   digests and keys must be byte-for-byte what these produce. *)
+let reference_lists lists =
+  String.concat ""
+    (List.map
+       (fun lits ->
+         ";"
+         ^ String.concat "" (List.map (fun l -> string_of_int l ^ ",") lits))
+       (List.sort compare (List.map (List.sort_uniq compare) lists)))
+
+let reference_text (n_vars, clauses) =
+  "v" ^ string_of_int n_vars ^ reference_lists clauses
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+(* CNFs with the cases the serialization must get right: negative and
+   repeated literals, clauses that are prefixes of others ([1] vs
+   [1;2]), the empty clause, [n_vars] 0, and literals of many digits. *)
+let arb_frame_cnf =
+  let gen st =
+    let n_vars = Random.State.int st 9 in
+    let lit () =
+      let v =
+        if Random.State.int st 20 = 0 then 1 + Random.State.int st 1_000_000
+        else 1 + Random.State.int st (max 1 n_vars)
+      in
+      if Random.State.bool st then v else -v
+    in
+    let clause () = List.init (Random.State.int st 6) (fun _ -> lit ()) in
+    let base = List.init (Random.State.int st 12) (fun _ -> clause ()) in
+    let prefixes =
+      List.filter_map
+        (fun c ->
+          if c <> [] && Random.State.bool st then
+            let k = Random.State.int st (List.length c) in
+            Some (List.filteri (fun i _ -> i < k) c)
+          else None)
+        base
+    in
+    let hyps = List.init (Random.State.int st 4) (fun _ -> clause ()) in
+    ((n_vars, base @ prefixes), hyps)
+  in
+  QCheck.make
+    ~print:(fun ((n, cs), hyps) ->
+      let show l =
+        String.concat " "
+          (List.map
+             (fun c -> "(" ^ String.concat "|" (List.map string_of_int c) ^ ")")
+             l)
+      in
+      Printf.sprintf "%d vars: %s; hyps %s" n (show cs) (show hyps))
+    gen
+
+let canonical_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"frame text and keys are byte-identical to the list-based ones"
+         ~count:1000 arb_frame_cnf (fun (((n_vars, clauses) as cnf), hyps) ->
+           let text = reference_text cnf in
+           Proof_cache.frame_digest cnf = md5 text
+           && Proof_cache.digest (Proof_cache.canonical_cnf cnf) = md5 text
+           && Proof_cache.key_of_cnf ~n_vars ~clauses ~hyps ()
+              = md5 ("F;" ^ text ^ "#H" ^ reference_lists hyps)
+           && Proof_cache.key_of_cnf ~mode:"abstract" ~n_vars ~clauses ~hyps ()
+              = md5 ("F;Mabstract;" ^ text ^ "#H" ^ reference_lists hyps)
+           && Proof_cache.key_of_shared ~frame:(md5 text) ~selectors:hyps ()
+              = md5 ("I;" ^ md5 text ^ "#S" ^ reference_lists hyps)));
+    t "edge-case frames serialize as the list-based text" (fun () ->
+        List.iter
+          (fun cnf ->
+            Alcotest.(check string)
+              (reference_text cnf) (md5 (reference_text cnf))
+              (Proof_cache.frame_digest cnf))
+          [
+            (0, []);
+            (0, [ [] ]);
+            (2, [ [ 1; 2 ]; [ 1 ]; []; [ 2; 1; 1 ]; [ -1; -2 ] ]);
+            (12, [ [ -12; 10 ]; [ 10; -12 ]; [ -10 ]; [ 9; 100 ] ]);
+          ]);
+    t "every quick-catalog frame digest is pinned (golden, version /5)"
+      (fun () ->
+        (* The digests of the 15 generation-0 frames the engine keys a
+           quick sweep on (memory abstraction on, as the CLI default),
+           in catalog and port order, hashed together: any change to
+           the freeze's encoding, its CNF simplification or the frame
+           serialization moves it. *)
+        let digests =
+          List.concat_map
+            (fun (d : Design.t) ->
+              List.map
+                (fun (port : Ila.t) ->
+                  let pr =
+                    Verify.prepare_port ~memory_abstraction:true
+                      ~name:d.Design.name ~port ~rtl:d.Design.rtl
+                      ~refmap:(d.Design.refmap_for d.Design.rtl port.Ila.name)
+                      ()
+                  in
+                  Proof_cache.frame_digest
+                    (Checker.shared_cnf (Verify.key_frame pr)))
+                d.Design.module_ila.Module_ila.ports)
+            Catalog.quick
+        in
+        Alcotest.(check int) "15 frames" 15 (List.length digests);
+        Alcotest.(check string)
+          "digest of the frame digests" "d8d529ac3d73463104951d4d186b1eff"
+          (md5 (String.concat "," digests)));
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Cache store / lookup robustness                                     *)
 (* ------------------------------------------------------------------ *)
@@ -1284,7 +1395,7 @@ let incremental_tests =
 
 let suite =
   [
-    ("engine.cache-key", key_tests);
+    ("engine.cache-key", key_tests @ canonical_tests);
     ("engine.proof-cache", cache_tests);
     ("engine.pool", pool_tests);
     ("engine.run", engine_tests);

@@ -276,6 +276,31 @@ let trace_tests =
 (* Profile aggregation                                                 *)
 (* ------------------------------------------------------------------ *)
 
+let contains s needle =
+  let n = String.length s and k = String.length needle in
+  let rec scan i = i + k <= n && (String.sub s i k = needle || scan (i + 1)) in
+  scan 0
+
+(* A trace of one frame freeze (what a cached run does per port) *)
+let frozen =
+  lazy
+    (let file = Filename.temp_file "ilv-obs-freeze" ".jsonl" in
+     Obs.configure ~trace_out:file ();
+     let d = List.find (fun d -> d.Design.name = "Decoder") Catalog.all in
+     let port = List.hd d.Design.module_ila.Ilv_core.Module_ila.ports in
+     let pr =
+       Ilv_core.Verify.prepare_port ~name:d.Design.name ~port ~rtl:d.Design.rtl
+         ~refmap:(d.Design.refmap_for d.Design.rtl port.Ilv_core.Ila.name)
+         ()
+     in
+     Ilv_core.Checker.shared_freeze (Ilv_core.Verify.key_frame pr);
+     Obs.shutdown ();
+     let raw = read_file file in
+     Sys.remove file;
+     match Json.parse_lines raw with
+     | Error msg -> Alcotest.fail ("trace is not valid JSONL: " ^ msg)
+     | Ok lines -> lines)
+
 let profile_tests =
   [
     t "profile folds the trace into per-instruction rows" (fun () ->
@@ -314,13 +339,37 @@ let profile_tests =
         let rendered = Format.asprintf "%a" Profile.pp p in
         Alcotest.(check bool)
           "mentions a Decoder instruction" true
-          (let n = String.length rendered in
-           let needle = "Decoder" in
-           let k = String.length needle in
-           let rec scan i =
-             i + k <= n && (String.sub rendered i k = needle || scan (i + 1))
-           in
-           scan 0));
+          (contains rendered "Decoder"));
+    t "the freeze reports its simplify time, and profile shows it"
+      (fun () ->
+        let lines = Lazy.force frozen in
+        let ends =
+          List.filter
+            (fun l ->
+              str "ev" l = Some "span_end"
+              && str "name" l = Some "checker.prepare_shared")
+            lines
+        in
+        Alcotest.(check int) "one freeze" 1 (List.length ends);
+        let span = List.hd ends in
+        let simplify_s, dur_s =
+          match (fl "simplify_s" span, fl "dur_s" span) with
+          | Some s, Some d -> (s, d)
+          | _ -> Alcotest.fail "prepare_shared span_end lacks simplify_s"
+        in
+        Alcotest.(check bool)
+          "0 <= simplify_s <= dur_s" true
+          (0.0 <= simplify_s && simplify_s <= dur_s);
+        let p = Profile.of_trace lines in
+        (match p.Profile.frames with
+        | [ f ] ->
+          Alcotest.(check (float 1e-9))
+            "frame record carries it" simplify_s f.Profile.simplify_s
+        | _ -> Alcotest.fail "expected one frame record");
+        let rendered = Format.asprintf "%a" Profile.pp p in
+        Alcotest.(check bool)
+          "frames table has a simp_s column" true
+          (contains rendered "simp_s"));
   ]
 
 let suite =

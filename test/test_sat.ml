@@ -80,6 +80,14 @@ let unit_tests =
         let s = mk 1 [ [ 1 ] ] in
         Alcotest.check result "unsat" Sat.Unsat (Sat.solve ~assumptions:[ -1 ] s);
         Alcotest.check result "sat again" Sat.Sat (Sat.solve s));
+    t "more assumptions than variables" (fun () ->
+        (* an assumption that already holds opens a placeholder
+           decision level, so levels can outnumber variables *)
+        let s = mk 2 [ [ 1; 2 ] ] in
+        Alcotest.check result "sat" Sat.Sat
+          (Sat.solve ~assumptions:(List.init 20 (fun _ -> 1)) s);
+        Alcotest.check result "unsat" Sat.Unsat
+          (Sat.solve ~assumptions:(List.init 20 (fun _ -> -1) @ [ -2 ]) s));
   ]
 
 (* Pigeonhole principle: [php p h] encodes "p pigeons into h holes". *)
@@ -515,12 +523,162 @@ let step_props =
              steps));
   ]
 
+(* Differential check of [Sat.simplify]'s dedup/subsumption stage
+   against the list-based pass it replaced, kept here verbatim as the
+   oracle (on records instead of solver clauses).  [reference_subsume]
+   takes the clauses in the solver's clause order, internal literal
+   encoding, and marks the ones the old pass deleted. *)
+type ref_clause = { r_lits : int array; mutable r_deleted : bool }
+
+let reference_subsume n_vars clauses =
+  let canon c =
+    let a = Array.copy c.r_lits in
+    Array.sort compare a;
+    a
+  in
+  let keyed =
+    List.filter_map
+      (fun c -> if c.r_deleted then None else Some (c, canon c))
+      clauses
+  in
+  let tbl = Hashtbl.create (max 16 (List.length keyed)) in
+  List.iter
+    (fun (c, k) ->
+      let key = Array.to_list k in
+      if Hashtbl.mem tbl key then c.r_deleted <- true
+      else Hashtbl.add tbl key ())
+    keyed;
+  let keyed = List.filter (fun (c, _) -> not c.r_deleted) keyed in
+  let occ = Array.make ((2 * n_vars) + 2) [] in
+  List.iter
+    (fun ck -> Array.iter (fun l -> occ.(l) <- ck :: occ.(l)) (snd ck))
+    keyed;
+  let subset a b =
+    let na = Array.length a and nb = Array.length b in
+    let rec go i j =
+      if i >= na then true
+      else if j >= nb then false
+      else if a.(i) = b.(j) then go (i + 1) (j + 1)
+      else if a.(i) > b.(j) then go i (j + 1)
+      else false
+    in
+    go 0 0
+  in
+  List.iter
+    (fun (c, k) ->
+      if (not c.r_deleted) && Array.length k <= 8 then begin
+        let rarest = ref k.(0) in
+        Array.iter
+          (fun l ->
+            if List.length occ.(l) < List.length occ.(!rarest) then
+              rarest := l)
+          k;
+        List.iter
+          (fun (d, kd) ->
+            if
+              d != c
+              && (not d.r_deleted)
+              && Array.length kd > Array.length k
+              && subset k kd
+            then d.r_deleted <- true)
+          occ.(!rarest)
+      end)
+    keyed
+
+(* The full [simplify] must equal the linear passes followed by the
+   oracle: the same export (clauses and their order) and the same
+   count.  Exported stored clauses have at least two literals and come
+   after the level-0 units, in reverse clause order. *)
+let simplify_matches_reference (n_vars, clauses) =
+  let linear = mk n_vars clauses in
+  let removed_linear = Sat.simplify ~subsume:false linear in
+  let _, exported = Sat.export linear in
+  let facts = List.filter (fun c -> List.length c < 2) exported in
+  let stored = List.filter (fun c -> List.length c >= 2) exported in
+  let internal l = if l > 0 then 2 * l else (2 * -l) + 1 in
+  let records =
+    List.rev_map
+      (fun c ->
+        { r_lits = Array.of_list (List.map internal c); r_deleted = false })
+      stored
+  in
+  if not (List.mem [] facts) then reference_subsume n_vars records;
+  let kept =
+    List.rev_map
+      (fun r ->
+        List.map (fun l -> if l land 1 = 0 then l / 2 else -(l / 2))
+          (Array.to_list r.r_lits))
+      (List.filter (fun r -> not r.r_deleted) records)
+  in
+  let n_deleted = List.length (List.filter (fun r -> r.r_deleted) records) in
+  let full = mk n_vars clauses in
+  let removed = Sat.simplify full in
+  Sat.export full = (n_vars, facts @ kept)
+  && removed = removed_linear + n_deleted
+
+(* CNFs built to hit every case of the rule: exact duplicates (in
+   another literal order), strict supersets of short and of long
+   (> 8 literals, never subsuming) clauses, and unit clauses placed
+   anywhere in the list, so that some literals are already false when
+   later clauses arrive and others only become false in [simplify]. *)
+let arb_subsumption_cnf =
+  let gen st =
+    let n_vars = 10 + Random.State.int st 4 in
+    let var () = 1 + Random.State.int st n_vars in
+    let lit () = if Random.State.bool st then var () else -var () in
+    let shuffle l =
+      List.map snd
+        (List.sort compare (List.map (fun x -> (Random.State.bits st, x)) l))
+    in
+    (* [c] plus up to [n] literals over variables not in it *)
+    let rec grow c n tries =
+      if n = 0 || tries = 0 then c
+      else
+        let l = lit () in
+        if List.exists (fun x -> abs x = abs l) c then grow c n (tries - 1)
+        else grow (l :: c) (n - 1) (tries - 1)
+    in
+    let extend c n = shuffle (grow c n 50) in
+    let base =
+      List.init (2 + Random.State.int st 10) (fun _ ->
+          extend []
+            (if Random.State.int st 4 = 0 then 9 + Random.State.int st 3
+             else 2 + Random.State.int st 4))
+    in
+    let pick () = List.nth base (Random.State.int st (List.length base)) in
+    let derived =
+      List.init (Random.State.int st 12) (fun _ ->
+          match Random.State.int st 3 with
+          | 0 -> shuffle (pick ())
+          | 1 -> extend (pick ()) (1 + Random.State.int st 3)
+          | _ -> extend [] (1 + Random.State.int st 3))
+    in
+    let units = List.init (Random.State.int st 3) (fun _ -> [ lit () ]) in
+    (n_vars, shuffle (base @ derived @ units))
+  in
+  QCheck.make
+    ~print:(fun (n, cs) ->
+      Printf.sprintf "%d vars: %s" n
+        (String.concat " "
+           (List.map
+              (fun c -> "(" ^ String.concat "|" (List.map string_of_int c) ^ ")")
+              cs)))
+    gen
+
+let subsumption_props =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"simplify's dedup/subsumption equals the reference pass"
+         ~count:1000 arb_subsumption_cnf simplify_matches_reference);
+  ]
+
 let suite =
   [
     ("sat:unit", unit_tests);
     ("sat:pigeonhole", pigeonhole_tests);
     ("sat:activation", activation_tests);
-    ("sat:simplify", simplify_tests);
+    ("sat:simplify", simplify_tests @ subsumption_props);
     ("sat:props", prop_tests);
     ("sat:incremental", incremental_props @ step_props);
   ]
