@@ -14,6 +14,16 @@ val generate : ila:Ila.t -> rtl:Ilv_rtl.Rtl.t -> refmap:Refmap.t -> Property.t l
     @raise Refmap.Invalid_refmap if an instruction lacks a map entry
     (cannot happen for maps built by {!Refmap.make}). *)
 
+val generator :
+  ila:Ila.t -> rtl:Ilv_rtl.Rtl.t -> refmap:Refmap.t -> Ila.instruction -> Property.t
+(** [generator ~ila ~rtl ~refmap] generates the properties of a port's
+    instructions, one call each, sharing one unrolling of [rtl] (with
+    its substitution memos) and the parts of the map that do not depend
+    on the instruction.  A call gives the same property as
+    {!generate_for} — its expressions physically equal — and fails as
+    that would, whatever was generated before.
+    @raise Refmap.Invalid_refmap if the instruction lacks a map entry. *)
+
 val generate_for :
   ila:Ila.t -> rtl:Ilv_rtl.Rtl.t -> refmap:Refmap.t -> Ila.instruction -> Property.t
 (** The property of a single leaf instruction. *)

@@ -23,7 +23,10 @@ val net : t -> cycle:int -> string -> Expr.t
 
 val at_cycle : t -> cycle:int -> Expr.t -> Expr.t
 (** Substitutes every RTL name in an expression (a refinement-map
-    right-hand side) with its symbolic value at the cycle. *)
+    right-hand side) with its symbolic value at the cycle.  Each cycle
+    keeps the substitutions it has made, so subterms met again (in a
+    later call, or in the next cycle's register updates) are not
+    rebuilt. *)
 
 val base_vars_used : t -> (string * Sort.t) list
 (** Base variables materialized so far (registers at cycle 0, inputs at

@@ -120,13 +120,13 @@ let prepare_properties ?(memory_abstraction = false) ~label entries =
   }
 
 let prepare_port ?memory_abstraction ~name ~port ~rtl ~refmap () =
+  let generate = Propgen.generator ~ila:port ~rtl ~refmap in
   prepare_properties ?memory_abstraction
     ~label:(name ^ "/" ^ port.Ila.name)
     (List.map
        (fun (i : Ila.instruction) ->
          ( i.Ila.instr_name,
-           try Ok (Propgen.generate_for ~ila:port ~rtl ~refmap i)
-           with e -> Error (message_of_exn e) ))
+           try Ok (generate i) with e -> Error (message_of_exn e) ))
        (Ila.leaf_instructions port))
 
 let prepared_instrs pr = pr.pp_names

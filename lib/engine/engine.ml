@@ -8,24 +8,33 @@ type job = {
   property : Property.t Lazy.t;
 }
 
+(* The jobs of one port share a lazy property generator, hence one
+   unrolling of the RTL; a refinement-map error still surfaces only in
+   the properties it breaks. *)
 let jobs_of ?only_ports ?(first_id = 0) ~name module_ila rtl
     ~refmap_for () =
-  let tasks = Verify.enumerate ?only_ports module_ila in
+  let generators =
+    List.map
+      (fun (port : Ila.t) ->
+        ( port.Ila.name,
+          lazy
+            (Propgen.generator ~ila:port ~rtl
+               ~refmap:(refmap_for port.Ila.name)) ))
+      (Verify.selected_ports ?only_ports module_ila)
+  in
   List.mapi
     (fun i (t : Verify.task) ->
       let port = t.Verify.task_port in
       let instr = t.Verify.task_instr in
+      let gen = List.assoc port.Ila.name generators in
       {
         id = first_id + i;
         design = name;
         port = port.Ila.name;
         instr = instr.Ila.instr_name;
-        property =
-          lazy
-            (Propgen.generate_for ~ila:port ~rtl
-               ~refmap:(refmap_for port.Ila.name) instr);
+        property = lazy ((Lazy.force gen) instr);
       })
-    tasks
+    (Verify.enumerate ?only_ports module_ila)
 
 type result = {
   job_id : int;

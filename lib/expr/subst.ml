@@ -1,7 +1,11 @@
 module Str_map = Map.Make (String)
 
-let rebuild lookup e =
-  let memo : (int, Expr.t) Hashtbl.t = Hashtbl.create 64 in
+(* rebuilt subterms by the id of the original *)
+type memo = (int, Expr.t) Hashtbl.t
+
+let memo () : memo = Hashtbl.create 64
+
+let rebuild ?(memo = memo ()) lookup e =
   let rec go e =
     match Hashtbl.find_opt memo (Expr.id e) with
     | Some r -> r
@@ -61,10 +65,7 @@ let rebuild lookup e =
   in
   go e
 
-let apply bindings e =
-  let map =
-    List.fold_left (fun m (k, v) -> Str_map.add k v m) Str_map.empty bindings
-  in
+let apply_map ?memo map e =
   let lookup name sort_ orig =
     match Str_map.find_opt name map with
     | Some r ->
@@ -76,7 +77,12 @@ let apply bindings e =
       else r
     | None -> orig
   in
-  rebuild lookup e
+  rebuild ?memo lookup e
+
+let apply bindings e =
+  apply_map
+    (List.fold_left (fun m (k, v) -> Str_map.add k v m) Str_map.empty bindings)
+    e
 
 let rename f e =
   let lookup name sort_ _orig = Expr.var (f name) sort_ in

@@ -25,9 +25,12 @@ type t = {
   mutable clauses : clause list; (* problem clauses *)
   mutable learnts : clause list;
   mutable watches : watches array; (* indexed by internal literal *)
-  mutable assign : int array; (* per var: 0 undef / 1 true / 2 false *)
+  mutable values : int array; (* per literal: 0 undef / 1 true / 2 false *)
   mutable level : int array;
-  mutable reason : clause option array;
+  mutable reason : clause array;
+      (* per var, read only while it is assigned (backtracking leaves
+         it stale): the implying clause, [no_clause] for decisions and
+         units *)
   mutable activity : float array;
   mutable phase : bool array; (* saved polarity *)
   mutable heap : int array; (* binary max-heap of vars *)
@@ -43,6 +46,7 @@ type t = {
   mutable unsat : bool; (* top-level conflict detected *)
   mutable solved : result option;
   mutable seen : bool array; (* scratch for analyze *)
+  mutable intake : int array; (* scratch for add_clause *)
   (* statistics *)
   mutable n_clauses : int;
   mutable n_activation : int; (* activation clauses among n_clauses *)
@@ -60,7 +64,8 @@ and result = Sat | Unsat
 let var_decay = 1.0 /. 0.95
 let cla_decay = 1.0 /. 0.999
 
-(* fills watch-vector slots past [size], so they keep no clause alive *)
+(* fills watch-vector slots past [size], so they keep no clause alive,
+   and stands for "no reason" in [reason] *)
 let no_clause =
   {
     lits = [||];
@@ -81,9 +86,9 @@ let create () =
     clauses = [];
     learnts = [];
     watches = Array.make 16 no_watches;
-    assign = Array.make 8 0;
+    values = Array.make 16 0;
     level = Array.make 8 0;
-    reason = Array.make 8 None;
+    reason = Array.make 8 no_clause;
     activity = Array.make 8 0.0;
     phase = Array.make 8 false;
     heap = Array.make 8 0;
@@ -99,6 +104,7 @@ let create () =
     unsat = false;
     solved = None;
     seen = Array.make 8 false;
+    intake = Array.make 8 0;
     n_clauses = 0;
     n_activation = 0;
     n_learnts = 0;
@@ -135,9 +141,9 @@ let new_var s =
   let v = s.n_vars + 1 in
   s.n_vars <- v;
   let n = v + 1 in
-  s.assign <- grow_array s.assign n 0;
+  s.values <- grow_array s.values ((2 * n) + 2) 0;
   s.level <- grow_array s.level n 0;
-  s.reason <- grow_array s.reason n None;
+  s.reason <- grow_array s.reason n no_clause;
   s.activity <- grow_array s.activity n 0.0;
   s.phase <- grow_array s.phase n false;
   s.heap <- grow_array s.heap n 0;
@@ -163,39 +169,56 @@ let num_activation_clauses s = s.n_activation
 let num_problem_clauses s = s.n_clauses - s.n_activation
 
 (* value of an internal literal: 0 undef / 1 true / 2 false *)
-let lit_value s l =
-  let a = s.assign.(var_of l) in
-  if a = 0 then 0 else if is_neg l then 3 - a else a
+let lit_value s l = s.values.(l)
 
-(* --- order heap (max-heap on activity) --- *)
+(* --- order heap (max-heap on activity) ---
 
-let heap_swap s i j =
-  let vi = s.heap.(i) and vj = s.heap.(j) in
-  s.heap.(i) <- vj;
-  s.heap.(j) <- vi;
-  s.heap_pos.(vj) <- i;
-  s.heap_pos.(vi) <- j
+   Sifting moves a hole instead of swapping: the moving variable is
+   written once, where it stops.  The comparisons are the strict [>] of
+   a swap-based heap (in [sift_down], the right child wins only when
+   strictly more active than the left), so ties break the same way and
+   the decision order is that of a swap-based heap. *)
 
-let rec sift_up s i =
-  if i > 0 then begin
-    let p = (i - 1) / 2 in
-    if s.activity.(s.heap.(i)) > s.activity.(s.heap.(p)) then begin
-      heap_swap s i p;
-      sift_up s p
+let sift_up s i =
+  let heap = s.heap and pos = s.heap_pos and act = s.activity in
+  let v = heap.(i) in
+  let a = act.(v) in
+  let i = ref i in
+  while !i > 0 && a > act.(heap.((!i - 1) / 2)) do
+    let p = (!i - 1) / 2 in
+    let u = heap.(p) in
+    heap.(!i) <- u;
+    pos.(u) <- !i;
+    i := p
+  done;
+  heap.(!i) <- v;
+  pos.(v) <- !i
+
+let sift_down s i =
+  let heap = s.heap and pos = s.heap_pos and act = s.activity in
+  let size = s.heap_size in
+  let v = heap.(i) in
+  let a = act.(v) in
+  let i = ref i and continue = ref true in
+  while !continue do
+    let l = (2 * !i) + 1 in
+    if l >= size then continue := false
+    else begin
+      let r = l + 1 in
+      let c =
+        if r < size && act.(heap.(r)) > act.(heap.(l)) then r else l
+      in
+      let u = heap.(c) in
+      if act.(u) > a then begin
+        heap.(!i) <- u;
+        pos.(u) <- !i;
+        i := c
+      end
+      else continue := false
     end
-  end
-
-let rec sift_down s i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let best = ref i in
-  if l < s.heap_size && s.activity.(s.heap.(l)) > s.activity.(s.heap.(!best))
-  then best := l;
-  if r < s.heap_size && s.activity.(s.heap.(r)) > s.activity.(s.heap.(!best))
-  then best := r;
-  if !best <> i then begin
-    heap_swap s i !best;
-    sift_down s !best
-  end
+  done;
+  heap.(!i) <- v;
+  pos.(v) <- !i
 
 let heap_insert s v =
   if s.heap_pos.(v) = -1 then begin
@@ -211,7 +234,6 @@ let heap_pop s =
   s.heap_pos.(v) <- -1;
   if s.heap_size > 0 then begin
     s.heap.(0) <- s.heap.(s.heap_size);
-    s.heap_pos.(s.heap.(0)) <- 0;
     sift_down s 0
   end;
   v
@@ -256,7 +278,8 @@ let decision_level s = s.trail_lim_size
 
 let enqueue s l reason =
   let v = var_of l in
-  s.assign.(v) <- (if is_neg l then 2 else 1);
+  s.values.(l) <- 1;
+  s.values.(neg_of l) <- 2;
   s.level.(v) <- decision_level s;
   s.reason.(v) <- reason;
   s.phase.(v) <- not (is_neg l);
@@ -267,10 +290,10 @@ let cancel_until s lvl =
   if decision_level s > lvl then begin
     let bound = s.trail_lim.(lvl) in
     for i = s.trail_size - 1 downto bound do
-      let v = var_of s.trail.(i) in
-      s.assign.(v) <- 0;
-      s.reason.(v) <- None;
-      heap_insert s v
+      let l = s.trail.(i) in
+      s.values.(l) <- 0;
+      s.values.(neg_of l) <- 0;
+      heap_insert s (var_of l)
     done;
     s.trail_size <- bound;
     s.qhead <- bound;
@@ -397,7 +420,7 @@ let propagate s =
               s.qhead <- s.trail_size;
               raise (Conflict c)
             end
-            else enqueue s first (Some c)
+            else enqueue s first c
           end
         end
       end
@@ -407,30 +430,58 @@ let propagate s =
 
 (* --- clause addition (level 0 only) --- *)
 
+(* The literals are insertion-sorted into the [intake] scratch array,
+   dropping duplicates, so a stored clause lists its literals in
+   increasing internal order.  A literal and its negation are then
+   adjacent, which makes the tautology test one comparison per
+   literal; one pass also drops literals false at level 0 and spots a
+   true one (the clause is satisfied). *)
 let add_clause ?(activation = false) s ext_lits =
   (* incremental use: drop any previous search state and model *)
   cancel_until s 0;
   s.solved <- None;
   if not s.unsat then begin
-    let lits = List.map (internal_of_ext s) ext_lits in
-    (* dedup, drop false lits (level 0), detect tautology/satisfied *)
-    let lits = List.sort_uniq compare lits in
-    let tautology =
-      List.exists (fun l -> List.mem (neg_of l) lits) lits
-      || List.exists (fun l -> lit_value s l = 1) lits
-    in
-    if not tautology then begin
-      let lits = List.filter (fun l -> lit_value s l <> 2) lits in
-      match lits with
-      | [] -> s.unsat <- true
-      | [ l ] -> begin
-        enqueue s l None;
+    let n = ref 0 in
+    List.iter
+      (fun x ->
+        let l = internal_of_ext s x in
+        if !n = Array.length s.intake then
+          s.intake <- grow_array s.intake (!n + 1) 0;
+        let buf = s.intake in
+        let j = ref (!n - 1) in
+        while !j >= 0 && buf.(!j) > l do
+          decr j
+        done;
+        if !j < 0 || buf.(!j) <> l then begin
+          Array.blit buf (!j + 1) buf (!j + 2) (!n - !j - 1);
+          buf.(!j + 1) <- l;
+          incr n
+        end)
+      ext_lits;
+    let buf = s.intake in
+    let dropped = ref false and live = ref 0 in
+    for k = 0 to !n - 1 do
+      let l = buf.(k) in
+      if k > 0 && buf.(k - 1) = neg_of l then dropped := true;
+      match lit_value s l with
+      | 1 -> dropped := true
+      | 2 -> ()
+      | _ ->
+        (* [live <= k], and slots below [k] are not read again *)
+        buf.(!live) <- l;
+        incr live
+    done;
+    if not !dropped then
+      match !live with
+      | 0 -> s.unsat <- true
+      | 1 -> begin
+        enqueue s buf.(0) no_clause;
         try propagate s with Conflict _ -> s.unsat <- true
       end
-      | _ ->
+      | live ->
         let c =
           {
-            lits = Array.of_list lits;
+            lits = Array.sub buf 0 live;
             learnt = false;
             activation;
             activity = 0.0;
@@ -441,7 +492,6 @@ let add_clause ?(activation = false) s ext_lits =
         s.n_clauses <- s.n_clauses + 1;
         if activation then s.n_activation <- s.n_activation + 1;
         attach s c
-    end
   end
 
 (* --- level-0 simplification --- *)
@@ -651,7 +701,7 @@ let simplify ?(subsume = true) s =
               s.unsat <- true;
               kept
             | [| l |] ->
-              enqueue s l None;
+              enqueue s l no_clause;
               (try propagate s with Conflict _ -> s.unsat <- true);
               kept
             | _ ->
@@ -671,7 +721,7 @@ let simplify ?(subsume = true) s =
       if s.trail_lim_size > 0 then s.trail_lim.(0) else s.trail_size
     in
     for i = 0 to level0_bound - 1 do
-      s.reason.(var_of s.trail.(i)) <- None
+      s.reason.(var_of s.trail.(i)) <- no_clause
     done;
     if subsume && not s.unsat then dedup_and_subsume s delete
   end;
@@ -725,17 +775,17 @@ let analyze s confl =
       continue := false
     end
     else begin
-      match s.reason.(v) with
-      | Some r ->
-        (* orient so that lits.(0) is q, skipped in the next round *)
-        if r.lits.(0) <> q then begin
-          let j = ref 0 in
-          Array.iteri (fun i l -> if l = q then j := i) r.lits;
-          r.lits.(!j) <- r.lits.(0);
-          r.lits.(0) <- q
-        end;
-        c := r
-      | None -> assert false (* decision variables end the loop via counter *)
+      let r = s.reason.(v) in
+      (* decision variables end the loop via counter *)
+      assert (r != no_clause);
+      (* orient so that lits.(0) is q, skipped in the next round *)
+      if r.lits.(0) <> q then begin
+        let j = ref 0 in
+        Array.iteri (fun i l -> if l = q then j := i) r.lits;
+        r.lits.(!j) <- r.lits.(0);
+        r.lits.(0) <- q
+      end;
+      c := r
     end
   done;
   let learnt_lits = neg_of !p :: !learnt in
@@ -744,7 +794,7 @@ let analyze s confl =
 
 let record_learnt s lits =
   s.learnt_literals <- s.learnt_literals + Array.length lits;
-  if Array.length lits = 1 then enqueue s lits.(0) None
+  if Array.length lits = 1 then enqueue s lits.(0) no_clause
   else begin
     (* watch the asserting literal and one literal from the backtrack
        level (position of max level among lits.(1..)) *)
@@ -763,17 +813,14 @@ let record_learnt s lits =
     s.n_learnts <- s.n_learnts + 1;
     bump_clause s c;
     attach s c;
-    enqueue s lits.(0) (Some c)
+    enqueue s lits.(0) c
   end
 
 (* --- learnt clause DB reduction --- *)
 
 let locked s c =
   (* a clause that is the reason of a current assignment must stay *)
-  lit_value s c.lits.(0) = 1
-  && (match s.reason.(var_of c.lits.(0)) with
-     | Some r -> r == c
-     | None -> false)
+  lit_value s c.lits.(0) = 1 && s.reason.(var_of c.lits.(0)) == c
 
 let reduce_db s =
   let arr = Array.of_list s.learnts in
@@ -814,7 +861,7 @@ let pick_branch_var s =
     if s.heap_size = 0 then 0
     else begin
       let v = heap_pop s in
-      if s.assign.(v) = 0 then v else go ()
+      if s.values.(pos v) = 0 then v else go ()
     end
   in
   go ()
@@ -974,7 +1021,7 @@ let solve_bounded ?(assumptions = []) ?(limit = no_limit) s =
                    | 2 -> answer := Some (Result Unsat)
                    | _ ->
                      new_level ();
-                     enqueue s l None
+                     enqueue s l no_clause
                  end
                  else begin
                    let v = pick_branch_var s in
@@ -983,7 +1030,7 @@ let solve_bounded ?(assumptions = []) ?(limit = no_limit) s =
                      s.decisions <- s.decisions + 1;
                      new_level ();
                      let l = if s.phase.(v) then pos v else pos v + 1 in
-                     enqueue s l None
+                     enqueue s l no_clause
                    end
                  end
              done
@@ -1054,7 +1101,7 @@ let value s v =
   match s.solved with
   | Some Sat ->
     if v < 1 || v > s.n_vars then invalid_arg "Sat.value: unknown variable";
-    s.assign.(v) = 1
+    s.values.(pos v) = 1
   | Some Unsat | None -> invalid_arg "Sat.value: no model available"
 
 let export s =

@@ -572,6 +572,150 @@ let propgen_tests =
           (String.length s > 0));
   ]
 
+(* A port's shared generator reuses one unrolling and its memos; it
+   must give exactly the one-shot properties, in any call order.
+   Expressions are hash-consed, so "the same" is physical equality. *)
+let same_property (a : Property.t) (b : Property.t) =
+  let same_list xs ys =
+    List.length xs = List.length ys && List.for_all2 ( == ) xs ys
+  in
+  a.Property.prop_name = b.Property.prop_name
+  && same_list a.Property.assumptions b.Property.assumptions
+  && same_list
+       (List.map snd a.Property.ila_bindings)
+       (List.map snd b.Property.ila_bindings)
+  && List.length a.Property.obligations = List.length b.Property.obligations
+  && List.for_all2
+       (fun (o : Property.obligation) (o' : Property.obligation) ->
+         o.Property.guard == o'.Property.guard
+         && o.Property.goal == o'.Property.goal
+         && o.Property.at_cycle = o'.Property.at_cycle)
+       a.Property.obligations b.Property.obligations
+
+let mentions_missing_map msg =
+  let needle = "no instruction map" in
+  let n = String.length needle in
+  let rec at i =
+    i + n <= String.length msg && (String.sub msg i n = needle || at (i + 1))
+  in
+  at 0
+
+(* [d]'s refinement maps, with the entry of instruction [victim] of
+   port [port] left out *)
+let refmap_without (d : Ilv_designs.Design.t) ~port ~victim name =
+  let r = d.Ilv_designs.Design.refmap_for d.Ilv_designs.Design.rtl name in
+  if name <> port then r
+  else
+    {
+      r with
+      Refmap.instruction_maps =
+        List.filter
+          (fun (m : Refmap.instr_map) -> m.Refmap.instr <> victim)
+          r.Refmap.instruction_maps;
+    }
+
+let propgen_sharing_tests =
+  let open Ilv_designs in
+  let open Ilv_engine in
+  [
+    t "a shared generator gives the one-shot properties in any order"
+      (fun () ->
+        List.iter
+          (fun (d : Design.t) ->
+            List.iter
+              (fun (port : Ila.t) ->
+                let rtl = d.Design.rtl in
+                let refmap = d.Design.refmap_for rtl port.Ila.name in
+                let instrs = Ila.leaf_instructions port in
+                let one_shot =
+                  List.map (Propgen.generate_for ~ila:port ~rtl ~refmap) instrs
+                in
+                let forward =
+                  List.map (Propgen.generator ~ila:port ~rtl ~refmap) instrs
+                in
+                let reverse =
+                  (* rev_map calls the generator on the last instruction
+                     first *)
+                  List.rev_map
+                    (Propgen.generator ~ila:port ~rtl ~refmap)
+                    (List.rev instrs)
+                in
+                List.iteri
+                  (fun k p ->
+                    let what order =
+                      Printf.sprintf "%s %s (%s order)" d.Design.name
+                        p.Property.prop_name order
+                    in
+                    Alcotest.(check bool)
+                      (what "forward") true
+                      (same_property p (List.nth forward k));
+                    Alcotest.(check bool)
+                      (what "reverse") true
+                      (same_property p (List.nth reverse k)))
+                  one_shot)
+              d.Design.module_ila.Module_ila.ports)
+          Catalog.quick);
+    t "an instruction without a map entry fails only its own job" (fun () ->
+        let d = Decoder_8051.design in
+        let port = List.hd d.Design.module_ila.Module_ila.ports in
+        let instrs =
+          List.map (fun (i : Ila.instruction) -> i.Ila.instr_name)
+            (Ila.leaf_instructions port)
+        in
+        Alcotest.(check bool)
+          "several instructions" true
+          (List.length instrs > 2);
+        List.iter
+          (fun victim ->
+            let refmap_for =
+              refmap_without d ~port:port.Ila.name ~victim
+            in
+            (* the engine: one lazy generator for the port's jobs *)
+            let results, summary =
+              Engine.run ~jobs:1
+                (Engine.jobs_of ~name:d.Design.name d.Design.module_ila
+                   d.Design.rtl ~refmap_for ())
+            in
+            Alcotest.(check int)
+              (victim ^ ": one error")
+              1 summary.Engine.n_errors;
+            List.iter
+              (fun (r : Engine.result) ->
+                let failed_alone =
+                  match r.Engine.verdict with
+                  | Checker.Proved -> r.Engine.r_instr <> victim
+                  | Checker.Unknown msg ->
+                    r.Engine.r_instr = victim
+                    && r.Engine.backend = "error"
+                    && mentions_missing_map msg
+                  | Checker.Failed _ -> false
+                in
+                Alcotest.(check bool)
+                  (Printf.sprintf "engine, %s missing: %s" victim
+                     r.Engine.r_instr)
+                  true failed_alone)
+              results;
+            (* Verify.prepare_port: one generator for the port *)
+            let pr =
+              Verify.prepare_port ~name:d.Design.name ~port ~rtl:d.Design.rtl
+                ~refmap:(refmap_for port.Ila.name) ()
+            in
+            List.iter
+              (fun instr ->
+                let ok =
+                  match Verify.prepared_slot pr instr with
+                  | Ok _ -> instr <> victim
+                  | Error msg ->
+                    instr = victim
+                    && mentions_missing_map msg
+                in
+                Alcotest.(check bool)
+                  (Printf.sprintf "prepare_port, %s missing: %s" victim instr)
+                  true ok)
+              instrs)
+          [ List.hd instrs; List.nth instrs (List.length instrs / 2) ]);
+  ]
+
 (* ---------- end-to-end refinement checking ---------- *)
 
 let e2e_tests =
@@ -809,7 +953,7 @@ let suite =
     ("core:ila-check", check_tests);
     ("core:compose", compose_tests);
     ("core:refmap", refmap_tests);
-    ("core:propgen", propgen_tests);
+    ("core:propgen", propgen_tests @ propgen_sharing_tests);
     ("core:e2e", e2e_tests);
     ("core:liveness", liveness_tests);
   ]

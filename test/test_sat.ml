@@ -673,6 +673,270 @@ let subsumption_props =
          ~count:1000 arb_subsumption_cnf simplify_matches_reference);
   ]
 
+(* --- the search, pinned ---
+
+   Decision, propagation, conflict and restart counts of a few fixed
+   instances.  The solver's bookkeeping (heap layout, value and reason
+   arrays, clause intake) may change for speed, but the search it runs
+   must not: any change to the branching order, the tie-breaking of
+   equal activities, the propagation order or the literal order of a
+   stored clause moves these numbers. *)
+
+let counts s =
+  let st = Sat.stats s in
+  (st.Sat.decisions, st.Sat.propagations, st.Sat.conflicts, st.Sat.restarts)
+
+let pp_counts (d, p, c, r) =
+  Printf.sprintf "decisions %d, propagations %d, conflicts %d, restarts %d" d
+    p c r
+
+let counts_t =
+  Alcotest.testable
+    (fun fmt c -> Format.pp_print_string fmt (pp_counts c))
+    ( = )
+
+(* [n_clauses] clauses of three literals drawn uniformly, duplicates and
+   tautologies included *)
+let random_3sat ~seed ~n_vars ~n_clauses =
+  let st = Random.State.make [| seed |] in
+  let lit () =
+    let v = 1 + Random.State.int st n_vars in
+    if Random.State.bool st then v else -v
+  in
+  let clause () =
+    let a = lit () in
+    let b = lit () in
+    [ a; b; lit () ]
+  in
+  let rec go k acc =
+    if k = 0 then List.rev acc else go (k - 1) (clause () :: acc)
+  in
+  go n_clauses []
+
+let pinned_search_tests =
+  [
+    t "php 7 6: pinned search counts" (fun () ->
+        let n, cs = php 7 6 in
+        let s = mk n cs in
+        Alcotest.check result "unsat" Sat.Unsat (Sat.solve s);
+        Alcotest.check counts_t "counts" (942, 9295, 754, 6) (counts s));
+    t "random 3-SAT: pinned search counts" (fun () ->
+        let sat_cs = random_3sat ~seed:7 ~n_vars:150 ~n_clauses:600 in
+        let s_sat = mk 150 sat_cs in
+        Alcotest.check result "sat" Sat.Sat (Sat.solve s_sat);
+        Alcotest.(check bool) "model" true (satisfies s_sat sat_cs);
+        (* hard enough for the learnt DB to be reduced *)
+        let s_unsat =
+          mk 200 (random_3sat ~seed:11 ~n_vars:200 ~n_clauses:860)
+        in
+        Alcotest.check result "unsat" Sat.Unsat (Sat.solve s_unsat);
+        Alcotest.(check (list counts_t))
+          "sat 150/600 (seed 7), unsat 200/860 (seed 11)"
+          [ (286, 5795, 187, 2); (14362, 426807, 11711, 62) ]
+          [ counts s_sat; counts s_unsat ]);
+    t "guarded incremental sequence: pinned search counts" (fun () ->
+        (* the engine's pattern on one solver: each query guarded by an
+           activation literal, solved under it, retired by a unit,
+           followed by simplification and aging *)
+        let s = Sat.create () in
+        let guarded (n, cs) =
+          let base = Sat.num_vars s in
+          for _ = 1 to n + 1 do
+            ignore (Sat.new_var s)
+          done;
+          let act = base + n + 1 in
+          let shift l = if l > 0 then l + base else l - base in
+          List.iter
+            (fun c ->
+              Sat.add_clause ~activation:true s (-act :: List.map shift c))
+            cs;
+          act
+        in
+        let query name expected act =
+          Alcotest.check result name expected (Sat.solve ~assumptions:[ act ] s);
+          let c = counts s in
+          Sat.add_clause ~activation:true s [ -act ];
+          c
+        in
+        let a1 = guarded (php 6 5) in
+        let c1 = query "php 6 5" Sat.Unsat a1 in
+        ignore (Sat.simplify ~subsume:false s);
+        Sat.age_activity s;
+        let a2 = guarded (40, random_3sat ~seed:3 ~n_vars:40 ~n_clauses:200) in
+        let c2 = query "3-SAT 40/200" Sat.Unsat a2 in
+        ignore (Sat.simplify s);
+        Sat.age_activity s;
+        let a3 = guarded (php 7 7) in
+        let c3 = query "php 7 7" Sat.Sat a3 in
+        ignore (Sat.simplify ~subsume:false s);
+        Sat.age_activity s;
+        let a4 = guarded (70, random_3sat ~seed:5 ~n_vars:70 ~n_clauses:250) in
+        let c4 = query "3-SAT 70/250" Sat.Sat a4 in
+        Alcotest.check result "all retired" Sat.Sat (Sat.solve s);
+        Alcotest.(check (list counts_t))
+          "after each query, and at the end"
+          [
+            (202, 1784, 163, 2);
+            (280, 2241, 202, 2);
+            (378, 2370, 203, 2);
+            (752, 5181, 330, 3);
+            (941, 5371, 330, 3);
+          ]
+          [ c1; c2; c3; c4; counts s ]);
+  ]
+
+(* --- clause intake against the list-based reference ---
+
+   [reference_intake] is the list-based [add_clause] front end the flat
+   one replaced, kept as the oracle: given the literals fixed at level 0
+   it says what a clause becomes.  Literals use the solver's internal
+   encoding (2v positive, 2v + 1 negative), so [List.sort_uniq] orders
+   a stored clause exactly as the solver must. *)
+type intake = Dropped | Empty | Unit of int | Stored of int list
+
+let reference_intake ~n_vars ~fixed ext_lits =
+  let internal l =
+    let v = abs l in
+    if v = 0 || v > n_vars then invalid_arg "unknown literal";
+    if l > 0 then 2 * v else (2 * v) + 1
+  in
+  let ext l = if l land 1 = 1 then -(l / 2) else l / 2 in
+  let lits = List.sort_uniq compare (List.map internal ext_lits) in
+  let value l =
+    if List.mem (ext l) fixed then 1
+    else if List.mem (-ext l) fixed then 2
+    else 0
+  in
+  let tautology =
+    List.exists (fun l -> List.mem (l lxor 1) lits) lits
+    || List.exists (fun l -> value l = 1) lits
+  in
+  if tautology then Dropped
+  else
+    match List.map ext (List.filter (fun l -> value l <> 2) lits) with
+    | [] -> Empty
+    | [ l ] -> Unit l
+    | ls -> Stored ls
+
+(* level-0 unit propagation to fixpoint, by rescanning: [None] on a
+   conflict.  Unit propagation reaches the same fixpoint in any order,
+   so this is the set the solver's trail must hold. *)
+let unit_closure fixed clauses =
+  let fixed = ref fixed and changed = ref true and conflict = ref false in
+  while !changed && not !conflict do
+    changed := false;
+    List.iter
+      (fun c ->
+        if not (!conflict || List.exists (fun l -> List.mem l !fixed) c) then
+          match List.filter (fun l -> not (List.mem (-l) !fixed)) c with
+          | [] -> conflict := true
+          | [ l ] ->
+            fixed := l :: !fixed;
+            changed := true
+          | _ -> ())
+      clauses
+  done;
+  if !conflict then None else Some (List.sort_uniq compare !fixed)
+
+let arb_intake =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 8 >>= fun n_vars ->
+      let lit = int_range 1 n_vars >>= fun v -> oneofl [ v; -v ] in
+      let unknown = oneofl [ 0; n_vars + 1; -(n_vars + 1); n_vars + 7 ] in
+      let clause =
+        list_size (int_range 0 5) lit >>= fun base ->
+        (* duplicates, complements (tautologies) and, rarely, a literal
+           of a variable that was never allocated *)
+        let again f =
+          if base = [] then return [] else map (fun l -> [ f l ]) (oneofl base)
+        in
+        let extra =
+          frequency
+            [
+              (4, return []);
+              (2, again Fun.id);
+              (1, again Int.neg);
+              (1, map (fun u -> [ u ]) unknown);
+            ]
+        in
+        extra >>= fun e -> shuffle_l (base @ e)
+      in
+      let step = frequency [ (3, clause); (1, map (fun l -> [ l ]) lit) ] in
+      list_size (int_range 1 30) step >>= fun steps -> return (n_vars, steps))
+  in
+  QCheck.make
+    ~print:(fun (n, cs) ->
+      Printf.sprintf "%d vars: %s" n
+        (String.concat " "
+           (List.map
+              (fun c -> "(" ^ String.concat "|" (List.map string_of_int c) ^ ")")
+              cs)))
+    gen
+
+let intake_matches_reference (n_vars, steps) =
+  let s = mk n_vars [] in
+  let accepted = ref [] in
+  let check_step c =
+    let m, before = Sat.export s in
+    assert (m = n_vars);
+    let unsat_before = List.mem [] before in
+    let fixed =
+      List.filter_map (function [ l ] -> Some l | _ -> None) before
+    and stored = List.filter (fun c -> List.length c >= 2) before in
+    let n_before = Sat.num_clauses s in
+    let expected =
+      if unsat_before then Ok Dropped
+      else
+        try Ok (reference_intake ~n_vars ~fixed c)
+        with Invalid_argument _ -> Error ()
+    in
+    let raised =
+      match Sat.add_clause s c with
+      | () -> false
+      | exception Invalid_argument _ -> true
+    in
+    let _, after = Sat.export s in
+    let n_after = Sat.num_clauses s in
+    match expected with
+    | Error () -> raised && after = before && n_after = n_before
+    | Ok _ when raised -> false
+    | Ok outcome -> (
+      if not unsat_before then accepted := c :: !accepted;
+      let units l = List.filter_map (function [ u ] -> Some u | _ -> None) l in
+      let stored_after = List.filter (fun c -> List.length c >= 2) after in
+      match outcome with
+      | Dropped -> after = before && n_after = n_before
+      | Stored ls ->
+        n_after = n_before + 1
+        && stored_after = stored @ [ ls ]
+        && units after = fixed
+        && not (List.mem [] after)
+      | Empty -> List.mem [] after && n_after = n_before
+      | Unit l -> (
+        n_after = n_before
+        &&
+        match unit_closure (l :: fixed) stored with
+        | None -> List.mem [] after
+        | Some closure ->
+          (not (List.mem [] after))
+          && List.sort compare (units after) = closure))
+  in
+  List.for_all check_step steps
+  &&
+  let verdict = Sat.solve s in
+  match brute_force n_vars !accepted with
+  | None -> verdict = Sat.Unsat
+  | Some _ -> verdict = Sat.Sat && satisfies s !accepted
+
+let intake_props =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"add_clause equals the list-based reference intake"
+         ~count:1000 arb_intake intake_matches_reference);
+  ]
+
 let suite =
   [
     ("sat:unit", unit_tests);
@@ -681,4 +945,6 @@ let suite =
     ("sat:simplify", simplify_tests @ subsumption_props);
     ("sat:props", prop_tests);
     ("sat:incremental", incremental_props @ step_props);
+    ("sat:pinned", pinned_search_tests);
+    ("sat:intake", intake_props);
   ]
