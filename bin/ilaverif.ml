@@ -84,7 +84,9 @@ let no_incremental_flag =
           "Escape hatch: bit-blast and solve every obligation in its own \
            fresh solver instead of sharing one incremental solver (and one \
            bit-blasted frame) per design.  Incremental mode is the default; \
-           verdicts are identical either way.")
+           verdicts are identical either way.  Fresh mode is the uncached \
+           reference: it cannot be combined with $(b,--cache), \
+           $(b,--cache-dir) or $(b,--daemon).")
 
 let daemon_arg =
   Arg.(
@@ -145,6 +147,23 @@ let setup_obs trace_out metrics =
 let open_cache ~use_cache ~cache_dir =
   if use_cache || cache_dir <> None then Some (Proof_cache.open_ ?dir:cache_dir ())
   else None
+
+(* Fresh mode never reaches a proof cache or a daemon: refuse a
+   combination that would otherwise drop the flag, before any solving. *)
+let incremental_or_die ~no_incremental ~use_cache ~cache_dir ~daemon =
+  let clash =
+    if daemon <> None then Some "--daemon"
+    else if use_cache then Some "--cache"
+    else if cache_dir <> None then Some "--cache-dir"
+    else None
+  in
+  match clash with
+  | Some opt when no_incremental ->
+    prerr_endline
+      ("--no-incremental runs uncached in-process and cannot be combined \
+        with " ^ opt);
+    exit 2
+  | _ -> not no_incremental
 
 let variant_or_die (d : Design.t) bug =
   match Design.variant d bug with
@@ -526,7 +545,9 @@ let verify_cmd =
   let run name bug port keep_going vcd jobs use_cache cache_dir
       no_incremental timeout_s daemon mem_abs trace_out metrics =
     setup_obs trace_out metrics;
-    let incremental = not no_incremental in
+    let incremental =
+      incremental_or_die ~no_incremental ~use_cache ~cache_dir ~daemon
+    in
     let memory_abstraction = mem_abs_enabled mem_abs in
     let d = or_die (find_design name) in
     let handled_by_daemon =
@@ -662,7 +683,9 @@ let table_cmd =
   let run quick jobs use_cache cache_dir no_incremental timeout_s daemon
       mem_abs trace_out metrics =
     setup_obs trace_out metrics;
-    let incremental = not no_incremental in
+    let incremental =
+      incremental_or_die ~no_incremental ~use_cache ~cache_dir ~daemon
+    in
     let memory_abstraction = mem_abs_enabled mem_abs in
     let suite = if quick then Catalog.quick else Catalog.all in
     let handled_by_daemon =

@@ -313,10 +313,8 @@ let check_queries ~mode ~budget ~retire ~on_sat ctx (p : Property.t) queries =
 
 (* A prepared property: the assumptions are asserted into one
    incremental bit-blasting context, and every obligation's guard and
-   negated goal are pre-encoded to solver literals.  Preparing is the
-   complete CNF encoding of the whole query set — after [prepare] the
-   CNF is stable, which is what makes {!cnf} a sound content address
-   for the proof cache — while the SAT search itself has not started. *)
+   negated goal are pre-encoded to solver literals, before the SAT
+   search starts. *)
 type prepared = {
   prop : Property.t;
   ctx : Bitblast.t;
@@ -339,9 +337,6 @@ let prepare ?(simplify = true) ?on_sat (p : Property.t) =
       p.Property.obligations
   in
   { prop = p; ctx; queries; pr_on_sat = on_sat }
-
-let cnf pr = Bitblast.cnf pr.ctx
-let hypothesis_literals pr = List.map snd pr.queries
 
 let check_prepared ?(budget = unlimited) pr =
   check_queries ~mode:"fresh" ~budget ~retire:ignore ~on_sat:pr.pr_on_sat
@@ -374,7 +369,6 @@ type enc =
 type shared = {
   sh_props : Property.t array;
   sh_ctx : Bitblast.t;
-  sh_simplify : bool;
   sh_label : string; (* what the frame belongs to, for observability *)
   sh_enc : enc array;
   sh_done : (verdict * stats) option array;
@@ -388,12 +382,11 @@ type shared = {
   sh_on_sat : sat_hook option;
 }
 
-let prepare_shared ?(simplify = true) ?(label = "") ?on_sat props =
+let prepare_shared ?(label = "") ?on_sat props =
   let n = List.length props in
   {
     sh_props = Array.of_list props;
     sh_ctx = Bitblast.create ();
-    sh_simplify = simplify;
     sh_label = label;
     sh_enc = Array.make n Pending;
     sh_done = Array.make n None;
@@ -408,18 +401,17 @@ let prepare_shared ?(simplify = true) ?(label = "") ?on_sat props =
    selector is assumed.  Deterministic for a given context state — the
    freeze below relies on replaying it on a pristine context producing
    the same clauses and selector numbers on every worker. *)
-let encode_property ctx ~simplify p =
-  let prep e = if simplify then Simp.simplify_fix e else e in
+let encode_property ctx p =
   let p_act = Bitblast.fresh_selector ctx in
   List.iter
-    (fun a -> Bitblast.guard_bool ctx ~act:p_act (prep a))
+    (fun a -> Bitblast.guard_bool ctx ~act:p_act (Simp.simplify_fix a))
     p.Property.assumptions;
   let obs =
     List.map
       (fun (ob : Property.obligation) ->
         let act = Bitblast.fresh_selector ctx in
-        Bitblast.guard_bool ctx ~act (prep ob.Property.guard);
-        Bitblast.guard_not ctx ~act (prep ob.Property.goal);
+        Bitblast.guard_bool ctx ~act (Simp.simplify_fix ob.Property.guard);
+        Bitblast.guard_not ctx ~act (Simp.simplify_fix ob.Property.goal);
         { so_ob = ob; so_act = act })
       p.Property.obligations
   in
@@ -448,7 +440,7 @@ let encode_shared sh idx =
              ])
       else None
     in
-    (match encode_property sh.sh_ctx ~simplify:sh.sh_simplify p with
+    (match encode_property sh.sh_ctx p with
     | p_act, obs -> sh.sh_enc.(idx) <- Encoded (p_act, obs)
     | exception ((Out_of_memory | Stack_overflow) as fatal) -> raise fatal
     | exception e -> sh.sh_enc.(idx) <- Enc_failed (Printexc.to_string e));
@@ -469,7 +461,7 @@ let encode_shared sh idx =
    before the first solve (lazy path, where the first property's cone
    already contains the common frame). *)
 let simplify_shared_once sh =
-  if sh.sh_simplify && not sh.sh_simplified then begin
+  if not sh.sh_simplified then begin
     sh.sh_simplified <- true;
     let t0 = Unix.gettimeofday () in
     let removed = Bitblast.simplify sh.sh_ctx in
@@ -507,7 +499,7 @@ let shared_freeze sh =
     let selectors =
       Array.map
         (fun p ->
-          match encode_property ctx ~simplify:sh.sh_simplify p with
+          match encode_property ctx p with
           | p_act, obs -> List.map (fun so -> [ p_act; so.so_act ]) obs
           | exception ((Out_of_memory | Stack_overflow) as fatal) ->
             raise fatal
@@ -515,7 +507,7 @@ let shared_freeze sh =
         sh.sh_props
     in
     let t0 = Ilv_obs.Obs.now_s () in
-    let removed = if sh.sh_simplify then Bitblast.simplify ctx else 0 in
+    let removed = Bitblast.simplify ctx in
     let simplify_s = Ilv_obs.Obs.now_s () -. t0 in
     sh.sh_removed <- removed;
     sh.sh_frozen <- Some (Bitblast.cnf ctx, selectors);
@@ -621,25 +613,6 @@ let degrade_event (p : Property.t) ~from_rung ~to_rung ~reason =
       ]
   end
 
-(* The last rung before giving up must be guaranteed to terminate
-   quickly: a quarter of whatever budget already failed, or a small
-   definite bound when the budget was unlimited (the only way an
-   unlimited run reaches this rung is an exception or injected fault,
-   where any bound at all is enough), and no escalation. *)
-let tightened (b : budget) : budget =
-  {
-    conflicts =
-      (match b.conflicts with
-      | Some c -> Some (max 1 (c / 4))
-      | None -> Some 50_000);
-    propagations = Option.map (fun n -> max 1 (n / 4)) b.propagations;
-    wall_s =
-      (match b.wall_s with Some w -> Some (w /. 4.0) | None -> Some 5.0);
-    deadline_s = b.deadline_s;
-    escalations = 0;
-    escalation_factor = b.escalation_factor;
-  }
-
 (* A fresh-context retry of one property.  [check] re-prepares from
    scratch, so an exception that poisoned the shared encoding resurfaces
    here; it must map to [Unknown], not propagate — the ladder's whole
@@ -652,7 +625,7 @@ let check_fresh ?on_sat ~budget ~simplify p =
 
 let check_shared_degrading ?(budget = unlimited) sh idx =
   let p = sh.sh_props.(idx) in
-  (* the ladder's fresh rungs re-solve the same (possibly abstract)
+  (* the ladder's fresh rung re-solves the same (possibly abstract)
      property, so the SAT-model hook must ride along or a spurious
      abstract model would masquerade as a genuine failure *)
   let on_sat =
@@ -662,34 +635,23 @@ let check_shared_degrading ?(budget = unlimited) sh idx =
   match v1 with
   | Proved | Failed _ -> (v1, s1, "incremental")
   | Unknown r1 when is_deadline_reason r1 ->
-    (* the group deadline passed; lower rungs face the same wall *)
+    (* the group deadline passed; the fresh rung faces the same wall *)
     (v1, s1, "incremental")
   | Unknown r1 when is_spurious_reason r1 ->
     (* the abstraction was refined: the whole frame is stale, so the
-       lower rungs would also solve a stale encoding — return to the
+       fresh rung would also solve a stale encoding — return to the
        CEGAR driver, which re-prepares and retries *)
     (v1, s1, "incremental")
   | Unknown r1 -> (
     degrade_event p ~from_rung:"incremental" ~to_rung:"fresh" ~reason:r1;
-    let v2, s2 = check_fresh ?on_sat ~budget ~simplify:sh.sh_simplify p in
+    let v2, s2 = check_fresh ?on_sat ~budget ~simplify:true p in
     let s12 = merge_stats s1 s2 in
     match v2 with
     | Proved | Failed _ -> (v2, s12, "fresh")
     | Unknown r2 when is_deadline_reason r2 || is_spurious_reason r2 ->
       (v2, s12, "fresh")
-    | Unknown r2 -> (
-      degrade_event p ~from_rung:"fresh" ~to_rung:"tightened" ~reason:r2;
-      let v3, s3 =
-        check_fresh ?on_sat ~budget:(tightened budget)
-          ~simplify:sh.sh_simplify p
-      in
-      let s123 = merge_stats s12 s3 in
-      match v3 with
-      | Proved | Failed _ -> (v3, s123, "tightened")
-      | Unknown r3 when is_spurious_reason r3 -> (v3, s123, "tightened")
-      | Unknown r3 ->
-        degrade_event p ~from_rung:"tightened" ~to_rung:"unknown" ~reason:r3;
-        ( Unknown
-            (Printf.sprintf "degraded(incremental->fresh->tightened): %s" r3),
-          s123,
-          "degraded" )))
+    | Unknown r2 ->
+      degrade_event p ~from_rung:"fresh" ~to_rung:"unknown" ~reason:r2;
+      ( Unknown (Printf.sprintf "degraded(incremental->fresh): %s" r2),
+        s12,
+        "degraded" ))

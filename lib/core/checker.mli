@@ -159,42 +159,7 @@ val check :
     over [Unknown].  [simplify] (default true) applies the word-level
     simplifier ({!Ilv_expr.Simp}) to every formula before bit-blasting;
     disabling it is only useful for measuring the simplifier's
-    effect.  Equivalent to [check_prepared (prepare p)]. *)
-
-(** {1 Two-phase checking}
-
-    The verification engine ({!Ilv_engine}) needs the complete
-    bit-blasted encoding of a property {e before} deciding how (or
-    whether) to solve it: the CNF is the content address of the
-    persistent proof cache.  [prepare] performs the full encoding —
-    assumptions asserted, every obligation's guard and negated goal
-    Tseitin-encoded to a selector literal — without starting any
-    search; [check_prepared] then decides the prepared obligations in
-    the same incremental context. *)
-
-type prepared
-
-val prepare :
-  ?simplify:bool ->
-  ?on_sat:(ob_index:int -> (string -> Ilv_expr.Sort.t -> Ilv_expr.Value.t) -> verdict option) ->
-  Property.t ->
-  prepared
-(** Bit-blasts the whole property into one incremental context.  After
-    this call the CNF is complete and stable: further solving only adds
-    learnt clauses, never problem clauses.  [on_sat] is the {!sat_hook}
-    with the property index pre-applied (a prepared context holds one
-    property). *)
-
-val check_prepared : ?budget:budget -> prepared -> verdict * stats
-
-val cnf : prepared -> int * int list list
-(** The prepared problem CNF ([n_vars], clauses in external literal
-    convention) — the raw material of the proof-cache key. *)
-
-val hypothesis_literals : prepared -> int list list
-(** Per obligation (in property order), the selector literals assumed
-    for that obligation's query: [assumptions ∧ guard ∧ ¬goal] is
-    decided as the prepared CNF under these assumptions. *)
+    effect. *)
 
 (** {1 Shared-frame incremental checking}
 
@@ -217,18 +182,13 @@ val hypothesis_literals : prepared -> int list list
 type shared
 
 val prepare_shared :
-  ?simplify:bool ->
-  ?label:string ->
-  ?on_sat:sat_hook ->
-  Property.t list ->
-  shared
-(** Creates the shared context.  [simplify] (default true) applies
-    both the word-level simplifier to every formula and, once per
-    context, the solver's CNF-level pass ({!Ilv_sat.Sat.simplify}).
-    [label] names the frame in observability output (the design, or
-    design/port, it belongs to).  [on_sat] interposes on every
-    satisfying model (see {!sat_hook}); it also rides along the
-    degradation ladder's fresh rungs. *)
+  ?label:string -> ?on_sat:sat_hook -> Property.t list -> shared
+(** Creates the shared context.  Every formula goes through the
+    word-level simplifier, and each context runs the solver's CNF-level
+    pass ({!Ilv_sat.Sat.simplify}) once.  [label] names the frame in
+    observability output (the design, or design/port, it belongs to).
+    [on_sat] interposes on every satisfying model (see {!sat_hook}); it
+    also rides along the degradation ladder's fresh rung. *)
 
 val check_shared : ?budget:budget -> shared -> int -> verdict * stats
 (** Decides property [idx]'s obligations in the shared context, with
@@ -265,12 +225,12 @@ val shared_error : shared -> int -> string option
 val check_shared_degrading :
   ?budget:budget -> shared -> int -> verdict * stats * string
 (** {!check_shared} wrapped in the degradation ladder: when the
-    incremental shared-frame query returns [Unknown], retry on a fresh
-    per-property context ({!check}); when that is also [Unknown], retry
-    once more under a tightened, escalation-free budget; only then give
-    up with [Unknown "degraded(incremental->fresh->tightened): ..."].
-    The returned string names the rung that produced the verdict
-    (["incremental"], ["fresh"], ["tightened"], or ["degraded"]).
+    incremental shared-frame query returns [Unknown], retry once on a
+    fresh per-property context ({!check}) under the same budget; when
+    that is also [Unknown], give up with
+    [Unknown "degraded(incremental->fresh): ..."].  The returned string
+    names the rung that produced the verdict (["incremental"],
+    ["fresh"] or ["degraded"]).
     Each demotion emits a ["checker.degrade"] {!Ilv_obs.Obs} event and
     bumps the ["checker.degradations"] counter.  A ["deadline: ..."]
     unknown short-circuits the ladder — lower rungs face the same
@@ -282,7 +242,7 @@ val shared_cnf_split : shared -> int * int
 
 val shared_simplify_removed : shared -> int
 (** Clauses removed by the CNF-level simplification pass (0 before the
-    pass has run, or with [~simplify:false]). *)
+    pass has run). *)
 
 (** {1 Model decoding helpers}
 

@@ -33,18 +33,6 @@ open Ilv_expr
    caller re-encodes — classic CEGAR, with strict window growth
    guaranteeing termination. *)
 
-type mode = Auto | On | Off
-
-let mode_of_string = function
-  | "auto" -> Some Auto
-  | "on" -> Some On
-  | "off" -> Some Off
-  | _ -> None
-
-let mode_to_string = function Auto -> "auto" | On -> "on" | Off -> "off"
-
-let mode_enabled = function Auto | On -> true | Off -> false
-
 (* ---- detection ---- *)
 
 let expr_has_mem e =

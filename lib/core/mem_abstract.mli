@@ -18,18 +18,6 @@
 
 open Ilv_expr
 
-(** {1 Mode selection} *)
-
-type mode = Auto | On | Off
-
-val mode_of_string : string -> mode option
-val mode_to_string : mode -> string
-
-val mode_enabled : mode -> bool
-(** [Auto] and [On] request the abstraction; {!create} already returns
-    [None] for memory-free property groups, which is exactly the
-    [Auto] behaviour, so both modes resolve to [true] here. *)
-
 (** {1 Abstraction state} *)
 
 type t

@@ -148,7 +148,7 @@ let rebuild_frame pr =
 let check_port_instr ?budget pr name =
   match prepared_slot pr name with
   | Ok idx -> (
-    (* the ladder: incremental -> fresh -> tightened -> Unknown, each
+    (* the ladder: incremental -> fresh -> Unknown, each
        demotion observable; with the memory abstraction active, a
        spurious-counterexample unknown re-encodes the refined window
        and retries (CEGAR), falling back to the concrete encoding when
@@ -208,13 +208,15 @@ let check_port_instr ?budget pr name =
 
 (* ---- fresh path ----
 
-   Single-property CEGAR driver over [Checker.check]: solve the
+   One property on its own solver, uncached: [Checker.check] on the
+   concrete encoding, or, under the memory abstraction, a
+   single-property CEGAR driver over [Checker.check_fresh]: solve the
    abstraction, replay SAT answers, re-encode after refinements, and
    fall back to the concrete encoding when the abstraction stops making
    progress. *)
 
-let check_property ?budget (p : Property.t) =
-  match Mem_abstract.create [ p ] with
+let check_property ?budget ~memory_abstraction (p : Property.t) =
+  match if memory_abstraction then Mem_abstract.create [ p ] else None with
   | None ->
     let v, s = Checker.check ?budget p in
     (v, s, "sat")
@@ -254,7 +256,7 @@ let is_degraded_rung rung =
     | Some i -> String.sub rung 0 i
     | None -> rung
   in
-  List.mem ladder [ "fresh"; "tightened"; "degraded" ]
+  List.mem ladder [ "fresh"; "degraded" ]
 
 type task = { task_port : Ila.t; task_instr : Ila.instruction }
 

@@ -138,24 +138,26 @@ val check_port_instr :
     concrete replay, [Proved] from the sound UNSAT direction of the
     abstraction.
 
-    The rung vocabulary: the ladder rung (["incremental"], ["fresh"],
-    ["tightened"] or ["degraded"]), suffixed ["+abstract"] (decided on
-    the first abstract frame) or ["+cegarN"] (after [N] refinements)
-    when the abstraction is active; ["abstract>concrete"] for the
-    concrete fallback; ["error"]. *)
+    The rung vocabulary: the ladder rung (["incremental"], ["fresh"] or
+    ["degraded"]), suffixed ["+abstract"] (decided on the first
+    abstract frame) or ["+cegarN"] (after [N] refinements) when the
+    abstraction is active; ["abstract>concrete"] for the concrete
+    fallback; ["error"]. *)
 
 val check_property :
   ?budget:Checker.budget ->
+  memory_abstraction:bool ->
   Property.t ->
   Checker.verdict * Checker.stats * string
 (** The fresh-path counterpart of {!check_port_instr}: decides one
-    property on its own solver ({!Checker.check}).  When the property
-    mentions a wide memory it solves the {!Mem_abstract} rewrite,
-    replays SAT answers, refines and re-encodes until a definite answer
-    (at most {!Mem_abstract.max_rounds} rounds), falling back to the
-    concrete encoding when refinement stalls.  The rung is ["sat"]
-    (no abstraction — not the ladder's ["fresh"] demotion),
-    ["abstract"], ["abstract+cegarN"] or ["abstract>concrete"]. *)
+    property on its own solver ({!Checker.check}), with no cache.  With
+    [memory_abstraction] and a wide memory in the property it solves
+    the {!Mem_abstract} rewrite, replays SAT answers, refines and
+    re-encodes until a definite answer (at most
+    {!Mem_abstract.max_rounds} rounds), falling back to the concrete
+    encoding when refinement stalls.  The rung is ["sat"] (no
+    abstraction — not the ladder's ["fresh"] demotion), ["abstract"],
+    ["abstract+cegarN"] or ["abstract>concrete"]. *)
 
 val is_cacheable_rung : string -> bool
 (** False for the CEGAR concrete fallback ["abstract>concrete"]: its
@@ -165,9 +167,9 @@ val is_cacheable_rung : string -> bool
 
 val is_degraded_rung : string -> bool
 (** True when the rung's ladder part is below the incremental rung
-    (["fresh"], ["tightened"] or ["degraded"], with or without a CEGAR
-    suffix).  The CEGAR concrete fallback ["abstract>concrete"] is a
-    refinement outcome, not a degradation. *)
+    (["fresh"] or ["degraded"], with or without a CEGAR suffix).  The
+    CEGAR concrete fallback ["abstract>concrete"] is a refinement
+    outcome, not a degradation. *)
 
 type task = { task_port : Ila.t; task_instr : Ila.instruction }
 (** One refinement obligation, as data: a leaf (sub-)instruction of one

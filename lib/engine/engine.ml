@@ -99,8 +99,8 @@ let chaos_kill_point (j : job) =
        = Ilv_obs.Inject.Fault
   then Unix.kill (Unix.getpid ()) Sys.sigkill
 
-(* Discharge one job through a cache-aware [check] (a {!Session} step,
-   given the job's cache labels).  Any exception becomes this job's
+(* Discharge one job through [check] (in incremental mode a {!Session}
+   step, given the job's cache labels).  Any exception becomes this job's
    [Unknown] — never the sweep's. *)
 let discharge check (j : job) =
   chaos_kill_point j;
@@ -271,6 +271,9 @@ let sweep ~stop_at_first_failure ?(jobs = 1) ?cache ?resident ?budget
   if resident <> None && jobs > 1 then
     invalid_arg "Engine.run: ~resident needs ~jobs:1 (a worker's sessions \
                  would die with it)";
+  if (not incremental) && (cache <> None || resident <> None) then
+    invalid_arg "Engine.run: ~incremental:false is the uncached reference \
+                 (no ~cache, no ~resident)";
   let t0 = Unix.gettimeofday () in
   let run_span =
     if Ilv_obs.Obs.enabled () then
@@ -312,7 +315,6 @@ let sweep ~stop_at_first_failure ?(jobs = 1) ?cache ?resident ?budget
       else begin
         (* the group's deadline starts here, preparation included *)
         let budget = Checker.with_timeout timeout_s budget in
-        let memo = Option.map (fun r -> r.memo) resident in
         let check =
           if incremental then begin
             let session =
@@ -321,11 +323,13 @@ let sweep ~stop_at_first_failure ?(jobs = 1) ?cache ?resident ?budget
             fun i ~design ~instr _ ->
               Session.check ?budget ~design ~instr session (string_of_int i)
           end
-          else fun _ ~design ~instr j ->
+          else fun _ ~design:_ ~instr:_ j ->
             match property_of j with
             | Ok p ->
-              Session.check_property ?budget ?cache ?memo ~memory_abstraction
-                ~design ~instr p
+              let verdict, stats, rung =
+                Verify.check_property ?budget ~memory_abstraction p
+              in
+              (verdict, stats, rung, false)
             | Error msg ->
               (* the same verdict [init_group]'s session gives such a job *)
               ( Checker.Unknown ("exception: " ^ msg),

@@ -5,10 +5,11 @@
     construction.  This module turns a sweep — one design, a Table-I
     suite, a mutation campaign — into an explicit {e job list}, then
     discharges it on a {!Pool} of parallel worker processes, consulting
-    the persistent {!Proof_cache} before any solving.  Both modes check
-    through {!Session}: incremental mode each group through one session
-    (the shared-frame driver of {!Ilv_core.Verify} bound to the cache),
-    fresh mode each job through {!Session.check_property}.
+    the persistent {!Proof_cache} before any solving.  Incremental mode
+    checks each group through one {!Session} (the shared-frame driver
+    of {!Ilv_core.Verify} bound to the cache and memo); fresh mode, the
+    uncached reference, decides each job on its own solver through
+    {!Ilv_core.Verify.check_property}.
 
     Determinism: job ids follow {!Ilv_core.Verify.enumerate} order and
     results are returned sorted by id, so the verdicts and their order
@@ -53,13 +54,13 @@ type result = {
   backend : string;
       (** what produced the verdict: in incremental mode the rung of
           {!Ilv_core.Verify.check_port_instr} (["incremental"],
-          ["fresh"], ["tightened"], ["degraded"], with a ["+abstract"]
-          or ["+cegarN"] suffix under the memory abstraction, or
-          ["abstract>concrete"]); in fresh mode ["sat"], or
-          {!Ilv_core.Verify.check_property}'s ["abstract"] rungs;
-          and ["memo"] ({!resident} runs), ["cache"], ["error"] or
-          ["poisoned"] (quarantined by pool supervision) in either
-          mode *)
+          ["fresh"], ["degraded"], with a ["+abstract"] or ["+cegarN"]
+          suffix under the memory abstraction, or
+          ["abstract>concrete"]), ["memo"] ({!resident} runs) or
+          ["cache"]; in fresh mode ["sat"], or
+          {!Ilv_core.Verify.check_property}'s ["abstract"] rungs; and
+          ["error"] or ["poisoned"] (quarantined by pool supervision)
+          in either mode *)
   cache_hit : bool;
 }
 
@@ -73,7 +74,7 @@ type summary = {
       (** jobs quarantined after killing two distinct workers *)
   n_degraded : int;
       (** jobs whose verdict came from a lower rung of the degradation
-          ladder (fresh retry, tightened budget, or final give-up —
+          ladder (fresh retry or final give-up —
           {!Ilv_core.Verify.is_degraded_rung}); the CEGAR concrete
           fallback is not one *)
   cache_hits : int;
@@ -112,7 +113,7 @@ val run :
     [1] runs in-process with no fork.  With [cache], every job first
     computes its proof-cache key; a hit skips solving entirely, a miss
     solves and stores any definitive verdict.  [budget] bounds every
-    SAT query as in {!Checker.check_prepared}.
+    SAT query as in {!Checker.check}.
 
     [timeout_s] sets a wall-clock deadline per obligation group — per
     (design, port) group in incremental mode (the clock starts when a
@@ -128,11 +129,12 @@ val run :
     forks once, prepares a group's shared context once, and streams the
     group's jobs against it, so learnt clauses transfer between a
     port's obligations.  A frame is frozen ({!Checker.shared_freeze})
-    only when the proof cache keys or stores against it.  Cache keys in
-    this mode hash the shared frame plus the property's activation
-    selectors ({!Proof_cache.key_of_shared}) and can never alias
-    non-incremental entries.  [incremental:false] discharges each job
-    on its own solver through {!Session.check_property}.  Verdicts and
+    only when the proof cache keys or stores against it.  Cache keys
+    hash the shared frame plus the property's activation selectors
+    ({!Proof_cache.key_of_shared}).  [incremental:false] is the
+    uncached reference: each job is decided on its own solver through
+    {!Ilv_core.Verify.check_property}, and the run raises
+    [Invalid_argument] when given [cache] or [resident].  Verdicts and
     their order are identical in both modes.
 
     [memory_abstraction] (default [false]) encodes memory-mentioning
@@ -145,11 +147,11 @@ val run :
     rungs recording the refinement work (["+cegarN"],
     ["abstract>concrete"]).
 
-    [resident] keeps state across runs (the daemon's): in incremental
-    mode a group's session is looked up before one is built and kept
-    afterwards, and in both modes the memo answers any obligation a
-    previous run decided definitively, with backend ["memo"] — not a
-    cache hit, no cache miss, no SAT attempt.  A group whose results
+    [resident] keeps state across runs (the daemon's): a group's
+    session is looked up before one is built and kept afterwards, and
+    the memo answers any obligation a previous run decided
+    definitively, with backend ["memo"] — not a cache hit, no cache
+    miss, no SAT attempt.  A group whose results
     include a deadline [Unknown] ({!Checker.is_deadline_reason}) is
     dropped, since its session pins the skipped verdicts; the next run
     rebuilds it.  Raises [Invalid_argument] with [jobs > 1]: sessions

@@ -6,10 +6,9 @@ open Ilv_core
    alias a concrete entry even if their clause sets coincide.  /4: the
    entry file format grew a per-entry checksum (file format /2), so a
    torn or bit-rotted entry is detected on read instead of trusted.
-   /3 keys were mode-tagged ("F;" for fresh per-property CNFs, "I;"
-   for shared-frame incremental queries), so an incremental run and a
-   non-incremental run can never alias each other's entries even when
-   their clause sets coincide.  Version bumps make older entries stale
+   /3 keys were mode-tagged ("I;" for shared-frame incremental queries;
+   the per-property "F;" scheme is gone, and its entries are
+   unreachable).  Version bumps make older entries stale
    rather than silently unreachable. *)
 let version = "ilaverif-engine/5"
 
@@ -363,32 +362,13 @@ type entry = {
    are sound for the same property. *)
 let mode_tag = function None -> "" | Some m -> "M" ^ m ^ ";"
 
-(* Selector literal lists get the same treatment as clauses
-   ([canonical_lists]).  An obligation set that merely arrives
-   reordered (or with a duplicated selector) therefore hashes to the
-   same key instead of missing the cache. *)
-let key_of_frame ?mode frame ~hyps =
-  Digest.to_hex
-    (Digest.string
-       (String.concat ""
-          [
-            "F;";
-            mode_tag mode;
-            Lazy.force frame.f_text;
-            lit_lists_text ~prefix:"#H" (canonical_lists hyps);
-          ]))
-
-let key_of_cnf ?mode ~n_vars ~clauses ~hyps () =
-  key_of_frame ?mode (canonical_cnf (n_vars, clauses)) ~hyps
-
-let key_of_prepared pr =
-  let n_vars, clauses = Checker.cnf pr in
-  key_of_cnf ~n_vars ~clauses ~hyps:(Checker.hypothesis_literals pr) ()
-
 (* Shared-frame (incremental) keys: the frame — one CNF for all of a
    design's obligations — is digested once per design, and each
    property's key combines that digest with its canonical activation
-   selectors.  The "I;" tag keeps these disjoint from "F;" keys. *)
+   selectors.  Selector lists get the same treatment as clauses
+   ([canonical_lists]), so an obligation set that merely arrives
+   reordered (or with a duplicated selector) hashes to the same key
+   instead of missing the cache. *)
 let frame_digest cnf = digest (canonical_cnf cnf)
 
 let key_of_shared ?mode ~frame ~selectors () =
@@ -513,10 +493,6 @@ let file_of t key =
     (Filename.concat t.cache_dir (shard_of key))
     (key ^ entry_suffix)
 
-(* Pre-sharding layout: entries directly under the cache root.  Still
-   readable (lookup falls back to it), never written to. *)
-let legacy_file_of t key = Filename.concat t.cache_dir (key ^ entry_suffix)
-
 (* What an entry file holds: the entry with its frame replaced by the
    frame's digest. *)
 type record = {
@@ -598,7 +574,8 @@ let load_entry t path key =
       end)
 
 let lookup t key =
-  let try_path path =
+  let path = file_of t key in
+  let found =
     if not (Sys.file_exists path) then None
     else
       match load_entry t path key with
@@ -610,11 +587,6 @@ let lookup t key =
            space *)
         ignore (quarantine t path);
         None
-  in
-  let found =
-    match try_path (file_of t key) with
-    | Some _ as r -> r
-    | None -> try_path (legacy_file_of t key)
   in
   if Ilv_obs.Obs.enabled () then begin
     let open Ilv_obs.Obs in
@@ -683,7 +655,8 @@ let entry_files_in dir =
     |> List.sort compare
     |> List.map (Filename.concat dir)
 
-(* Shard directories first (the write path), then legacy flat entries;
+(* Shard directories first (the write path), then flat files under the
+   root, which no lookup reads but stats, clear and validate still see;
    the quarantine and frames directories are not shards and are never
    walked. *)
 let entry_files t =

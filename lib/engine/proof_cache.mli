@@ -4,20 +4,17 @@
     {2 Cache key}
 
     An entry is keyed by a stable structural hash of the {e
-    bit-blasted} obligation set: the complete problem CNF of the
-    prepared property ({!Ilv_core.Checker.prepare} — assumptions plus
-    the Tseitin encoding of every obligation's guard and negated goal)
-    together with the per-obligation selector literals.  Keys are
-    {e mode-tagged}: a fresh per-property preparation and a
-    shared-frame incremental query hash disjoint key spaces
-    ({!key_of_cnf} vs {!key_of_shared}), so the two modes can never
-    serve each other's entries even when their clause sets happen to
-    coincide.  Clause
+    bit-blasted} obligation: the digest of its group's frozen shared
+    frame ({!Ilv_core.Checker.shared_cnf} — every property's
+    assumptions plus the Tseitin encoding of every obligation's guard
+    and negated goal, behind activation literals) together with the
+    property's per-obligation selector literals ({!key_of_shared}).
+    There is one key namespace: fresh-mode runs are not cached.  Clause
     literals are sorted within each clause and clauses sorted
     lexicographically before hashing, so the key is insensitive to
     clause emission order; CNF variable numbering is preserved by
     construction (bit-blasting allocates variables in deterministic
-    structural order), so re-preparing the same property — in the same
+    structural order), so re-preparing the same group — in the same
     run or a later one — reproduces the key bit-for-bit.  Anything
     that changes the proof problem (RTL edit, refinement-map edit,
     simplifier change, encoding change) changes the CNF and therefore
@@ -38,8 +35,9 @@
     {2 Layout and crash safety}
 
     Entries are sharded into 256 subdirectories by the first two hex
-    characters of the key ([<dir>/ab/<key>.proof]); entries from the
-    older flat layout are still found by {!lookup} but never written.
+    characters of the key ([<dir>/ab/<key>.proof]).  Files left
+    directly under [<dir>] by an older layout are never looked up, but
+    {!stats}, {!clear} and {!validate} still see them.
     A frame blob lives at [<dir>/frames/<digest>.cnf] and holds the
     canonical serialization {!frame_digest} hashes, so it verifies
     itself: its MD5 is its name.  It is written once, before the first
@@ -122,52 +120,25 @@ type entry = {
   created_s : float;  (** [Unix.gettimeofday] at store time *)
 }
 
-val key_of_cnf :
-  ?mode:string ->
-  n_vars:int ->
-  clauses:int list list ->
-  hyps:int list list ->
-  unit ->
-  string
-(** The hex digest of the canonicalized CNF + obligation selectors.
-    Clauses {e and} selector lists are canonicalized the same way —
-    literals deduplicated and sorted within each list, lists sorted
-    overall — so neither clause order nor obligation order perturbs the
-    key.  [mode] tags the encoding that produced the CNF (the engine
-    passes ["abstract"] under the memory abstraction); keys with
-    different tags never alias.  Exposed (rather than only
-    {!key_of_prepared}) so tests can verify the canonicalization
-    directly — e.g. that permuting clauses, literals, or whole selector
-    lists does not change the key. *)
-
-val key_of_frame : ?mode:string -> frame -> hyps:int list list -> string
-(** {!key_of_cnf} of a frame already canonicalized by {!canonical_cnf}:
-    [key_of_cnf ?mode ~n_vars ~clauses ~hyps ()] is
-    [key_of_frame ?mode (canonical_cnf (n_vars, clauses)) ~hyps].  A
-    caller that also stores the frame canonicalizes it once. *)
-
-val key_of_prepared : Ilv_core.Checker.prepared -> string
-(** Must be taken {e before} solving on the prepared context: the
-    solver appends learned clauses to the context's CNF, so a key
-    computed after {!Ilv_core.Checker.check_prepared} does not match
-    the one a fresh preparation of the same property produces. *)
-
 val frame_digest : int * int list list -> string
 (** Digest of a canonicalized shared-frame CNF
     ({!Ilv_core.Checker.shared_cnf}).  Computed once per design and
     reused for every property's {!key_of_shared}.  Must be taken from
-    the {e frozen} snapshot (before any solving), like
-    {!key_of_prepared}. *)
+    the {e frozen} snapshot: the live solver appends learnt clauses and
+    retire units to its own CNF. *)
 
 val key_of_shared :
   ?mode:string -> frame:string -> selectors:int list list -> unit -> string
 (** Key of one property's obligations inside a shared frame:
     [frame] is the {!frame_digest} of the design's shared CNF and
     [selectors] the property's activation-selector lists
-    ({!Ilv_core.Checker.shared_frame_selectors}), canonicalized like
-    {!key_of_cnf}'s selector lists.  Tagged distinctly from
-    {!key_of_cnf} keys, so incremental and non-incremental runs never
-    alias; [mode] further segregates encodings, as in {!key_of_cnf}. *)
+    ({!Ilv_core.Checker.shared_frame_selectors}).  Selector lists are
+    canonicalized like clauses — literals deduplicated and sorted
+    within each list, lists sorted overall — so neither obligation
+    order nor a repeated selector perturbs the key.  [mode] tags the
+    encoding that produced the frame (the engine passes ["abstract"]
+    under the memory abstraction); keys with different tags never
+    alias. *)
 
 val lookup : t -> string -> entry option
 (** [None] on a genuine miss {e and} on any unreadable entry — a

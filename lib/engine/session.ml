@@ -65,12 +65,12 @@ let canonical s sh =
       s.s_refined <- Some (sh, fr);
       fr
 
-(* The one lookup -> decide -> store step of both solving modes: the
-   in-memory [memo], then the persistent [cache], then [decide].  [key]
-   yields the entry's key with a thunk for the CNF and selectors to
-   store beside it; [storable] is the mode's cache-store rule on the
-   deciding rung.  Only definitive verdicts are memoized or stored. *)
-let cached ?cache ?memo ~design ~instr ~key ~storable decide =
+(* The one lookup -> decide -> store step: the in-memory [memo], then
+   the persistent [cache], then [decide].  [key] yields the entry's key
+   with a thunk for the CNF and selectors to store beside it.  Only
+   definitive verdicts are memoized, and only those of a cacheable
+   rung are stored. *)
+let cached ?cache ?memo ~design ~instr ~key decide =
   let key = if cache = None && memo = None then None else key () in
   let find tier lookup =
     match (tier, key) with Some t, Some (k, _) -> lookup t k | _ -> None
@@ -85,7 +85,7 @@ let cached ?cache ?memo ~design ~instr ~key ~storable decide =
         let verdict, stats, rung = decide () in
         (match (cache, key, verdict) with
         | Some c, Some (key, proof), (Checker.Proved | Checker.Failed _)
-          when storable rung ->
+          when Verify.is_cacheable_rung rung ->
           let cnf, hyps = proof () in
           Proof_cache.store c
             {
@@ -121,44 +121,4 @@ let check ?budget ~design ~instr s name =
               let sh = Verify.prepared_shared pr in
               (canonical s sh, Checker.shared_frame_selectors sh idx) ))
         (slot_key s name))
-    ~storable:Verify.is_cacheable_rung
     (fun () -> Verify.check_port_instr ?budget pr name)
-
-(* A fresh context's key must be taken before solving: the solver
-   appends learnt clauses to the context's CNF.  When a cache will store
-   the frame, the key and the stored blob share one canonical frame;
-   otherwise (a memo only) the frame is garbage once the key is built
-   and the thunk holds only the raw clauses. *)
-let fresh_key ?mode ~stored pr =
-  let n_vars, clauses = Checker.cnf pr in
-  let hyps = Checker.hypothesis_literals pr in
-  if stored then
-    let frame = Proof_cache.canonical_cnf (n_vars, clauses) in
-    (Proof_cache.key_of_frame ?mode frame ~hyps, fun () -> (frame, hyps))
-  else
-    ( Proof_cache.key_of_cnf ?mode ~n_vars ~clauses ~hyps (),
-      fun () -> (Proof_cache.canonical_cnf (n_vars, clauses), hyps) )
-
-let check_property ?budget ?cache ?memo ~memory_abstraction ~design ~instr
-    p =
-  let stored = Option.is_some cache in
-  match if memory_abstraction then Mem_abstract.create [ p ] else None with
-  | None ->
-    let pr = Checker.prepare p in
-    cached ?cache ?memo ~design ~instr
-      ~key:(fun () -> Some (fresh_key ~stored pr))
-      ~storable:(fun _ -> true)
-      (fun () ->
-        let verdict, stats = Checker.check_prepared ?budget pr in
-        (verdict, stats, "sat"))
-  | Some ab ->
-    (* keyed on the generation-0 abstract encoding, and stored only when
-       generation 0 decided, so the stored CNF re-solves to the stored
-       verdict shape under [Proof_cache.validate] *)
-    cached ?cache ?memo ~design ~instr
-      ~key:(fun () ->
-        Some
-          (fresh_key ~mode:"abstract" ~stored
-             (Checker.prepare (Mem_abstract.abstract_properties ab).(0))))
-      ~storable:(String.equal "abstract")
-      (fun () -> Verify.check_property ?budget p)

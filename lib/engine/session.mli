@@ -1,12 +1,12 @@
 (** The one place where an obligation is keyed, looked up, decided and
-    stored — in both solving modes.  A shared-frame session binds a
-    prepared obligation group ({!Ilv_core.Verify.prepared_port}) to the
-    persistent {!Proof_cache} and, for a long-lived caller, to an
-    in-memory {!memo}: {!Engine.run}'s groups check through {!check},
-    resident ones (the daemon's) included.  Fresh mode checks one
-    property on its own solver through {!check_property}.  Both go
-    through the same lookup→decide→store step: memo, then proof cache,
-    then the solver. *)
+    stored.  A session binds a prepared obligation group
+    ({!Ilv_core.Verify.prepared_port}) to the persistent {!Proof_cache}
+    and, for a long-lived caller, to an in-memory {!memo}:
+    {!Engine.run}'s incremental groups check through {!check}, resident
+    ones (the daemon's) included, in one lookup→decide→store step:
+    memo, then proof cache, then the solver.  Fresh mode is the
+    uncached reference and does not use a session
+    ({!Ilv_core.Verify.check_property}). *)
 
 open Ilv_core
 
@@ -55,25 +55,3 @@ val check :
     stored.  Every definitive verdict, however it was reached, is
     memoized under {!key}.  [design] and [instr] only label the stored
     entry. *)
-
-val check_property :
-  ?budget:Checker.budget ->
-  ?cache:Proof_cache.t ->
-  ?memo:memo ->
-  memory_abstraction:bool ->
-  design:string ->
-  instr:string ->
-  Property.t ->
-  Checker.verdict * Checker.stats * string * bool
-(** {!check} for one property on its own solver (fresh mode), with the
-    same result shape.  The key ({!Proof_cache.key_of_frame}, sharing
-    its canonical frame with the stored blob when there is a [cache])
-    is taken from the generation-0 encoding before any solving: the concrete
-    {!Checker.prepare}, or — when [memory_abstraction] rewrites the
-    property — the first abstract property with the ["abstract"] mode
-    tag.  A miss decides the concrete property with
-    {!Checker.check_prepared} on the keyed context (rung ["sat"]) or
-    through {!Verify.check_property}.  Concrete definitive verdicts are
-    always stored; abstract ones only from the rung that is exactly
-    ["abstract"], since only generation 0's stored CNF re-solves to the
-    stored verdict shape. *)

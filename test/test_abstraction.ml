@@ -171,7 +171,9 @@ let prop_tests =
          ~name:"abstract and concrete verdicts agree on random properties"
          ~count:150 arb_prop (fun p ->
            let concrete, _ = Checker.check p in
-           let abstract, _, rung = Verify.check_property p in
+           let abstract, _, rung =
+             Verify.check_property ~memory_abstraction:true p
+           in
            (* the smart constructors can fold a goal over constant
               memories down to a constant: exactly the properties left
               without a wide memory take the concrete path *)
@@ -181,7 +183,7 @@ let prop_tests =
       (QCheck.Test.make
          ~name:"abstract counterexamples are genuine under replay" ~count:150
          arb_prop (fun p ->
-           match Verify.check_property p with
+           match Verify.check_property ~memory_abstraction:true p with
            | Checker.Failed tr, _, _ -> genuine p tr
            | (Checker.Proved | Checker.Unknown _), _, _ ->
              QCheck.assume_fail ()));
@@ -205,17 +207,6 @@ let unit_tests =
         let p = mk_prop ~assumptions:[] goal in
         Alcotest.(check bool) "32 words abstract" true
           (Mem_abstract.create [ p ] <> None));
-    t "mode parsing round-trips" (fun () ->
-        List.iter
-          (fun mode ->
-            Alcotest.(check bool)
-              (Mem_abstract.mode_to_string mode ^ " round-trips")
-              true
-              (Mem_abstract.mode_of_string (Mem_abstract.mode_to_string mode)
-              = Some mode))
-          [ Mem_abstract.Auto; Mem_abstract.On; Mem_abstract.Off ];
-        Alcotest.(check bool) "junk rejected" true
-          (Mem_abstract.mode_of_string "sometimes" = None));
   ]
 
 let suite =

@@ -23,12 +23,14 @@ let fresh_dir =
 let design name =
   List.find (fun d -> d.Design.name = name) Catalog.all
 
-(* A freshly generated + prepared property (never solved on). *)
-let prepared_of (d : Design.t) =
+(* A fresh shared frame holding the design's first property (never
+   solved on). *)
+let shared_of (d : Design.t) =
   let port = List.hd d.Design.module_ila.Module_ila.ports in
   let instr = List.hd (Ila.leaf_instructions port) in
   let refmap = d.Design.refmap_for d.Design.rtl port.Ila.name in
-  Checker.prepare (Propgen.generate_for ~ila:port ~rtl:d.Design.rtl ~refmap instr)
+  Checker.prepare_shared ~label:d.Design.name
+    [ Propgen.generate_for ~ila:port ~rtl:d.Design.rtl ~refmap instr ]
 
 let jobs_of (d : Design.t) =
   Engine.jobs_of ~name:d.Design.name d.Design.module_ila d.Design.rtl
@@ -43,50 +45,80 @@ let key_tests =
   [
     t "key insensitive to clause and literal order" (fun () ->
         let clauses = [ [ 1; -2; 3 ]; [ -1; 4 ]; [ 2; -3; -4 ]; [ 5 ] ] in
-        let hyps = [ [ 6 ]; [ 7; 8 ] ] in
-        let k = Proof_cache.key_of_cnf ~n_vars:8 ~clauses ~hyps () in
+        let key clauses selectors =
+          Proof_cache.key_of_shared
+            ~frame:(Proof_cache.frame_digest (8, clauses))
+            ~selectors ()
+        in
+        let k = key clauses [ [ 6 ]; [ 7; 8 ] ] in
         let permuted =
           [ [ 5 ]; [ 2; -4; -3 ]; [ 3; 1; -2 ]; [ 4; -1 ] ]
         in
         Alcotest.(check string)
           "permuted CNF keys equal" k
-          (Proof_cache.key_of_cnf ~n_vars:8 ~clauses:permuted ~hyps ());
+          (key permuted [ [ 6 ]; [ 7; 8 ] ]);
         (* ...but not to the actual content *)
         let changed = [ [ 1; -2; 3 ]; [ -1; 4 ]; [ 2; -3; 4 ]; [ 5 ] ] in
         Alcotest.(check bool)
           "flipped literal changes the key" true
-          (k <> Proof_cache.key_of_cnf ~n_vars:8 ~clauses:changed ~hyps ());
+          (k <> key changed [ [ 6 ]; [ 7; 8 ] ]);
         Alcotest.(check bool)
           "different selectors change the key" true
-          (k <> Proof_cache.key_of_cnf ~n_vars:8 ~clauses ~hyps:[ [ 6 ] ] ()));
+          (k <> key clauses [ [ 6 ] ]));
     t "key insensitive to selector-list order and duplicates (regression)"
       (fun () ->
-        (* Pre-fix, [key_of_cnf] hashed the selector lists exactly as
-           given while canonicalizing the clauses: the same proof
-           problem with its obligations enumerated in a different order
+        (* Pre-fix, keys hashed the selector lists exactly as given
+           while canonicalizing the clauses: the same proof problem
+           with its obligations enumerated in a different order
            silently missed the cache. *)
-        let clauses = [ [ 1; -2 ]; [ 2; 3 ] ] in
-        let k =
-          Proof_cache.key_of_cnf ~n_vars:8 ~clauses ~hyps:[ [ 6; 7 ]; [ 8 ] ] ()
-        in
+        let frame = Proof_cache.frame_digest (8, [ [ 1; -2 ]; [ 2; 3 ] ]) in
+        let key selectors = Proof_cache.key_of_shared ~frame ~selectors () in
+        let k = key [ [ 6; 7 ]; [ 8 ] ] in
         Alcotest.(check string)
           "permuted selector lists keys equal" k
-          (Proof_cache.key_of_cnf ~n_vars:8 ~clauses
-             ~hyps:[ [ 8 ]; [ 7; 6 ] ] ());
+          (key [ [ 8 ]; [ 7; 6 ] ]);
         Alcotest.(check string)
           "duplicated selector literal keys equal" k
-          (Proof_cache.key_of_cnf ~n_vars:8 ~clauses
-             ~hyps:[ [ 6; 7; 6 ]; [ 8 ] ] ());
+          (key [ [ 6; 7; 6 ]; [ 8 ] ]);
         Alcotest.(check bool)
           "different selector content still changes the key" true
-          (k
-          <> Proof_cache.key_of_cnf ~n_vars:8 ~clauses
-               ~hyps:[ [ 6; 7 ]; [ 7 ] ] ()));
+          (k <> key [ [ 6; 7 ]; [ 7 ] ]));
     t "key stable across independent property regenerations" (fun () ->
         let d = design "AXI Slave" in
-        let k1 = Proof_cache.key_of_prepared (prepared_of d) in
-        let k2 = Proof_cache.key_of_prepared (prepared_of d) in
-        Alcotest.(check string) "same property, same key" k1 k2);
+        let key () =
+          let sh = shared_of d in
+          Proof_cache.key_of_shared
+            ~frame:(Proof_cache.frame_digest (Checker.shared_cnf sh))
+            ~selectors:(Checker.shared_frame_selectors sh 0)
+            ()
+        in
+        Alcotest.(check string) "same property, same key" (key ()) (key ()));
+    t "solving leaves a shared frame's key unchanged (the freeze is pristine)"
+      (fun () ->
+        (* The solver appends learnt clauses and retire units to the
+           live context; the frozen snapshot is replayed on a throwaway
+           one, so a key taken before, after, or only after solving must
+           match an unsolved frame's.  A snapshot of the live context
+           would make a worker that solved first miss every entry. *)
+        let d = design "AXI Slave" in
+        let key sh =
+          Proof_cache.key_of_shared
+            ~frame:(Proof_cache.frame_digest (Checker.shared_cnf sh))
+            ~selectors:(Checker.shared_frame_selectors sh 0)
+            ()
+        in
+        let k_unsolved = key (shared_of d) in
+        let frozen_first = shared_of d in
+        let k_before = key frozen_first in
+        let _ = Checker.check_shared frozen_first 0 in
+        Alcotest.(check string)
+          "frozen then solved: key unchanged" k_before (key frozen_first);
+        let solved_first = shared_of d in
+        let _ = Checker.check_shared solved_first 0 in
+        Alcotest.(check string)
+          "solved then frozen: key of an unsolved frame" k_unsolved
+          (key solved_first);
+        Alcotest.(check string) "all three agree" k_unsolved k_before);
     t "shared-frame keys are pinned (golden, proof-cache version /5)"
       (fun () ->
         (* Keys of warm caches must survive refactors of the drivers:
@@ -139,54 +171,6 @@ let key_tests =
         Alcotest.(check (option string))
           "Store Buffer, abstract" (Some "3c520d3dba09d10ca93b500af92acb6e")
           (first_key (design "Store Buffer") ~memory_abstraction:true));
-    t "fresh-mode keys are pinned (golden, proof-cache version /5)"
-      (fun () ->
-        (* Fresh mode keys each property's generation-0 encoding: the
-           concrete [Checker.prepare], or the first abstract property
-           with the "abstract" mode tag.  These literals were computed
-           before fresh mode went through [Session.check_property]; a
-           cold check must store under them and a second check hit. *)
-        let check_first (d : Design.t) ~memory_abstraction golden =
-          let port = List.hd d.Design.module_ila.Module_ila.ports in
-          let instr = List.hd (Ila.leaf_instructions port) in
-          let refmap = d.Design.refmap_for d.Design.rtl port.Ila.name in
-          let p =
-            Propgen.generate_for ~ila:port ~rtl:d.Design.rtl ~refmap instr
-          in
-          let cache = Proof_cache.open_ ~dir:(fresh_dir ()) () in
-          let check () =
-            Session.check_property ~cache ~memory_abstraction
-              ~design:d.Design.name ~instr:instr.Ila.instr_name p
-          in
-          let _, _, rung, hit = check () in
-          Alcotest.(check bool) (d.Design.name ^ ": cold miss") false hit;
-          Alcotest.(check bool)
-            (d.Design.name ^ ": stored under the golden key (rung " ^ rung
-           ^ ")")
-            true
-            (Proof_cache.lookup cache golden <> None);
-          let _, _, _, hit = check () in
-          Alcotest.(check bool) (d.Design.name ^ ": warm hit") true hit;
-          ignore (Proof_cache.clear cache)
-        in
-        check_first (design "Decoder") ~memory_abstraction:false
-          "d2d288a4ac8e4631758cdde41459887a";
-        check_first (design "Store Buffer") ~memory_abstraction:true
-          "c36a76dd56bf0d9f179bae20d1134aad");
-    t "solving mutates the context CNF (why the engine snapshots keys)"
-      (fun () ->
-        (* Regression guard for a real bug: learned clauses appended by
-           the solver leak into [Checker.cnf], so a key taken after
-           solving never matches a fresh run's lookup.  If this ever
-           stops holding the snapshot in [Engine.run_one] is merely
-           redundant; if it holds, it is load-bearing. *)
-        let d = design "AXI Slave" in
-        let pr = prepared_of d in
-        let k_before = Proof_cache.key_of_prepared pr in
-        let _ = Checker.check_prepared pr in
-        let k_fresh = Proof_cache.key_of_prepared (prepared_of d) in
-        Alcotest.(check string)
-          "pre-solve key matches a fresh preparation" k_before k_fresh);
   ]
 
 (* The list-based canonical form and serialization that frame digests
@@ -249,16 +233,15 @@ let canonical_tests =
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make
          ~name:"frame text and keys are byte-identical to the list-based ones"
-         ~count:1000 arb_frame_cnf (fun (((n_vars, clauses) as cnf), hyps) ->
+         ~count:1000 arb_frame_cnf (fun (cnf, hyps) ->
            let text = reference_text cnf in
            Proof_cache.frame_digest cnf = md5 text
            && Proof_cache.digest (Proof_cache.canonical_cnf cnf) = md5 text
-           && Proof_cache.key_of_cnf ~n_vars ~clauses ~hyps ()
-              = md5 ("F;" ^ text ^ "#H" ^ reference_lists hyps)
-           && Proof_cache.key_of_cnf ~mode:"abstract" ~n_vars ~clauses ~hyps ()
-              = md5 ("F;Mabstract;" ^ text ^ "#H" ^ reference_lists hyps)
            && Proof_cache.key_of_shared ~frame:(md5 text) ~selectors:hyps ()
-              = md5 ("I;" ^ md5 text ^ "#S" ^ reference_lists hyps)));
+              = md5 ("I;" ^ md5 text ^ "#S" ^ reference_lists hyps)
+           && Proof_cache.key_of_shared ~mode:"abstract" ~frame:(md5 text)
+                ~selectors:hyps ()
+              = md5 ("I;Mabstract;" ^ md5 text ^ "#S" ^ reference_lists hyps)));
     t "edge-case frames serialize as the list-based text" (fun () ->
         List.iter
           (fun cnf ->
@@ -304,12 +287,16 @@ let canonical_tests =
 (* Cache store / lookup robustness                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* A shared-frame entry, as a cache-backed session stores it. *)
 let entry_of (d : Design.t) =
-  let pr = prepared_of d in
-  let n_vars, clauses = Checker.cnf pr in
-  let hyps = Checker.hypothesis_literals pr in
-  let key = Proof_cache.key_of_cnf ~n_vars ~clauses ~hyps () in
-  let verdict, stats = Checker.check_prepared pr in
+  let sh = shared_of d in
+  let cnf = Proof_cache.canonical_cnf (Checker.shared_cnf sh) in
+  let hyps = Checker.shared_frame_selectors sh 0 in
+  let key =
+    Proof_cache.key_of_shared ~frame:(Proof_cache.digest cnf) ~selectors:hyps
+      ()
+  in
+  let verdict, stats = Checker.check_shared sh 0 in
   {
     Proof_cache.key;
     engine_version = Proof_cache.version;
@@ -317,7 +304,7 @@ let entry_of (d : Design.t) =
     instr = "test";
     verdict;
     stats;
-    cnf = Proof_cache.canonical_cnf (n_vars, clauses);
+    cnf;
     hyps;
     created_s = 0.0;
   }
@@ -412,10 +399,10 @@ let cache_tests =
         let digest = Proof_cache.digest e.Proof_cache.cnf in
         Alcotest.(check string)
           "the blob is named by the frame digest" (digest ^ ".cnf") blobs.(0);
-        let pr = prepared_of (design "AXI Slave") in
         Alcotest.(check string)
           "the frame digest is frame_digest of its CNF"
-          (Proof_cache.frame_digest (Checker.cnf pr))
+          (Proof_cache.frame_digest
+             (Checker.shared_cnf (shared_of (design "AXI Slave"))))
           digest;
         List.iter
           (fun key ->
@@ -619,24 +606,26 @@ let cache_tests =
         Alcotest.(check (list string))
           "the late-sorting rotted entry is caught" [ "zz-rotted" ]
           v.Proof_cache.mismatched);
-    t "legacy flat-layout entries are still found" (fun () ->
+    t "a flat-layout file is a miss that stats counts and clear removes"
+      (fun () ->
         let dir = fresh_dir () in
         let cache = Proof_cache.open_ ~dir () in
         let e = stored_entry (design "AXI Slave") cache in
-        (* demote the entry to the pre-sharding layout: directly under
-           the cache root, as an older ilaverif would have written it *)
+        (* move the entry directly under the cache root: lookups read
+           only the sharded path *)
         Sys.rename
           (sharded_path dir e.Proof_cache.key)
           (Filename.concat dir (e.Proof_cache.key ^ ".proof"));
-        (match Proof_cache.lookup cache e.Proof_cache.key with
-        | Some got ->
-          Alcotest.(check bool)
-            "legacy entry verdict" true
-            (got.Proof_cache.verdict = Checker.Proved)
-        | None -> Alcotest.fail "legacy flat entry must still hit");
+        Alcotest.(check bool)
+          "miss" true
+          (Proof_cache.lookup cache e.Proof_cache.key = None);
         Alcotest.(check int)
           "stats walks the flat layout too" 1
-          (Proof_cache.stats cache).entries);
+          (Proof_cache.stats cache).entries;
+        Alcotest.(check int) "clear removes it" 1 (Proof_cache.clear cache);
+        Alcotest.(check bool)
+          "the flat file is gone" false
+          (Sys.file_exists (Filename.concat dir (e.Proof_cache.key ^ ".proof"))));
     t "lock retry schedule is positive, capped, and deterministic" (fun () ->
         List.iter
           (fun attempt ->
@@ -923,17 +912,7 @@ let engine_tests =
           (port_r <> [] && all_memo port_r);
         Alcotest.(check int) "no session built for it"
           (List.length d.Design.module_ila.Module_ila.ports)
-          (Engine.resident_groups resident);
-        (* fresh mode has no sessions to keep but shares the memo *)
-        let fresh_r, _ =
-          Engine.run ~resident ~incremental:false (jobs_of (design "Decoder"))
-        in
-        Alcotest.(check bool) "fresh cold run solves" false (all_memo fresh_r);
-        let fresh_warm, _ =
-          Engine.run ~resident ~incremental:false (jobs_of (design "Decoder"))
-        in
-        Alcotest.(check bool) "fresh warm run all memo" true
-          (all_memo fresh_warm));
+          (Engine.resident_groups resident));
     t "a deadline drops the resident group and memoizes nothing" (fun () ->
         let d = design "Decoder" in
         let resident = Engine.resident () in
@@ -952,6 +931,24 @@ let engine_tests =
         match Engine.run ~jobs:2 ~resident (jobs_of (design "Decoder")) with
         | _ -> Alcotest.fail "~resident with ~jobs:2 ran"
         | exception Invalid_argument _ -> ());
+    t "a fresh run refuses a proof cache" (fun () ->
+        let cache = Proof_cache.open_ ~dir:(fresh_dir ()) () in
+        match
+          Engine.run ~incremental:false ~cache (jobs_of (design "Decoder"))
+        with
+        | _ -> Alcotest.fail "~incremental:false with ~cache ran"
+        | exception Invalid_argument _ ->
+          Alcotest.(check int) "nothing stored" 0
+            (Proof_cache.stats cache).Proof_cache.entries);
+    t "a fresh run refuses resident state" (fun () ->
+        let resident = Engine.resident () in
+        match
+          Engine.run ~incremental:false ~resident (jobs_of (design "Decoder"))
+        with
+        | _ -> Alcotest.fail "~incremental:false with ~resident ran"
+        | exception Invalid_argument _ ->
+          Alcotest.(check int) "no group kept" 0
+            (Engine.resident_groups resident));
     t "degradation counts only ladder rungs below incremental" (fun () ->
         (* regression: the summary used to count every "sat>" backend,
            including the CEGAR concrete fallback *)
@@ -971,8 +968,6 @@ let engine_tests =
             ("poisoned", false);
             ("fresh", true);
             ("fresh+abstract", true);
-            ("tightened", true);
-            ("tightened+cegar3", true);
             ("degraded", true);
             ("degraded+abstract", true);
           ];
@@ -981,7 +976,7 @@ let engine_tests =
         let d = design "Decoder" in
         let port = List.hd d.Design.module_ila.Module_ila.ports in
         let _, _, rung =
-          Verify.check_property
+          Verify.check_property ~memory_abstraction:false
             (Propgen.generate_for ~ila:port ~rtl:d.Design.rtl
                ~refmap:(d.Design.refmap_for d.Design.rtl port.Ila.name)
                (List.hd (Ila.leaf_instructions port)))
@@ -1010,14 +1005,11 @@ let engine_tests =
               (r.Engine.backend = "abstract>concrete"
               || String.starts_with ~prefix:"incremental+" r.Engine.backend))
           results);
-    t "fresh abstract mode stores only generation-0 verdicts" (fun () ->
-        (* only the rung that is exactly "abstract" is stored: the
-           stored CNF is generation 0's, which must re-solve to the
-           stored verdict shape, so a verdict reached after a CEGAR
-           refinement (or the concrete fallback) is not stored.  Every
-           Store Buffer job decides at generation 0, so one extra job
-           needs a refinement: its goal reads a 13th address, past the
-           12-slot window. *)
+    t "fresh abstract mode decides on the abstract and cegar rungs"
+      (fun () ->
+        (* Every Store Buffer job decides at generation 0 (rung
+           "abstract"), so one extra job needs a refinement: its goal
+           reads a 13th address, past the 12-slot window. *)
         let d = design "Store Buffer" in
         let refines =
           let open Ilv_expr in
@@ -1059,43 +1051,18 @@ let engine_tests =
               };
             ]
         in
-        let cache = Proof_cache.open_ ~dir:(fresh_dir ()) () in
-        let run () =
-          Engine.run ~jobs:1 ~incremental:false ~memory_abstraction:true
-            ~cache jobs
-        in
-        let cold, _ = run () in
-        let abstract_ids =
-          List.filter_map
-            (fun (r : Engine.result) ->
-              if r.Engine.backend = "abstract" then Some r.Engine.job_id
-              else None)
-            cold
+        let results, _ =
+          Engine.run ~jobs:1 ~incremental:false ~memory_abstraction:true jobs
         in
         Alcotest.(check (list string))
           "rungs" [ "abstract"; "abstract+cegar1" ]
           (List.sort_uniq compare
-             (List.map (fun (r : Engine.result) -> r.Engine.backend) cold));
+             (List.map (fun (r : Engine.result) -> r.Engine.backend) results));
         Alcotest.(check bool)
           "all proved" true
           (List.for_all
              (fun (r : Engine.result) -> r.Engine.verdict = Checker.Proved)
-             cold);
-        (* a fresh directory: one entry per store *)
-        Alcotest.(check int)
-          "cold stores = abstract-rung results" (List.length abstract_ids)
-          (Proof_cache.stats cache).Proof_cache.entries;
-        let warm, _ = run () in
-        Alcotest.(check (list int))
-          "warm hits exactly the stored jobs" abstract_ids
-          (List.filter_map
-             (fun (r : Engine.result) ->
-               if r.Engine.cache_hit then Some r.Engine.job_id else None)
-             warm);
-        Alcotest.(check bool)
-          "verdicts unchanged" true
-          (summary_verdicts cold = summary_verdicts warm);
-        ignore (Proof_cache.clear cache));
+             results));
     t "a property that fails to encode is an error, not a degradation"
       (fun () ->
         (* regression: the shared-frame driver used to send an encoding
@@ -1360,37 +1327,6 @@ let incremental_tests =
           (Printf.sprintf "%d spawns for %d jobs" spawns s.Engine.n_jobs)
           true
           (spawns >= 1 && spawns <= 2));
-    t "incremental and fresh cache entries never alias (regression)"
-      (fun () ->
-        (* Incremental keys hash the shared frame + activation
-           selectors, fresh keys hash the per-property CNF; a key
-           scheme that let them collide would serve a verdict computed
-           against a different formula.  Both directions must miss. *)
-        let d = design "AXI Slave" in
-        let cache = Proof_cache.open_ ~dir:(fresh_dir ()) () in
-        let rf, sf =
-          Engine.run ~jobs:1 ~incremental:false ~cache (jobs_of d)
-        in
-        Alcotest.(check int) "fresh cold run misses all" sf.Engine.n_jobs
-          sf.Engine.cache_misses;
-        let ri, si = Engine.run ~jobs:1 ~cache (jobs_of d) in
-        Alcotest.(check int) "incremental run sees no fresh-mode entry" 0
-          si.Engine.cache_hits;
-        Alcotest.(check int) "it solves everything itself" si.Engine.n_jobs
-          si.Engine.cache_misses;
-        (* each mode warm-hits its own entries *)
-        let _, sf2 =
-          Engine.run ~jobs:1 ~incremental:false ~cache (jobs_of d)
-        in
-        let _, si2 = Engine.run ~jobs:1 ~cache (jobs_of d) in
-        Alcotest.(check int) "fresh warm run all hits" sf2.Engine.n_jobs
-          sf2.Engine.cache_hits;
-        Alcotest.(check int) "incremental warm run all hits" si2.Engine.n_jobs
-          si2.Engine.cache_hits;
-        Alcotest.(check bool)
-          "modes agree on verdicts" true
-          (summary_verdicts rf = summary_verdicts ri);
-        ignore (Proof_cache.clear cache));
   ]
 
 let suite =

@@ -208,6 +208,68 @@ let ladder_tests =
               (Ilv_obs.Inject.fired ~point:"solver.stall" > 0);
             Alcotest.(check bool) "verdict preserved" true
               (v = Checker.Proved)));
+    t "an obligation past the fresh rung degrades after two demotions"
+      (fun () ->
+        (* one conflict and no escalation: every AXI Slave obligation
+           needs more, on the shared frame and on a fresh solver *)
+        let budget = Checker.budget ~conflicts:1 ~escalations:0 () in
+        let sh =
+          Checker.prepare_shared ~label:"ladder-exhausted"
+            (port_properties (design "AXI Slave"))
+        in
+        let scratch = fresh_dir () in
+        let trace = Filename.concat scratch "ladder.jsonl" in
+        let answer = Filename.concat scratch "answer" in
+        (* traced in a child: the in-memory counter totals of this
+           process must not move, other suites' traces start from them *)
+        (match Unix.fork () with
+        | 0 ->
+          Ilv_obs.Obs.configure ~trace_out:trace ();
+          let v, _, rung = Checker.check_shared_degrading ~budget sh 0 in
+          Ilv_obs.Obs.shutdown ();
+          let oc = open_out_bin answer in
+          output_string oc
+            (rung ^ "\n"
+            ^
+            match v with
+            | Checker.Unknown reason -> reason
+            | Checker.Proved | Checker.Failed _ -> "decided");
+          close_out oc;
+          Unix._exit 0
+        | pid -> ignore (Unix.waitpid [] pid));
+        let read path =
+          let ic = open_in_bin path in
+          Fun.protect
+            ~finally:(fun () -> close_in_noerr ic)
+            (fun () -> really_input_string ic (in_channel_length ic))
+        in
+        let rung, reason =
+          let a = read answer in
+          match String.index_opt a '\n' with
+          | Some i ->
+            (String.sub a 0 i, String.sub a (i + 1) (String.length a - i - 1))
+          | None -> Alcotest.fail "the child left no answer"
+        in
+        let events =
+          let raw = read trace in
+          rm_rf scratch;
+          match Ilv_obs.Json.parse_lines raw with
+          | Ok lines -> lines
+          | Error msg -> Alcotest.fail msg
+        in
+        let degrades =
+          List.filter
+            (fun l ->
+              Option.bind (Ilv_obs.Json.member "name" l) Ilv_obs.Json.to_string
+              = Some "checker.degrade")
+            events
+        in
+        Alcotest.(check string) "rung" "degraded" rung;
+        Alcotest.(check bool)
+          ("reason: " ^ reason) true
+          (String.starts_with ~prefix:"degraded(incremental->fresh): " reason);
+        Alcotest.(check int) "two checker.degrade events" 2
+          (List.length degrades));
     t "a deadline unknown does not descend the ladder" (fun () ->
         let sh =
           Checker.prepare_shared ~label:"ladder-timeout"
