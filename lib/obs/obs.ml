@@ -133,6 +133,8 @@ let configure ?trace_out ?(metrics = false) () =
         { oc; t0 = now_s () })
       trace_out;
   metrics_on := metrics;
+  (* a new counter session: totals count from zero again *)
+  Hashtbl.reset counter_tbl;
   if (enabled ()) && not !at_exit_registered then begin
     at_exit_registered := true;
     at_exit shutdown

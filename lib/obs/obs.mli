@@ -16,7 +16,8 @@
     ["span_end"] or ["counter"]) and [name].  Span lines carry [span]
     (the span id) and [parent] (enclosing span id, if any);
     ["span_end"] also carries [dur_s].  Counter lines carry [add] (the
-    increment) and [total] (the cumulative value in this process).
+    increment) and [total] (the cumulative value in this process since the last
+    {!configure}).
     User fields are flattened into the same object.
 
     {2 Forked workers}
@@ -36,7 +37,10 @@ val configure : ?trace_out:string -> ?metrics:bool -> unit -> unit
 (** Opens the JSONL sink at [trace_out] (append; created if missing)
     and/or enables the in-memory metrics aggregation.  Registers an
     [at_exit] hook that flushes the sink and, with [metrics], prints
-    the counter summary to stderr.  Calling it again reconfigures. *)
+    the counter summary to stderr.  Each call starts a fresh counter
+    session: the in-memory totals restart from zero, so the [total] of
+    a ["counter"] line and the [--metrics] summary count only what was
+    added since the last [configure].  Calling it again reconfigures. *)
 
 val shutdown : unit -> unit
 (** Flushes and closes the sink, prints the metrics summary if enabled,

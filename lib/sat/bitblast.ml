@@ -168,7 +168,7 @@ let assert_not t e = Sat.add_clause t.ctx.solver [ -lit_of t e ]
 
 (* --- activation literals (assumption-based incremental checking) --- *)
 
-let fresh_selector t = Sat.new_var t.ctx.solver
+let fresh_selector t = Sat.new_selector t.ctx.solver
 
 let guard_bool t ~act e =
   Sat.add_clause ~activation:true t.ctx.solver [ -act; lit_of t e ]

@@ -52,7 +52,8 @@ val lit_of : t -> Expr.t -> int
     Asserting [¬act] ({!retire}) permanently deactivates a cone. *)
 
 val fresh_selector : t -> int
-(** A fresh activation literal (positive). *)
+(** A fresh activation literal (positive), a {!Sat.new_selector}: its
+    retirement is cleaned up from its occurrence vector alone. *)
 
 val guard_bool : t -> act:int -> Expr.t -> unit
 (** [guard_bool t ~act e] asserts [act → e] (as an activation clause).
@@ -96,8 +97,8 @@ val age_activity : t -> unit
 val simplify : ?subsume:bool -> t -> int
 (** Runs the solver's level-0 simplification ({!Sat.simplify}) on the
     accumulated CNF; returns the number of clauses removed.  Besides
-    level-0 propagation it removes duplicate clauses (the first in
-    clause order stays) and every clause with a strict subset of at
+    level-0 propagation it removes duplicate clauses (the most
+    recently added stays) and every clause with a strict subset of at
     most 8 literals.  Sound at any point; changes what {!cnf} reports.
     [~subsume:false] restricts it to the linear passes (see
     {!Sat.simplify}). *)

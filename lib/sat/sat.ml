@@ -1,33 +1,54 @@
 (* CDCL solver.  Internal literal encoding: lit = 2*var for the positive
    literal, 2*var+1 for the negative one ("negated if odd"), so arrays
-   can be indexed by literal directly.  External literals are ±var. *)
+   can be indexed by literal directly.  External literals are ±var.
 
-type clause = {
-  lits : int array; (* internal encoding; lits.(0), lits.(1) are watched *)
-  learnt : bool;
-  activation : bool; (* activation-literal guard, not problem structure *)
-  mutable activity : float;
-  mutable deleted : bool;
-}
+   Clauses live in one growable [int array], the arena (MiniSat's region
+   layout, Eén & Sörensson 2003).  A clause is the offset of its header
+   cell:
 
-(* The watchers of one literal (MiniSat 2.2 layout): parallel vectors of
-   clauses and blocker literals, [size] entries live.  A blocker is some
-   other literal of its clause; while it is true the clause is satisfied
-   and [propagate] skips it without reading the clause. *)
-type watches = {
-  mutable wclauses : clause array;
-  mutable blockers : int array;
-  mutable size : int;
-}
+     arena.(c)             size lsl 3, lor the learnt / activation /
+                           deleted bits
+     arena.(c + 1)         index of the clause's activity in [acts]
+     arena.(c + 2 ..)      the [size] literals; the first two are
+                           watched
+
+   Offset 0 is a deleted empty clause, [no_clause]: it stands for "no
+   reason".  A deleted clause stays in the arena as garbage until
+   [compact] copies the live ones into a fresh arena. *)
+
+let learnt_bit = 1
+let activation_bit = 2 (* activation-literal guard, not problem structure *)
+let deleted_bit = 4
+let size_shift = 3
+let no_clause = 0
+
+(* A growable int vector, [size] entries live.  Watch vectors hold
+   interleaved (clause, blocker) pairs, two cells per watcher. *)
+type vec = { mutable data : int array; mutable size : int }
 
 type t = {
   mutable n_vars : int;
-  mutable clauses : clause list; (* problem clauses *)
-  mutable learnts : clause list;
-  mutable watches : watches array; (* indexed by internal literal *)
+  mutable arena : int array;
+  mutable arena_size : int; (* cells in use *)
+  mutable wasted : int; (* cells of deleted clauses *)
+  mutable acts : float array; (* clause activities *)
+  mutable n_acts : int;
+  clauses : vec;
+      (* problem clauses, oldest first; a deleted one stays until the
+         next full simplification pass or compaction *)
+  learnts : vec; (* learnt clauses, likewise *)
+  mutable watches : vec array; (* indexed by internal literal *)
+  mutable dirty : bool array;
+      (* per literal: its watch vector may hold deleted clauses *)
+  dirty_lits : vec; (* the literals marked in [dirty] *)
+  mutable occ : vec array;
+      (* per variable: a selector's occurrence vector (the clauses that
+         mention it), [no_occ] for every other variable *)
+  mutable simplified : int;
+      (* length of the level-0 trail prefix already seen by [simplify] *)
   mutable values : int array; (* per literal: 0 undef / 1 true / 2 false *)
   mutable level : int array;
-  mutable reason : clause array;
+  mutable reason : int array;
       (* per var, read only while it is assigned (backtracking leaves
          it stale): the implying clause, [no_clause] for decisions and
          units *)
@@ -46,7 +67,7 @@ type t = {
   mutable unsat : bool; (* top-level conflict detected *)
   mutable solved : result option;
   mutable seen : bool array; (* scratch for analyze *)
-  mutable intake : int array; (* scratch for add_clause *)
+  mutable intake : int array; (* scratch for add_clause and simplify *)
   (* statistics *)
   mutable n_clauses : int;
   mutable n_activation : int; (* activation clauses among n_clauses *)
@@ -64,28 +85,34 @@ and result = Sat | Unsat
 let var_decay = 1.0 /. 0.95
 let cla_decay = 1.0 /. 0.999
 
-(* fills watch-vector slots past [size], so they keep no clause alive,
-   and stands for "no reason" in [reason] *)
-let no_clause =
-  {
-    lits = [||];
-    learnt = false;
-    activation = false;
-    activity = 0.0;
-    deleted = true;
-  }
+(* compact once deleted clauses fill this share of the arena *)
+let garbage_fraction = 0.2
 
-let new_watches () = { wclauses = [||]; blockers = [||]; size = 0 }
+let new_vec () = { data = [||]; size = 0 }
 
-(* fills the slots of literals whose variable is not allocated yet *)
-let no_watches = new_watches ()
+(* fills the slots of literals whose variable is not allocated yet, and
+   the occurrence slots of variables that are not selectors; never
+   written *)
+let no_watches = new_vec ()
+let no_occ = new_vec ()
 
 let create () =
+  let arena = Array.make 64 0 in
+  arena.(0) <- deleted_bit;
   {
     n_vars = 0;
-    clauses = [];
-    learnts = [];
+    arena;
+    arena_size = 2;
+    wasted = 0;
+    acts = Array.make 16 0.0;
+    n_acts = 1;
+    clauses = new_vec ();
+    learnts = new_vec ();
     watches = Array.make 16 no_watches;
+    dirty = Array.make 16 false;
+    dirty_lits = new_vec ();
+    occ = Array.make 8 no_occ;
+    simplified = 0;
     values = Array.make 16 0;
     level = Array.make 8 0;
     reason = Array.make 8 no_clause;
@@ -137,6 +164,24 @@ let grow_array a n default =
     a'
   end
 
+let push v x =
+  if v.size = Array.length v.data then
+    v.data <- grow_array v.data (max 8 (v.size + 1)) 0;
+  v.data.(v.size) <- x;
+  v.size <- v.size + 1
+
+(* keeps, in order, the entries of [v] that satisfy [keep] *)
+let filter_vec keep v =
+  let d = v.data in
+  let j = ref 0 in
+  for i = 0 to v.size - 1 do
+    if keep d.(i) then begin
+      d.(!j) <- d.(i);
+      incr j
+    end
+  done;
+  v.size <- !j
+
 let new_var s =
   let v = s.n_vars + 1 in
   s.n_vars <- v;
@@ -151,16 +196,23 @@ let new_var s =
   s.trail <- grow_array s.trail n 0;
   s.trail_lim <- grow_array s.trail_lim n 0;
   s.seen <- grow_array s.seen n false;
+  s.occ <- grow_array s.occ n no_occ;
+  s.dirty <- grow_array s.dirty ((2 * n) + 2) false;
   (* each literal's own vector is made here, with its variable, so
      growing the array stays a pointer copy *)
   s.watches <- grow_array s.watches ((2 * n) + 2) no_watches;
-  s.watches.(pos v) <- new_watches ();
-  s.watches.(pos v + 1) <- new_watches ();
+  s.watches.(pos v) <- new_vec ();
+  s.watches.(pos v + 1) <- new_vec ();
   (* insert into the order heap *)
   s.heap.(s.heap_size) <- v;
   s.heap_pos.(v) <- s.heap_size;
   s.heap_size <- s.heap_size + 1;
   (* sift up not needed: activity 0 *)
+  v
+
+let new_selector s =
+  let v = new_var s in
+  s.occ.(v) <- new_vec ();
   v
 
 let num_vars s = s.n_vars
@@ -170,6 +222,168 @@ let num_problem_clauses s = s.n_clauses - s.n_activation
 
 (* value of an internal literal: 0 undef / 1 true / 2 false *)
 let lit_value s l = s.values.(l)
+
+(* --- clause arena --- *)
+
+let clause_size s c = s.arena.(c) lsr size_shift
+let is_deleted s c = s.arena.(c) land deleted_bit <> 0
+
+(* Appends a clause of the first [n] literals of [lits]. *)
+let alloc s flags lits n activity =
+  let c = s.arena_size in
+  let top = c + 2 + n in
+  s.arena <- grow_array s.arena top 0;
+  s.acts <- grow_array s.acts (s.n_acts + 1) 0.0;
+  let a = s.arena in
+  a.(c) <- (n lsl size_shift) lor flags;
+  a.(c + 1) <- s.n_acts;
+  s.acts.(s.n_acts) <- activity;
+  s.n_acts <- s.n_acts + 1;
+  Array.blit lits 0 a (c + 2) n;
+  s.arena_size <- top;
+  c
+
+(* A selector's occurrence vector lists every clause that mentions it:
+   guard clauses at intake, learnt clauses and strengthened copies. *)
+let note_selectors s c =
+  let a = s.arena in
+  for k = c + 2 to c + 1 + clause_size s c do
+    let o = s.occ.(var_of a.(k)) in
+    if o != no_occ then push o c
+  done
+
+(* marks [l]'s watch vector for the next [clean_watches] *)
+let smudge s l =
+  if not s.dirty.(l) then begin
+    s.dirty.(l) <- true;
+    push s.dirty_lits l
+  end
+
+(* A deleted clause is watched by the negations of its first two
+   literals; their vectors are smudged so the next cleanup drops it. *)
+let delete s c =
+  let a = s.arena in
+  let h = a.(c) in
+  a.(c) <- h lor deleted_bit;
+  s.wasted <- s.wasted + 2 + (h lsr size_shift);
+  if h land learnt_bit <> 0 then s.n_learnts <- s.n_learnts - 1
+  else begin
+    s.n_clauses <- s.n_clauses - 1;
+    if h land activation_bit <> 0 then s.n_activation <- s.n_activation - 1
+  end;
+  smudge s (neg_of a.(c + 2));
+  smudge s (neg_of a.(c + 3))
+
+(* shrinks a watch vector left under a quarter full *)
+let trim w =
+  if 4 * w.size < Array.length w.data then w.data <- Array.sub w.data 0 w.size
+
+(* Drops deleted clauses from the smudged watch vectors: [propagate]
+   drops only those it reads, so without this a deleted clause watched
+   by literals that never become true stays there for good. *)
+let clean_watches s =
+  for k = 0 to s.dirty_lits.size - 1 do
+    let l = s.dirty_lits.data.(k) in
+    s.dirty.(l) <- false;
+    let w = s.watches.(l) and a = s.arena in
+    let d = w.data in
+    let j = ref 0 and i = ref 0 in
+    while !i < w.size do
+      let c = d.(!i) in
+      if a.(c) land deleted_bit = 0 then begin
+        d.(!j) <- c;
+        d.(!j + 1) <- d.(!i + 1);
+        j := !j + 2
+      end;
+      i := !i + 2
+    done;
+    w.size <- !j;
+    trim w
+  done;
+  s.dirty_lits.size <- 0
+
+(* Copies the live clauses into a fresh arena, problem clauses then
+   learnt clauses, each in vector order, and relocates every reference:
+   the two vectors, the watchers, the reasons of assigned variables and
+   the occurrence vectors.  A moved clause's old header cell holds
+   [lnot] of its new offset (negative), so a reference maps to its new
+   offset, or to [no_clause] when the clause was deleted.  Watchers keep
+   their order, so the search is unaffected. *)
+let compact s =
+  if Ilv_obs.Obs.enabled () then Ilv_obs.Obs.count "sat.compactions" 1;
+  let old = s.arena and old_acts = s.acts in
+  let arena = Array.make (s.arena_size - s.wasted) 0 in
+  let acts = Array.make (1 + s.n_clauses + s.n_learnts) 0.0 in
+  arena.(0) <- deleted_bit;
+  let top = ref 2 and n_acts = ref 1 in
+  let move v =
+    let d = v.data in
+    let j = ref 0 in
+    for i = 0 to v.size - 1 do
+      let c = d.(i) in
+      let h = old.(c) in
+      if h >= 0 && h land deleted_bit = 0 then begin
+        let size = h lsr size_shift and c' = !top in
+        arena.(c') <- h;
+        arena.(c' + 1) <- !n_acts;
+        acts.(!n_acts) <- old_acts.(old.(c + 1));
+        Array.blit old (c + 2) arena (c' + 2) size;
+        old.(c) <- lnot c';
+        top := c' + 2 + size;
+        incr n_acts;
+        d.(!j) <- c';
+        incr j
+      end
+    done;
+    v.size <- !j
+  in
+  move s.clauses;
+  move s.learnts;
+  let reloc c =
+    let h = old.(c) in
+    if h < 0 then lnot h else no_clause
+  in
+  for l = 2 to (2 * s.n_vars) + 1 do
+    let w = s.watches.(l) in
+    let d = w.data in
+    let j = ref 0 and i = ref 0 in
+    while !i < w.size do
+      let c = reloc d.(!i) in
+      if c <> no_clause then begin
+        d.(!j) <- c;
+        d.(!j + 1) <- d.(!i + 1);
+        j := !j + 2
+      end;
+      i := !i + 2
+    done;
+    w.size <- !j;
+    trim w;
+    s.dirty.(l) <- false
+  done;
+  s.dirty_lits.size <- 0;
+  for i = 0 to s.trail_size - 1 do
+    let v = var_of s.trail.(i) in
+    s.reason.(v) <- reloc s.reason.(v)
+  done;
+  for v = 1 to s.n_vars do
+    let o = s.occ.(v) in
+    if o != no_occ then begin
+      for k = 0 to o.size - 1 do
+        o.data.(k) <- reloc o.data.(k)
+      done;
+      filter_vec (fun c -> c <> no_clause) o
+    end
+  done;
+  s.arena <- arena;
+  s.arena_size <- !top;
+  s.wasted <- 0;
+  s.acts <- acts;
+  s.n_acts <- !n_acts
+
+let collect_garbage s =
+  if float_of_int s.wasted > garbage_fraction *. float_of_int s.arena_size
+  then compact s
+  else clean_watches s
 
 (* --- order heap (max-heap on activity) ---
 
@@ -263,10 +477,18 @@ let age_activity s =
   s.var_inc <- s.var_inc *. 1e20;
   if s.var_inc > 1e100 then rescale_var_activity s
 
-let bump_clause s (c : clause) =
-  c.activity <- c.activity +. s.cla_inc;
-  if c.activity > 1e20 then begin
-    List.iter (fun (c : clause) -> c.activity <- c.activity *. 1e-20) s.learnts;
+(* Problem clauses are bumped too (they take part in conflicts), and a
+   bump past the bound rescales the learnt clauses' activities. *)
+let bump_clause s c =
+  let acts = s.acts and a = s.arena in
+  let k = a.(c + 1) in
+  acts.(k) <- acts.(k) +. s.cla_inc;
+  if acts.(k) > 1e20 then begin
+    let v = s.learnts in
+    for i = 0 to v.size - 1 do
+      let k = a.(v.data.(i) + 1) in
+      acts.(k) <- acts.(k) *. 1e-20
+    done;
     s.cla_inc <- s.cla_inc *. 1e-20
   end
 
@@ -302,125 +524,94 @@ let cancel_until s lvl =
 
 (* --- propagation --- *)
 
-exception Conflict of clause
+exception Conflict of int
 
 let watch s l c blocker =
   let w = s.watches.(l) in
-  if w.size = Array.length w.wclauses then begin
-    let cap = max 4 (2 * w.size) in
-    let cs = Array.make cap no_clause and bs = Array.make cap 0 in
-    Array.blit w.wclauses 0 cs 0 w.size;
-    Array.blit w.blockers 0 bs 0 w.size;
-    w.wclauses <- cs;
-    w.blockers <- bs
-  end;
-  w.wclauses.(w.size) <- c;
-  w.blockers.(w.size) <- blocker;
-  w.size <- w.size + 1
+  (* sizes and capacities are even: a watcher fills two cells *)
+  if w.size = Array.length w.data then
+    w.data <- grow_array w.data (max 8 (w.size + 2)) 0;
+  w.data.(w.size) <- c;
+  w.data.(w.size + 1) <- blocker;
+  w.size <- w.size + 2
 
 (* Each watched literal's watcher starts with the other one as blocker. *)
 let attach s c =
-  watch s (neg_of c.lits.(0)) c c.lits.(1);
-  watch s (neg_of c.lits.(1)) c c.lits.(0)
-
-(* Drops deleted clauses from every watch vector: [propagate] drops only
-   those it reads, so without this a deleted clause watched by literals
-   that never become true stays reachable for good.  Clears the slots
-   past each vector's end, and shrinks a vector left under a quarter
-   full. *)
-let purge_watches s =
-  for l = 2 to (2 * s.n_vars) + 1 do
-    let w = s.watches.(l) in
-    let cs = w.wclauses and bs = w.blockers in
-    let j = ref 0 in
-    for i = 0 to w.size - 1 do
-      if not cs.(i).deleted then begin
-        cs.(!j) <- cs.(i);
-        bs.(!j) <- bs.(i);
-        incr j
-      end
-    done;
-    w.size <- !j;
-    if 4 * !j < Array.length cs then begin
-      w.wclauses <- Array.sub cs 0 !j;
-      w.blockers <- Array.sub bs 0 !j
-    end
-    else Array.fill cs !j (Array.length cs - !j) no_clause
-  done
-
-(* index of the first literal of [lits] from [i] on that is not false,
-   or -1 *)
-let rec find_watch s lits i =
-  if i >= Array.length lits then -1
-  else if lit_value s lits.(i) <> 2 then i
-  else find_watch s lits (i + 1)
+  let a = s.arena in
+  let l0 = a.(c + 2) and l1 = a.(c + 3) in
+  watch s (neg_of l0) c l1;
+  watch s (neg_of l1) c l0
 
 (* Propagate all enqueued facts; raises [Conflict] on a falsified
    clause.  A clause is in the watch vector of [l] when the
    *falsification* of one of its watched literals should trigger a
-   visit, i.e. clause c is watched by neg c.lits.(0) and neg c.lits.(1).
-   The vector of the literal being propagated is compacted in place: a
-   watcher moved to a new literal, or of a deleted clause, leaves it.
-   A kept clause is stored back only once an earlier watcher has left
-   ([!j < !i - 1]): storing a pointer into the array costs a write
-   barrier. *)
+   visit, i.e. clause c is watched by the negations of its first two
+   literals.  The vector of the literal being propagated is compacted
+   in place: a watcher moved to a new literal, or of a deleted clause,
+   leaves it.  A watcher whose blocker is true is kept without reading
+   the clause. *)
 let propagate s =
+  let values = s.values and a = s.arena in
   while s.qhead < s.trail_size do
     let p = s.trail.(s.qhead) in
     s.qhead <- s.qhead + 1;
     s.propagations <- s.propagations + 1;
     let false_lit = neg_of p in
     let ws = s.watches.(p) in
-    let cs = ws.wclauses and bs = ws.blockers and n = ws.size in
+    let d = ws.data and n = ws.size in
     let i = ref 0 and j = ref 0 in
     while !i < n do
-      let c = cs.(!i) and blocker = bs.(!i) in
-      incr i;
-      if lit_value s blocker = 1 then begin
-        if !j < !i - 1 then begin
-          cs.(!j) <- c;
-          bs.(!j) <- blocker
-        end;
-        incr j
+      let c = d.(!i) and blocker = d.(!i + 1) in
+      i := !i + 2;
+      if values.(blocker) = 1 then begin
+        d.(!j) <- c;
+        d.(!j + 1) <- blocker;
+        j := !j + 2
       end
-      else if not c.deleted then begin
-        (* make sure the false literal (neg p) is at position 1 *)
-        let lits = c.lits in
-        if lits.(0) = false_lit then begin
-          lits.(0) <- lits.(1);
-          lits.(1) <- false_lit
-        end;
-        let first = lits.(0) in
-        if first <> blocker && lit_value s first = 1 then begin
-          (* satisfied by the other watch: keep it as the blocker *)
-          if !j < !i - 1 then cs.(!j) <- c;
-          bs.(!j) <- first;
-          incr j
-        end
-        else begin
-          let k = find_watch s lits 2 in
-          if k >= 0 then begin
-            lits.(1) <- lits.(k);
-            lits.(k) <- false_lit;
-            watch s (neg_of lits.(1)) c first
+      else begin
+        let h = a.(c) in
+        if h land deleted_bit = 0 then begin
+          (* make sure the false literal (neg p) is at position 1 *)
+          let l0 = c + 2 in
+          if a.(l0) = false_lit then begin
+            a.(l0) <- a.(l0 + 1);
+            a.(l0 + 1) <- false_lit
+          end;
+          let first = a.(l0) in
+          if first <> blocker && values.(first) = 1 then begin
+            (* satisfied by the other watch: keep it as the blocker *)
+            d.(!j) <- c;
+            d.(!j + 1) <- first;
+            j := !j + 2
           end
           else begin
-            (* unit or conflicting *)
-            if !j < !i - 1 then cs.(!j) <- c;
-            bs.(!j) <- first;
-            incr j;
-            if lit_value s first = 2 then begin
-              (* conflict: keep the unvisited watchers before raising *)
-              let rest = n - !i in
-              if !j < !i then begin
-                Array.blit cs !i cs !j rest;
-                Array.blit bs !i bs !j rest
-              end;
-              ws.size <- !j + rest;
-              s.qhead <- s.trail_size;
-              raise (Conflict c)
+            (* the first literal from position 2 on that is not false *)
+            let stop = l0 + (h lsr size_shift) in
+            let k = ref (l0 + 2) in
+            while !k < stop && values.(a.(!k)) = 2 do
+              incr k
+            done;
+            if !k < stop then begin
+              let l = a.(!k) in
+              a.(l0 + 1) <- l;
+              a.(!k) <- false_lit;
+              watch s (neg_of l) c first
             end
-            else enqueue s first c
+            else begin
+              (* unit or conflicting *)
+              d.(!j) <- c;
+              d.(!j + 1) <- first;
+              j := !j + 2;
+              if values.(first) = 2 then begin
+                (* conflict: keep the unvisited watchers before raising *)
+                let rest = n - !i in
+                Array.blit d !i d !j rest;
+                ws.size <- !j + rest;
+                s.qhead <- s.trail_size;
+                raise (Conflict c)
+              end
+              else enqueue s first c
+            end
           end
         end
       end
@@ -480,65 +671,62 @@ let add_clause ?(activation = false) s ext_lits =
       end
       | live ->
         let c =
-          {
-            lits = Array.sub buf 0 live;
-            learnt = false;
-            activation;
-            activity = 0.0;
-            deleted = false;
-          }
+          alloc s (if activation then activation_bit else 0) buf live 0.0
         in
-        s.clauses <- c :: s.clauses;
+        push s.clauses c;
         s.n_clauses <- s.n_clauses + 1;
         if activation then s.n_activation <- s.n_activation + 1;
-        attach s c
+        attach s c;
+        note_selectors s c
   end
 
 (* --- level-0 simplification --- *)
 
 (* Duplicate elimination and backward subsumption over the live problem
-   clauses.  The rule: of clauses with equal literal sets the first in
-   [s.clauses] order stays, and every clause with a strict subset of at
-   most 8 literals among the others goes.  That set does not depend on
-   the order clauses are visited in: a clause removed as a superset
-   only has supersets that its own (shorter, surviving) subsumer also
-   removes.
+   clauses.  The rule: of clauses with equal literal sets the newest
+   stays, and every clause with a strict subset of at most 8 literals
+   among the others goes.  That set does not depend on the order
+   clauses are visited in: a clause removed as a superset only has
+   supersets that its own (shorter, surviving) subsumer also removes.
 
    Everything is flat arrays, so the pass allocates a handful of
    blocks however many clauses there are: clause [i]'s sorted literals
-   are [lits.(off.(i)) .. lits.(off.(i + 1) - 1)]; duplicates are found
-   by open addressing on a multiplicative hash; occurrence lists are
-   one array indexed like [lits] (CSR); and a 63-bit signature (one bit
-   per literal modulo 63) rules most candidate pairs out before the
-   subset test reads them. *)
-let dedup_and_subsume s delete =
-  let n =
-    List.fold_left (fun n c -> if c.deleted then n else n + 1) 0 s.clauses
-  in
+   are [lits.(off.(i)) .. lits.(off.(i + 1) - 1)] (clauses numbered
+   newest first); duplicates are found by open addressing on a
+   multiplicative hash; occurrence lists are one array indexed like
+   [lits] (CSR); and a 63-bit signature (one bit per literal modulo 63)
+   rules most candidate pairs out before the subset test reads them. *)
+let dedup_and_subsume s =
+  let v = s.clauses and a = s.arena in
+  let n = ref 0 in
+  for k = 0 to v.size - 1 do
+    if not (is_deleted s v.data.(k)) then incr n
+  done;
+  let n = !n in
   let cls = Array.make n no_clause in
   let off = Array.make (n + 1) 0 in
   let i = ref 0 in
-  List.iter
-    (fun c ->
-      if not c.deleted then begin
-        cls.(!i) <- c;
-        off.(!i + 1) <- off.(!i) + Array.length c.lits;
-        incr i
-      end)
-    s.clauses;
+  for k = v.size - 1 downto 0 do
+    let c = v.data.(k) in
+    if not (is_deleted s c) then begin
+      cls.(!i) <- c;
+      off.(!i + 1) <- off.(!i) + clause_size s c;
+      incr i
+    end
+  done;
   let lits = Array.make off.(n) 0 in
   for i = 0 to n - 1 do
     (* insertion sort while copying: clauses are short *)
-    let lo = off.(i) in
-    Array.iteri
-      (fun k x ->
-        let j = ref (lo + k - 1) in
-        while !j >= lo && lits.(!j) > x do
-          lits.(!j + 1) <- lits.(!j);
-          decr j
-        done;
-        lits.(!j + 1) <- x)
-      cls.(i).lits
+    let lo = off.(i) and c = cls.(i) in
+    for k = 0 to clause_size s c - 1 do
+      let x = a.(c + 2 + k) in
+      let j = ref (lo + k - 1) in
+      while !j >= lo && lits.(!j) > x do
+        lits.(!j + 1) <- lits.(!j);
+        decr j
+      done;
+      lits.(!j + 1) <- x
+    done
   done;
   let len i = off.(i + 1) - off.(i) in
   let equal i j =
@@ -574,7 +762,7 @@ let dedup_and_subsume s delete =
     let rec probe slot =
       let j = table.(slot) in
       if j < 0 then table.(slot) <- i
-      else if equal i j then delete cls.(i)
+      else if equal i j then delete s cls.(i)
       else probe ((slot + 1) land ((1 lsl bits) - 1))
     in
     probe (!h lsr (63 - bits))
@@ -584,7 +772,7 @@ let dedup_and_subsume s delete =
   let n_lits = (2 * s.n_vars) + 2 in
   let start = Array.make (n_lits + 1) 0 in
   for i = 0 to n - 1 do
-    if not cls.(i).deleted then
+    if not (is_deleted s cls.(i)) then
       for k = off.(i) to off.(i + 1) - 1 do
         start.(lits.(k) + 1) <- start.(lits.(k) + 1) + 1
       done
@@ -595,7 +783,7 @@ let dedup_and_subsume s delete =
   let occ = Array.make start.(n_lits) 0 in
   let fill = Array.sub start 0 n_lits in
   for i = 0 to n - 1 do
-    if not cls.(i).deleted then
+    if not (is_deleted s cls.(i)) then
       for k = off.(i) to off.(i + 1) - 1 do
         occ.(fill.(lits.(k))) <- i;
         fill.(lits.(k)) <- fill.(lits.(k)) + 1
@@ -610,7 +798,7 @@ let dedup_and_subsume s delete =
         !sg)
   in
   for i = 0 to n - 1 do
-    if (not cls.(i).deleted) && len i <= 8 then begin
+    if (not (is_deleted s cls.(i))) && len i <= 8 then begin
       let size l = start.(l + 1) - start.(l) in
       let rarest = ref lits.(off.(i)) in
       for k = off.(i) + 1 to off.(i + 1) - 1 do
@@ -620,112 +808,154 @@ let dedup_and_subsume s delete =
         let j = occ.(o) in
         if
           j <> i
-          && (not cls.(j).deleted)
+          && (not (is_deleted s cls.(j)))
           && len j > len i
           && sigs.(i) land lnot sigs.(j) = 0
           && subset i j
-        then delete cls.(j)
+        then delete s cls.(j)
       done
     end
   done
 
-(* SatELite-lite: runs only at decision level 0.  Unit propagation to
-   fixpoint, removal of satisfied clauses, stripping of false literals
-   (rebuilding the clause so the watch invariant holds), then duplicate
-   elimination and backward subsumption over the problem clauses
-   ([dedup_and_subsume]).  Deleting a clause that is the reason of a
-   level-0 assignment is safe: conflict analysis never dereferences
-   level-0 reasons, and level 0 is never backtracked; reasons are
-   cleared anyway for hygiene.  [~subsume:false] skips the
-   dedup/subsumption stage and keeps only the linear propagation
-   passes — cheap enough to run between incremental queries, where its
-   job is shedding clauses satisfied by retire units rather than deep
-   preprocessing. *)
-let simplify ?(subsume = true) s =
-  cancel_until s 0;
-  s.solved <- None;
-  let before = s.n_clauses + s.n_learnts in
-  let delete c =
-    c.deleted <- true;
-    if c.learnt then s.n_learnts <- s.n_learnts - 1
-    else begin
-      s.n_clauses <- s.n_clauses - 1;
-      if c.activation then s.n_activation <- s.n_activation - 1
-    end
-  in
-  let count_in c =
-    if c.learnt then s.n_learnts <- s.n_learnts + 1
-    else begin
-      s.n_clauses <- s.n_clauses + 1;
-      if c.activation then s.n_activation <- s.n_activation + 1
-    end
-  in
-  if not s.unsat then begin
-    (try propagate s with Conflict _ -> s.unsat <- true);
-    (* satisfied-clause removal + false-literal stripping, repeated
-       until strengthening stops producing new level-0 units *)
-    let changed = ref (not s.unsat) in
-    while !changed do
-      changed := false;
-      let strengthen kept c =
-        if s.unsat || c.deleted then kept
-        else begin
-          let lits = c.lits in
-          let n = Array.length lits in
+(* The full linear pass: removal of satisfied clauses and stripping of
+   false literals, repeated until strengthening stops producing new
+   level-0 units.  Each vector is walked newest first.  A strengthened
+   clause is a new clause, attached afresh (so the watch invariant
+   holds), that takes the old one's place in its vector and its
+   activity. *)
+let strengthen_all s =
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    let strengthen v =
+      for i = v.size - 1 downto 0 do
+        let c = v.data.(i) in
+        if not (s.unsat || is_deleted s c) then begin
+          let a = s.arena in
+          let n = clause_size s c in
           let satisfied = ref false and n_false = ref 0 in
-          for i = 0 to n - 1 do
-            match lit_value s lits.(i) with
+          for k = c + 2 to c + 1 + n do
+            match lit_value s a.(k) with
             | 1 -> satisfied := true
             | 2 -> incr n_false
             | _ -> ()
           done;
-          if !satisfied then begin
-            delete c;
-            kept
-          end
-          else if !n_false = 0 then c :: kept
-          else begin
-            delete c;
+          if !satisfied then delete s c
+          else if !n_false > 0 then begin
+            delete s c;
             changed := true;
-            let live = Array.make (n - !n_false) 0 in
-            let k = ref 0 in
-            Array.iter
-              (fun l ->
-                if lit_value s l <> 2 then begin
-                  live.(!k) <- l;
-                  incr k
-                end)
-              lits;
-            match live with
-            | [||] ->
-              s.unsat <- true;
-              kept
-            | [| l |] ->
-              enqueue s l no_clause;
-              (try propagate s with Conflict _ -> s.unsat <- true);
-              kept
-            | _ ->
-              let c' = { c with lits = live; deleted = false } in
-              count_in c';
+            s.intake <- grow_array s.intake n 0;
+            let live = s.intake and m = ref 0 in
+            for k = c + 2 to c + 1 + n do
+              if lit_value s a.(k) <> 2 then begin
+                live.(!m) <- a.(k);
+                incr m
+              end
+            done;
+            match !m with
+            | 0 -> s.unsat <- true
+            | 1 ->
+              enqueue s live.(0) no_clause;
+              (try propagate s with Conflict _ -> s.unsat <- true)
+            | m ->
+              let h = a.(c) in
+              let c' =
+                alloc s
+                  (h land (learnt_bit lor activation_bit))
+                  live m
+                  s.acts.(a.(c + 1))
+              in
+              if h land learnt_bit <> 0 then s.n_learnts <- s.n_learnts + 1
+              else begin
+                s.n_clauses <- s.n_clauses + 1;
+                if h land activation_bit <> 0 then
+                  s.n_activation <- s.n_activation + 1
+              end;
               attach s c';
-              c' :: kept
+              note_selectors s c';
+              v.data.(i) <- c'
           end
         end
-      in
-      s.clauses <- List.rev (List.fold_left strengthen [] s.clauses);
-      s.learnts <- List.rev (List.fold_left strengthen [] s.learnts)
-    done;
-    (* level-0 reasons are never inspected again; drop the pointers so
-       deleted clauses can be collected *)
-    let level0_bound =
-      if s.trail_lim_size > 0 then s.trail_lim.(0) else s.trail_size
+      done
     in
-    for i = 0 to level0_bound - 1 do
-      s.reason.(var_of s.trail.(i)) <- no_clause
+    strengthen s.clauses;
+    strengthen s.learnts
+  done
+
+(* The retire pass.  Every live clause is free of level-0 literals once
+   a simplification has run: intake and learning drop them, and each
+   pass deletes or strengthens the clauses holding the units it sees.
+   So when every level-0 unit since the last pass is a selector, the
+   only clauses to touch are in those selectors' occurrence vectors.
+   Each one that a unit satisfies is deleted; one that would need
+   strengthening (it holds a selector's false literal and no true one)
+   makes the pass give up.  Returns whether it finished; when it did
+   not, the clauses it deleted were satisfied, so the full pass still
+   reaches the state it would have reached alone. *)
+let retire_units s =
+  let bound = s.trail_size in
+  let ok = ref true in
+  for i = s.simplified to bound - 1 do
+    if s.occ.(var_of s.trail.(i)) == no_occ then ok := false
+  done;
+  let i = ref s.simplified in
+  while !ok && !i < bound do
+    let o = s.occ.(var_of s.trail.(!i)) in
+    let k = ref 0 in
+    while !ok && !k < o.size do
+      let c = o.data.(!k) in
+      if not (is_deleted s c) then begin
+        let a = s.arena in
+        let satisfied = ref false in
+        for q = c + 2 to c + 1 + clause_size s c do
+          if lit_value s a.(q) = 1 then satisfied := true
+        done;
+        if !satisfied then delete s c else ok := false
+      end;
+      incr k
     done;
-    if subsume && not s.unsat then dedup_and_subsume s delete
+    incr i
+  done;
+  !ok
+
+(* SatELite-lite: runs only at decision level 0.  Unit propagation to
+   fixpoint, then either the retire pass ([~subsume:false] with only
+   selector units since the last call) or the full linear pass, then
+   (with [subsume]) duplicate elimination and backward subsumption over
+   the problem clauses ([dedup_and_subsume]).  Deleting a clause that
+   is the reason of a level-0 assignment is safe: conflict analysis
+   never dereferences level-0 reasons, and level 0 is never
+   backtracked; the new units' reasons are cleared anyway, so
+   [reduce_db] treats the clauses alike whichever pass deleted them.
+   A unit's occurrence vector is released once seen: no clause can
+   mention its variable again. *)
+let simplify ?(subsume = true) s =
+  cancel_until s 0;
+  s.solved <- None;
+  let before = s.n_clauses + s.n_learnts in
+  if not s.unsat then begin
+    (try propagate s with Conflict _ -> s.unsat <- true);
+    if (not s.unsat) && (subsume || not (retire_units s)) then begin
+      if (not subsume) && Ilv_obs.Obs.enabled () then
+        Ilv_obs.Obs.count "sat.retire_fallbacks" 1;
+      strengthen_all s;
+      if subsume && not s.unsat then dedup_and_subsume s;
+      let live c = not (is_deleted s c) in
+      filter_vec live s.clauses;
+      filter_vec live s.learnts
+    end;
+    for i = s.simplified to s.trail_size - 1 do
+      let v = var_of s.trail.(i) in
+      s.reason.(v) <- no_clause;
+      let o = s.occ.(v) in
+      if o != no_occ then begin
+        o.data <- [||];
+        o.size <- 0
+      end
+    done;
+    s.simplified <- s.trail_size
   end;
-  purge_watches s;
+  collect_garbage s;
   max 0 (before - (s.n_clauses + s.n_learnts))
 
 (* --- conflict analysis (first UIP) --- *)
@@ -742,13 +972,13 @@ let analyze s confl =
   let continue = ref true in
   while !continue do
     bump_clause s !c;
-    let lits = !c.lits in
-    (* skip lits.(0) on subsequent rounds: it is the literal we just
-       resolved on (the reason clause's propagated literal) *)
+    let a = s.arena in
+    (* skip the first literal on subsequent rounds: it is the literal
+       we just resolved on (the reason clause's propagated literal) *)
     let start = if !first then 0 else 1 in
     first := false;
-    for i = start to Array.length lits - 1 do
-      let q = lits.(i) in
+    for i = !c + 2 + start to !c + 1 + clause_size s !c do
+      let q = a.(i) in
       let v = var_of q in
       if (not seen.(v)) && s.level.(v) > 0 then begin
         seen.(v) <- true;
@@ -777,13 +1007,17 @@ let analyze s confl =
     else begin
       let r = s.reason.(v) in
       (* decision variables end the loop via counter *)
-      assert (r != no_clause);
-      (* orient so that lits.(0) is q, skipped in the next round *)
-      if r.lits.(0) <> q then begin
-        let j = ref 0 in
-        Array.iteri (fun i l -> if l = q then j := i) r.lits;
-        r.lits.(!j) <- r.lits.(0);
-        r.lits.(0) <- q
+      assert (r <> no_clause);
+      (* orient so that the first literal is q, skipped in the next
+         round *)
+      let l0 = r + 2 in
+      if a.(l0) <> q then begin
+        let j = ref l0 in
+        for i = l0 to l0 + clause_size s r - 1 do
+          if a.(i) = q then j := i
+        done;
+        a.(!j) <- a.(l0);
+        a.(l0) <- q
       end;
       c := r
     end
@@ -806,13 +1040,12 @@ let record_learnt s lits =
     let tmp = lits.(1) in
     lits.(1) <- lits.(!maxi);
     lits.(!maxi) <- tmp;
-    let c =
-      { lits; learnt = true; activation = false; activity = 0.0; deleted = false }
-    in
-    s.learnts <- c :: s.learnts;
+    let c = alloc s learnt_bit lits (Array.length lits) 0.0 in
+    push s.learnts c;
     s.n_learnts <- s.n_learnts + 1;
     bump_clause s c;
     attach s c;
+    note_selectors s c;
     enqueue s lits.(0) c
   end
 
@@ -820,25 +1053,35 @@ let record_learnt s lits =
 
 let locked s c =
   (* a clause that is the reason of a current assignment must stay *)
-  lit_value s c.lits.(0) = 1 && s.reason.(var_of c.lits.(0)) == c
+  let l = s.arena.(c + 2) in
+  lit_value s l = 1 && s.reason.(var_of l) = c
 
+(* Deletes half of the learnt clauses, least active first, sparing
+   reasons and binary clauses.  [Array.sort] is not stable, so ties
+   fall as the input order makes them: the learnts go in newest
+   first. *)
 let reduce_db s =
-  let arr = Array.of_list s.learnts in
-  Array.sort (fun (a : clause) (b : clause) -> compare a.activity b.activity) arr;
-  let n = Array.length arr in
+  let v = s.learnts in
+  filter_vec (fun c -> not (is_deleted s c)) v;
+  let n = v.size in
+  let arr = Array.init n (fun i -> v.data.(n - 1 - i)) in
+  let acts = s.acts and a = s.arena in
+  Array.sort
+    (fun x y -> Float.compare acts.(a.(x + 1)) acts.(a.(y + 1)))
+    arr;
   let kill = ref (n / 2) in
   Array.iteri
     (fun i c ->
-      if i < n / 2 && !kill > 0 && (not (locked s c)) && Array.length c.lits > 2
+      if i < n / 2 && !kill > 0 && (not (locked s c)) && clause_size s c > 2
       then begin
-        c.deleted <- true;
+        delete s c;
         decr kill
       end)
     arr;
-  s.learnts <- List.filter (fun c -> not c.deleted) s.learnts;
-  s.n_learnts <- List.length s.learnts;
+  filter_vec (fun c -> not (is_deleted s c)) v;
+  s.n_learnts <- v.size;
   s.reductions <- s.reductions + 1;
-  purge_watches s
+  collect_garbage s
 
 (* --- search --- *)
 
@@ -1110,11 +1353,15 @@ let export s =
     if s.trail_lim_size > 0 then s.trail_lim.(0) else s.trail_size
   in
   let units = List.init level0_bound (fun i -> [ ext s.trail.(i) ]) in
-  let clauses =
-    List.rev_map
-      (fun c -> Array.to_list (Array.map ext c.lits))
-      (List.filter (fun c -> not c.deleted) s.clauses)
-  in
+  let clauses = ref [] in
+  for i = s.clauses.size - 1 downto 0 do
+    let c = s.clauses.data.(i) in
+    if not (is_deleted s c) then
+      clauses :=
+        List.init (clause_size s c) (fun k -> ext s.arena.(c + 2 + k))
+        :: !clauses
+  done;
+  let clauses = !clauses in
   (* a top-level conflict discovered during clause addition has no
      stored witness clause: export it as the empty clause *)
   let contradiction = if s.unsat then [ [] ] else [] in

@@ -7,13 +7,25 @@
     VSIDS variable activities with phase saving, Luby restarts and
     activity-based deletion of learnt clauses.
 
+    Clauses live in one growable [int array], MiniSat's region layout
+    (Eén & Sörensson 2003): a clause is an offset to a header cell
+    (size and the learnt, activation and deleted bits), a cell holding
+    the index of its activity in an unboxed [float array], then its
+    literals inline.  Reasons, watchers and the clause vectors are
+    plain [int]s, so propagation reaches a clause's literals with one
+    dependent load and the garbage collector never scans a clause.  A
+    deleted clause stays in the arena as garbage; once garbage passes
+    a fifth of the arena, the live clauses are copied into a fresh one
+    and every reference is relocated.
+
     Propagation uses the MiniSat 2.2 watcher layout: each literal owns
-    one growable vector of (clause, blocker literal) watchers.  The
-    blocker is another literal of the clause; while it is true the
-    clause is satisfied and propagation skips it without reading the
-    clause.  Propagation compacts the vector it scans in place, and
-    learnt-DB reduction and {!simplify} purge the watchers of deleted
-    clauses.
+    one growable [int] vector of interleaved (clause, blocker literal)
+    watchers.  The blocker is another literal of the clause; while it
+    is true the clause is satisfied and propagation skips it without
+    reading the clause.  Propagation compacts the vector it scans in
+    place.  Deleting a clause marks the vectors that watch it, and
+    learnt-DB reduction and {!simplify} then purge the marked vectors
+    only.
 
     Solving is incremental.  Create a solver, allocate variables, add
     clauses, then call {!solve} (or {!solve_bounded}) as often as
@@ -33,6 +45,15 @@ val create : unit -> t
 
 val new_var : t -> int
 (** Allocates a fresh variable and returns its (positive) index. *)
+
+val new_selector : t -> int
+(** Like {!new_var}, for an activation literal: the solver keeps an
+    occurrence vector of the clauses that mention the variable (guard
+    clauses as they are added, learnt clauses, strengthened copies).
+    When the selector is retired by a unit, {!simplify}
+    [~subsume:false] deletes what it satisfied from that vector alone,
+    instead of walking every clause.  The search is the same as with
+    {!new_var}. *)
 
 val num_vars : t -> int
 
@@ -72,7 +93,7 @@ val simplify : ?subsume:bool -> t -> int
     removes satisfied clauses, strips false literals, then eliminates
     duplicate and subsumed problem clauses (activation clauses
     included, learnt clauses not) by this rule: of clauses with equal
-    literal sets, the first in clause order stays; every clause that
+    literal sets, the most recently added stays; every clause that
     has a strict subset of at most 8 literals among the remaining
     clauses goes.  Which clauses go does not depend on the order the
     pass visits them in.  Returns the number of clauses removed (net).
@@ -81,10 +102,18 @@ val simplify : ?subsume:bool -> t -> int
     problem (sorted literal copies, a hash table for duplicates,
     occurrence arrays and a 63-bit signature filter for subsets), so
     cheap enough to run once after loading a large problem.
-    [~subsume:false] skips the dedup/subsumption stage, leaving only
-    the linear propagation passes — the right setting for the
-    between-query cleanups of an incremental session, where the goal is
-    shedding clauses (problem and learnt) satisfied by retire units. *)
+    [~subsume:false] skips the dedup/subsumption stage — the right
+    setting for the between-query cleanups of an incremental session,
+    where the goal is shedding clauses (problem and learnt) satisfied
+    by retire units.  Its cost is then proportional to the retired
+    cones: when every level-0 unit since the previous call is a
+    selector ({!new_selector}), it reads only those units'
+    occurrence vectors, deletes the clauses they satisfy and purges
+    only the watch vectors that held them.  A unit on any other
+    variable, or a clause that would need strengthening (one holding
+    a retired selector positively), makes it run the full linear pass
+    instead: satisfied-clause removal and false-literal stripping over
+    every clause.  Either way the result is the same. *)
 
 val solve : ?assumptions:int list -> t -> result
 (** Decides the conjunction of all added clauses, under the optional

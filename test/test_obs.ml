@@ -270,6 +270,28 @@ let trace_tests =
         Obs.count "after.shutdown" 1;
         Obs.shutdown ();
         Alcotest.(check bool) "still disabled" false (Obs.enabled ()));
+    t "configure starts a fresh counter session" (fun () ->
+        let session adds =
+          let file = Filename.temp_file "ilv-obs-session" ".jsonl" in
+          Obs.configure ~trace_out:file ();
+          List.iter (Obs.count "session.test") adds;
+          Obs.shutdown ();
+          let raw = read_file file in
+          Sys.remove file;
+          match Json.parse_lines raw with
+          | Error msg -> Alcotest.fail msg
+          | Ok lines ->
+            List.filter_map
+              (fun j ->
+                match (int_of "add" j, int_of "total" j) with
+                | Some add, Some total -> Some (add, total)
+                | _ -> None)
+              lines
+        in
+        Alcotest.(check (list (pair int int)))
+          "first session" [ (3, 3); (4, 7) ] (session [ 3; 4 ]);
+        Alcotest.(check (list (pair int int)))
+          "second session counts from zero" [ (2, 2) ] (session [ 2 ]));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -937,6 +937,232 @@ let intake_props =
          ~count:1000 arb_intake intake_matches_reference);
   ]
 
+(* --- the retire pass against the full pass ---
+
+   [simplify ~subsume:false] takes the retire pass when every level-0
+   unit since the previous call is a selector ({!Sat.new_selector}),
+   and the full linear pass otherwise.  Each sequence runs twice, with
+   selectors from [new_selector] and from [new_var] (always the full
+   pass): after every step the two solvers must agree on the answer,
+   the statistics and the exported CNF.  Frame units and guard clauses
+   holding [+act] (which a retire strengthens rather than satisfies)
+   send the selector run to the full pass midway. *)
+type retire_step =
+  | Cone of int list list * int list option
+      (* guarded clauses; a guard clause holding [+act] *)
+  | Frame of int list (* an unguarded clause, possibly a unit *)
+  | Full_simplify
+
+let pp_clause c = "(" ^ String.concat "|" (List.map string_of_int c) ^ ")"
+
+let pp_retire_step = function
+  | Cone (cs, plus) ->
+    "cone "
+    ^ String.concat " " (List.map pp_clause cs)
+    ^ (match plus with Some c -> " +act" ^ pp_clause c | None -> "")
+  | Frame c -> "frame " ^ pp_clause c
+  | Full_simplify -> "simplify"
+
+let arb_retire =
+  QCheck.make
+    ~print:(fun (n, frame, steps) ->
+      Printf.sprintf "%d vars, frame %s: %s" n
+        (String.concat " " (List.map pp_clause frame))
+        (String.concat "; " (List.map pp_retire_step steps)))
+    QCheck.Gen.(
+      int_range 3 9 >>= fun n_vars ->
+      let lit = int_range 1 n_vars >>= fun v -> oneofl [ v; -v ] in
+      let clause = list_size (int_range 1 3) lit in
+      list_size (int_range 0 10) (list_size (int_range 2 3) lit)
+      >>= fun frame ->
+      let cone =
+        list_size (int_range 1 10) clause >>= fun cs ->
+        let plus = map Option.some (list_size (int_range 1 2) lit) in
+        frequency [ (5, return None); (1, plus) ] >>= fun plus ->
+        return (Cone (cs, plus))
+      in
+      let step =
+        frequency
+          [
+            (6, cone);
+            (1, map (fun c -> Frame c) (list_size (int_range 1 2) lit));
+            (1, return Full_simplify);
+          ]
+      in
+      list_size (int_range 1 10) step >>= fun steps ->
+      return (n_vars, frame, steps))
+
+(* Runs a sequence; per step, the query's answer (if any), the solver's
+   statistics and its exported CNF. *)
+let run_retire ~selector (n_vars, frame, steps) =
+  let s = mk n_vars frame in
+  ignore (Sat.simplify s);
+  List.map
+    (fun step ->
+      let answer =
+        match step with
+        | Frame c ->
+          Sat.add_clause s c;
+          None
+        | Full_simplify ->
+          ignore (Sat.simplify s);
+          None
+        | Cone (cs, plus) ->
+          let act = if selector then Sat.new_selector s else Sat.new_var s in
+          let guard c = Sat.add_clause ~activation:true s c in
+          List.iter (fun c -> guard (-act :: c)) cs;
+          Option.iter (fun c -> guard (act :: c)) plus;
+          let r = Sat.solve ~assumptions:[ act ] s in
+          Sat.add_clause ~activation:true s [ -act ];
+          Some r
+      in
+      ignore (Sat.simplify ~subsume:false s);
+      Sat.age_activity s;
+      (answer, Sat.stats s, Sat.export s))
+    steps
+
+(* [f ()] and the Obs counters it left, in a counter session of its
+   own *)
+let with_counters f =
+  Ilv_obs.Obs.configure ~trace_out:Filename.null ();
+  Fun.protect ~finally:Ilv_obs.Obs.shutdown (fun () ->
+      let x = f () in
+      (x, Ilv_obs.Obs.counters ()))
+
+let counter name counters =
+  Option.value ~default:0 (List.assoc_opt name counters)
+
+(* [seq] takes the full pass [fallbacks] times with selectors, and ends
+   as it does with plain variables *)
+let check_retire ~fallbacks seq =
+  let runs, counters =
+    with_counters (fun () -> run_retire ~selector:true seq)
+  in
+  Alcotest.(check int)
+    "fallbacks" fallbacks
+    (counter "sat.retire_fallbacks" counters);
+  Alcotest.(check bool)
+    "same as the full pass" true
+    (runs = run_retire ~selector:false seq)
+
+let retire_tests =
+  [
+    t "retire pass: selector cones never take the full pass" (fun () ->
+        let cone k =
+          Cone (random_3sat ~seed:k ~n_vars:12 ~n_clauses:(30 + (10 * k)), None)
+        in
+        check_retire ~fallbacks:0
+          (12, random_3sat ~seed:9 ~n_vars:12 ~n_clauses:12, List.init 4 cone));
+    t "retire pass: a +act guard and a frame unit force the full pass"
+      (fun () ->
+        check_retire ~fallbacks:2
+          ( 6,
+            [ [ 1; 2 ]; [ -2; 3 ] ],
+            [
+              Cone ([ [ 4; 5 ]; [ -4; 6 ] ], Some [ 5; 6 ]);
+              Cone ([ [ -1 ] ], None);
+              Frame [ 4 ];
+              Cone ([ [ -5; -6 ] ], None);
+            ] ));
+    t "retire pass: a learnt frame unit forces the full pass" (fun () ->
+        (* deciding -1 (the initial phase) conflicts at once, so the
+           query learns the unit 1 *)
+        check_retire ~fallbacks:1
+          ( 3,
+            [ [ 1; 2 ]; [ 1; -2 ] ],
+            [ Cone ([ [ 3 ] ], None); Cone ([ [ -3 ] ], None) ] ));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"retire pass and full pass agree on every step" ~count:500
+         arb_retire (fun seq ->
+           run_retire ~selector:true seq = run_retire ~selector:false seq));
+  ]
+
+(* --- the clause arena under compaction ---
+
+   A long guarded sequence on one solver: a frame, then cones over
+   variables of their own, two of them hard enough for [reduce_db] to
+   run more than once.  Deleted learnts and retired cones fill the arena
+   with garbage until it is compacted.  Every answer must equal a fresh
+   solver's on the frame plus the cone, and once every cone is retired
+   only the frame is left. *)
+let arena_tests =
+  [
+    t "compaction keeps answers and leaves only the frame" (fun () ->
+        let frame_vars = 30 in
+        let frame = random_3sat ~seed:4 ~n_vars:frame_vars ~n_clauses:60 in
+        let cones =
+          [
+            php 6 5;
+            (200, random_3sat ~seed:11 ~n_vars:200 ~n_clauses:860);
+            php 7 7;
+            php 8 7;
+            (150, random_3sat ~seed:7 ~n_vars:150 ~n_clauses:600);
+          ]
+        in
+        let s = mk frame_vars frame in
+        ignore (Sat.simplify s);
+        let stored (_, cs) = List.filter (fun c -> List.length c >= 2) cs in
+        let frame_stored = stored (Sat.export s) in
+        let answers, counters =
+          with_counters (fun () ->
+              List.map
+                (fun (n, cs) ->
+                  let base = Sat.num_vars s in
+                  for _ = 1 to n do
+                    ignore (Sat.new_var s)
+                  done;
+                  let shift l = if l > 0 then l + base else l - base in
+                  let cs = List.map (List.map shift) cs in
+                  let act = Sat.new_selector s in
+                  List.iter
+                    (fun c -> Sat.add_clause ~activation:true s (-act :: c))
+                    cs;
+                  let r = Sat.solve ~assumptions:[ act ] s in
+                  Sat.add_clause ~activation:true s [ -act ];
+                  ignore (Sat.simplify ~subsume:false s);
+                  Sat.age_activity s;
+                  (r, Sat.solve (mk (base + n) (frame @ cs))))
+                cones)
+        in
+        List.iteri
+          (fun k (got, fresh) ->
+            Alcotest.check result (Printf.sprintf "cone %d" k) fresh got)
+          answers;
+        let at_least name n =
+          let got = counter name counters in
+          Alcotest.(check bool) (Printf.sprintf "%d %s" got name) true (got >= n)
+        in
+        at_least "sat.reductions" 2;
+        at_least "sat.compactions" 1;
+        Alcotest.(check int)
+          "no fallbacks" 0
+          (counter "sat.retire_fallbacks" counters);
+        Alcotest.(check int)
+          "activation clauses" 0
+          (Sat.num_activation_clauses s);
+        (* the simplified frame, as the units learnt since leave it *)
+        let cnf = Sat.export s in
+        let units =
+          List.filter_map (function [ l ] -> Some l | _ -> None) (snd cnf)
+        in
+        let normal c = List.sort compare c in
+        let expected =
+          List.filter_map
+            (fun c ->
+              if List.exists (fun l -> List.mem l units) c then None
+              else
+                match List.filter (fun l -> not (List.mem (-l) units)) c with
+                | _ :: _ :: _ as c -> Some (normal c)
+                | _ -> None)
+            frame_stored
+        in
+        Alcotest.(check (list (list int)))
+          "stored clauses are the frame's"
+          (List.sort compare expected)
+          (List.sort compare (List.map normal (stored cnf))));
+  ]
+
 let suite =
   [
     ("sat:unit", unit_tests);
@@ -947,4 +1173,6 @@ let suite =
     ("sat:incremental", incremental_props @ step_props);
     ("sat:pinned", pinned_search_tests);
     ("sat:intake", intake_props);
+    ("sat:retire", retire_tests);
+    ("sat:arena", arena_tests);
   ]
