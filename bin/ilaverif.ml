@@ -202,17 +202,15 @@ let print_daemon_results reply =
     | Some (Json.List rs) -> rs
     | _ -> []
   in
-  let failed = ref 0 and unknown = ref 0 in
-  let missing = ref [] in
-  (* failed rows whose counterexample did not travel in the frame *)
+  let unknown = ref 0 in
+  let failures = ref [] in
+  (* failed rows, with their counterexample when it travelled in the
+     frame *)
   List.iter
     (fun r ->
       let s key = Option.value (Protocol.str_member key r) ~default:"" in
       let verdict = s "verdict" in
-      (match verdict with
-      | "failed" -> incr failed
-      | "unknown" -> incr unknown
-      | _ -> ());
+      if verdict = "unknown" then incr unknown;
       Format.printf "  %-12s %-34s %-7s %.3fs%s%s@." (s "port") (s "instr")
         (match verdict with
         | "proved" -> "proved"
@@ -226,12 +224,13 @@ let print_daemon_results reply =
       (match Protocol.str_member "reason" r with
       | Some why -> Format.printf "    reason: %s@." why
       | None -> ());
-      if verdict = "failed" then
-        match Option.bind (Json.member "trace" r) Trace.of_json with
-        | Some tr -> Format.printf "%a@." Trace.pp tr
-        | None -> missing := (s "port", s "instr") :: !missing)
+      if verdict = "failed" then begin
+        let trace = Option.bind (Json.member "trace" r) Trace.of_json in
+        Option.iter (Format.printf "%a@." Trace.pp) trace;
+        failures := (s "port", s "instr", trace) :: !failures
+      end)
     results;
-  (!failed, !unknown, List.rev !missing)
+  (List.rev !failures, !unknown)
 
 (* A failing daemon row whose trace was omitted (too large for the
    reply frame, or an older daemon): recover it transparently by
@@ -249,17 +248,31 @@ let recheck_trace (d : Design.t) ~bug ~memory_abstraction ~port_name ~instr =
   | Some { Verify.verdict = Checker.Failed tr; _ } ->
     Format.printf
       "  (trace exceeded the reply frame; re-derived in-process)@.%a@."
-      Trace.pp tr
+      Trace.pp tr;
+    Some tr
   | _ ->
     Format.printf
       "  (trace of %s/%s exceeded the reply frame and the in-process \
        re-check did not reproduce it)@."
-      port_name instr
+      port_name instr;
+    None
+
+(* [--vcd FILE]: the first counterexample as a VCD waveform *)
+let write_vcd vcd trace =
+  match (vcd, trace) with
+  | Some file, Some trace ->
+    let oc = open_out file in
+    output_string oc (Trace.to_vcd trace);
+    close_out oc;
+    Format.printf "counterexample waveform written to %s@." file
+  | Some _, None -> Format.printf "no counterexample to dump@."
+  | None, _ -> ()
 
 (* Returns true when the daemon handled the command (this process
-   should not solve anything); exits non-zero itself on verification
-   failure, mirroring the in-process paths. *)
-let daemon_verify ~sock ~bug ~port ~timeout_s ~mem_abs (d : Design.t) =
+   should not solve anything).  Like the in-process path, it writes the
+   first failing row's trace to [vcd] and exits 1 unless every row is
+   proved. *)
+let daemon_verify ~sock ~bug ~port ~timeout_s ~mem_abs ~vcd (d : Design.t) =
   let req =
     Json.Obj
       ([
@@ -287,13 +300,18 @@ let daemon_verify ~sock ~bug ~port ~timeout_s ~mem_abs (d : Design.t) =
     exit 2
   | Ok reply ->
     Format.printf "daemon verification: %s@." d.Design.name;
-    let failed, unknown, missing = print_daemon_results reply in
-    List.iter
-      (fun (port_name, instr) ->
-        recheck_trace d ~bug
-          ~memory_abstraction:(mem_abs_enabled mem_abs)
-          ~port_name ~instr)
-      missing;
+    let failures, unknown = print_daemon_results reply in
+    let traces =
+      List.map
+        (fun (port_name, instr, trace) ->
+          match trace with
+          | Some _ -> trace
+          | None ->
+            recheck_trace d ~bug
+              ~memory_abstraction:(mem_abs_enabled mem_abs)
+              ~port_name ~instr)
+        failures
+    in
     (match Json.member "summary" reply with
     | Some s ->
       let i key = Option.value (Protocol.int_member key s) ~default:0 in
@@ -304,14 +322,8 @@ let daemon_verify ~sock ~bug ~port ~timeout_s ~mem_abs (d : Design.t) =
         (i "n_dedup") (i "n_cache_hits")
         (Option.value (Protocol.float_member "time_s" s) ~default:0.0)
     | None -> ());
-    (* a bug variant is *expected* to fail: exit 0 iff the verdict set
-       matches expectation, like the in-process path's proved check *)
-    let ok_outcome =
-      match bug with
-      | None -> failed = 0 && unknown = 0
-      | Some _ -> failed > 0
-    in
-    if not ok_outcome then exit 1;
+    write_vcd vcd (match traces with trace :: _ -> trace | [] -> None);
+    if failures <> [] || unknown > 0 then exit 1;
     true
 
 let daemon_table ~sock ~designs ~timeout_s ~mem_abs =
@@ -552,7 +564,7 @@ let verify_cmd =
     let d = or_die (find_design name) in
     let handled_by_daemon =
       match daemon with
-      | Some sock -> daemon_verify ~sock ~bug ~port ~timeout_s ~mem_abs d
+      | Some sock -> daemon_verify ~sock ~bug ~port ~timeout_s ~mem_abs ~vcd d
       | None -> false
     in
     if handled_by_daemon then ()
@@ -565,14 +577,10 @@ let verify_cmd =
     in
     Format.printf "%a@." Engine.pp_summary summary;
     Format.printf "%a@." Verify.pp_report report;
-    (match (vcd, report.Verify.first_failure) with
-    | Some file, Some { verdict = Checker.Failed trace; _ } ->
-      let oc = open_out file in
-      output_string oc (Trace.to_vcd trace);
-      close_out oc;
-      Format.printf "counterexample waveform written to %s@." file
-    | Some _, _ -> Format.printf "no counterexample to dump@."
-    | None, _ -> ());
+    write_vcd vcd
+      (match report.Verify.first_failure with
+      | Some { verdict = Checker.Failed trace; _ } -> Some trace
+      | _ -> None);
     if not (Verify.proved report) then exit 1
     end
   in
@@ -896,8 +904,7 @@ let mutate_cmd =
       | names -> List.map (fun n -> or_die (find_design n)) names
     in
     let budget =
-      Checker.budget ~conflicts ~wall_s:wall ~escalations:2
-        ~escalation_factor:4 ()
+      Checker.budget ~conflicts ~wall_s:wall ~escalations:2 ()
     in
     let campaigns =
       List.map

@@ -5,31 +5,19 @@ type verdict = Proved | Failed of Trace.t | Unknown of string
 
 type budget = {
   conflicts : int option;
-  propagations : int option;
   wall_s : float option;
   deadline_s : float option;
   escalations : int;
-  escalation_factor : int;
 }
 
 let unlimited =
-  {
-    conflicts = None;
-    propagations = None;
-    wall_s = None;
-    deadline_s = None;
-    escalations = 0;
-    escalation_factor = 4;
-  }
+  { conflicts = None; wall_s = None; deadline_s = None; escalations = 0 }
 
-let budget ?conflicts ?propagations ?wall_s ?deadline_s ?(escalations = 2)
-    ?(escalation_factor = 4) () =
-  { conflicts; propagations; wall_s; deadline_s; escalations;
-    escalation_factor }
+let budget ?conflicts ?wall_s ?deadline_s ?(escalations = 2) () =
+  { conflicts; wall_s; deadline_s; escalations }
 
 let is_unlimited b =
-  b.conflicts = None && b.propagations = None && b.wall_s = None
-  && b.deadline_s = None
+  b.conflicts = None && b.wall_s = None && b.deadline_s = None
 
 let with_deadline d b = { b with deadline_s = Some d }
 
@@ -43,60 +31,43 @@ let with_timeout timeout_s b =
          (Option.value b ~default:unlimited))
 
 let limit_of b =
-  Sat.limit ?conflicts:b.conflicts ?propagations:b.propagations
-    ?wall_s:b.wall_s ?deadline_s:b.deadline_s ()
+  Sat.limit ?conflicts:b.conflicts ?wall_s:b.wall_s ?deadline_s:b.deadline_s ()
 
 let past_deadline b =
   match b.deadline_s with
   | None -> false
   | Some d -> Unix.gettimeofday () > d
 
-(* The structured sentinel marking an absolute group-deadline expiry.
-   It is deliberately NOT the word "timeout": solver and encoder
-   reasons are free-form prose (a per-call wall budget may well say
-   "timeout: ..." someday), and anything that happens to contain the
-   sentinel would wrongly suppress escalation and the degradation
-   ladder.  Only {!deadline_reason} (and the identical producer in
-   {!Ilv_sat.Sat.solve_bounded}) ever emits it. *)
-let deadline_sentinel = "deadline:"
-
-let deadline_reason b =
-  Printf.sprintf "%s group deadline %.3f exceeded at %.3f (epoch s)"
-    deadline_sentinel
-    (Option.value b.deadline_s ~default:nan)
-    (Unix.gettimeofday ())
-
-(* "deadline: ..." reasons mark the absolute group deadline: escalation
-   must not retry them (the clock that ran out is not per-call), and
-   the degradation ladder stops at them rather than burning more rungs
-   against a wall that will not move. *)
-let is_deadline_reason r =
-  (* substring, not prefix: encoders wrap solver reasons in context
-     ("obligation equivalence after N cycle(s): deadline: ...") and the
-     marker must survive the wrapping *)
-  let m = String.length deadline_sentinel in
+(* Structured sentinels: a reason carrying one is a machine-readable
+   signal to the retry loops, not prose.  Both must survive wrapping
+   (encoders prefix solver reasons with context, "obligation
+   equivalence after N cycle(s): deadline: ..."), so they match as
+   substrings anywhere in the reason. *)
+let has_sentinel sentinel r =
+  let m = String.length sentinel in
   let n = String.length r in
-  let rec at i = i + m <= n && (String.sub r i m = deadline_sentinel || at (i + 1)) in
+  let rec at i = i + m <= n && (String.sub r i m = sentinel || at (i + 1)) in
   at 0
 
-(* Sentinel marking a spurious abstract counterexample: the SAT-model
-   hook rejected the model and (usually) refined the abstraction, so
-   the frame it was solved in is stale.  Like the deadline sentinel it
-   must survive reason wrapping, and the degradation ladder must not
-   descend on it — lower rungs would re-solve the same stale
-   abstraction instead of letting the CEGAR driver re-encode. *)
+(* The absolute group-deadline expiry.  It is deliberately NOT the word
+   "timeout": solver and encoder reasons are free-form prose (a
+   per-call wall budget may well say "timeout: ..." someday), and
+   anything that happens to contain the sentinel would wrongly suppress
+   escalation and the degradation ladder.  Its one producer is
+   {!Ilv_sat.Sat.deadline_reason}.  Escalation must not retry it (the
+   clock that ran out is not per-call), and the degradation ladder
+   stops at it rather than burning more rungs against a wall that will
+   not move. *)
+let deadline_sentinel = Sat.deadline_sentinel
+let is_deadline_reason = has_sentinel deadline_sentinel
+
+(* A spurious abstract counterexample: the SAT-model hook rejected the
+   model and (usually) refined the abstraction, so the frame it was
+   solved in is stale.  The degradation ladder must not descend on it —
+   lower rungs would re-solve the same stale abstraction instead of
+   letting the CEGAR driver re-encode. *)
 let spurious_sentinel = "cegar-spurious:"
-
-let spurious_reason () =
-  spurious_sentinel ^ " abstract counterexample rejected; re-encode and retry"
-
-let is_spurious_reason r =
-  let m = String.length spurious_sentinel in
-  let n = String.length r in
-  let rec at i =
-    i + m <= n && (String.sub r i m = spurious_sentinel || at (i + 1))
-  in
-  at 0
+let is_spurious_reason = has_sentinel spurious_sentinel
 
 type stats = {
   time_s : float;
@@ -162,6 +133,9 @@ type sat_hook =
   (string -> Sort.t -> Value.t) ->
   verdict option
 
+(* Every escalation multiplies the per-call limits by this factor. *)
+let escalation_factor = 4
+
 (* Decide one obligation under its assumption literals, escalating the
    budget on [Unknown]: attempt [k] runs under the initial limit scaled
    by [escalation_factor^k].  Learnt clauses persist in [ctx], so a
@@ -178,7 +152,7 @@ let decide ctx ~budget:b ~assumptions attempts =
         if k = 0 then base
         else
           Sat.scale_limit
-            (int_of_float (float_of_int b.escalation_factor ** float_of_int k))
+            (int_of_float (float_of_int escalation_factor ** float_of_int k))
             base
       in
       incr attempts;
@@ -218,7 +192,8 @@ let check_queries ~mode ~budget ~retire ~on_sat ctx (p : Property.t) queries =
       (* the group clock ran out: no more solver calls, every remaining
          obligation degrades to a timestamped Unknown *)
       retire j;
-      go (j + 1) ((ob.Property.label, deadline_reason budget) :: unknowns) rest
+      let reason = Sat.deadline_reason (Option.get budget.deadline_s) in
+      go (j + 1) ((ob.Property.label, reason) :: unknowns) rest
     | (ob, assumptions) :: rest -> (
       let span =
         if Ilv_obs.Obs.enabled () then
@@ -290,7 +265,9 @@ let check_queries ~mode ~budget ~retire ~on_sat ctx (p : Property.t) queries =
           (* spurious: the abstraction moved under this encoding; the
              remaining obligations would solve against the same stale
              frame, so stop and let the CEGAR driver re-encode *)
-          Unknown (spurious_reason ())))
+          Unknown
+            (spurious_sentinel
+           ^ " abstract counterexample rejected; re-encode and retry")))
   in
   let verdict = go 0 [] queries in
   let cnf_vars, cnf_clauses = Bitblast.cnf_size ctx in
@@ -311,20 +288,10 @@ let check_queries ~mode ~budget ~retire ~on_sat ctx (p : Property.t) queries =
       attempts = !attempts;
     } )
 
-(* A prepared property: the assumptions are asserted into one
-   incremental bit-blasting context, and every obligation's guard and
-   negated goal are pre-encoded to solver literals, before the SAT
-   search starts. *)
-type prepared = {
-  prop : Property.t;
-  ctx : Bitblast.t;
-  queries : (Property.obligation * int list) list;
-      (* obligation, the literals of its guard and negated goal *)
-  pr_on_sat :
-    (ob_index:int -> (string -> Sort.t -> Value.t) -> verdict option) option;
-}
-
-let prepare ?(simplify = true) ?on_sat (p : Property.t) =
+(* The fresh path: the assumptions are asserted into a new bit-blasting
+   context, and every obligation's guard and negated goal are
+   pre-encoded to solver literals, before the SAT search starts. *)
+let check ?(simplify = true) ?on_sat ?(budget = unlimited) (p : Property.t) =
   let ctx = Bitblast.create () in
   let prep e = if simplify then Simp.simplify_fix e else e in
   List.iter (fun a -> Bitblast.assert_bool ctx (prep a)) p.Property.assumptions;
@@ -336,14 +303,7 @@ let prepare ?(simplify = true) ?on_sat (p : Property.t) =
             [ prep ob.Property.guard; Build.not_ (prep ob.Property.goal) ] ))
       p.Property.obligations
   in
-  { prop = p; ctx; queries; pr_on_sat = on_sat }
-
-let check_prepared ?(budget = unlimited) pr =
-  check_queries ~mode:"fresh" ~budget ~retire:ignore ~on_sat:pr.pr_on_sat
-    pr.ctx pr.prop pr.queries
-
-let check ?simplify ?on_sat ?budget (p : Property.t) =
-  check_prepared ?budget (prepare ?simplify ?on_sat p)
+  check_queries ~mode:"fresh" ~budget ~retire:ignore ~on_sat ctx p queries
 
 (* --- shared-frame incremental checking --- *)
 
@@ -544,7 +504,6 @@ let shared_error sh idx =
   | Encoded _ -> None
   | Pending -> assert false
 
-let shared_cnf_split sh = Bitblast.cnf_split sh.sh_ctx
 let shared_simplify_removed sh = sh.sh_removed
 
 let check_shared ?(budget = unlimited) sh idx =

@@ -21,7 +21,6 @@ type verdict =
 
 type budget = {
   conflicts : int option;  (** initial per-obligation conflict budget *)
-  propagations : int option;
   wall_s : float option;  (** initial per-obligation wall clock, seconds *)
   deadline_s : float option;
       (** absolute deadline (Unix epoch seconds) shared by a whole
@@ -31,9 +30,9 @@ type budget = {
           off at its next propagation-round check.  Never scaled by
           escalation. *)
   escalations : int;
-      (** extra attempts after the first, each with the limits scaled
-          up by [escalation_factor] *)
-  escalation_factor : int;
+      (** extra attempts after the first, each with the per-call limits
+          ([conflicts], [wall_s]) four times those of the attempt
+          before *)
 }
 
 val unlimited : budget
@@ -41,16 +40,13 @@ val unlimited : budget
 
 val budget :
   ?conflicts:int ->
-  ?propagations:int ->
   ?wall_s:float ->
   ?deadline_s:float ->
   ?escalations:int ->
-  ?escalation_factor:int ->
   unit ->
   budget
-(** Defaults: 2 escalations, factor 4 — so an obligation gets up to
-    three attempts at 1x, 4x and 16x the initial limits before giving
-    up.  Learnt clauses persist across attempts, so escalation resumes
+(** Default: 2 escalations — so an obligation gets up to three attempts
+    at 1x, 4x and 16x the initial limits before giving up.  Learnt clauses persist across attempts, so escalation resumes
     the search rather than restarting it.  A ["deadline: ..."] unknown
     (absolute deadline) is never escalated: the clock that ran out is
     not per-call. *)
@@ -69,8 +65,9 @@ val with_timeout : float option -> budget option -> budget option
     when it picks the group up. *)
 
 val deadline_sentinel : string
-(** The structured marker (["deadline:"]) stamped onto every unknown an
-    absolute group deadline produces — and onto nothing else.  It is
+(** The structured marker (["deadline:"], {!Ilv_sat.Sat.deadline_sentinel})
+    stamped onto every unknown an absolute group deadline produces — and
+    onto nothing else.  It is
     deliberately distinct from free-form budget prose: a solver- or
     encoder-produced reason that happens to contain ["timeout:"] (e.g.
     a per-call wall-budget message) must never be mistaken for a group
@@ -84,20 +81,15 @@ val is_deadline_reason : string -> bool
     degradation ladder, pool supervision) not to burn more work against
     a fixed wall clock. *)
 
-val spurious_sentinel : string
-(** The structured marker (["cegar-spurious:"]) stamped onto the unknown
-    produced when a SAT-model hook rejects an abstract counterexample:
-    the abstraction was refined and the encoding the model came from is
-    stale.  CEGAR drivers ({!Ilv_core.Mem_abstract}, {!Verify}) catch
-    it, re-encode and retry; it must never surface as a final verdict. *)
-
-val spurious_reason : unit -> string
-
 val is_spurious_reason : string -> bool
-(** True when {!spurious_sentinel} appears anywhere in the reason
-    (reasons get wrapped in context, like the deadline sentinel).  The
-    degradation ladder short-circuits on it: lower rungs would re-solve
-    the same stale abstraction. *)
+(** True when the reason carries the ["cegar-spurious:"] marker
+    (anywhere: reasons get wrapped in context, like the deadline
+    sentinel).  It is stamped onto the unknown produced when a SAT-model
+    hook rejects an abstract counterexample: the abstraction was refined
+    and the encoding the model came from is stale.  The CEGAR driver
+    ({!Verify}) catches it, re-encodes and retries; it never surfaces
+    as a final verdict.  The degradation ladder short-circuits on it:
+    lower rungs would re-solve the same stale abstraction. *)
 
 (** {1 SAT-model hooks (CEGAR)} *)
 
@@ -111,7 +103,8 @@ type sat_hook =
     genuine counterexample, typically re-traced against a concrete
     property); [None] declares the model spurious — the hook refined
     its abstraction, the current encoding is stale, and checking stops
-    with a {!spurious_sentinel} unknown for the caller to re-encode.
+    with a ["cegar-spurious:"] unknown ({!is_spurious_reason}) for the
+    caller to re-encode.
     The model closure reads the live solver assignment: hooks must
     consume it before returning. *)
 
@@ -143,9 +136,9 @@ val check_fresh :
   simplify:bool ->
   Property.t ->
   verdict * stats
-(** {!check} with exceptions mapped to [Unknown] — the exception-safe
-    single-property retry used by the degradation ladder and the CEGAR
-    drivers' concrete fallback. *)
+(** {!check} with exceptions mapped to [Unknown "exception: ..."] — the
+    exception-safe single-property retry used by the degradation
+    ladder's fresh rung and the CEGAR driver's concrete fallback. *)
 
 val check :
   ?simplify:bool ->
@@ -236,9 +229,6 @@ val check_shared_degrading :
     unknown short-circuits the ladder — lower rungs face the same
     absolute deadline.  Stats accumulate across the rungs actually
     run. *)
-
-val shared_cnf_split : shared -> int * int
-(** [(problem, activation)] clause counts of the shared context. *)
 
 val shared_simplify_removed : shared -> int
 (** Clauses removed by the CNF-level simplification pass (0 before the

@@ -79,7 +79,8 @@ val hook : t -> Checker.sat_hook
 (** {!replay} packaged as the checker's SAT-model hook. *)
 
 val max_rounds : int
-(** The CEGAR refinement ceiling per obligation, shared by both drivers
+(** The CEGAR refinement ceiling per obligation, enforced by the one
+    refinement loop behind both checking modes
     ({!Verify.check_port_instr} and {!Verify.check_property}): each
     round adds at least one concrete address, so it only trips on
     pathological window churn, and the concrete fallback then still

@@ -145,110 +145,103 @@ let rebuild_frame pr =
       pr.pp_concrete;
   pr.pp_frame_gen <- generation pr.pp_abstraction
 
-let check_port_instr ?budget pr name =
-  match prepared_slot pr name with
-  | Ok idx -> (
-    (* the ladder: incremental -> fresh -> Unknown, each
-       demotion observable; with the memory abstraction active, a
-       spurious-counterexample unknown re-encodes the refined window
-       and retries (CEGAR), falling back to the concrete encoding when
-       refinement stalls *)
-    let ladder () =
-      try Checker.check_shared_degrading ?budget pr.pp_shared idx
-      with e ->
-        ( Checker.Unknown ("exception: " ^ message_of_exn e),
-          Checker.zero_stats,
-          "error" )
-    in
-    let concrete_fallback stats_acc =
-      match List.nth_opt pr.pp_concrete idx with
-      | None ->
-        ( Checker.Unknown "exception: no concrete property for slot",
-          stats_acc,
-          "error" )
-      | Some p ->
+(* ---- the CEGAR driver ----
+
+   The one refinement loop, behind both checking modes.  [solve ()]
+   decides the current encoding and names its rung; [frame_gen ()] is
+   the abstraction generation that encoding was built from; [reencode
+   ()] rebuilds it from the refined window.  While a spurious abstract
+   counterexample has grown the window past the solved generation, the
+   driver re-encodes and retries; each refinement adds at least one
+   concrete address, so the refinement ceiling only trips on
+   pathological window churn.  Otherwise — stalled refinement or the
+   ceiling — the [concrete] property is decided on a fresh solver.  A
+   property that raises while it is encoded or checked is rung "error"
+   with an "exception: " reason, in both modes and both encodings. *)
+
+(* the concrete fallback's rung: a refinement outcome, not a
+   degradation, and never cached (no shared frame decided it) *)
+let concrete_rung = "abstract>concrete"
+
+let error_result msg =
+  (Checker.Unknown ("exception: " ^ msg), Checker.zero_stats, "error")
+
+(* The rung of a decision on the abstraction: the ladder rung tagged
+   with the frame it was decided on ("incremental+abstract",
+   "fresh+cegar2").  The fresh path has no ladder: its rung is the
+   abstraction itself ("abstract", "abstract+cegar1"). *)
+let abstract_rung rung round =
+  match (rung, round) with
+  | "abstract", 0 -> rung
+  | _, 0 -> rung ^ "+abstract"
+  | _ -> Printf.sprintf "%s+cegar%d" rung round
+
+let cegar ?budget ~abstraction ~frame_gen ~solve ~reencode concrete =
+  let rec attempt round stats_acc =
+    let gen = frame_gen () in
+    let v, s, rung = try solve () with e -> error_result (message_of_exn e) in
+    let stats_acc = Checker.merge_stats stats_acc s in
+    match (v, abstraction) with
+    | Checker.Unknown r, Some ab when Checker.is_spurious_reason r ->
+      if Mem_abstract.generation ab > gen && round < Mem_abstract.max_rounds
+      then begin
+        reencode ();
+        attempt (round + 1) stats_acc
+      end
+      else
         let v, s =
           Checker.check_fresh
             ~budget:(Option.value budget ~default:Checker.unlimited)
-            ~simplify:true p
+            ~simplify:true concrete
         in
-        (v, Checker.merge_stats stats_acc s, "abstract>concrete")
-    in
-    (* each refinement adds at least one concrete address, so the
-       ceiling only trips on pathological window churn — the concrete
-       fallback then still produces a definite verdict *)
-    let rec attempt round stats_acc =
-      match Checker.shared_error pr.pp_shared idx with
-      | Some msg ->
-        (* a property that cannot be encoded is an error, not a solver
-           give-up: the lower rungs are not tried *)
-        (Checker.Unknown ("exception: " ^ msg), stats_acc, "error")
-      | None -> (
-      let v, s, rung = ladder () in
-      let stats_acc = Checker.merge_stats stats_acc s in
-      match (v, pr.pp_abstraction) with
-      | Checker.Unknown r, Some ab when Checker.is_spurious_reason r ->
-        if Mem_abstract.generation ab > pr.pp_frame_gen
-           && round < Mem_abstract.max_rounds
-        then begin
-          rebuild_frame pr;
-          attempt (round + 1) stats_acc
-        end
-        else concrete_fallback stats_acc
-      | _, Some _ when rung <> "error" ->
-        let tag = if round = 0 then "+abstract" else
-            Printf.sprintf "+cegar%d" round
-        in
-        (v, stats_acc, rung ^ tag)
-      | _ -> (v, stats_acc, rung))
-    in
-    attempt 0 Checker.zero_stats)
-  | Error msg ->
-    (Checker.Unknown ("exception: " ^ msg), Checker.zero_stats, "error")
+        (v, Checker.merge_stats stats_acc s, concrete_rung)
+    | _, Some _ when rung <> "error" -> (v, stats_acc, abstract_rung rung round)
+    | _ -> (v, stats_acc, rung)
+  in
+  attempt 0 Checker.zero_stats
 
-(* ---- fresh path ----
+(* The shared-frame mode: the degradation ladder (incremental -> fresh
+   -> Unknown, each demotion observable) over the live frame.  A
+   property that cannot be encoded is an error, not a solver give-up:
+   the lower rungs are not tried. *)
+let check_port_instr ?budget pr name =
+  match prepared_slot pr name with
+  | Error msg -> error_result msg
+  | Ok idx ->
+    cegar ?budget ~abstraction:pr.pp_abstraction
+      ~frame_gen:(fun () -> pr.pp_frame_gen)
+      ~solve:(fun () ->
+        match Checker.shared_error pr.pp_shared idx with
+        | Some msg -> error_result msg
+        | None -> Checker.check_shared_degrading ?budget pr.pp_shared idx)
+      ~reencode:(fun () -> rebuild_frame pr)
+      (List.nth pr.pp_concrete idx)
 
-   One property on its own solver, uncached: [Checker.check] on the
-   concrete encoding, or, under the memory abstraction, a
-   single-property CEGAR driver over [Checker.check_fresh]: solve the
-   abstraction, replay SAT answers, re-encode after refinements, and
-   fall back to the concrete encoding when the abstraction stops making
-   progress. *)
-
+(* The fresh mode: one property on its own solver, uncached — the
+   concrete encoding (rung "sat"), or under the memory abstraction its
+   single-property rewrite, re-derived from the current window on every
+   solve. *)
 let check_property ?budget ~memory_abstraction (p : Property.t) =
-  match if memory_abstraction then Mem_abstract.create [ p ] else None with
-  | None ->
-    let v, s = Checker.check ?budget p in
-    (v, s, "sat")
-  | Some ab ->
-    let budget = Option.value budget ~default:Checker.unlimited in
-    let rec attempt round stats_acc =
-      let gen0 = Mem_abstract.generation ab in
-      let v, s =
-        Checker.check_fresh
-          ~on_sat:(Mem_abstract.replay ab ~prop_index:0)
-          ~budget ~simplify:true
-          (Mem_abstract.abstract_properties ab).(0)
-      in
-      let stats_acc = Checker.merge_stats stats_acc s in
-      match v with
-      | Checker.Unknown r when Checker.is_spurious_reason r ->
-        if Mem_abstract.generation ab > gen0 && round < Mem_abstract.max_rounds
-        then attempt (round + 1) stats_acc
-        else begin
-          (* no refinement progress: decide concretely *)
-          let v, s = Checker.check ~budget p in
-          (v, Checker.merge_stats stats_acc s, "abstract>concrete")
-        end
-      | _ ->
-        ( v,
-          stats_acc,
-          if round = 0 then "abstract"
-          else Printf.sprintf "abstract+cegar%d" round )
-    in
-    attempt 0 Checker.zero_stats
+  let abstraction =
+    if memory_abstraction then Mem_abstract.create [ p ] else None
+  in
+  cegar ?budget ~abstraction
+    ~frame_gen:(fun () -> generation abstraction)
+    ~solve:(fun () ->
+      match abstraction with
+      | None ->
+        let v, s = Checker.check ?budget p in
+        (v, s, "sat")
+      | Some ab ->
+        let v, s =
+          Checker.check ?budget
+            ~on_sat:(Mem_abstract.replay ab ~prop_index:0)
+            (Mem_abstract.abstract_properties ab).(0)
+        in
+        (v, s, "abstract"))
+    ~reencode:ignore p
 
-let is_cacheable_rung rung = rung <> "abstract>concrete"
+let is_cacheable_rung rung = rung <> concrete_rung
 
 let is_degraded_rung rung =
   let ladder =

@@ -50,10 +50,10 @@ val unknowns : report -> instr_result list
     expensive step, and checking one instruction against it is cheap
     and repeatable.  This session is the only shared-frame driver: the
     engine's groups ({!Ilv_engine.Engine}), including the ones the
-    daemon keeps resident, decide through {!check_port_instr}, which
-    owns the CEGAR loop, its ceiling
-    ({!Mem_abstract.max_rounds}), the concrete fallback, the
-    degradation ladder and the rung names. *)
+    daemon keeps resident, decide through {!check_port_instr}.  It and
+    the fresh path ({!check_property}) run one CEGAR loop, with one
+    ceiling ({!Mem_abstract.max_rounds}), one concrete fallback, one
+    set of rung names and one error contract. *)
 
 type prepared_port
 (** A group's complete property set, generated and bound to one shared
@@ -124,10 +124,11 @@ val check_port_instr :
   Checker.verdict * Checker.stats * string
 (** Decides one entry in the prepared context through the degradation
     ladder ({!Checker.check_shared_degrading}); the string names the
-    rung that produced the verdict.  Exceptions and unknown names
-    degrade to [Unknown "exception: ..."] with rung ["error"] — never
-    an escaping exception.  An entry whose property fails to encode is
-    an ["error"] too: the ladder's lower rungs are not tried.
+    rung that produced the verdict.  The error contract, shared with
+    {!check_property}: an entry whose property raises while it is
+    encoded or checked, or an unknown name, is
+    [Unknown "exception: ..."] with rung ["error"] — never an escaping
+    exception, and the ladder's lower rungs are not tried.
 
     When the session was prepared with the memory abstraction, this
     also drives the CEGAR loop: a spurious abstract counterexample
@@ -155,9 +156,12 @@ val check_property :
     the {!Mem_abstract} rewrite, replays SAT answers, refines and
     re-encodes until a definite answer (at most
     {!Mem_abstract.max_rounds} rounds), falling back to the concrete
-    encoding when refinement stalls.  The rung is ["sat"] (no
-    abstraction — not the ladder's ["fresh"] demotion), ["abstract"],
-    ["abstract+cegarN"] or ["abstract>concrete"]. *)
+    encoding when refinement stalls — the same CEGAR loop as
+    {!check_port_instr}.  The rung is ["sat"] (no abstraction — not the
+    ladder's ["fresh"] demotion), ["abstract"], ["abstract+cegarN"] or
+    ["abstract>concrete"].  A property that raises while it is encoded
+    or checked is [Unknown "exception: ..."] with rung ["error"], under
+    either encoding. *)
 
 val is_cacheable_rung : string -> bool
 (** False for the CEGAR concrete fallback ["abstract>concrete"]: its

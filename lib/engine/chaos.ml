@@ -58,39 +58,21 @@ let corrupt_file path mode =
   output_string oc s';
   close_out oc
 
-(* dir-relative paths; entries live in two-character shard
-   subdirectories (plus the root for legacy flat layouts), frame blobs
-   in [frames/] *)
-let cache_files dir =
-  let entries d =
-    match Sys.readdir d with
-    | fs -> Array.to_list fs
-    | exception Sys_error _ -> []
-  in
-  let top = entries dir in
-  let shards =
-    List.filter
-      (fun f ->
-        String.length f = 2
-        &&
-        try Sys.is_directory (Filename.concat dir f)
-        with Sys_error _ -> false)
-      top
-  in
-  let under s =
-    List.map (Filename.concat s) (entries (Filename.concat dir s))
-  in
-  List.filter (fun f -> Filename.check_suffix f ".proof")
-    (top @ List.concat_map under shards)
-  @ List.filter (fun f -> Filename.check_suffix f ".cnf") (under "frames")
-  |> List.sort compare
-
-(* Damage a deterministic subset of the cache's entry and blob files, selected
-   by the same seeded hash the injection points use (so the schedule
-   is reproducible from the seed alone).  At least one file is always
+(* Damage a deterministic subset of the cache's entry and blob files,
+   selected by the same seeded hash the injection points use, keyed by
+   the file's path relative to the cache directory (so the schedule is
+   reproducible from the seed alone).  At least one file is always
    damaged — a chaos campaign that corrupts nothing tests nothing. *)
-let corrupt_cache dir =
-  let files = cache_files dir in
+let corrupt_cache cache =
+  let root = Filename.concat (Proof_cache.dir cache) "" in
+  let relative f =
+    String.sub f (String.length root) (String.length f - String.length root)
+  in
+  let blobs = List.map relative (Proof_cache.blob_files cache) in
+  let files =
+    List.sort compare
+      (List.map relative (Proof_cache.entry_files cache) @ blobs)
+  in
   let chosen =
     List.filter
       (fun f -> Ilv_obs.Inject.would_fire ~point:"cache.corrupt" ~key:f)
@@ -108,10 +90,10 @@ let corrupt_cache dir =
           `Truncate
         else `Bitflip
       in
-      corrupt_file (Filename.concat dir f) mode)
+      corrupt_file (root ^ f) mode)
     chosen;
   ( List.length chosen,
-    List.length (List.filter (fun f -> Filename.check_suffix f ".cnf") chosen) )
+    List.length (List.filter (fun f -> List.mem f blobs) chosen) )
 
 let compare_runs ~label baseline disturbed =
   let tbl = Hashtbl.create 64 in
@@ -172,7 +154,7 @@ let run ?(jobs = 2) ?(seed = 1) ?(kill_p = 0.3) ?(stall_p = 0.2)
      every damaged entry must be quarantined and transparently
      re-solved; an undamaged entry must still hit.  A lookup never reads
      a blob, so a damaged blob still serves its entries' verdicts. *)
-  let corrupted, corrupted_frames = corrupt_cache cache_dir in
+  let corrupted, corrupted_frames = corrupt_cache cache in
   let t2 = Unix.gettimeofday () in
   let warm, _ = Engine.run ~jobs ~cache job_list in
   let warm_wall_s = Unix.gettimeofday () -. t2 in

@@ -663,6 +663,8 @@ let entry_files t =
   List.concat_map entry_files_in (shard_dirs t.cache_dir)
   @ entry_files_in t.cache_dir
 
+let blob_files t = List.map (blob_path t) (blob_digests t)
+
 (* An entry as a maintenance pass sees it: usable only while its blob
    is sound (or could not be read, which is no evidence of damage). *)
 let classify t blob path =

@@ -162,6 +162,13 @@ val store : t -> entry -> unit
 val shard_of : string -> string
 (** The two-hex-character shard a key files under. *)
 
+val entry_files : t -> string list
+(** The paths of every entry file on disk that stats, clear and
+    validate see: the shards' in order, then flat files under the root. *)
+
+val blob_files : t -> string list
+(** The paths of every frame blob on disk, sorted by digest. *)
+
 val lock_retry_delay : key:string -> attempt:int -> float
 (** The sleep before lock-acquisition retry [attempt] (1-based), in
     seconds: capped exponential backoff with deterministic jitter

@@ -32,8 +32,7 @@ type t = {
 }
 
 let default_budget =
-  Checker.budget ~conflicts:50_000 ~wall_s:10.0 ~escalations:2
-    ~escalation_factor:4 ()
+  Checker.budget ~conflicts:50_000 ~wall_s:10.0 ~escalations:2 ()
 
 let score ~killed ~survived =
   if killed + survived = 0 then 1.0
@@ -269,49 +268,37 @@ let pp fmt c =
     c.killed c.killed_by_simulation c.survived c.inconclusive
     (score_string c)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json c =
-  let b = Buffer.create 1024 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "{";
-  add "\"design\": \"%s\", " (json_escape c.design);
-  add "\"seed\": %d, " c.seed;
-  add "\"fault_sites\": %d, " c.n_sites;
-  add "\"mutants\": %d, " c.n_mutants;
-  add "\"killed\": %d, " c.killed;
-  add "\"killed_by_simulation\": %d, " c.killed_by_simulation;
-  add "\"survived\": %d, " c.survived;
-  add "\"inconclusive\": %d, " c.inconclusive;
-  add "\"mutation_score\": %.4f, " c.score;
-  add "\"total_time_s\": %.3f, " c.total_time_s;
-  add "\"kill_times_s\": [%s], "
-    (String.concat ", "
-       (List.map (Printf.sprintf "%.4f") (kill_times c)));
-  add "\"results\": [";
-  List.iteri
-    (fun i r ->
-      if i > 0 then add ", ";
-      add "{\"mutation\": \"%s\", \"class\": \"%s\", \"time_s\": %.4f}"
-        (json_escape (Mutate.describe r.mutation))
-        (match r.classification with
-        | Killed (By_property _) -> "killed"
-        | Killed (By_simulation _) -> "killed_by_simulation"
-        | Survived -> "survived"
-        | Inconclusive _ -> "inconclusive")
-        r.time_s)
-    c.mutants;
-  add "]}";
-  Buffer.contents b
+  let open Ilv_obs.Json in
+  encode
+    (Obj
+       [
+         ("design", String c.design);
+         ("seed", Int c.seed);
+         ("fault_sites", Int c.n_sites);
+         ("mutants", Int c.n_mutants);
+         ("killed", Int c.killed);
+         ("killed_by_simulation", Int c.killed_by_simulation);
+         ("survived", Int c.survived);
+         ("inconclusive", Int c.inconclusive);
+         ("mutation_score", Float c.score);
+         ("total_time_s", Float c.total_time_s);
+         ("kill_times_s", List (List.map (fun t -> Float t) (kill_times c)));
+         ( "results",
+           List
+             (List.map
+                (fun r ->
+                  Obj
+                    [
+                      ("mutation", String (Mutate.describe r.mutation));
+                      ( "class",
+                        String
+                          (match r.classification with
+                          | Killed (By_property _) -> "killed"
+                          | Killed (By_simulation _) -> "killed_by_simulation"
+                          | Survived -> "survived"
+                          | Inconclusive _ -> "inconclusive") );
+                      ("time_s", Float r.time_s);
+                    ])
+                c.mutants) );
+       ])

@@ -1113,32 +1113,29 @@ let pick_branch_var s =
 
 type limit = {
   max_conflicts : int option;
-  max_propagations : int option;
   max_wall_s : float option;
   deadline_s : float option;
 }
 
-let no_limit =
-  {
-    max_conflicts = None;
-    max_propagations = None;
-    max_wall_s = None;
-    deadline_s = None;
-  }
+let no_limit = { max_conflicts = None; max_wall_s = None; deadline_s = None }
 
-let limit ?conflicts ?propagations ?wall_s ?deadline_s () =
-  {
-    max_conflicts = conflicts;
-    max_propagations = propagations;
-    max_wall_s = wall_s;
-    deadline_s;
-  }
+let limit ?conflicts ?wall_s ?deadline_s () =
+  { max_conflicts = conflicts; max_wall_s = wall_s; deadline_s }
+
+(* The absolute group deadline's reason, timestamped so a sweep log
+   shows when the query was cut off, not just that it was.  "deadline:"
+   is the structured sentinel {!Ilv_core.Checker.is_deadline_reason}
+   keys on — free-form budget prose (including anything containing
+   "timeout:") must never alias it. *)
+let deadline_sentinel = "deadline:"
+
+let deadline_reason d =
+  Printf.sprintf "%s group deadline %.3f exceeded at %.3f (epoch s)"
+    deadline_sentinel d (Unix.gettimeofday ())
 
 let scale_limit factor l =
-  let scale = Option.map (fun n -> n * factor) in
   {
-    max_conflicts = scale l.max_conflicts;
-    max_propagations = scale l.max_propagations;
+    max_conflicts = Option.map (fun n -> n * factor) l.max_conflicts;
     max_wall_s = Option.map (fun w -> w *. float_of_int factor) l.max_wall_s;
     (* an absolute deadline never scales: escalation retries may grow
        their per-call budgets, but the group's wall clock is fixed *)
@@ -1174,29 +1171,15 @@ let solve_bounded ?(assumptions = []) ?(limit = no_limit) s =
     | Some b when s.conflicts - conflicts0 >= b ->
       Some (Printf.sprintf "conflict budget exhausted (%d)" b)
     | _ -> (
-      match limit.max_propagations with
-      | Some b when s.propagations - propagations0 >= b ->
-        Some (Printf.sprintf "propagation budget exhausted (%d)" b)
+      match deadline with
+      | Some d when Unix.gettimeofday () > d ->
+        Some
+          (Printf.sprintf "deadline exceeded (%.3fs)"
+             (Option.get limit.max_wall_s))
       | _ -> (
-        match deadline with
-        | Some d when Unix.gettimeofday () > d ->
-          Some
-            (Printf.sprintf "deadline exceeded (%.3fs)"
-               (Option.get limit.max_wall_s))
-        | _ -> (
-          (* the absolute group deadline, timestamped so a sweep log
-             shows when the query was cut off, not just that it was.
-             "deadline:" is the structured sentinel
-             {!Ilv_core.Checker.is_deadline_reason} keys on — free-form
-             budget prose (including anything containing "timeout:")
-             must never alias it *)
-          match limit.deadline_s with
-          | Some d when Unix.gettimeofday () > d ->
-            Some
-              (Printf.sprintf
-                 "deadline: group deadline %.3f exceeded at %.3f (epoch s)" d
-                 (Unix.gettimeofday ()))
-          | _ -> None)))
+        match limit.deadline_s with
+        | Some d when Unix.gettimeofday () > d -> Some (deadline_reason d)
+        | _ -> None))
   in
   let result =
     if s.unsat then Result Unsat

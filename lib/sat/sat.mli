@@ -130,7 +130,6 @@ val solve : ?assumptions:int list -> t -> result
 
 type limit = {
   max_conflicts : int option;  (** per-call conflict budget *)
-  max_propagations : int option;  (** per-call propagation budget *)
   max_wall_s : float option;  (** per-call wall-clock deadline, seconds *)
   deadline_s : float option;
       (** absolute wall-clock deadline (Unix epoch seconds) shared by a
@@ -142,15 +141,19 @@ val no_limit : limit
 (** All fields [None]: {!solve_bounded} behaves exactly like {!solve}. *)
 
 val limit :
-  ?conflicts:int ->
-  ?propagations:int ->
-  ?wall_s:float ->
-  ?deadline_s:float ->
-  unit ->
-  limit
+  ?conflicts:int -> ?wall_s:float -> ?deadline_s:float -> unit -> limit
+
+val deadline_sentinel : string
+(** ["deadline:"], the marker that opens every {!deadline_reason}. *)
+
+val deadline_reason : float -> string
+(** [deadline_reason d]: the timestamped [Unknown] reason of a query or
+    group cut off by the absolute deadline [d] (Unix epoch seconds) —
+    the one producer of the ["deadline: ..."] reasons that
+    {!Ilv_core.Checker.is_deadline_reason} recognizes. *)
 
 val scale_limit : int -> limit -> limit
-(** [scale_limit k l] multiplies every per-call bound by [k] (used by
+(** [scale_limit k l] multiplies both per-call bounds by [k] (used by
     callers implementing retry-with-larger-budget escalation).
     [deadline_s] is left untouched: escalation may grow a retry's
     budgets, but the group's wall clock is fixed. *)

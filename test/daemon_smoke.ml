@@ -1,9 +1,13 @@
 (* daemon-smoke: the end-to-end daemon exercise wired into `dune
    runtest`.  Forks [Daemon.serve] on a temp socket, drives a mixed
    workload (ping / expired-deadline verify and a plain rerun / verify /
-   repeat-verify / bug variant / table / stats) through the client, checks every daemon verdict against the
-   in-process driver, and verifies a clean shutdown (child exits 0,
-   socket unlinked). *)
+   repeat-verify / bug variant / table / stats) through the client,
+   checks every daemon verdict against the in-process driver, runs the
+   CLI's daemon client (the ilaverif executable given as the first
+   argument) for its exit codes and [--vcd], and verifies a clean
+   shutdown (child exits 0, socket unlinked).
+
+   Usage: daemon_smoke.exe PATH/TO/ilaverif *)
 
 open Ilv_core
 open Ilv_designs
@@ -13,10 +17,19 @@ module Client = Ilv_server.Client
 module Daemon = Ilv_server.Daemon
 module Protocol = Ilv_server.Protocol
 
+(* the forked daemon, killed and reaped by [fail] so a failing run
+   leaves no process behind *)
+let daemon_pid = ref None
+
 let fail fmt =
   Format.kasprintf
     (fun s ->
       prerr_endline ("daemon-smoke: FAIL: " ^ s);
+      Option.iter
+        (fun pid ->
+          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+          ignore (Unix.waitpid [] pid))
+        !daemon_pid;
       exit 1)
     fmt
 
@@ -62,6 +75,36 @@ let daemon_verdicts reply =
 
 (* ---- harness ---- *)
 
+(* Runs the CLI with [args] against the daemon on [socket] and returns
+   its exit code; the child is reaped before this returns.  Its output
+   must show that the daemon, not the in-process fallback, answered. *)
+let cli ilaverif socket args =
+  let out = Filename.temp_file "ilvd-smoke" ".out" in
+  let fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let pid =
+    Unix.create_process ilaverif
+      (Array.of_list ((ilaverif :: args) @ [ "--daemon"; socket ]))
+      Unix.stdin fd fd
+  in
+  Unix.close fd;
+  let code =
+    match snd (Unix.waitpid [] pid) with
+    | Unix.WEXITED n -> n
+    | Unix.WSIGNALED _ | Unix.WSTOPPED _ ->
+      fail "ilaverif %s died" (String.concat " " args)
+  in
+  let text = In_channel.with_open_text out In_channel.input_all in
+  Sys.remove out;
+  let marker = "daemon verification:" in
+  let rec has i =
+    i + String.length marker <= String.length text
+    && (String.sub text i (String.length marker) = marker || has (i + 1))
+  in
+  if not (has 0) then
+    fail "ilaverif %s was not answered by the daemon:@.%s"
+      (String.concat " " args) text;
+  code
+
 let request socket req =
   match Client.with_connection socket (fun c -> Client.request c req) with
   | Ok reply when Client.ok reply -> reply
@@ -83,6 +126,10 @@ let verify_req ?bug design =
     @ match bug with Some b -> [ ("bug", Json.String b) ] | None -> [])
 
 let () =
+  let ilaverif =
+    if Array.length Sys.argv = 2 then Sys.argv.(1)
+    else fail "usage: daemon_smoke.exe PATH/TO/ilaverif"
+  in
   let socket = Filename.temp_file "ilvd-smoke" ".sock" in
   Sys.remove socket;
   let pid =
@@ -92,6 +139,7 @@ let () =
       Unix._exit 0
     | pid -> pid
   in
+  daemon_pid := Some pid;
   let rec wait_up n =
     if n = 0 then fail "daemon did not come up on %s" socket
     else if not (Client.ping socket) then begin
@@ -179,6 +227,24 @@ let () =
   | Some (Json.List rows) when List.length rows = List.length designs -> ()
   | _ -> fail "table reply malformed");
 
+  (* the CLI's daemon client follows the in-process exit rule (0 only
+     when every row is proved) and writes [--vcd] from the reply *)
+  let code = cli ilaverif socket [ "verify"; "Decoder" ] in
+  if code <> 0 then fail "ilaverif verify Decoder --daemon exited %d" code;
+  let vcd = Filename.temp_file "ilvd-smoke" ".vcd" in
+  Sys.remove vcd;
+  let code =
+    cli ilaverif socket
+      [ "verify"; bug_design; "--bug"; bug_label; "--vcd"; vcd ]
+  in
+  if code <> 1 then
+    fail "ilaverif verify %S --bug %s --daemon exited %d, not 1" bug_design
+      bug_label code;
+  if not (Sys.file_exists vcd && (Unix.stat vcd).Unix.st_size > 0) then
+    fail "--vcd %s was not written on the daemon path" vcd;
+  Sys.remove vcd;
+  Format.printf "daemon-smoke: the CLI's daemon client exits 0/1 and writes --vcd@.";
+
   (* counters are consistent: every job was a solve exactly once *)
   let stats = request socket (Json.Obj [ ("op", Json.String "stats") ]) in
   let stat name =
@@ -193,18 +259,15 @@ let () =
   (* clean shutdown: stop, child exits 0, socket unlinked *)
   ignore (request socket (Json.Obj [ ("op", Json.String "stop") ]));
   let rec reap n =
-    if n = 0 then begin
-      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-      ignore (Unix.waitpid [] pid);
-      fail "daemon did not exit after stop"
-    end
+    if n = 0 then fail "daemon did not exit after stop"
     else
       match Unix.waitpid [ Unix.WNOHANG ] pid with
       | 0, _ ->
         Unix.sleepf 0.02;
         reap (n - 1)
-      | _, Unix.WEXITED 0 -> ()
-      | _, _ -> fail "daemon exited abnormally"
+      | _, status ->
+        daemon_pid := None;
+        if status <> Unix.WEXITED 0 then fail "daemon exited abnormally"
   in
   reap 250;
   if Sys.file_exists socket then fail "socket not unlinked on shutdown";

@@ -1067,7 +1067,10 @@ let engine_tests =
       (fun () ->
         (* regression: the shared-frame driver used to send an encoding
            failure down the ladder, re-encoding it on two fresh solvers
-           and reporting it as degraded *)
+           and reporting it as degraded; fresh mode under the
+           abstraction used to report it as a decision (rung
+           "abstract", no error).  The contract is the same in both
+           modes and both encodings. *)
         let clash (p : Property.t) =
           (* one variable at two sorts: bit-blasting rejects it *)
           {
@@ -1081,26 +1084,49 @@ let engine_tests =
                 :: p.Property.assumptions);
           }
         in
-        let jobs =
-          List.map
-            (fun (j : Engine.job) ->
-              if j.Engine.id = 0 then
-                { j with Engine.property = lazy (clash (Lazy.force j.Engine.property)) }
-              else j)
-            (jobs_of (design "Decoder"))
-        in
-        let results, s = Engine.run ~jobs:1 jobs in
-        Alcotest.(check int) "one error" 1 s.Engine.n_errors;
-        Alcotest.(check int) "nothing degraded" 0 s.Engine.n_degraded;
-        Alcotest.(check int) "the others proved" (s.Engine.n_jobs - 1)
-          s.Engine.n_proved;
-        let r = List.hd results in
-        Alcotest.(check string) "error rung" "error" r.Engine.backend;
-        Alcotest.(check bool)
-          "the encoding error is reported" true
-          (match r.Engine.verdict with
-          | Checker.Unknown m -> String.starts_with ~prefix:"exception: " m
-          | _ -> false));
+        List.iter
+          (fun (name, memory_abstraction, incremental) ->
+            let what =
+              Printf.sprintf "%s, %s" name
+                (if incremental then "incremental" else "fresh")
+            in
+            let jobs =
+              List.map
+                (fun (j : Engine.job) ->
+                  if j.Engine.id = 0 then
+                    {
+                      j with
+                      Engine.property =
+                        lazy (clash (Lazy.force j.Engine.property));
+                    }
+                  else j)
+                (jobs_of (design name))
+            in
+            let results, s =
+              Engine.run ~jobs:1 ~incremental ~memory_abstraction jobs
+            in
+            Alcotest.(check int) (what ^ ": one error") 1 s.Engine.n_errors;
+            Alcotest.(check int)
+              (what ^ ": nothing degraded")
+              0 s.Engine.n_degraded;
+            Alcotest.(check int)
+              (what ^ ": the others proved")
+              (s.Engine.n_jobs - 1) s.Engine.n_proved;
+            let r = List.hd results in
+            Alcotest.(check string) (what ^ ": error rung") "error"
+              r.Engine.backend;
+            Alcotest.(check bool)
+              (what ^ ": the encoding error is reported")
+              true
+              (match r.Engine.verdict with
+              | Checker.Unknown m -> String.starts_with ~prefix:"exception: " m
+              | _ -> false))
+          [
+            ("Decoder", false, true);
+            ("Decoder", false, false);
+            ("Store Buffer", true, true);
+            ("Store Buffer", true, false);
+          ]);
     t "-j1 and -j2 reports agree on the paper's bugs, stop on and off"
       (fun () ->
         let shape (r : Verify.report) =

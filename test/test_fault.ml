@@ -62,11 +62,9 @@ let budget_tests =
         | Sat.Unknown _ -> ()
         | Sat.Result _ -> Alcotest.fail "expected Unknown under 0s deadline");
     t "scale_limit multiplies every bound" (fun () ->
-        let l = Sat.limit ~conflicts:10 ~propagations:100 ~wall_s:1.0 () in
+        let l = Sat.limit ~conflicts:10 ~wall_s:1.0 () in
         let l4 = Sat.scale_limit 4 l in
         Alcotest.(check (option int)) "conflicts" (Some 40) l4.Sat.max_conflicts;
-        Alcotest.(check (option int))
-          "propagations" (Some 400) l4.Sat.max_propagations;
         Alcotest.(check bool)
           "wall" true
           (l4.Sat.max_wall_s = Some 4.0));
@@ -105,11 +103,9 @@ let verify_budget_tests =
         Alcotest.(check bool) "proved" true (Verify.proved report));
     t "escalation recovers from an undersized initial budget" (fun () ->
         let d = Clock_gen.design in
-        (* one conflict exhausts almost instantly; four 10x escalations
-           reach a workable budget *)
-        let budget =
-          Checker.budget ~conflicts:1 ~escalations:4 ~escalation_factor:10 ()
-        in
+        (* one conflict exhausts almost instantly; seven 4x escalations
+           reach a workable budget (16384 conflicts) *)
+        let budget = Checker.budget ~conflicts:1 ~escalations:7 () in
         let report, _ =
           Engine.verify ~budget ~name:d.Design.name d.Design.module_ila
             d.Design.rtl

@@ -160,8 +160,7 @@ let timeout_reason_tests =
           results);
     t "the deadline survives budget escalation unscaled" (fun () ->
         let b =
-          Checker.budget ~conflicts:10 ~deadline_s:123.5 ~escalations:2
-            ~escalation_factor:4 ()
+          Checker.budget ~conflicts:10 ~deadline_s:123.5 ~escalations:2 ()
         in
         Alcotest.(check bool)
           "deadline set" true

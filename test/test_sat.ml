@@ -783,6 +783,23 @@ let pinned_search_tests =
             (941, 5371, 330, 3);
           ]
           [ c1; c2; c3; c4; counts s ]);
+    t "strengthening pass: pinned search counts" (fun () ->
+        (* units asserted after the clauses leave false literals in
+           them, so [simplify]'s full pass strengthens problem and
+           learnt clauses alike; the order it visits them in decides
+           the order the strengthened copies are attached in (their
+           place in the watch lists), and so the search that follows *)
+        let s = mk 150 (random_3sat ~seed:13 ~n_vars:150 ~n_clauses:640) in
+        Alcotest.check result "unsat under the assumptions" Sat.Unsat
+          (Sat.solve ~assumptions:[ 1; -2; 3 ] s);
+        let c1 = counts s in
+        List.iter (fun l -> Sat.add_clause s [ l ]) [ 4; -5; 6; -7; 8; -9 ];
+        Alcotest.(check int) "clauses removed" 320 (Sat.simplify s);
+        Alcotest.check result "unsat" Sat.Unsat (Sat.solve s);
+        Alcotest.(check (list counts_t))
+          "under the assumptions, then after the pass"
+          [ (464, 11643, 379, 4); (546, 13309, 442, 4) ]
+          [ c1; counts s ]);
   ]
 
 (* --- clause intake against the list-based reference ---
