@@ -160,6 +160,9 @@ let property_of j =
   | exception ((Out_of_memory | Stack_overflow) as fatal) -> raise fatal
   | exception e -> Error (Printexc.to_string e)
 
+(* A group's session entries are named by their job positions. *)
+let entry_names group = List.mapi (fun i _ -> string_of_int i) group
+
 (* The group's session holds exactly its jobs' properties in job order,
    each entry named by its position in the group.  No frame is frozen
    here: the first cache key freezes the generation-0 frame (a canonical
@@ -170,22 +173,33 @@ let init_group ?cache ?memo ~memory_abstraction group =
   let label = match group with [] -> "" | j :: _ -> job_chaos_key j in
   Session.create ?cache ?memo
     (Verify.prepare_properties ~memory_abstraction ~label
-       (List.mapi (fun i j -> (string_of_int i, property_of j)) group))
+       (List.map2 (fun name j -> (name, property_of j)) (entry_names group)
+          group))
 
 (* ---- resident state ----
 
-   What a long-lived caller keeps between runs: each group's session
-   and the memo in front of the proof cache.  A group is identified by
-   its design label, encoding and instruction list, so a group built
-   from a different job set never answers for another. *)
+   What a long-lived caller keeps between runs: each group and the memo
+   in front of the proof cache.  A group is identified by its design
+   label, encoding and instruction list, so a group built from a
+   different job set never answers for another.  A group stays [Live]
+   (its session, with the solver and frame) until a run leaves every
+   one of its jobs definitive and memoized; from then on it is
+   [Decided]: only its jobs' memo keys, in job order. *)
+
+type group = Live of Session.t | Decided of string array
 
 type resident = {
-  sessions : (string, Session.t) Hashtbl.t;
+  groups : (string, group) Hashtbl.t;
   memo : Session.memo;
 }
 
-let resident () = { sessions = Hashtbl.create 16; memo = Session.memo () }
-let resident_groups r = Hashtbl.length r.sessions
+let resident () = { groups = Hashtbl.create 16; memo = Session.memo () }
+let resident_groups r = Hashtbl.length r.groups
+
+let resident_decided r =
+  Hashtbl.fold
+    (fun _ g n -> match g with Decided _ -> n + 1 | Live _ -> n)
+    r.groups 0
 
 let group_key ~memory_abstraction group =
   String.concat "\x00"
@@ -193,30 +207,54 @@ let group_key ~memory_abstraction group =
     :: (match group with [] -> [] | j :: _ -> [ j.design; j.port ])
     @ List.map (fun j -> j.instr) group)
 
-let group_session ?cache ?resident ~memory_abstraction group =
+let session_check ?budget s i ~design ~instr _ =
+  Session.check ?budget ~design ~instr s (string_of_int i)
+
+(* The check for each job of a group, by position.  A decided group
+   whose keys the memo all answers builds nothing; any other resident
+   group reuses or builds its session (a decided one whose memo entry
+   is gone is rebuilt). *)
+let group_check ?cache ?resident ?budget ~memory_abstraction group =
   match resident with
-  | None -> init_group ?cache ~memory_abstraction group
+  | None -> session_check ?budget (init_group ?cache ~memory_abstraction group)
   | Some r -> (
     let k = group_key ~memory_abstraction group in
-    match Hashtbl.find_opt r.sessions k with
-    | Some s -> s
-    | None ->
+    let build () =
       let s = init_group ?cache ~memo:r.memo ~memory_abstraction group in
-      Hashtbl.replace r.sessions k s;
-      s)
+      Hashtbl.replace r.groups k (Live s);
+      session_check ?budget s
+    in
+    match Hashtbl.find_opt r.groups k with
+    | Some (Live s) -> session_check ?budget s
+    | None -> build ()
+    | Some (Decided keys) ->
+      let answers = Array.map (Session.recall r.memo) keys in
+      if Array.for_all Option.is_some answers then
+        fun i ~design:_ ~instr:_ _ -> Option.get answers.(i)
+      else build ())
 
-(* A deadline skip leaves its [Unknown] pinned in the session's frame
-   (the skipped cones are retired): drop such a group so the next run
-   rebuilds it. *)
-let evict_deadlined r ~memory_abstraction group results =
-  if
-    List.exists
-      (fun res ->
-        match res.verdict with
-        | Checker.Unknown why -> Checker.is_deadline_reason why
-        | Checker.Proved | Checker.Failed _ -> false)
-      results
-  then Hashtbl.remove r.sessions (group_key ~memory_abstraction group)
+(* After a run of a live group: a deadline skip leaves its [Unknown]
+   pinned in the session's frame (the skipped cones are retired), so
+   such a group is dropped and the next run rebuilds it; a group whose
+   every job ended definitive and memoized keeps only its keys. *)
+let settle r ~memory_abstraction group results =
+  let k = group_key ~memory_abstraction group in
+  match Hashtbl.find_opt r.groups k with
+  | Some (Decided _) | None -> ()
+  | Some (Live s) ->
+    let unknown why =
+      List.exists
+        (fun res ->
+          match res.verdict with
+          | Checker.Unknown reason -> why reason
+          | Checker.Proved | Checker.Failed _ -> false)
+        results
+    in
+    if unknown Checker.is_deadline_reason then Hashtbl.remove r.groups k
+    else if not (unknown (fun _ -> true)) then
+      Option.iter
+        (fun keys -> Hashtbl.replace r.groups k (Decided keys))
+        (Session.memoized_keys s (entry_names group))
 
 (* The instrumented job: one span per obligation job, tagged at the
    end with what actually happened (backend, verdict, cache hit). *)
@@ -316,13 +354,8 @@ let sweep ~stop_at_first_failure ?(jobs = 1) ?cache ?resident ?budget
         (* the group's deadline starts here, preparation included *)
         let budget = Checker.with_timeout timeout_s budget in
         let check =
-          if incremental then begin
-            let session =
-              group_session ?cache ?resident ~memory_abstraction group
-            in
-            fun i ~design ~instr _ ->
-              Session.check ?budget ~design ~instr session (string_of_int i)
-          end
+          if incremental then
+            group_check ?cache ?resident ?budget ~memory_abstraction group
           else fun _ ~design:_ ~instr:_ j ->
             match property_of j with
             | Ok p ->
@@ -352,7 +385,7 @@ let sweep ~stop_at_first_failure ?(jobs = 1) ?cache ?resident ?budget
                group)
         in
         Option.iter
-          (fun r -> evict_deadlined r ~memory_abstraction group results)
+          (fun r -> settle r ~memory_abstraction group results)
           resident;
         results
       end

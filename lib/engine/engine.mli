@@ -87,17 +87,23 @@ type summary = {
 }
 
 type resident
-(** State a long-lived caller keeps between runs: one {!Session} per
+(** State a long-lived caller keeps between runs: one entry per
     obligation group, identified by the jobs' design label, the
     encoding ([memory_abstraction]) and the group's instruction list,
     and one {!Session.memo} in front of the proof cache shared by all
-    of them. *)
+    of them.  A group is {e live} — its {!Session}, with the
+    incremental solver and frame — until a run ends with every one of
+    its jobs [Proved]/[Failed] and memoized; it is then {e decided}
+    and keeps only its jobs' memo keys. *)
 
 val resident : unit -> resident
 (** Empty resident state. *)
 
 val resident_groups : resident -> int
-(** Sessions currently held. *)
+(** Groups currently held, live or decided. *)
+
+val resident_decided : resident -> int
+(** Groups held as memo keys only (decided). *)
 
 val run :
   ?jobs:int ->
@@ -151,7 +157,13 @@ val run :
     session is looked up before one is built and kept afterwards, and
     the memo answers any obligation a previous run decided
     definitively, with backend ["memo"] — not a cache hit, no cache
-    miss, no SAT attempt.  A group whose results
+    miss, no SAT attempt.  A group whose run leaves every job
+    definitive and memoized drops its session and keeps only the
+    jobs' memo keys ({!Session.memoized_keys}); its next run answers
+    every job from the memo by those keys, building no session and
+    computing no key, and a decided group the memo no longer answers
+    in full is rebuilt.  A group with any [Unknown] or an unkeyable
+    job (an encoding error) stays live.  A group whose results
     include a deadline [Unknown] ({!Checker.is_deadline_reason}) is
     dropped, since its session pins the skipped verdicts; the next run
     rebuilds it.  Raises [Invalid_argument] with [jobs > 1]: sessions

@@ -53,6 +53,21 @@ let slot_key s name =
 
 let key s name = Option.map snd (slot_key s name)
 
+let memoized_keys s names =
+  match s.s_memo with
+  | None -> None
+  | Some m ->
+    let keys = List.filter_map (key s) names in
+    if
+      List.compare_lengths keys names = 0 && List.for_all (Hashtbl.mem m) keys
+    then Some (Array.of_list keys)
+    else None
+
+let recall memo key =
+  Option.map
+    (fun verdict -> (verdict, Checker.zero_stats, "memo", false))
+    (Hashtbl.find_opt memo key)
+
 (* The live frame's canonical CNF: the generation-0 one until a CEGAR
    refinement replaces the frame. *)
 let canonical s sh =
@@ -75,8 +90,8 @@ let cached ?cache ?memo ~design ~instr ~key decide =
   let find tier lookup =
     match (tier, key) with Some t, Some (k, _) -> lookup t k | _ -> None
   in
-  match find memo Hashtbl.find_opt with
-  | Some verdict -> (verdict, Checker.zero_stats, "memo", false)
+  match find memo recall with
+  | Some answer -> answer
   | None ->
     let ((verdict, _, _, _) as answer) =
       match find cache Proof_cache.lookup with

@@ -37,6 +37,18 @@ val key : t -> string -> string option
     for an entry that cannot be keyed (generation or encoding
     failed). *)
 
+val memoized_keys : t -> string list -> string array option
+(** The {!key}s of the named entries, in order, once the session's memo
+    holds a verdict under every one of them; [None] while any entry has
+    no key or no memoized verdict, or when the session has no memo.
+    A caller that keeps these keys can answer the entries through
+    {!recall} without the session. *)
+
+val recall :
+  memo -> string -> (Checker.verdict * Checker.stats * string * bool) option
+(** The memo's answer under a key, exactly as {!check} gives a memo
+    hit: the verdict, zero stats, rung ["memo"], no cache hit. *)
+
 val check :
   ?budget:Checker.budget ->
   design:string ->

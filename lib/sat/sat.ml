@@ -108,12 +108,12 @@ let create () =
     n_acts = 1;
     clauses = new_vec ();
     learnts = new_vec ();
-    watches = Array.make 16 no_watches;
-    dirty = Array.make 16 false;
+    watches = Array.make 18 no_watches;
+    dirty = Array.make 18 false;
     dirty_lits = new_vec ();
     occ = Array.make 8 no_occ;
     simplified = 0;
-    values = Array.make 16 0;
+    values = Array.make 18 0;
     level = Array.make 8 0;
     reason = Array.make 8 no_clause;
     activity = Array.make 8 0.0;
@@ -182,11 +182,13 @@ let filter_vec keep v =
   done;
   v.size <- !j
 
-let new_var s =
-  let v = s.n_vars + 1 in
-  s.n_vars <- v;
-  let n = v + 1 in
-  s.values <- grow_array s.values ((2 * n) + 2) 0;
+(* Grows every per-variable array to at least [n] slots and every
+   per-literal one to at least [2n + 2].  [new_var] calls it only when
+   [level] is full: per-literal arrays start at [2 * 8 + 2] and grow
+   with the per-variable ones, so one check covers them all. *)
+let grow_vars s n =
+  let lits = (2 * n) + 2 in
+  s.values <- grow_array s.values lits 0;
   s.level <- grow_array s.level n 0;
   s.reason <- grow_array s.reason n no_clause;
   s.activity <- grow_array s.activity n 0.0;
@@ -197,10 +199,17 @@ let new_var s =
   s.trail_lim <- grow_array s.trail_lim n 0;
   s.seen <- grow_array s.seen n false;
   s.occ <- grow_array s.occ n no_occ;
-  s.dirty <- grow_array s.dirty ((2 * n) + 2) false;
+  s.dirty <- grow_array s.dirty lits false;
+  s.watches <- grow_array s.watches lits no_watches
+
+let new_var s =
+  let v = s.n_vars + 1 in
+  s.n_vars <- v;
+  let n = v + 1 in
+  if n > Array.length s.level then
+    grow_vars s (max n (2 * Array.length s.level));
   (* each literal's own vector is made here, with its variable, so
      growing the array stays a pointer copy *)
-  s.watches <- grow_array s.watches ((2 * n) + 2) no_watches;
   s.watches.(pos v) <- new_vec ();
   s.watches.(pos v + 1) <- new_vec ();
   (* insert into the order heap *)
@@ -621,6 +630,25 @@ let propagate s =
 
 (* --- clause addition (level 0 only) --- *)
 
+(* Inserts the literals into [s.intake] after its first [n] (sorted)
+   ones, keeping them sorted and dropping duplicates; the new count. *)
+let rec intake_sorted s n = function
+  | [] -> n
+  | x :: rest ->
+    let l = internal_of_ext s x in
+    if n = Array.length s.intake then s.intake <- grow_array s.intake (n + 1) 0;
+    let buf = s.intake in
+    let j = ref (n - 1) in
+    while !j >= 0 && buf.(!j) > l do
+      decr j
+    done;
+    if !j >= 0 && buf.(!j) = l then intake_sorted s n rest
+    else begin
+      Array.blit buf (!j + 1) buf (!j + 2) (n - !j - 1);
+      buf.(!j + 1) <- l;
+      intake_sorted s (n + 1) rest
+    end
+
 (* The literals are insertion-sorted into the [intake] scratch array,
    dropping duplicates, so a stored clause lists its literals in
    increasing internal order.  A literal and its negation are then
@@ -632,26 +660,10 @@ let add_clause ?(activation = false) s ext_lits =
   cancel_until s 0;
   s.solved <- None;
   if not s.unsat then begin
-    let n = ref 0 in
-    List.iter
-      (fun x ->
-        let l = internal_of_ext s x in
-        if !n = Array.length s.intake then
-          s.intake <- grow_array s.intake (!n + 1) 0;
-        let buf = s.intake in
-        let j = ref (!n - 1) in
-        while !j >= 0 && buf.(!j) > l do
-          decr j
-        done;
-        if !j < 0 || buf.(!j) <> l then begin
-          Array.blit buf (!j + 1) buf (!j + 2) (!n - !j - 1);
-          buf.(!j + 1) <- l;
-          incr n
-        end)
-      ext_lits;
+    let n = intake_sorted s 0 ext_lits in
     let buf = s.intake in
     let dropped = ref false and live = ref 0 in
-    for k = 0 to !n - 1 do
+    for k = 0 to n - 1 do
       let l = buf.(k) in
       if k > 0 && buf.(k - 1) = neg_of l then dropped := true;
       match lit_value s l with

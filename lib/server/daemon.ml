@@ -253,6 +253,7 @@ let stats_json t =
     ("dedup_hits", Json.Int c.c_dedup_hits);
     ("cache_hits", Json.Int c.c_cache_hits);
     ("frames", Json.Int (Engine.resident_groups t.resident));
+    ("decided", Json.Int (Engine.resident_decided t.resident));
     ("errors", Json.Int c.c_errors);
     ("batches", Json.Int c.c_batches);
     ("max_batch", Json.Int c.c_max_batch);

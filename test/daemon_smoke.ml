@@ -186,11 +186,23 @@ let () =
           (List.length got))
     designs;
 
-  (* a repeated request is served from the memo, verdicts unchanged *)
+  (* a repeated request is served from the memo, verdicts unchanged,
+     and leaves its groups decided (held as memo keys only) *)
   let again = request socket (verify_req (List.hd designs)) in
   let n_jobs = summary_int "n_jobs" again in
   if summary_int "n_dedup" again <> n_jobs then
     fail "repeat verify was not fully deduped";
+  (match Json.member "results" again with
+  | Some (Json.List rows) ->
+    List.iter
+      (fun row ->
+        match Protocol.str_member "rung" row with
+        | Some "memo" -> ()
+        | rung ->
+          fail "repeat verify row has rung %s, not memo"
+            (Option.value rung ~default:"(none)"))
+      rows
+  | _ -> fail "repeat verify reply has no results list");
 
   (* buggy variant: the daemon must report the same failure set *)
   (match Catalog.find bug_design with
@@ -255,6 +267,8 @@ let () =
   if stat "solves" + stat "dedup_hits" + stat "cache_hits" <> stat "jobs" then
     fail "stats do not add up: %s" (Json.encode stats);
   if stat "errors" <> 0 then fail "daemon counted unexpected errors";
+  if stat "decided" < 1 then
+    fail "no resident group is decided: %s" (Json.encode stats);
 
   (* clean shutdown: stop, child exits 0, socket unlinked *)
   ignore (request socket (Json.Obj [ ("op", Json.String "stop") ]));

@@ -844,6 +844,28 @@ let summary_verdicts results =
         | Checker.Unknown _ -> "unknown" ))
     results
 
+(* The jobs with job 0's property made unencodable: one variable at two
+   sorts, which bit-blasting rejects. *)
+let clash_first jobs =
+  let clash (p : Property.t) =
+    {
+      p with
+      Property.assumptions =
+        Ilv_expr.(
+          Expr.var "clash" Sort.Bool
+          :: Build.eq
+               (Expr.var "clash" (Sort.Bitvec 4))
+               (Expr.bv_const (Bitvec.of_int ~width:4 0))
+          :: p.Property.assumptions);
+    }
+  in
+  List.map
+    (fun (j : Engine.job) ->
+      if j.Engine.id = 0 then
+        { j with Engine.property = lazy (clash (Lazy.force j.Engine.property)) }
+      else j)
+    jobs
+
 let engine_tests =
   [
     t "engine -j1 and -j4 agree verdict-for-verdict, in order" (fun () ->
@@ -926,6 +948,113 @@ let engine_tests =
           plain.Engine.n_jobs plain.Engine.n_proved;
         Alcotest.(check bool) "nothing came from the memo" true
           (List.for_all (fun r -> r.Engine.backend <> "memo") plain_r));
+    t "decided groups keep only their memo keys" (fun () ->
+        (* what the daemon holds after warming every quick design and
+           the paper's three bug variants: every group decided, the
+           sessions (solvers, frames, properties) gone *)
+        let variants =
+          List.map (fun d -> (d, None)) Catalog.quick
+          @ List.map
+              (fun (name, label) ->
+                (Option.get (Catalog.find name), Some label))
+              [
+                ("AXI Slave", "rd_burst");
+                ("L2 Cache", "msg_flag");
+                ("Store Buffer (16 entries)", "full_flag");
+              ]
+        in
+        let resident = Engine.resident () in
+        let sweep () =
+          List.concat_map
+            (fun ((d : Design.t), bug) ->
+              let name, rtl = Result.get_ok (Design.variant d bug) in
+              fst
+                (Engine.run ~resident ~memory_abstraction:true
+                   (Engine.jobs_of ~name d.Design.module_ila rtl
+                      ~refmap_for:(d.Design.refmap_for rtl) ())))
+            variants
+        in
+        let cold = sweep () in
+        Alcotest.(check bool) "some rows failed" true
+          (List.exists
+             (fun r ->
+               match r.Engine.verdict with
+               | Checker.Failed _ -> true
+               | _ -> false)
+             cold);
+        Alcotest.(check int) "every group decided"
+          (Engine.resident_groups resident)
+          (Engine.resident_decided resident);
+        let bytes =
+          Obj.reachable_words (Obj.repr resident) * (Sys.word_size / 8)
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "resident state %d B under 1 MB" bytes)
+          true (bytes < 1 lsl 20);
+        let warm = sweep () in
+        Alcotest.(check bool) "second run all memo" true
+          (List.for_all (fun r -> r.Engine.backend = "memo") warm);
+        Alcotest.(check bool) "identical verdicts" true
+          (List.map (fun r -> (r.Engine.r_design, r.Engine.verdict)) cold
+          = List.map (fun r -> (r.Engine.r_design, r.Engine.verdict)) warm));
+    t "a group with an unknown stays live and solves again" (fun () ->
+        let d = design "AXI Slave" in
+        let resident = Engine.resident () in
+        let budget =
+          {
+            Checker.conflicts = Some 1;
+            wall_s = None;
+            deadline_s = None;
+            escalations = 0;
+          }
+        in
+        let unknowns results =
+          List.filter_map
+            (fun r ->
+              match r.Engine.verdict with
+              | Checker.Unknown _ -> Some (r.Engine.r_port, r.Engine.r_instr)
+              | _ -> None)
+            results
+        in
+        let first, _ = Engine.run ~resident ~budget (jobs_of d) in
+        Alcotest.(check bool) "the budget leaves unknowns" true
+          (unknowns first <> []);
+        Alcotest.(check bool) "not every group decided" true
+          (Engine.resident_decided resident < Engine.resident_groups resident);
+        let groups = Engine.resident_groups resident in
+        let second, _ = Engine.run ~resident ~budget (jobs_of d) in
+        Alcotest.(check int) "no group rebuilt or dropped" groups
+          (Engine.resident_groups resident);
+        Alcotest.(check bool) "the unknowns are solved again" true
+          (List.for_all
+             (fun r ->
+               (not (List.mem (r.Engine.r_port, r.Engine.r_instr)
+                       (unknowns first)))
+               || r.Engine.backend <> "memo")
+             second);
+        let plain, summary = Engine.run ~resident (jobs_of d) in
+        Alcotest.(check int) "without the budget everything proves"
+          summary.Engine.n_jobs summary.Engine.n_proved;
+        Alcotest.(check bool) "some rows solved, not memo" true
+          (List.exists (fun r -> r.Engine.backend <> "memo") plain);
+        Alcotest.(check int) "now every group is decided"
+          (Engine.resident_groups resident)
+          (Engine.resident_decided resident));
+    t "a group with an encoding error is never decided" (fun () ->
+        let resident = Engine.resident () in
+        List.iter
+          (fun run ->
+            let results, s =
+              Engine.run ~resident (clash_first (jobs_of (design "Decoder")))
+            in
+            let what = Printf.sprintf "run %d" run in
+            Alcotest.(check string) (what ^ ": error rung") "error"
+              (List.hd results).Engine.backend;
+            Alcotest.(check int) (what ^ ": the others proved")
+              (s.Engine.n_jobs - 1) s.Engine.n_proved;
+            Alcotest.(check int) (what ^ ": no group decided") 0
+              (Engine.resident_decided resident))
+          [ 1; 2; 3 ]);
     t "a resident run refuses forked workers" (fun () ->
         let resident = Engine.resident () in
         match Engine.run ~jobs:2 ~resident (jobs_of (design "Decoder")) with
@@ -1071,39 +1200,15 @@ let engine_tests =
            abstraction used to report it as a decision (rung
            "abstract", no error).  The contract is the same in both
            modes and both encodings. *)
-        let clash (p : Property.t) =
-          (* one variable at two sorts: bit-blasting rejects it *)
-          {
-            p with
-            Property.assumptions =
-              Ilv_expr.(
-                Expr.var "clash" Sort.Bool
-                :: Build.eq
-                     (Expr.var "clash" (Sort.Bitvec 4))
-                     (Expr.bv_const (Bitvec.of_int ~width:4 0))
-                :: p.Property.assumptions);
-          }
-        in
         List.iter
           (fun (name, memory_abstraction, incremental) ->
             let what =
               Printf.sprintf "%s, %s" name
                 (if incremental then "incremental" else "fresh")
             in
-            let jobs =
-              List.map
-                (fun (j : Engine.job) ->
-                  if j.Engine.id = 0 then
-                    {
-                      j with
-                      Engine.property =
-                        lazy (clash (Lazy.force j.Engine.property));
-                    }
-                  else j)
-                (jobs_of (design name))
-            in
             let results, s =
-              Engine.run ~jobs:1 ~incremental ~memory_abstraction jobs
+              Engine.run ~jobs:1 ~incremental ~memory_abstraction
+                (clash_first (jobs_of (design name)))
             in
             Alcotest.(check int) (what ^ ": one error") 1 s.Engine.n_errors;
             Alcotest.(check int)
