@@ -336,9 +336,9 @@ type shared = {
          them would vacuously return Unsat *)
   mutable sh_simplified : bool;
   mutable sh_removed : int; (* clauses removed by the CNF pass *)
-  mutable sh_frozen : ((int * int list list) * int list list array) option;
-      (* canonical frame CNF + per-property selector lists, built on a
-         throwaway context so the live solver can stay lazy *)
+  mutable sh_frozen : (Sat.flat * int list list array) option;
+      (* frame CNF + per-property selector lists, built on a throwaway
+         context so the live solver can stay lazy *)
   sh_on_sat : sat_hook option;
 }
 
@@ -435,8 +435,12 @@ let simplify_shared_once sh =
   end
 
 (* Freezing replays the full encoding — every property, in list order —
-   on a throwaway context, runs the CNF pass on it, and snapshots the
-   result plus each property's selector lists.  The snapshot is what
+   on a throwaway frame-only context, runs the CNF pass on it, and
+   snapshots the result plus each property's selector lists.  The
+   context attaches no watchers: the freeze's only level-0 units are
+   the true literal and negated selectors, selectors occur only
+   negatively, so nothing propagates and the simplified CNF is the one
+   a watched context reaches.  The snapshot is what
    makes the shared frame a sound content address for the proof cache:
    built on a pristine context, it contains no solving residue (learnt
    clauses, retire units) and its selector numbering is identical on
@@ -455,7 +459,7 @@ let shared_freeze sh =
              ])
       else None
     in
-    let ctx = Bitblast.create () in
+    let ctx = Bitblast.frame () in
     let selectors =
       Array.map
         (fun p ->
@@ -489,9 +493,11 @@ let shared_freeze sh =
         id
   end
 
-let shared_cnf sh =
+let shared_frame sh =
   shared_freeze sh;
   fst (Option.get sh.sh_frozen)
+
+let shared_cnf sh = Sat.lists_of_flat (shared_frame sh)
 
 let shared_frame_selectors sh idx =
   shared_freeze sh;

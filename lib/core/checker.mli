@@ -194,7 +194,8 @@ val check_shared : ?budget:budget -> shared -> int -> verdict * stats
 
 val shared_freeze : shared -> unit
 (** Replays the full encoding — every property, in list order — on a
-    throwaway context, runs the CNF pass on it, and snapshots the CNF
+    throwaway frame-only context ({!Ilv_sat.Bitblast.frame}), runs the
+    CNF pass on it, and snapshots the CNF
     plus each property's selector lists.  The snapshot is the cache
     address of the frame: built on a pristine context it carries no
     solving residue, and its selector numbering is identical on every
@@ -202,8 +203,11 @@ val shared_freeze : shared -> unit
     working set (frame + own cone, never every sibling's).  Idempotent;
     costs one extra encoding pass. *)
 
-val shared_cnf : shared -> int * int list list
+val shared_frame : shared -> Ilv_sat.Sat.flat
 (** The frozen CNF snapshot (freezes on first use). *)
+
+val shared_cnf : shared -> int * int list list
+(** {!shared_frame} as lists. *)
 
 val shared_frame_selectors : shared -> int -> int list list
 (** Per obligation of property [idx] (in property order), the

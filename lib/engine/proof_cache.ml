@@ -207,55 +207,110 @@ let with_lock t ~key f =
    A frame is a canonical CNF: literals sorted and deduplicated within
    each clause, clauses sorted.  Its serialization is what
    [frame_digest] hashes and what a frame blob holds, so both are
-   computed at most once per frame.  A frame read back from an entry
-   knows only its digest; its text and CNF come from the blob on first
-   use. *)
+   computed at most once per frame, and its clauses are parsed back
+   from the text only when an entry is re-solved. *)
 
-type frame = {
-  f_cnf : (int * int list list) Lazy.t;
-  f_text : string Lazy.t;
-  f_digest : string Lazy.t;
-}
+type frame = { f_text : string Lazy.t; f_digest : string Lazy.t }
 
-(* Monomorphic, and the same order as polymorphic [compare]: a list
-   that is a prefix of another sorts first. *)
-let compare_lits = List.compare Int.compare
+(* The canonical form of a flat CNF, written into a copy: clause [i]'s
+   literals sorted and deduplicated in [c_lits.(c_offs.(i)) ..
+   c_offs.(i + 1) - 1], and [c_order] the clauses in sorted order.  The
+   order is [List.compare Int.compare] on the literal lists (a clause
+   that is a prefix of another sorts first), reached by a stable LSD
+   counting sort: one pass per literal position, last position first,
+   where the digit of a clause too short for the position is 0 and the
+   literal [l] is [l - lo + 1].  The count array is sized by the
+   observed literal range [lo .. hi] when that is within the input's
+   size, and digits are bytes otherwise, so a sparse range costs passes,
+   not memory.  A pass that puts every clause in one bucket is
+   skipped. *)
+type canon = { c_lits : int array; c_offs : int array; c_order : int array }
 
-(* [List.sort_uniq Int.compare lits], through a scratch array grown as
-   needed: an insertion sort there, then one list of the distinct
-   literals.  Clauses are short, so this beats the generic sort and
-   allocates only the result. *)
-let canonical_lits scratch lits =
-  match lits with
-  | [] | [ _ ] -> lits
-  | _ ->
-    let n = List.length lits in
-    if Array.length !scratch < n then scratch := Array.make (2 * n) 0;
-    let a = !scratch in
-    List.iteri
-      (fun i x ->
-        let j = ref (i - 1) in
-        while !j >= 0 && a.(!j) > x do
-          a.(!j + 1) <- a.(!j);
-          decr j
-        done;
-        a.(!j + 1) <- x)
-      lits;
-    let acc = ref [ a.(n - 1) ] in
-    for i = n - 2 downto 0 do
-      if a.(i) <> a.(i + 1) then acc := a.(i) :: !acc
+let rec bit_length n = if n = 0 then 0 else 1 + bit_length (n lsr 1)
+
+let canonicalize { Ilv_sat.Sat.offsets; lits; _ } =
+  let n = Array.length offsets - 1 in
+  let out = Array.make (Array.length lits) 0 in
+  let offs = Array.make (n + 1) 0 in
+  let lo = ref max_int and hi = ref min_int and width = ref 0 in
+  for i = 0 to n - 1 do
+    let start = offs.(i) in
+    let m = ref 0 in
+    for k = offsets.(i) to offsets.(i + 1) - 1 do
+      (* insertion into the sorted distinct literals so far *)
+      let x = lits.(k) in
+      let j = ref (start + !m - 1) in
+      while !j >= start && out.(!j) > x do
+        decr j
+      done;
+      if !j < start || out.(!j) <> x then begin
+        Array.blit out (!j + 1) out (!j + 2) (start + !m - !j - 1);
+        out.(!j + 1) <- x;
+        incr m
+      end
     done;
-    !acc
-
-(* Clauses and selector lists alike: literals sorted and deduplicated
-   within each list, lists sorted. *)
-let canonical_lists lists =
-  let scratch = ref (Array.make 16 0) in
-  List.sort compare_lits (List.map (canonical_lits scratch) lists)
+    offs.(i + 1) <- start + !m;
+    if !m > 0 then begin
+      lo := min !lo out.(start);
+      hi := max !hi out.(start + !m - 1);
+      width := max !width !m
+    end
+  done;
+  let order = Array.init n Fun.id in
+  let order =
+    if n < 2 || !width = 0 then order
+    else begin
+      let bits = bit_length (!hi - !lo + 1) in
+      let digit_bits =
+        if 1 lsl bits <= max 256 offs.(n) then bits else 8
+      in
+      let passes = (bits + digit_bits - 1) / digit_bits in
+      let mask = (1 lsl digit_bits) - 1 in
+      let count = Array.make ((1 lsl digit_bits) + 1) 0 in
+      let digits = Array.make n 0 in
+      let src = ref order and dst = ref (Array.make n 0) in
+      for k = !width - 1 downto 0 do
+        for p = 0 to passes - 1 do
+          let shift = p * digit_bits in
+          Array.fill count 0 (Array.length count) 0;
+          for i = 0 to n - 1 do
+            let o = offs.(i) + k in
+            let d =
+              if o < offs.(i + 1) then
+                ((out.(o) - !lo + 1) lsr shift) land mask
+              else 0
+            in
+            digits.(i) <- d;
+            count.(d + 1) <- count.(d + 1) + 1
+          done;
+          if count.(digits.(0) + 1) < n then begin
+            for d = 1 to mask + 1 do
+              count.(d) <- count.(d) + count.(d - 1)
+            done;
+            let s = !src and t = !dst in
+            for q = 0 to n - 1 do
+              let i = s.(q) in
+              let d = digits.(i) in
+              t.(count.(d)) <- i;
+              count.(d) <- count.(d) + 1
+            done;
+            src := t;
+            dst := s
+          end
+        done
+      done;
+      !src
+    end
+  in
+  { c_lits = out; c_offs = offs; c_order = order }
 
 (* Text is written digit by digit into bytes sized exactly beforehand,
    with no intermediate strings. *)
-let rec digits n = if n < 10 then 1 else 1 + digits (n / 10)
+let rec digits n =
+  if n < 10 then 1
+  else if n < 100 then 2
+  else if n < 1000 then 3
+  else 3 + digits (n / 1000)
 let int_width n = if n < 0 then 1 + digits (-n) else digits n
 
 (* writes [n] at [pos]; returns the position after it *)
@@ -269,40 +324,57 @@ let put_int b pos n =
   if n < 0 then Bytes.set b pos '-';
   pos + w
 
-(* [prefix], then ";lit,lit,...," per list: the text of a frame
-   ("v<n_vars>" prefix) and of a key's selector lists *)
-let lit_lists_text ~prefix lists =
-  let len =
-    List.fold_left
-      (fun acc lits ->
-        List.fold_left (fun acc l -> acc + int_width l + 1) (acc + 1) lits)
-      (String.length prefix) lists
-  in
-  let b = Bytes.create len in
-  Bytes.blit_string prefix 0 b 0 (String.length prefix);
-  ignore
-    (List.fold_left
-       (fun pos lits ->
-         Bytes.set b pos ';';
-         List.fold_left
-           (fun pos l ->
-             let pos = put_int b pos l in
-             Bytes.set b pos ',';
-             pos + 1)
-           (pos + 1) lits)
-       (String.length prefix) lists);
+(* [prefix], then ";lit,lit,...," per clause in canonical order: the
+   text of a frame ("v<n_vars>" prefix) and of a key's selector lists *)
+let canonical_text ~prefix { c_lits; c_offs; c_order } =
+  let plen = String.length prefix in
+  let len = ref (plen + Array.length c_order) in
+  for k = 0 to c_offs.(Array.length c_order) - 1 do
+    len := !len + int_width c_lits.(k) + 1
+  done;
+  let b = Bytes.create !len in
+  Bytes.blit_string prefix 0 b 0 plen;
+  let pos = ref plen in
+  Array.iter
+    (fun i ->
+      Bytes.set b !pos ';';
+      incr pos;
+      for k = c_offs.(i) to c_offs.(i + 1) - 1 do
+        pos := put_int b !pos c_lits.(k);
+        Bytes.set b !pos ',';
+        incr pos
+      done)
+    c_order;
   Bytes.unsafe_to_string b
 
-let canonical_cnf (n_vars, clauses) =
-  let clauses = canonical_lists clauses in
-  let text =
-    lazy (lit_lists_text ~prefix:("v" ^ string_of_int n_vars) clauses)
+let canonical_frame (cnf : Ilv_sat.Sat.flat) =
+  let span =
+    if Ilv_obs.Obs.enabled () then
+      Some (Ilv_obs.Obs.span_begin "proof_cache.canonical" [])
+    else None
   in
+  let text =
+    canonical_text
+      ~prefix:("v" ^ string_of_int cnf.Ilv_sat.Sat.n_vars)
+      (canonicalize cnf)
+  in
+  (match span with
+  | None -> ()
+  | Some id ->
+    Ilv_obs.Obs.span_end
+      ~fields:
+        [
+          ( "clauses",
+            Ilv_obs.Obs.I (Array.length cnf.Ilv_sat.Sat.offsets - 1) );
+          ("bytes", Ilv_obs.Obs.I (String.length text));
+        ]
+      id);
   {
-    f_cnf = Lazy.from_val (n_vars, clauses);
-    f_text = text;
-    f_digest = lazy (Digest.to_hex (Digest.string (Lazy.force text)));
+    f_text = Lazy.from_val text;
+    f_digest = lazy (Digest.to_hex (Digest.string text));
   }
+
+let canonical_cnf cnf = canonical_frame (Ilv_sat.Sat.flat_of_lists cnf)
 
 let digest fr = Lazy.force fr.f_digest
 
@@ -366,7 +438,7 @@ let mode_tag = function None -> "" | Some m -> "M" ^ m ^ ";"
    design's obligations — is digested once per design, and each
    property's key combines that digest with its canonical activation
    selectors.  Selector lists get the same treatment as clauses
-   ([canonical_lists]), so an obligation set that merely arrives
+   ([canonicalize]), so an obligation set that merely arrives
    reordered (or with a duplicated selector) hashes to the same key
    instead of missing the cache. *)
 let frame_digest cnf = digest (canonical_cnf cnf)
@@ -379,7 +451,8 @@ let key_of_shared ?mode ~frame ~selectors () =
             "I;";
             mode_tag mode;
             frame;
-            lit_lists_text ~prefix:"#S" (canonical_lists selectors);
+            canonical_text ~prefix:"#S"
+              (canonicalize (Ilv_sat.Sat.flat_of_lists (0, selectors)));
           ]))
 
 (* ---- files ---- *)
@@ -424,13 +497,9 @@ let stored_frame t d =
        if Digest.to_hex (Digest.string s) <> d then raise Bad_frame;
        s)
   in
-  {
-    f_digest = Lazy.from_val d;
-    f_text = text;
-    f_cnf = lazy (parse_frame (Lazy.force text));
-  }
+  { f_digest = Lazy.from_val d; f_text = text }
 
-let frame_cnf fr = Lazy.force fr.f_cnf
+let frame_cnf fr = parse_frame (Lazy.force fr.f_text)
 
 let store_frame t fr =
   let d = digest fr in

@@ -11,9 +11,9 @@
     property's per-obligation selector literals ({!key_of_shared}).
     There is one key namespace: fresh-mode runs are not cached.  Clause
     literals are sorted within each clause and clauses sorted
-    lexicographically before hashing, so the key is insensitive to
-    clause emission order; CNF variable numbering is preserved by
-    construction (bit-blasting allocates variables in deterministic
+    lexicographically before hashing ({!canonical_frame}), so the key
+    is insensitive to clause emission order; CNF variable numbering is
+    preserved by construction (bit-blasting allocates variables in deterministic
     structural order), so re-preparing the same group — in the same
     run or a later one — reproduces the key bit-for-bit.  Anything
     that changes the proof problem (RTL edit, refinement-map edit,
@@ -95,14 +95,23 @@ val recover : t -> int
     complement of the lazy quarantine-on-lookup path. *)
 
 type frame
-(** A canonical frame CNF ({!canonical_cnf}) with its serialization and
-    digest, each computed at most once.  The frame of an entry returned
-    by {!lookup} holds only the digest; its CNF is read from the frame
-    blob when {!validate} first needs it. *)
+(** A canonical frame CNF ({!canonical_frame}) as its serialization,
+    with its digest computed at most once.  The frame of an entry
+    returned by {!lookup} holds only the digest; its text is read from
+    the frame blob when {!validate} first needs it, and its clauses are
+    parsed from the text only there. *)
+
+val canonical_frame : Ilv_sat.Sat.flat -> frame
+(** Sorted-clause form: literals sorted and deduplicated within each
+    clause, clauses sorted lexicographically (a clause that is a prefix
+    of another first) — as hashed and as stored in blobs.  Works on
+    arrays: a copy of the literal arena sorted per clause, then a
+    stable counting sort of the clauses, one pass per literal position,
+    and the text written from the arena.  Emits a
+    ["proof_cache.canonical"] span ([clauses], [bytes] of text). *)
 
 val canonical_cnf : int * int list list -> frame
-(** Sorted-clause form: literals sorted and deduplicated within each
-    clause, clauses sorted — as hashed and as stored in blobs. *)
+(** {!canonical_frame} of the CNF given as lists. *)
 
 val digest : frame -> string
 (** The frame's digest, equal to {!frame_digest} of its CNF: the name

@@ -17,8 +17,8 @@ type t = {
 }
 
 let create ?cache ?memo pr =
-  let cnf0 () = Checker.shared_cnf (Verify.key_frame pr) in
-  let frame0 = lazy (Proof_cache.canonical_cnf (cnf0 ())) in
+  let cnf0 () = Checker.shared_frame (Verify.key_frame pr) in
+  let frame0 = lazy (Proof_cache.canonical_frame (cnf0 ())) in
   {
     s_prepared = pr;
     s_cache = cache;
@@ -28,7 +28,7 @@ let create ?cache ?memo pr =
       lazy
         (match cache with
         | Some _ -> Proof_cache.digest (Lazy.force frame0)
-        | None -> Proof_cache.frame_digest (cnf0 ()));
+        | None -> Proof_cache.digest (Proof_cache.canonical_frame (cnf0 ())));
     s_refined = None;
   }
 
@@ -76,7 +76,7 @@ let canonical s sh =
     match s.s_refined with
     | Some (sh', fr) when sh' == sh -> fr
     | _ ->
-      let fr = Proof_cache.canonical_cnf (Checker.shared_cnf sh) in
+      let fr = Proof_cache.canonical_frame (Checker.shared_frame sh) in
       s.s_refined <- Some (sh, fr);
       fr
 

@@ -118,8 +118,7 @@ type t = {
    rewrites them away before they reach this module. *)
 let max_concrete_addr_width = Circuits.max_concrete_addr_width
 
-let create () =
-  let solver = Sat.create () in
+let on_solver solver =
   let t_var = Sat.new_var solver in
   Sat.add_clause solver [ t_var ];
   let ctx = { solver; lit_true = t_var; gates = Hashtbl.create 4096 } in
@@ -157,6 +156,9 @@ let create () =
       bits
   in
   { ctx; compiler = C.compiler ctx ~fresh_var; vars }
+
+let create () = on_solver (Sat.create ())
+let frame () = on_solver (Sat.frame ())
 
 let lit_of t e =
   if not (Sort.is_bool (Expr.sort e)) then
@@ -226,7 +228,7 @@ let check_assuming ?limit t ~assumptions =
 
 let age_activity t = Sat.age_activity t.ctx.solver
 let simplify ?subsume t = Sat.simplify ?subsume t.ctx.solver
-let cnf t = Sat.export t.ctx.solver
+let cnf t = Sat.export_flat t.ctx.solver
 let cnf_size t = (Sat.num_vars t.ctx.solver, Sat.num_clauses t.ctx.solver)
 
 let cnf_split t =

@@ -28,6 +28,11 @@ val max_concrete_addr_width : int
 
 val create : unit -> t
 
+val frame : unit -> t
+(** A context on a frame-only solver ({!Sat.frame}): for encoding a CNF
+    to {!simplify} and export ({!cnf}), never to {!check}.  Its
+    {!simplify}d CNF is the one a {!create} context would give. *)
+
 val assert_bool : t -> Expr.t -> unit
 (** Asserts a boolean expression to be true (permanently).
     @raise Expr.Sort_error if the expression is not boolean. *)
@@ -103,9 +108,9 @@ val simplify : ?subsume:bool -> t -> int
     [~subsume:false] restricts it to the linear passes (see
     {!Sat.simplify}). *)
 
-val cnf : t -> int * int list list
-(** The accumulated CNF ([n_vars], clauses as external literals), for
-    DIMACS export. *)
+val cnf : t -> Sat.flat
+(** The accumulated CNF ({!Sat.export_flat}), for freezing a frame and
+    for DIMACS export. *)
 
 val cnf_size : t -> int * int
 (** [(variables, clauses)] created so far. *)

@@ -5,7 +5,7 @@ let of_sat solver =
   { n_vars; clauses }
 
 let of_bitblast ctx =
-  let n_vars, clauses = Bitblast.cnf ctx in
+  let n_vars, clauses = Sat.lists_of_flat (Bitblast.cnf ctx) in
   { n_vars; clauses }
 
 let to_string p =

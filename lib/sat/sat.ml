@@ -27,6 +27,9 @@ let no_clause = 0
 type vec = { mutable data : int array; mutable size : int }
 
 type t = {
+  watched : bool;
+      (* false for a frame-only context: no watchers, no selector
+         occurrence vectors, no search *)
   mutable n_vars : int;
   mutable arena : int array;
   mutable arena_size : int; (* cells in use *)
@@ -96,10 +99,11 @@ let new_vec () = { data = [||]; size = 0 }
 let no_watches = new_vec ()
 let no_occ = new_vec ()
 
-let create () =
+let make ~watched =
   let arena = Array.make 64 0 in
   arena.(0) <- deleted_bit;
   {
+    watched;
     n_vars = 0;
     arena;
     arena_size = 2;
@@ -142,6 +146,9 @@ let create () =
     reductions = 0;
     learnt_literals = 0;
   }
+
+let create () = make ~watched:true
+let frame () = make ~watched:false
 
 (* literal helpers *)
 let pos v = 2 * v
@@ -210,8 +217,10 @@ let new_var s =
     grow_vars s (max n (2 * Array.length s.level));
   (* each literal's own vector is made here, with its variable, so
      growing the array stays a pointer copy *)
-  s.watches.(pos v) <- new_vec ();
-  s.watches.(pos v + 1) <- new_vec ();
+  if s.watched then begin
+    s.watches.(pos v) <- new_vec ();
+    s.watches.(pos v + 1) <- new_vec ()
+  end;
   (* insert into the order heap *)
   s.heap.(s.heap_size) <- v;
   s.heap_pos.(v) <- s.heap_size;
@@ -221,7 +230,7 @@ let new_var s =
 
 let new_selector s =
   let v = new_var s in
-  s.occ.(v) <- new_vec ();
+  if s.watched then s.occ.(v) <- new_vec ();
   v
 
 let num_vars s = s.n_vars
@@ -280,8 +289,10 @@ let delete s c =
     s.n_clauses <- s.n_clauses - 1;
     if h land activation_bit <> 0 then s.n_activation <- s.n_activation - 1
   end;
-  smudge s (neg_of a.(c + 2));
-  smudge s (neg_of a.(c + 3))
+  if s.watched then begin
+    smudge s (neg_of a.(c + 2));
+    smudge s (neg_of a.(c + 3))
+  end
 
 (* shrinks a watch vector left under a quarter full *)
 let trim w =
@@ -628,6 +639,20 @@ let propagate s =
     ws.size <- !j
   done
 
+(* Level-0 propagation of the pending units; a conflict latches
+   [unsat].  A frame-only context has no watchers: its units reach the
+   clauses through [strengthen_all], which repeats to a fixpoint. *)
+let propagate0 s =
+  if s.watched then try propagate s with Conflict _ -> s.unsat <- true
+
+(* A new clause joins the search: its watchers and selector
+   occurrences.  A frame-only context keeps neither. *)
+let hook s c =
+  if s.watched then begin
+    attach s c;
+    note_selectors s c
+  end
+
 (* --- clause addition (level 0 only) --- *)
 
 (* Inserts the literals into [s.intake] after its first [n] (sorted)
@@ -677,10 +702,9 @@ let add_clause ?(activation = false) s ext_lits =
     if not !dropped then
       match !live with
       | 0 -> s.unsat <- true
-      | 1 -> begin
+      | 1 ->
         enqueue s buf.(0) no_clause;
-        try propagate s with Conflict _ -> s.unsat <- true
-      end
+        propagate0 s
       | live ->
         let c =
           alloc s (if activation then activation_bit else 0) buf live 0.0
@@ -688,8 +712,7 @@ let add_clause ?(activation = false) s ext_lits =
         push s.clauses c;
         s.n_clauses <- s.n_clauses + 1;
         if activation then s.n_activation <- s.n_activation + 1;
-        attach s c;
-        note_selectors s c
+        hook s c
   end
 
 (* --- level-0 simplification --- *)
@@ -868,7 +891,7 @@ let strengthen_all s =
             | 0 -> s.unsat <- true
             | 1 ->
               enqueue s live.(0) no_clause;
-              (try propagate s with Conflict _ -> s.unsat <- true)
+              propagate0 s
             | m ->
               let h = a.(c) in
               let c' =
@@ -883,8 +906,7 @@ let strengthen_all s =
                 if h land activation_bit <> 0 then
                   s.n_activation <- s.n_activation + 1
               end;
-              attach s c';
-              note_selectors s c';
+              hook s c';
               v.data.(i) <- c'
           end
         end
@@ -946,7 +968,7 @@ let simplify ?(subsume = true) s =
   s.solved <- None;
   let before = s.n_clauses + s.n_learnts in
   if not s.unsat then begin
-    (try propagate s with Conflict _ -> s.unsat <- true);
+    propagate0 s;
     if (not s.unsat) && (subsume || not (retire_units s)) then begin
       if (not subsume) && Ilv_obs.Obs.enabled () then
         Ilv_obs.Obs.count "sat.retire_fallbacks" 1;
@@ -967,7 +989,7 @@ let simplify ?(subsume = true) s =
     done;
     s.simplified <- s.trail_size
   end;
-  collect_garbage s;
+  if s.watched then collect_garbage s;
   max 0 (before - (s.n_clauses + s.n_learnts))
 
 (* --- conflict analysis (first UIP) --- *)
@@ -1166,6 +1188,8 @@ type outcome = Result of result | Unknown of string
    Limits are per-call and soft: they are checked between propagation
    rounds, so the solver may overshoot by one BCP pass. *)
 let solve_bounded ?(assumptions = []) ?(limit = no_limit) s =
+  if not s.watched then
+    invalid_arg "Sat.solve: a frame-only context cannot search";
   cancel_until s 0;
   s.solved <- None;
   let assumption_lits =
@@ -1342,25 +1366,65 @@ let value s v =
     s.values.(pos v) = 1
   | Some Unsat | None -> invalid_arg "Sat.value: no model available"
 
-let export s =
-  let ext l = (if is_neg l then -1 else 1) * var_of l in
-  let level0_bound =
-    if s.trail_lim_size > 0 then s.trail_lim.(0) else s.trail_size
+type flat = { n_vars : int; offsets : int array; lits : int array }
+
+let lists_of_flat { n_vars; offsets; lits } =
+  let clause i =
+    List.init (offsets.(i + 1) - offsets.(i)) (fun k -> lits.(offsets.(i) + k))
   in
-  let units = List.init level0_bound (fun i -> [ ext s.trail.(i) ]) in
-  let clauses = ref [] in
-  for i = s.clauses.size - 1 downto 0 do
-    let c = s.clauses.data.(i) in
-    if not (is_deleted s c) then
-      clauses :=
-        List.init (clause_size s c) (fun k -> ext s.arena.(c + 2 + k))
-        :: !clauses
+  (n_vars, List.init (Array.length offsets - 1) clause)
+
+let flat_of_lists (n_vars, clauses) =
+  let offsets = Array.make (List.length clauses + 1) 0 in
+  List.iteri
+    (fun i c -> offsets.(i + 1) <- offsets.(i) + List.length c)
+    clauses;
+  let lits = Array.make offsets.(Array.length offsets - 1) 0 in
+  List.iteri
+    (fun i c -> List.iteri (fun k l -> lits.(offsets.(i) + k) <- l) c)
+    clauses;
+  { n_vars; offsets; lits }
+
+(* A top-level conflict discovered during clause addition has no stored
+   witness clause: it is exported as the empty clause, first.  Then the
+   level-0 facts as units, then the live problem clauses oldest first. *)
+let export_flat s =
+  let ext l = if is_neg l then -var_of l else var_of l in
+  let units = if s.trail_lim_size > 0 then s.trail_lim.(0) else s.trail_size in
+  let v = s.clauses and a = s.arena in
+  let n = ref (Bool.to_int s.unsat + units) and size = ref units in
+  for i = 0 to v.size - 1 do
+    let c = v.data.(i) in
+    if not (is_deleted s c) then begin
+      incr n;
+      size := !size + clause_size s c
+    end
   done;
-  let clauses = !clauses in
-  (* a top-level conflict discovered during clause addition has no
-     stored witness clause: export it as the empty clause *)
-  let contradiction = if s.unsat then [ [] ] else [] in
-  (s.n_vars, contradiction @ units @ clauses)
+  let offsets = Array.make (!n + 1) 0 and lits = Array.make !size 0 in
+  let m = ref 0 and top = ref 0 in
+  let close () =
+    incr m;
+    offsets.(!m) <- !top
+  in
+  if s.unsat then close ();
+  for i = 0 to units - 1 do
+    lits.(!top) <- ext s.trail.(i);
+    incr top;
+    close ()
+  done;
+  for i = 0 to v.size - 1 do
+    let c = v.data.(i) in
+    if not (is_deleted s c) then begin
+      for k = c + 2 to c + 1 + clause_size s c do
+        lits.(!top) <- ext a.(k);
+        incr top
+      done;
+      close ()
+    end
+  done;
+  { n_vars = s.n_vars; offsets; lits }
+
+let export s = lists_of_flat (export_flat s)
 
 type stats = {
   decisions : int;

@@ -43,6 +43,18 @@ type result = Sat | Unsat
 
 val create : unit -> t
 
+val frame : unit -> t
+(** A frame-only context: the CNF is accumulated and {!simplify}d as
+    by {!create}'s, but no watcher and no selector occurrence vector is
+    ever attached, and a unit is not propagated when it is added.
+    {!simplify} ([~subsume] or not) then runs the full linear pass,
+    which repeats strengthening to a fixpoint and so reaches the unit
+    closure without watchers: after it, {!export_flat} and
+    {!num_clauses} are what a {!create} context fed the same clauses
+    gives, and a level-0 conflict shows as the empty clause in both.
+    The context to build a CNF for export, not to search.
+    {!solve} and {!solve_bounded} on it raise [Invalid_argument]. *)
+
 val new_var : t -> int
 (** Allocates a fresh variable and returns its (positive) index. *)
 
@@ -179,10 +191,25 @@ val value : t -> int -> bool
     @raise Invalid_argument if the last result was not [Sat] or the
     formula changed since. *)
 
+type flat = { n_vars : int; offsets : int array; lits : int array }
+(** A CNF in one literal arena: clause [i] is
+    [lits.(offsets.(i)) .. lits.(offsets.(i + 1) - 1)], in external
+    literal convention, so there are [Array.length offsets - 1]
+    clauses and [offsets.(0) = 0]. *)
+
+val export_flat : t -> flat
+(** The problem as a {!flat} CNF: the empty clause first after a
+    level-0 conflict, then level-0 facts as unit clauses, then the live
+    problem and activation clauses, oldest first.  Learnt clauses are
+    not included. *)
+
 val export : t -> int * int list list
-(** [(n_vars, clauses)] of the problem in external literal convention.
-    Level-0 facts (from unit clauses) are exported as unit clauses;
-    learnt clauses are not included.  Useful for DIMACS dumps. *)
+(** {!export_flat} as [(n_vars, clauses)] lists.  Useful for DIMACS
+    dumps. *)
+
+val lists_of_flat : flat -> int * int list list
+val flat_of_lists : int * int list list -> flat
+(** The two views of one CNF; each is the other's inverse. *)
 
 type stats = {
   decisions : int;

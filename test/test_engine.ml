@@ -190,42 +190,87 @@ let reference_text (n_vars, clauses) =
 
 let md5 s = Digest.to_hex (Digest.string s)
 
+let show_clauses l =
+  String.concat " "
+    (List.map
+       (fun c -> "(" ^ String.concat "|" (List.map string_of_int c) ^ ")")
+       l)
+
 (* CNFs with the cases the serialization must get right: negative and
    repeated literals, clauses that are prefixes of others ([1] vs
-   [1;2]), the empty clause, [n_vars] 0, and literals of many digits. *)
+   [1;2]), the empty clause among units, [n_vars] 0, literals of many
+   digits (far beyond [n_vars]), clauses of 4-12 literals (a counting
+   sort pass per position, where a Tseitin frame needs 3), and frames of
+   200+ clauses that extend a few long stems, so that many clauses
+   share long prefixes. *)
 let arb_frame_cnf =
   let gen st =
-    let n_vars = Random.State.int st 9 in
+    let int = Random.State.int st in
+    let n_vars = int 9 + if int 4 = 0 then int 60 else 0 in
     let lit () =
       let v =
-        if Random.State.int st 20 = 0 then 1 + Random.State.int st 1_000_000
-        else 1 + Random.State.int st (max 1 n_vars)
+        if int 20 = 0 then 1 + int 1_000_000 else 1 + int (max 1 n_vars)
       in
       if Random.State.bool st then v else -v
     in
-    let clause () = List.init (Random.State.int st 6) (fun _ -> lit ()) in
-    let base = List.init (Random.State.int st 12) (fun _ -> clause ()) in
+    let clause len = List.init len (fun _ -> lit ()) in
+    let short () = clause (int 6) in
+    let long () = clause (4 + int 9) in
+    let base =
+      match int 3 with
+      | 0 -> List.init (int 12) (fun _ -> short ())
+      | 1 ->
+        List.init (int 12) (fun _ ->
+            if Random.State.bool st then long () else short ())
+      | _ ->
+        let stems = Array.init (1 + int 4) (fun _ -> long ()) in
+        List.init
+          (200 + int 100)
+          (fun _ ->
+            let stem = stems.(int (Array.length stems)) in
+            let k = int (List.length stem + 1) in
+            List.filteri (fun i _ -> i < k) stem @ clause (int 4))
+    in
     let prefixes =
       List.filter_map
         (fun c ->
           if c <> [] && Random.State.bool st then
-            let k = Random.State.int st (List.length c) in
+            let k = int (List.length c) in
             Some (List.filteri (fun i _ -> i < k) c)
           else None)
         base
     in
-    let hyps = List.init (Random.State.int st 4) (fun _ -> clause ()) in
-    ((n_vars, base @ prefixes), hyps)
+    let units =
+      List.init (int 4) (fun _ -> clause 1) @ if int 3 = 0 then [ [] ] else []
+    in
+    (* units and the empty clause land anywhere in the clause order *)
+    let clauses =
+      List.map (fun c -> (int 1000, c)) (units @ base @ prefixes)
+      |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
+      |> List.map snd
+    in
+    let hyps = List.init (int 4) (fun _ -> short ()) in
+    ((n_vars, clauses), hyps)
   in
   QCheck.make
     ~print:(fun ((n, cs), hyps) ->
-      let show l =
-        String.concat " "
-          (List.map
-             (fun c -> "(" ^ String.concat "|" (List.map string_of_int c) ^ ")")
-             l)
-      in
-      Printf.sprintf "%d vars: %s; hyps %s" n (show cs) (show hyps))
+      Printf.sprintf "%d vars: %s; hyps %s" n (show_clauses cs)
+        (show_clauses hyps))
+    gen
+
+(* A random CNF for a solver to simplify and export: units among the
+   clauses, so the export carries level-0 facts and stripped clauses. *)
+let arb_solver_cnf =
+  let gen st =
+    let int = Random.State.int st in
+    let n_vars = 1 + int 30 in
+    let lit () = (1 + int n_vars) * if Random.State.bool st then 1 else -1 in
+    ( n_vars,
+      List.init (int 80) (fun _ ->
+          List.init (if int 8 = 0 then 1 else 2 + int 3) (fun _ -> lit ())) )
+  in
+  QCheck.make
+    ~print:(fun (n, cs) -> Printf.sprintf "%d vars: %s" n (show_clauses cs))
     gen
 
 let canonical_tests =
@@ -242,6 +287,24 @@ let canonical_tests =
            && Proof_cache.key_of_shared ~mode:"abstract" ~frame:(md5 text)
                 ~selectors:hyps ()
               = md5 ("I;Mabstract;" ^ md5 text ^ "#S" ^ reference_lists hyps)));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"a solver's flat export canonicalizes as its list export"
+         ~count:300 arb_solver_cnf (fun (n_vars, clauses) ->
+           List.for_all
+             (fun make ->
+               let s = make () in
+               for _ = 1 to n_vars do
+                 ignore (Ilv_sat.Sat.new_var s)
+               done;
+               List.iter (Ilv_sat.Sat.add_clause s) clauses;
+               ignore (Ilv_sat.Sat.simplify s);
+               let text = reference_text (Ilv_sat.Sat.export s) in
+               Proof_cache.digest
+                 (Proof_cache.canonical_frame (Ilv_sat.Sat.export_flat s))
+               = md5 text
+               && Proof_cache.frame_digest (Ilv_sat.Sat.export s) = md5 text)
+             [ Ilv_sat.Sat.create; Ilv_sat.Sat.frame ]));
     t "edge-case frames serialize as the list-based text" (fun () ->
         List.iter
           (fun cnf ->
@@ -281,6 +344,44 @@ let canonical_tests =
         Alcotest.(check string)
           "digest of the frame digests" "d8d529ac3d73463104951d4d186b1eff"
           (md5 (String.concat "," digests)));
+    t "the engine's own key path writes the pinned frame blobs (golden)"
+      (fun () ->
+        (* The test above reaches its digests through the list views;
+           this one pins what Engine.run itself canonicalizes and
+           stores on a cold quick sweep (memory abstraction on): the
+           sorted blob names, hashed together, and every blob's MD5
+           equal to its name. *)
+        let cache = Proof_cache.open_ ~dir:(fresh_dir ()) () in
+        let jobs =
+          List.fold_left
+            (fun acc (d : Design.t) ->
+              acc
+              @ Engine.jobs_of ~first_id:(List.length acc) ~name:d.Design.name
+                  d.Design.module_ila d.Design.rtl
+                  ~refmap_for:(fun port -> d.Design.refmap_for d.Design.rtl port)
+                  ())
+            [] Catalog.quick
+        in
+        let _, summary = Engine.run ~cache ~memory_abstraction:true jobs in
+        Alcotest.(check int) "every job proved" summary.Engine.n_jobs
+          summary.Engine.n_proved;
+        let blobs = Proof_cache.blob_files cache in
+        let names =
+          List.map
+            (fun path -> Filename.chop_suffix (Filename.basename path) ".cnf")
+            blobs
+        in
+        Alcotest.(check int) "15 blobs" 15 (List.length blobs);
+        List.iter2
+          (fun path name ->
+            Alcotest.(check string)
+              (name ^ ": MD5 is the name") name
+              (Digest.to_hex (Digest.file path)))
+          blobs names;
+        Alcotest.(check string)
+          "digest of the blob names" "d52d85cccfac1924f5aab178c9659691"
+          (md5 (String.concat "," names));
+        ignore (Proof_cache.clear cache));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -392,6 +392,58 @@ let profile_tests =
         Alcotest.(check bool)
           "frames table has a simp_s column" true
           (contains rendered "simp_s"));
+    t "a cached engine run traces canonicalization apart from the freeze"
+      (fun () ->
+        let file = Filename.temp_file "ilv-obs-canonical" ".jsonl" in
+        let dir =
+          Filename.concat
+            (Filename.get_temp_dir_name ())
+            (Printf.sprintf "ilv-obs-cache-%d" (Unix.getpid ()))
+        in
+        let cache = Proof_cache.open_ ~dir () in
+        Obs.configure ~trace_out:file ();
+        let d = List.find (fun d -> d.Design.name = "AXI Slave") Catalog.all in
+        let _ =
+          Engine.run ~jobs:1 ~cache
+            (Engine.jobs_of ~name:d.Design.name d.Design.module_ila
+               d.Design.rtl
+               ~refmap_for:(fun port -> d.Design.refmap_for d.Design.rtl port)
+               ())
+        in
+        Obs.shutdown ();
+        ignore (Proof_cache.clear cache);
+        let raw = read_file file in
+        Sys.remove file;
+        let lines =
+          match Json.parse_lines raw with
+          | Error msg -> Alcotest.fail ("trace is not valid JSONL: " ^ msg)
+          | Ok lines -> lines
+        in
+        let named ev name =
+          List.filter
+            (fun l -> str "ev" l = Some ev && str "name" l = Some name)
+            lines
+        in
+        let freezes = named "span_end" "checker.prepare_shared"
+        and canonical = named "span_end" "proof_cache.canonical" in
+        Alcotest.(check bool) "frames frozen" true (freezes <> []);
+        Alcotest.(check int)
+          "one canonicalization per freeze" (List.length freezes)
+          (List.length canonical);
+        List.iter2
+          (fun f c ->
+            match (int_of "cnf_clauses" f, int_of "clauses" c) with
+            | Some stored, Some exported ->
+              (* the export adds the level-0 units to the stored clauses *)
+              Alcotest.(check bool) "clauses >= cnf_clauses" true
+                (exported >= stored)
+            | _ -> Alcotest.fail "span_end lacks its clause count")
+          freezes canonical;
+        let bytes l = List.sort compare (List.filter_map (int_of "bytes") l) in
+        Alcotest.(check (list int))
+          "canonical text is what each frame blob holds"
+          (bytes (named "event" "cache.frame_store"))
+          (bytes canonical));
   ]
 
 let suite =

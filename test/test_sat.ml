@@ -1180,6 +1180,110 @@ let arena_tests =
           (List.sort compare (List.map normal (stored cnf))));
   ]
 
+(* The frame-only context against a watched one fed the same stream of
+   problem and guard clauses (a guard holds its selector negatively),
+   with units before, among and after them.  Every stream also holds a
+   cascade three deep ([-a|b], [-b|c], [-c|d] and the unit [a], in any
+   order) and a clause satisfied by a later unit.  After [simplify]
+   both give the same canonical export and clause count; a stream with
+   a level-0 conflict leaves both unsat. *)
+type frame_step = Clause of bool * int list (* activation? *) | Unit of int
+
+let pp_frame_step = function
+  | Clause (act, c) -> (if act then "guard " else "") ^ pp_clause c
+  | Unit l -> "unit " ^ string_of_int l
+
+let arb_frame_stream =
+  let gen st =
+    let int = Random.State.int st in
+    let n_plain = 8 + int 13 and n_sel = int 4 in
+    let plain () = (1 + int n_plain) * if Random.State.bool st then 1 else -1 in
+    let clause () = List.init (2 + int 3) (fun _ -> plain ()) in
+    let random =
+      List.init (int 21) (fun _ ->
+          if n_sel > 0 && Random.State.bool st then
+            Clause (true, -(n_plain + 1 + int n_sel) :: clause ())
+          else Clause (false, clause ()))
+      @ List.init (int 4) (fun _ ->
+            if n_sel > 0 && int 3 = 0 then Unit (-(n_plain + 1 + int n_sel))
+            else Unit (plain ()))
+    in
+    let keyed = List.map (fun step -> (int 1000, step)) random in
+    let a, b, c, d = (plain (), plain (), plain (), plain ()) in
+    let cascade =
+      List.map
+        (fun step -> (int 1000, step))
+        [
+          Clause (false, [ -a; b ]);
+          Clause (false, [ -b; c ]);
+          Clause (false, [ -c; d ]);
+          Unit a;
+        ]
+    in
+    let x = plain () in
+    let k = int 1000 in
+    let satisfied =
+      [ (k, Clause (false, [ x; plain (); plain () ])); (k + 1 + int 1000, Unit x) ]
+    in
+    ( n_plain,
+      n_sel,
+      List.stable_sort
+        (fun (i, _) (j, _) -> compare i j)
+        (keyed @ cascade @ satisfied)
+      |> List.map snd )
+  in
+  QCheck.make
+    ~print:(fun (n_plain, n_sel, steps) ->
+      Printf.sprintf "%d vars, %d selectors: %s" n_plain n_sel
+        (String.concat "; " (List.map pp_frame_step steps)))
+    gen
+
+let run_frame_stream make ~subsume (n_plain, n_sel, steps) =
+  let s = make () in
+  for _ = 1 to n_plain do
+    ignore (Sat.new_var s)
+  done;
+  for _ = 1 to n_sel do
+    ignore (Sat.new_selector s)
+  done;
+  List.iter
+    (function
+      | Clause (activation, c) -> Sat.add_clause ~activation s c
+      | Unit l -> Sat.add_clause s [ l ])
+    steps;
+  ignore (Sat.simplify ~subsume s);
+  let n_vars, clauses = Sat.export s in
+  ( (n_vars, List.sort compare (List.map (List.sort_uniq compare) clauses)),
+    Sat.num_clauses s )
+
+let frame_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"a frame-only context simplifies to the watched one's CNF"
+         ~count:1000 arb_frame_stream (fun stream ->
+           List.for_all
+             (fun subsume ->
+               let w = run_frame_stream Sat.create ~subsume stream
+               and f = run_frame_stream Sat.frame ~subsume stream in
+               let unsat ((_, clauses), _) = List.mem [] clauses in
+               if unsat w || unsat f then unsat w && unsat f else w = f)
+             [ true; false ]));
+    t "solving a frame-only context raises" (fun () ->
+        let s = Sat.frame () in
+        let v = Sat.new_var s in
+        Sat.add_clause s [ v ];
+        List.iter
+          (fun solve ->
+            match solve s with
+            | _ -> Alcotest.fail "a frame-only context solved"
+            | exception Invalid_argument _ -> ())
+          [
+            (fun s -> ignore (Sat.solve s));
+            (fun s -> ignore (Sat.solve_bounded ~assumptions:[ v ] s));
+          ]);
+  ]
+
 let suite =
   [
     ("sat:unit", unit_tests);
@@ -1192,4 +1296,5 @@ let suite =
     ("sat:intake", intake_props);
     ("sat:retire", retire_tests);
     ("sat:arena", arena_tests);
+    ("sat:frame", frame_tests);
   ]
