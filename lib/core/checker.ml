@@ -335,7 +335,6 @@ type shared = {
       (* memo: a checked property's cones are retired, so re-solving
          them would vacuously return Unsat *)
   mutable sh_simplified : bool;
-  mutable sh_removed : int; (* clauses removed by the CNF pass *)
   mutable sh_frozen : (Sat.flat * int list list array) option;
       (* frame CNF + per-property selector lists, built on a throwaway
          context so the live solver can stay lazy *)
@@ -351,7 +350,6 @@ let prepare_shared ?(label = "") ?on_sat props =
     sh_enc = Array.make n Pending;
     sh_done = Array.make n None;
     sh_simplified = false;
-    sh_removed = 0;
     sh_frozen = None;
     sh_on_sat = on_sat;
   }
@@ -425,7 +423,6 @@ let simplify_shared_once sh =
     sh.sh_simplified <- true;
     let t0 = Unix.gettimeofday () in
     let removed = Bitblast.simplify sh.sh_ctx in
-    sh.sh_removed <- removed;
     if Ilv_obs.Obs.enabled () then
       Ilv_obs.Obs.event "checker.simplify_cnf"
         [
@@ -473,7 +470,6 @@ let shared_freeze sh =
     let t0 = Ilv_obs.Obs.now_s () in
     let removed = Bitblast.simplify ctx in
     let simplify_s = Ilv_obs.Obs.now_s () -. t0 in
-    sh.sh_removed <- removed;
     sh.sh_frozen <- Some (Bitblast.cnf ctx, selectors);
     match span with
     | None -> ()
@@ -509,8 +505,6 @@ let shared_error sh idx =
   | Enc_failed msg -> Some msg
   | Encoded _ -> None
   | Pending -> assert false
-
-let shared_simplify_removed sh = sh.sh_removed
 
 let check_shared ?(budget = unlimited) sh idx =
   match sh.sh_done.(idx) with

@@ -234,10 +234,6 @@ val check_shared_degrading :
     absolute deadline.  Stats accumulate across the rungs actually
     run. *)
 
-val shared_simplify_removed : shared -> int
-(** Clauses removed by the CNF-level simplification pass (0 before the
-    pass has run). *)
-
 (** {1 Model decoding helpers}
 
     Exposed for callers that produce the same [(name -> sort ->

@@ -106,14 +106,6 @@ let generation t = t.ab_generation
 let refinements t = t.ab_refinements
 let concrete_properties t = t.ab_props
 
-(* Process-wide refinement tally: lets in-process callers (the bench
-   harness, [jobs <= 1] engine sweeps) report CEGAR work without
-   threading abstraction state through every layer.  Forked workers
-   accumulate into their own copy; the authoritative per-run numbers
-   are the ["cegar.*"] observability counters. *)
-let total_refinement_count = ref 0
-let total_refinements () = !total_refinement_count
-
 let window_sizes t =
   List.map (fun w -> (Sort.to_string w.w_sort, List.length w.w_addrs))
     t.ab_windows
@@ -498,7 +490,6 @@ let replay t ~prop_index ~ob_index model =
     end;
     if !added > 0 then begin
       t.ab_refinements <- t.ab_refinements + !added;
-      total_refinement_count := !total_refinement_count + !added;
       t.ab_generation <- t.ab_generation + 1
     end;
     None

@@ -53,12 +53,6 @@ val generation : t -> int
 val refinements : t -> int
 (** Total window addresses added by refinement so far. *)
 
-val total_refinements : unit -> int
-(** Process-wide refinement tally across every abstraction instance —
-    cheap reporting for in-process callers (bench, [jobs <= 1] engine
-    sweeps).  Forked workers tally separately; the per-run source of
-    truth is the ["cegar.refine"] observability counter. *)
-
 val window_sizes : t -> (string * int) list
 (** Current [(sort, slots)] per window, for diagnostics. *)
 

@@ -9,10 +9,9 @@
     handle.  [verify] and [table] requests are discharged by
     {!Ilv_engine.Engine.run} over that state — the daemon has no
     obligation loop of its own.  Where the fork-per-sweep engine pays
-    process setup and cache I/O on every run — which BENCH_engine.json
-    shows dominating the sub-100ms warm path on most designs — the
-    daemon pays preparation once and answers repeat obligations from
-    memory.
+    process setup and cache I/O on every run — which dominates the
+    sub-100ms warm path on most designs — the daemon pays preparation
+    once and answers repeat obligations from memory.
 
     {2 Batching and dedup}
 

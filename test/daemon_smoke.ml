@@ -1,7 +1,8 @@
 (* daemon-smoke: the end-to-end daemon exercise wired into `dune
    runtest`.  Forks [Daemon.serve] on a temp socket, drives a mixed
-   workload (ping / expired-deadline verify and a plain rerun / verify /
-   repeat-verify / bug variant / table / stats) through the client,
+   workload (ping / expired-deadline verify and a plain rerun /
+   pipelined load over several connections / verify / repeat-verify /
+   bug variant / table / stats) through the client,
    checks every daemon verdict against the in-process driver, runs the
    CLI's daemon client (the ilaverif executable given as the first
    argument) for its exit codes and [--vcd], and verifies a clean
@@ -33,7 +34,7 @@ let fail fmt =
       exit 1)
     fmt
 
-let designs = [ "Decoder"; "AXI Slave" ]
+let designs = [ "Decoder"; "AXI Slave"; "AXI Master" ]
 let bug_design = "AXI Slave"
 let bug_label = "rd_burst"
 
@@ -171,19 +172,80 @@ let () =
   Format.printf "daemon-smoke: %-12s proves again after an expired deadline@."
     deadline_design;
 
+  let want =
+    List.map
+      (fun name ->
+        match Catalog.find name with
+        | None -> fail "unknown design %S" name
+        | Some d ->
+          (name, in_process_verdicts ~name:d.Design.name ~rtl:d.Design.rtl d))
+      designs
+  in
+
+  (* pipelined load: every connection writes its whole run of pings,
+     stats and verifies (each design, in a rotated order, so the same
+     cold design arrives on several connections at once) before any
+     reply is read.  Every reply must arrive, be ok, and every verify
+     must carry the in-process verdicts. *)
+  let n_conns = 4 in
+  let n_designs = List.length designs in
+  let run_of i =
+    List.concat_map
+      (fun k ->
+        let name = List.nth designs ((i + k) mod n_designs) in
+        let op = if k mod 2 = 0 then "ping" else "stats" in
+        [
+          (Some name, verify_req name);
+          (None, Json.Obj [ ("op", Json.String op) ]);
+        ])
+      (List.init n_designs Fun.id)
+  in
+  let conns =
+    List.init n_conns (fun i ->
+        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Unix.connect fd (Unix.ADDR_UNIX socket);
+        let run = run_of i in
+        List.iter
+          (fun (_, req) -> Protocol.write_frame fd (Json.encode req))
+          run;
+        (fd, run))
+  in
+  List.iter
+    (fun (fd, run) ->
+      List.iter
+        (fun (design, _) ->
+          let reply =
+            match Protocol.read_frame fd with
+            | Protocol.Frame raw -> (
+              match Json.parse raw with
+              | Ok reply -> reply
+              | Error msg -> fail "pipelined load: undecodable reply: %s" msg)
+            | Protocol.Eof -> fail "pipelined load: connection closed early"
+            | Protocol.Oversized n -> fail "pipelined load: %d-byte reply" n
+          in
+          if not (Client.ok reply) then
+            fail "pipelined load: error reply: %s" (Client.error_of reply);
+          Option.iter
+            (fun name ->
+              if daemon_verdicts reply <> List.assoc name want then
+                fail "pipelined load: verdict mismatch for %s" name)
+            design)
+        run;
+      Unix.close fd)
+    conns;
+  Format.printf
+    "daemon-smoke: pipelined load over %d connections: every reply ok, \
+     verdicts match in-process@."
+    n_conns;
+
   (* mixed workload: every design verified through the daemon must
      produce exactly the in-process verdicts *)
   List.iter
     (fun name ->
-      match Catalog.find name with
-      | None -> fail "unknown design %S" name
-      | Some d ->
-        let reply = request socket (verify_req name) in
-        let got = daemon_verdicts reply in
-        let want = in_process_verdicts ~name:d.Design.name ~rtl:d.Design.rtl d in
-        if got <> want then fail "verdict mismatch for %s" name;
-        Format.printf "daemon-smoke: %-12s %d verdicts match in-process@." name
-          (List.length got))
+      let got = daemon_verdicts (request socket (verify_req name)) in
+      if got <> List.assoc name want then fail "verdict mismatch for %s" name;
+      Format.printf "daemon-smoke: %-12s %d verdicts match in-process@." name
+        (List.length got))
     designs;
 
   (* a repeated request is served from the memo, verdicts unchanged,

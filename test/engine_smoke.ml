@@ -4,9 +4,10 @@
    the cache (hit count positive, zero fresh SAT attempts; one frame
    blob per frozen frame) and must
    not be slower than the cold run beyond a generous slack.  Finally,
-   the incremental/fresh equivalence sweep: on every catalog design
+   the incremental/fresh/-j2 equivalence sweep: on every catalog design
    (quick configuration), the default incremental mode must produce
-   verdicts identical to fresh per-obligation solving. *)
+   verdicts identical to fresh per-obligation solving and to a
+   two-worker run. *)
 
 open Ilv_designs
 open Ilv_engine
@@ -94,12 +95,16 @@ let () =
       let js = jobs_of d 0 in
       let ri, si = Engine.run ~jobs:1 js in
       let rf, _ = Engine.run ~jobs:1 ~incremental:false js in
+      let rp, _ = Engine.run ~jobs:2 js in
       if verdicts ri <> verdicts rf then
         fail "engine smoke: %s: incremental and fresh verdicts differ"
           d.Design.name;
+      if verdicts ri <> verdicts rp then
+        fail "engine smoke: %s: -j1 and -j2 verdicts differ" d.Design.name;
       if si.Engine.n_proved <> si.Engine.n_jobs then
         fail "engine smoke: %s: %d of %d proved" d.Design.name
           si.Engine.n_proved si.Engine.n_jobs;
-      Format.printf "engine smoke: %-26s %d obligations agree in both modes@."
+      Format.printf
+        "engine smoke: %-26s %d obligations agree in both modes and at -j2@."
         d.Design.name si.Engine.n_jobs)
     Catalog.quick
