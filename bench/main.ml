@@ -259,10 +259,13 @@ let ablation_solver () =
       in
       let vars, clauses, conflicts = measure ~simplify:true in
       let _, clauses_raw, _ = measure ~simplify:false in
-      Format.printf "%-26s %12d %12d %12d %14d %13.1f%%@." d.Design.name vars
+      Format.printf "%-26s %12d %12d %12d %14d %14s@." d.Design.name vars
         clauses conflicts clauses_raw
-        (100. *. (1. -. (float_of_int clauses /. float_of_int (max 1 clauses_raw))))
-    )
+        (if clauses_raw = 0 then "-"
+         else
+           Printf.sprintf "%.1f%%"
+             (100.
+             *. (1. -. (float_of_int clauses /. float_of_int clauses_raw)))))
     Catalog.quick
 
 (* ------------------------------------------------------------------ *)

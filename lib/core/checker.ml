@@ -290,18 +290,22 @@ let check_queries ~mode ~budget ~retire ~on_sat ctx (p : Property.t) queries =
 
 (* The fresh path: the assumptions are asserted into a new bit-blasting
    context, and every obligation's guard and negated goal are
-   pre-encoded to solver literals, before the SAT search starts. *)
+   pre-encoded to solver literals, before the SAT search starts.  The
+   solver sees the specialized property; models decode against [p]. *)
 let check ?(simplify = true) ?on_sat ?(budget = unlimited) (p : Property.t) =
   let ctx = Bitblast.create () in
   let prep e = if simplify then Simp.simplify_fix e else e in
-  List.iter (fun a -> Bitblast.assert_bool ctx (prep a)) p.Property.assumptions;
+  let sp = Property.specialize p in
+  List.iter
+    (fun a -> Bitblast.assert_bool ctx (prep a))
+    sp.Property.assumptions;
   let queries =
-    List.map
-      (fun (ob : Property.obligation) ->
+    List.map2
+      (fun ob (sob : Property.obligation) ->
         ( ob,
           List.map (Bitblast.lit_of ctx)
-            [ prep ob.Property.guard; Build.not_ (prep ob.Property.goal) ] ))
-      p.Property.obligations
+            [ prep sob.Property.guard; Build.not_ (prep sob.Property.goal) ] ))
+      p.Property.obligations sp.Property.obligations
   in
   check_queries ~mode:"fresh" ~budget ~retire:ignore ~on_sat ctx p queries
 
@@ -317,13 +321,16 @@ let check ?(simplify = true) ?on_sat ?(budget = unlimited) (p : Property.t) =
    and the query is [Sat.solve ~assumptions:[p_act; ob_act]].  Learnt
    clauses about the shared frame transfer between obligations; a
    decided obligation is retired ([¬ob_act]) so its cone never burdens
-   later queries. *)
+   later queries.
 
-type shared_ob = { so_ob : Property.obligation; so_act : int }
+   The live context encodes each property specialized under its literal
+   assumptions ({!Property.specialize}); the frozen snapshot encodes it
+   as generated.  Keys, selectors and stored frames come from the
+   snapshot only, so they do not depend on the specialization. *)
 
 type enc =
   | Pending
-  | Encoded of int * shared_ob list (* property activation lit, cones *)
+  | Encoded of int * int list (* property and obligation activation lits *)
   | Enc_failed of string
 
 type shared = {
@@ -364,16 +371,16 @@ let encode_property ctx p =
   List.iter
     (fun a -> Bitblast.guard_bool ctx ~act:p_act (Simp.simplify_fix a))
     p.Property.assumptions;
-  let obs =
+  let acts =
     List.map
       (fun (ob : Property.obligation) ->
         let act = Bitblast.fresh_selector ctx in
         Bitblast.guard_bool ctx ~act (Simp.simplify_fix ob.Property.guard);
         Bitblast.guard_not ctx ~act (Simp.simplify_fix ob.Property.goal);
-        { so_ob = ob; so_act = act })
+        act)
       p.Property.obligations
   in
-  (p_act, obs)
+  (p_act, acts)
 
 (* Encoding is lazy (per property, on first use): with
    [stop_at_first_failure] most callers never query every instruction,
@@ -398,8 +405,8 @@ let encode_shared sh idx =
              ])
       else None
     in
-    (match encode_property sh.sh_ctx p with
-    | p_act, obs -> sh.sh_enc.(idx) <- Encoded (p_act, obs)
+    (match encode_property sh.sh_ctx (Property.specialize p) with
+    | p_act, acts -> sh.sh_enc.(idx) <- Encoded (p_act, acts)
     | exception ((Out_of_memory | Stack_overflow) as fatal) -> raise fatal
     | exception e -> sh.sh_enc.(idx) <- Enc_failed (Printexc.to_string e));
     match span with
@@ -461,7 +468,7 @@ let shared_freeze sh =
       Array.map
         (fun p ->
           match encode_property ctx p with
-          | p_act, obs -> List.map (fun so -> [ p_act; so.so_act ]) obs
+          | p_act, acts -> List.map (fun act -> [ p_act; act ]) acts
           | exception ((Out_of_memory | Stack_overflow) as fatal) ->
             raise fatal
           | exception _ -> [] (* uncacheable; check_shared reports it *))
@@ -517,14 +524,16 @@ let check_shared ?(budget = unlimited) sh idx =
       match sh.sh_enc.(idx) with
       | Pending -> assert false
       | Enc_failed msg -> (Unknown ("exception: " ^ msg), unchecked p)
-      | Encoded (p_act, obs) ->
-        let acts = Array.of_list (List.map (fun so -> so.so_act) obs) in
+      | Encoded (p_act, acts) ->
+        let ob_act = Array.of_list acts in
         let verdict, stats =
           check_queries ~mode:"incremental" ~budget
-            ~retire:(fun j -> Bitblast.retire sh.sh_ctx acts.(j))
+            ~retire:(fun j -> Bitblast.retire sh.sh_ctx ob_act.(j))
             ~on_sat:(Option.map (fun hook -> hook ~prop_index:idx) sh.sh_on_sat)
             sh.sh_ctx p
-            (List.map (fun so -> (so.so_ob, [ p_act; so.so_act ])) obs)
+            (List.map2
+               (fun ob act -> (ob, [ p_act; act ]))
+               p.Property.obligations acts)
         in
         (* the whole property is decided: retire its assumption cone
            too, then shed every clause the retire units satisfy — the

