@@ -456,11 +456,12 @@ let shared_freeze sh =
     let span =
       if Ilv_obs.Obs.enabled () then
         Some
-          (Ilv_obs.Obs.span_begin "checker.prepare_shared"
-             [
-               ("design", Ilv_obs.Obs.S sh.sh_label);
-               ("n_properties", Ilv_obs.Obs.I (Array.length sh.sh_props));
-             ])
+          ( Ilv_obs.Obs.span_begin "checker.prepare_shared"
+              [
+                ("design", Ilv_obs.Obs.S sh.sh_label);
+                ("n_properties", Ilv_obs.Obs.I (Array.length sh.sh_props));
+              ],
+            Ilv_obs.Obs.allocated_words () )
       else None
     in
     let ctx = Bitblast.frame () in
@@ -480,7 +481,7 @@ let shared_freeze sh =
     sh.sh_frozen <- Some (Bitblast.cnf ctx, selectors);
     match span with
     | None -> ()
-    | Some id ->
+    | Some (id, words) ->
       let vars, clauses = Bitblast.cnf_size ctx in
       let problem, activation = Bitblast.cnf_split ctx in
       Ilv_obs.Obs.span_end
@@ -492,6 +493,8 @@ let shared_freeze sh =
             ("n_activation_clauses", Ilv_obs.Obs.I activation);
             ("simplify_removed", Ilv_obs.Obs.I removed);
             ("simplify_s", Ilv_obs.Obs.F simplify_s);
+            ( "alloc_words",
+              Ilv_obs.Obs.I (Ilv_obs.Obs.allocated_words () - words) );
           ]
         id
   end

@@ -222,98 +222,6 @@ let with_lock t ~key f =
 
 type frame = { f_text : string Lazy.t; f_digest : string Lazy.t }
 
-(* The canonical form of a flat CNF, written into a copy: clause [i]'s
-   literals sorted and deduplicated in [c_lits.(c_offs.(i)) ..
-   c_offs.(i + 1) - 1], and [c_order] the clauses in sorted order.  The
-   order is [List.compare Int.compare] on the literal lists (a clause
-   that is a prefix of another sorts first), reached by a stable LSD
-   counting sort: one pass per literal position, last position first,
-   where the digit of a clause too short for the position is 0 and the
-   literal [l] is [l - lo + 1].  The count array is sized by the
-   observed literal range [lo .. hi] when that is within the input's
-   size, and digits are bytes otherwise, so a sparse range costs passes,
-   not memory.  A pass that puts every clause in one bucket is
-   skipped. *)
-type canon = { c_lits : int array; c_offs : int array; c_order : int array }
-
-let rec bit_length n = if n = 0 then 0 else 1 + bit_length (n lsr 1)
-
-let canonicalize { Ilv_sat.Sat.offsets; lits; _ } =
-  let n = Array.length offsets - 1 in
-  let out = Array.make (Array.length lits) 0 in
-  let offs = Array.make (n + 1) 0 in
-  let lo = ref max_int and hi = ref min_int and width = ref 0 in
-  for i = 0 to n - 1 do
-    let start = offs.(i) in
-    let m = ref 0 in
-    for k = offsets.(i) to offsets.(i + 1) - 1 do
-      (* insertion into the sorted distinct literals so far *)
-      let x = lits.(k) in
-      let j = ref (start + !m - 1) in
-      while !j >= start && out.(!j) > x do
-        decr j
-      done;
-      if !j < start || out.(!j) <> x then begin
-        Array.blit out (!j + 1) out (!j + 2) (start + !m - !j - 1);
-        out.(!j + 1) <- x;
-        incr m
-      end
-    done;
-    offs.(i + 1) <- start + !m;
-    if !m > 0 then begin
-      lo := min !lo out.(start);
-      hi := max !hi out.(start + !m - 1);
-      width := max !width !m
-    end
-  done;
-  let order = Array.init n Fun.id in
-  let order =
-    if n < 2 || !width = 0 then order
-    else begin
-      let bits = bit_length (!hi - !lo + 1) in
-      let digit_bits =
-        if 1 lsl bits <= max 256 offs.(n) then bits else 8
-      in
-      let passes = (bits + digit_bits - 1) / digit_bits in
-      let mask = (1 lsl digit_bits) - 1 in
-      let count = Array.make ((1 lsl digit_bits) + 1) 0 in
-      let digits = Array.make n 0 in
-      let src = ref order and dst = ref (Array.make n 0) in
-      for k = !width - 1 downto 0 do
-        for p = 0 to passes - 1 do
-          let shift = p * digit_bits in
-          Array.fill count 0 (Array.length count) 0;
-          for i = 0 to n - 1 do
-            let o = offs.(i) + k in
-            let d =
-              if o < offs.(i + 1) then
-                ((out.(o) - !lo + 1) lsr shift) land mask
-              else 0
-            in
-            digits.(i) <- d;
-            count.(d + 1) <- count.(d + 1) + 1
-          done;
-          if count.(digits.(0) + 1) < n then begin
-            for d = 1 to mask + 1 do
-              count.(d) <- count.(d) + count.(d - 1)
-            done;
-            let s = !src and t = !dst in
-            for q = 0 to n - 1 do
-              let i = s.(q) in
-              let d = digits.(i) in
-              t.(count.(d)) <- i;
-              count.(d) <- count.(d) + 1
-            done;
-            src := t;
-            dst := s
-          end
-        done
-      done;
-      !src
-    end
-  in
-  { c_lits = out; c_offs = offs; c_order = order }
-
 (* Text is written digit by digit into bytes sized exactly beforehand,
    with no intermediate strings. *)
 let rec digits n =
@@ -323,60 +231,65 @@ let rec digits n =
   else 3 + digits (n / 1000)
 let int_width n = if n < 0 then 1 + digits (-n) else digits n
 
+(* writes the digits of [m] >= 0 backwards from [p] *)
+let rec put_digits b p m =
+  Bytes.set b p (Char.chr (48 + (m mod 10)));
+  if m >= 10 then put_digits b (p - 1) (m / 10)
+
 (* writes [n] at [pos]; returns the position after it *)
 let put_int b pos n =
   let w = int_width n in
-  let rec go p m =
-    Bytes.set b p (Char.chr (48 + (m mod 10)));
-    if m >= 10 then go (p - 1) (m / 10)
-  in
-  go (pos + w - 1) (abs n);
+  put_digits b (pos + w - 1) (abs n);
   if n < 0 then Bytes.set b pos '-';
   pos + w
 
-(* [prefix], then ";lit,lit,...," per clause in canonical order: the
-   text of a frame ("v<n_vars>" prefix) and of a key's selector lists *)
-let canonical_text ~prefix { c_lits; c_offs; c_order } =
+(* [prefix], then ";lit,lit,...," per clause of the CNF in normal form
+   ({!Ilv_sat.Sat.normalize}): the text of a frame ("v<n_vars>" prefix)
+   and of a key's selector lists *)
+let canonical_text ~prefix cnf =
+  let { Ilv_sat.Sat.offsets; lits; _ } = Ilv_sat.Sat.normalize cnf in
+  let n = Array.length offsets - 1 in
   let plen = String.length prefix in
-  let len = ref (plen + Array.length c_order) in
-  for k = 0 to c_offs.(Array.length c_order) - 1 do
-    len := !len + int_width c_lits.(k) + 1
+  let len = ref (plen + n) in
+  for k = 0 to offsets.(n) - 1 do
+    len := !len + int_width lits.(k) + 1
   done;
   let b = Bytes.create !len in
   Bytes.blit_string prefix 0 b 0 plen;
   let pos = ref plen in
-  Array.iter
-    (fun i ->
-      Bytes.set b !pos ';';
-      incr pos;
-      for k = c_offs.(i) to c_offs.(i + 1) - 1 do
-        pos := put_int b !pos c_lits.(k);
-        Bytes.set b !pos ',';
-        incr pos
-      done)
-    c_order;
+  for i = 0 to n - 1 do
+    Bytes.set b !pos ';';
+    incr pos;
+    for k = offsets.(i) to offsets.(i + 1) - 1 do
+      pos := put_int b !pos lits.(k);
+      Bytes.set b !pos ',';
+      incr pos
+    done
+  done;
   Bytes.unsafe_to_string b
 
 let canonical_frame (cnf : Ilv_sat.Sat.flat) =
   let span =
     if Ilv_obs.Obs.enabled () then
-      Some (Ilv_obs.Obs.span_begin "proof_cache.canonical" [])
+      Some
+        ( Ilv_obs.Obs.span_begin "proof_cache.canonical" [],
+          Ilv_obs.Obs.allocated_words () )
     else None
   in
   let text =
-    canonical_text
-      ~prefix:("v" ^ string_of_int cnf.Ilv_sat.Sat.n_vars)
-      (canonicalize cnf)
+    canonical_text ~prefix:("v" ^ string_of_int cnf.Ilv_sat.Sat.n_vars) cnf
   in
   (match span with
   | None -> ()
-  | Some id ->
+  | Some (id, words) ->
     Ilv_obs.Obs.span_end
       ~fields:
         [
           ( "clauses",
             Ilv_obs.Obs.I (Array.length cnf.Ilv_sat.Sat.offsets - 1) );
           ("bytes", Ilv_obs.Obs.I (String.length text));
+          ( "alloc_words",
+            Ilv_obs.Obs.I (Ilv_obs.Obs.allocated_words () - words) );
         ]
       id);
   {
@@ -448,7 +361,7 @@ let mode_tag = function None -> "" | Some m -> "M" ^ m ^ ";"
    design's obligations — is digested once per design, and each
    property's key combines that digest with its canonical activation
    selectors.  Selector lists get the same treatment as clauses
-   ([canonicalize]), so an obligation set that merely arrives
+   ([canonical_text]), so an obligation set that merely arrives
    reordered (or with a duplicated selector) hashes to the same key
    instead of missing the cache. *)
 let frame_digest cnf = digest (canonical_cnf cnf)
@@ -462,7 +375,7 @@ let key_of_shared ?mode ~frame ~selectors () =
             mode_tag mode;
             frame;
             canonical_text ~prefix:"#S"
-              (canonicalize (Ilv_sat.Sat.flat_of_lists (0, selectors)));
+              (Ilv_sat.Sat.flat_of_lists (0, selectors));
           ]))
 
 (* ---- files ---- *)

@@ -106,11 +106,10 @@ type frame
 val canonical_frame : Ilv_sat.Sat.flat -> frame
 (** Sorted-clause form: literals sorted and deduplicated within each
     clause, clauses sorted lexicographically (a clause that is a prefix
-    of another first) — as hashed and as stored in blobs.  Works on
-    arrays: a copy of the literal arena sorted per clause, then a
-    stable counting sort of the clauses, one pass per literal position,
-    and the text written from the arena.  Emits a
-    ["proof_cache.canonical"] span ([clauses], [bytes] of text). *)
+    of another first) — as hashed and as stored in blobs: the text of
+    {!Ilv_sat.Sat.normalize}, which takes a frame-only context's export
+    as it is.  Emits a ["proof_cache.canonical"] span ([clauses],
+    [bytes] of text, [alloc_words]). *)
 
 val canonical_cnf : int * int list list -> frame
 (** {!canonical_frame} of the CNF given as lists. *)

@@ -10,6 +10,10 @@ let now_s () =
   if t > !last_now then last_now := t;
   !last_now
 
+let allocated_words () =
+  let minor, promoted, major = Gc.counters () in
+  int_of_float (minor +. major -. promoted)
+
 (* ---- global state ---- *)
 
 type sink = { oc : out_channel; t0 : float }

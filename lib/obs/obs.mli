@@ -55,6 +55,11 @@ val now_s : unit -> float
     wall clock but clamped so a stepped system clock can not make
     spans negative. *)
 
+val allocated_words : unit -> int
+(** Words this domain has allocated since it started, minor and major
+    heap together (a promoted word counts once), from {!Gc.counters}.
+    A span reads it at its start and end for an [alloc_words] field. *)
+
 val event : string -> field list -> unit
 (** Emits one ["event"] line under the current span (if any). *)
 

@@ -27,9 +27,10 @@ let no_clause = 0
 type vec = { mutable data : int array; mutable size : int }
 
 type t = {
-  watched : bool;
-      (* false for a frame-only context: no watchers, no selector
-         occurrence vectors, no search *)
+  frame : Frame_cnf.t option;
+      (* a frame-only context: every public entry point hands the
+         context to this store, and the solver's own fields stay at
+         their initial sizes *)
   mutable n_vars : int;
   mutable arena : int array;
   mutable arena_size : int; (* cells in use *)
@@ -99,11 +100,11 @@ let new_vec () = { data = [||]; size = 0 }
 let no_watches = new_vec ()
 let no_occ = new_vec ()
 
-let make ~watched =
+let make frame =
   let arena = Array.make 64 0 in
   arena.(0) <- deleted_bit;
   {
-    watched;
+    frame;
     n_vars = 0;
     arena;
     arena_size = 2;
@@ -147,8 +148,8 @@ let make ~watched =
     learnt_literals = 0;
   }
 
-let create () = make ~watched:true
-let frame () = make ~watched:false
+let create () = make None
+let frame () = make (Some (Frame_cnf.create ()))
 
 (* literal helpers *)
 let pos v = 2 * v
@@ -210,33 +211,42 @@ let grow_vars s n =
   s.watches <- grow_array s.watches lits no_watches
 
 let new_var s =
-  let v = s.n_vars + 1 in
-  s.n_vars <- v;
-  let n = v + 1 in
-  if n > Array.length s.level then
-    grow_vars s (max n (2 * Array.length s.level));
-  (* each literal's own vector is made here, with its variable, so
-     growing the array stays a pointer copy *)
-  if s.watched then begin
+  match s.frame with
+  | Some f -> Frame_cnf.new_var f
+  | None ->
+    let v = s.n_vars + 1 in
+    s.n_vars <- v;
+    let n = v + 1 in
+    if n > Array.length s.level then
+      grow_vars s (max n (2 * Array.length s.level));
+    (* each literal's own vector is made here, with its variable, so
+       growing the array stays a pointer copy *)
     s.watches.(pos v) <- new_vec ();
-    s.watches.(pos v + 1) <- new_vec ()
-  end;
-  (* insert into the order heap *)
-  s.heap.(s.heap_size) <- v;
-  s.heap_pos.(v) <- s.heap_size;
-  s.heap_size <- s.heap_size + 1;
-  (* sift up not needed: activity 0 *)
-  v
+    s.watches.(pos v + 1) <- new_vec ();
+    (* insert into the order heap *)
+    s.heap.(s.heap_size) <- v;
+    s.heap_pos.(v) <- s.heap_size;
+    s.heap_size <- s.heap_size + 1;
+    (* sift up not needed: activity 0 *)
+    v
 
 let new_selector s =
   let v = new_var s in
-  if s.watched then s.occ.(v) <- new_vec ();
+  if Option.is_none s.frame then s.occ.(v) <- new_vec ();
   v
 
-let num_vars s = s.n_vars
-let num_clauses s = s.n_clauses
-let num_activation_clauses s = s.n_activation
-let num_problem_clauses s = s.n_clauses - s.n_activation
+let num_vars s =
+  match s.frame with Some f -> Frame_cnf.num_vars f | None -> s.n_vars
+
+let num_clauses s =
+  match s.frame with Some f -> Frame_cnf.num_clauses f | None -> s.n_clauses
+
+let num_activation_clauses s =
+  match s.frame with
+  | Some f -> Frame_cnf.num_activation_clauses f
+  | None -> s.n_activation
+
+let num_problem_clauses s = num_clauses s - num_activation_clauses s
 
 (* value of an internal literal: 0 undef / 1 true / 2 false *)
 let lit_value s l = s.values.(l)
@@ -289,10 +299,8 @@ let delete s c =
     s.n_clauses <- s.n_clauses - 1;
     if h land activation_bit <> 0 then s.n_activation <- s.n_activation - 1
   end;
-  if s.watched then begin
-    smudge s (neg_of a.(c + 2));
-    smudge s (neg_of a.(c + 3))
-  end
+  smudge s (neg_of a.(c + 2));
+  smudge s (neg_of a.(c + 3))
 
 (* shrinks a watch vector left under a quarter full *)
 let trim w =
@@ -640,18 +648,14 @@ let propagate s =
   done
 
 (* Level-0 propagation of the pending units; a conflict latches
-   [unsat].  A frame-only context has no watchers: its units reach the
-   clauses through [strengthen_all], which repeats to a fixpoint. *)
-let propagate0 s =
-  if s.watched then try propagate s with Conflict _ -> s.unsat <- true
+   [unsat]. *)
+let propagate0 s = try propagate s with Conflict _ -> s.unsat <- true
 
 (* A new clause joins the search: its watchers and selector
-   occurrences.  A frame-only context keeps neither. *)
+   occurrences. *)
 let hook s c =
-  if s.watched then begin
-    attach s c;
-    note_selectors s c
-  end
+  attach s c;
+  note_selectors s c
 
 (* --- clause addition (level 0 only) --- *)
 
@@ -681,39 +685,42 @@ let rec intake_sorted s n = function
    literal; one pass also drops literals false at level 0 and spots a
    true one (the clause is satisfied). *)
 let add_clause ?(activation = false) s ext_lits =
-  (* incremental use: drop any previous search state and model *)
-  cancel_until s 0;
-  s.solved <- None;
-  if not s.unsat then begin
-    let n = intake_sorted s 0 ext_lits in
-    let buf = s.intake in
-    let dropped = ref false and live = ref 0 in
-    for k = 0 to n - 1 do
-      let l = buf.(k) in
-      if k > 0 && buf.(k - 1) = neg_of l then dropped := true;
-      match lit_value s l with
-      | 1 -> dropped := true
-      | 2 -> ()
-      | _ ->
-        (* [live <= k], and slots below [k] are not read again *)
-        buf.(!live) <- l;
-        incr live
-    done;
-    if not !dropped then
-      match !live with
-      | 0 -> s.unsat <- true
-      | 1 ->
-        enqueue s buf.(0) no_clause;
-        propagate0 s
-      | live ->
-        let c =
-          alloc s (if activation then activation_bit else 0) buf live 0.0
-        in
-        push s.clauses c;
-        s.n_clauses <- s.n_clauses + 1;
-        if activation then s.n_activation <- s.n_activation + 1;
-        hook s c
-  end
+  match s.frame with
+  | Some f -> Frame_cnf.add_clause ~activation f ext_lits
+  | None ->
+    (* incremental use: drop any previous search state and model *)
+    cancel_until s 0;
+    s.solved <- None;
+    if not s.unsat then begin
+      let n = intake_sorted s 0 ext_lits in
+      let buf = s.intake in
+      let dropped = ref false and live = ref 0 in
+      for k = 0 to n - 1 do
+        let l = buf.(k) in
+        if k > 0 && buf.(k - 1) = neg_of l then dropped := true;
+        match lit_value s l with
+        | 1 -> dropped := true
+        | 2 -> ()
+        | _ ->
+          (* [live <= k], and slots below [k] are not read again *)
+          buf.(!live) <- l;
+          incr live
+      done;
+      if not !dropped then
+        match !live with
+        | 0 -> s.unsat <- true
+        | 1 ->
+          enqueue s buf.(0) no_clause;
+          propagate0 s
+        | live ->
+          let c =
+            alloc s (if activation then activation_bit else 0) buf live 0.0
+          in
+          push s.clauses c;
+          s.n_clauses <- s.n_clauses + 1;
+          if activation then s.n_activation <- s.n_activation + 1;
+          hook s c
+    end
 
 (* --- level-0 simplification --- *)
 
@@ -964,33 +971,36 @@ let retire_units s =
    A unit's occurrence vector is released once seen: no clause can
    mention its variable again. *)
 let simplify ?(subsume = true) s =
-  cancel_until s 0;
-  s.solved <- None;
-  let before = s.n_clauses + s.n_learnts in
-  if not s.unsat then begin
-    propagate0 s;
-    if (not s.unsat) && (subsume || not (retire_units s)) then begin
-      if (not subsume) && Ilv_obs.Obs.enabled () then
-        Ilv_obs.Obs.count "sat.retire_fallbacks" 1;
-      strengthen_all s;
-      if subsume && not s.unsat then dedup_and_subsume s;
-      let live c = not (is_deleted s c) in
-      filter_vec live s.clauses;
-      filter_vec live s.learnts
+  match s.frame with
+  | Some f -> Frame_cnf.simplify ~subsume f
+  | None ->
+    cancel_until s 0;
+    s.solved <- None;
+    let before = s.n_clauses + s.n_learnts in
+    if not s.unsat then begin
+      propagate0 s;
+      if (not s.unsat) && (subsume || not (retire_units s)) then begin
+        if (not subsume) && Ilv_obs.Obs.enabled () then
+          Ilv_obs.Obs.count "sat.retire_fallbacks" 1;
+        strengthen_all s;
+        if subsume && not s.unsat then dedup_and_subsume s;
+        let live c = not (is_deleted s c) in
+        filter_vec live s.clauses;
+        filter_vec live s.learnts
+      end;
+      for i = s.simplified to s.trail_size - 1 do
+        let v = var_of s.trail.(i) in
+        s.reason.(v) <- no_clause;
+        let o = s.occ.(v) in
+        if o != no_occ then begin
+          o.data <- [||];
+          o.size <- 0
+        end
+      done;
+      s.simplified <- s.trail_size
     end;
-    for i = s.simplified to s.trail_size - 1 do
-      let v = var_of s.trail.(i) in
-      s.reason.(v) <- no_clause;
-      let o = s.occ.(v) in
-      if o != no_occ then begin
-        o.data <- [||];
-        o.size <- 0
-      end
-    done;
-    s.simplified <- s.trail_size
-  end;
-  if s.watched then collect_garbage s;
-  max 0 (before - (s.n_clauses + s.n_learnts))
+    collect_garbage s;
+    max 0 (before - (s.n_clauses + s.n_learnts))
 
 (* --- conflict analysis (first UIP) --- *)
 
@@ -1188,7 +1198,7 @@ type outcome = Result of result | Unknown of string
    Limits are per-call and soft: they are checked between propagation
    rounds, so the solver may overshoot by one BCP pass. *)
 let solve_bounded ?(assumptions = []) ?(limit = no_limit) s =
-  if not s.watched then
+  if Option.is_some s.frame then
     invalid_arg "Sat.solve: a frame-only context cannot search";
   cancel_until s 0;
   s.solved <- None;
@@ -1366,7 +1376,11 @@ let value s v =
     s.values.(pos v) = 1
   | Some Unsat | None -> invalid_arg "Sat.value: no model available"
 
-type flat = { n_vars : int; offsets : int array; lits : int array }
+type flat = Frame_cnf.flat = {
+  n_vars : int;
+  offsets : int array;
+  lits : int array;
+}
 
 let lists_of_flat { n_vars; offsets; lits } =
   let clause i =
@@ -1389,42 +1403,48 @@ let flat_of_lists (n_vars, clauses) =
    witness clause: it is exported as the empty clause, first.  Then the
    level-0 facts as units, then the live problem clauses oldest first. *)
 let export_flat s =
-  let ext l = if is_neg l then -var_of l else var_of l in
-  let units = if s.trail_lim_size > 0 then s.trail_lim.(0) else s.trail_size in
-  let v = s.clauses and a = s.arena in
-  let n = ref (Bool.to_int s.unsat + units) and size = ref units in
-  for i = 0 to v.size - 1 do
-    let c = v.data.(i) in
-    if not (is_deleted s c) then begin
-      incr n;
-      size := !size + clause_size s c
-    end
-  done;
-  let offsets = Array.make (!n + 1) 0 and lits = Array.make !size 0 in
-  let m = ref 0 and top = ref 0 in
-  let close () =
-    incr m;
-    offsets.(!m) <- !top
-  in
-  if s.unsat then close ();
-  for i = 0 to units - 1 do
-    lits.(!top) <- ext s.trail.(i);
-    incr top;
-    close ()
-  done;
-  for i = 0 to v.size - 1 do
-    let c = v.data.(i) in
-    if not (is_deleted s c) then begin
-      for k = c + 2 to c + 1 + clause_size s c do
-        lits.(!top) <- ext a.(k);
-        incr top
-      done;
+  match s.frame with
+  | Some f -> Frame_cnf.export_flat f
+  | None ->
+    let ext l = if is_neg l then -var_of l else var_of l in
+    let units =
+      if s.trail_lim_size > 0 then s.trail_lim.(0) else s.trail_size
+    in
+    let v = s.clauses and a = s.arena in
+    let n = ref (Bool.to_int s.unsat + units) and size = ref units in
+    for i = 0 to v.size - 1 do
+      let c = v.data.(i) in
+      if not (is_deleted s c) then begin
+        incr n;
+        size := !size + clause_size s c
+      end
+    done;
+    let offsets = Array.make (!n + 1) 0 and lits = Array.make !size 0 in
+    let m = ref 0 and top = ref 0 in
+    let close () =
+      incr m;
+      offsets.(!m) <- !top
+    in
+    if s.unsat then close ();
+    for i = 0 to units - 1 do
+      lits.(!top) <- ext s.trail.(i);
+      incr top;
       close ()
-    end
-  done;
-  { n_vars = s.n_vars; offsets; lits }
+    done;
+    for i = 0 to v.size - 1 do
+      let c = v.data.(i) in
+      if not (is_deleted s c) then begin
+        for k = c + 2 to c + 1 + clause_size s c do
+          lits.(!top) <- ext a.(k);
+          incr top
+        done;
+        close ()
+      end
+    done;
+    { n_vars = s.n_vars; offsets; lits }
 
 let export s = lists_of_flat (export_flat s)
+let normalize = Frame_cnf.normalize
 
 type stats = {
   decisions : int;

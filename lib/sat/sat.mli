@@ -44,16 +44,19 @@ type result = Sat | Unsat
 val create : unit -> t
 
 val frame : unit -> t
-(** A frame-only context: the CNF is accumulated and {!simplify}d as
-    by {!create}'s, but no watcher and no selector occurrence vector is
-    ever attached, and a unit is not propagated when it is added.
-    {!simplify} ([~subsume] or not) then runs the full linear pass,
-    which repeats strengthening to a fixpoint and so reaches the unit
-    closure without watchers: after it, {!export_flat} and
-    {!num_clauses} are what a {!create} context fed the same clauses
-    gives, and a level-0 conflict shows as the empty clause in both.
-    The context to build a CNF for export, not to search.
-    {!solve} and {!solve_bounded} on it raise [Invalid_argument]. *)
+(** A frame-only context: the CNF is accumulated and {!simplify}d by
+    the rules of {!create}'s, in a store that keeps nothing a search
+    needs (no watchers, activities, occurrence vectors or per-variable
+    search state) and that grows without copying what it holds.  A
+    unit is not propagated when it is added: {!simplify} ([~subsume]
+    or not) strips and deletes clauses in place, repeated until no new
+    fact appears, and so reaches the unit closure without watchers.
+    After it, {!export_flat} holds the clauses and facts of a
+    {!create} context fed the same clauses, {!num_clauses} is that
+    context's, and a level-0 conflict shows as the empty clause in
+    both.  The export is in normal form ({!normalize}).  The context to
+    build a CNF for export, not to search.  {!solve} and
+    {!solve_bounded} on it raise [Invalid_argument]. *)
 
 val new_var : t -> int
 (** Allocates a fresh variable and returns its (positive) index. *)
@@ -200,8 +203,18 @@ type flat = { n_vars : int; offsets : int array; lits : int array }
 val export_flat : t -> flat
 (** The problem as a {!flat} CNF: the empty clause first after a
     level-0 conflict, then level-0 facts as unit clauses, then the live
-    problem and activation clauses, oldest first.  Learnt clauses are
-    not included. *)
+    problem and activation clauses, oldest first; on a {!frame} context
+    the same clauses in normal form.  Learnt clauses are not
+    included. *)
+
+val normalize : flat -> flat
+(** The CNF in normal form: each clause's literals in increasing order
+    with duplicates merged, the clauses in [List.compare Int.compare]
+    order (a clause that is a prefix of another first).  Nothing else
+    changes: duplicate clauses, tautologies, units and the empty clause
+    stay.  A CNF already in normal form, as a {!frame} context exports
+    it, is returned as it is, after one linear check that allocates
+    nothing. *)
 
 val export : t -> int * int list list
 (** {!export_flat} as [(n_vars, clauses)] lists.  Useful for DIMACS

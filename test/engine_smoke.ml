@@ -1,5 +1,6 @@
 (* Smoke test for the parallel verification engine, wired into the
-   default test alias: a tiny two-design parallel sweep against a
+   default test alias.  First, the warm key path's allocation budget
+   (below).  Then a tiny two-design parallel sweep against a
    throwaway proof cache, then a warm rerun that must be served from
    the cache (hit count positive, zero fresh SAT attempts; one frame
    blob per frozen frame) and must
@@ -13,6 +14,56 @@ open Ilv_designs
 open Ilv_engine
 
 let fail fmt = Format.kasprintf (fun s -> prerr_endline s; exit 1) fmt
+
+(* The warm key path's allocation, counted in words, never timed: what
+   freezing, canonicalizing and digesting the 15 generation-0 frames of
+   the quick catalog (memory abstraction on, as a warm sweep keys them)
+   allocate on the minor and major heaps.  Property generation runs
+   first and is not counted, and an empty minor heap at the start makes
+   the promoted words, hence both counts, repeat exactly.  Minor words
+   are those that died young; major words include the promoted ones.
+   The bounds are the counts of the frame-only store this smoke came
+   with, 1,022,494 minor and 937,512 major words, plus 25% (before it:
+   2,171,579 and 2,886,032). *)
+let key_path_budget () =
+  let ports =
+    List.concat_map
+      (fun (d : Design.t) ->
+        List.map
+          (fun (port : Ilv_core.Ila.t) ->
+            Ilv_core.Verify.prepare_port ~memory_abstraction:true
+              ~name:d.Design.name ~port ~rtl:d.Design.rtl
+              ~refmap:(d.Design.refmap_for d.Design.rtl port.Ilv_core.Ila.name)
+              ())
+          d.Design.module_ila.Ilv_core.Module_ila.ports)
+      Catalog.quick
+  in
+  Gc.minor ();
+  let minor0, promoted0, major0 = Gc.counters () in
+  let digests =
+    List.map
+      (fun pr ->
+        Proof_cache.digest
+          (Proof_cache.canonical_frame
+             (Ilv_core.Checker.shared_frame (Ilv_core.Verify.key_frame pr))))
+      ports
+  in
+  let minor1, promoted1, major1 = Gc.counters () in
+  let minor = minor1 -. minor0 -. (promoted1 -. promoted0)
+  and major = major1 -. major0 in
+  Format.printf
+    "engine smoke: key path over %d frames allocated %.0f minor + %.0f major \
+     words@."
+    (List.length digests) minor major;
+  if List.length digests <> 15 then
+    fail "engine smoke: the quick catalog keyed %d frames, not 15"
+      (List.length digests);
+  if minor > 1.25 *. 1_022_494. || major > 1.25 *. 937_512. then
+    fail "engine smoke: key path allocated over its budget (%.0f minor, %.0f \
+          major words)"
+      minor major
+
+let () = key_path_budget ()
 
 let design name = List.find (fun d -> d.Design.name = name) Catalog.all
 

@@ -1256,6 +1256,79 @@ let run_frame_stream make ~subsume (n_plain, n_sel, steps) =
   ( (n_vars, List.sort compare (List.map (List.sort_uniq compare) clauses)),
     Sat.num_clauses s )
 
+(* Streams of frame size: thousands of variables, allocated as the
+   clauses first use them, and mostly new ones as the stream goes on,
+   as a Tseitin encoding allocates them (every 50th is a selector,
+   held negatively by the guards); thousands of clauses, among them
+   re-added duplicates (literals shuffled and repeated), supersets of
+   earlier clauses and subsets added after them; and units among them
+   that satisfy and strip clauses. *)
+let arb_big_frame_stream =
+  let gen st =
+    let int = Random.State.int st in
+    let n_vars = 1000 + int 3000 and n = 2000 + int 6000 in
+    let steps = ref [] in
+    let past = Array.make n (Clause (false, [])) in
+    for i = 0 to n - 1 do
+      let seen = 2 + (n_vars * i / n) in
+      let var () =
+        let v = 1 + int seen in
+        if v mod 50 = 0 then v + 1 else v
+      in
+      let lit () = if Random.State.bool st then var () else -var () in
+      let fresh () =
+        let c = List.init (2 + int 3) (fun _ -> lit ()) in
+        if int 4 = 0 then
+          Clause (true, -(50 * (1 + int (1 + (seen / 50)))) :: c)
+        else Clause (false, c)
+      in
+      let step =
+        match (int 10, past.(int (max 1 i))) with
+        | 0, Clause (act, c) when i > 0 ->
+          Clause (act, List.rev (List.hd c :: c))
+        | 1, Clause (act, c) when i > 0 -> Clause (act, lit () :: c)
+        | 2, Clause (act, (_ :: _ :: _ :: _ as c)) when i > 0 ->
+          Clause (act, List.tl c)
+        | _ -> fresh ()
+      in
+      past.(i) <- step;
+      steps := step :: !steps;
+      if int 400 = 0 then steps := Unit (lit ()) :: !steps
+    done;
+    (n_vars, List.rev !steps)
+  in
+  QCheck.make
+    ~print:(fun (n_vars, steps) ->
+      Printf.sprintf "%d vars, %d steps" n_vars (List.length steps))
+    gen
+
+(* The stream on a fresh context, variables allocated on first use:
+   after [simplify], the digest of the canonical export, the variable
+   count and the clause count. *)
+let run_big_stream make ~subsume (_, steps) =
+  let s = make () in
+  let use l =
+    while Sat.num_vars s < abs l do
+      if (Sat.num_vars s + 1) mod 50 = 0 then ignore (Sat.new_selector s)
+      else ignore (Sat.new_var s)
+    done
+  in
+  List.iter
+    (function
+      | Clause (activation, c) ->
+        List.iter use c;
+        Sat.add_clause ~activation s c
+      | Unit l ->
+        use l;
+        Sat.add_clause s [ l ])
+    steps;
+  ignore (Sat.simplify ~subsume s);
+  let cnf = Sat.export_flat s in
+  ( Ilv_engine.Proof_cache.digest (Ilv_engine.Proof_cache.canonical_frame cnf),
+    List.mem [] (snd (Sat.lists_of_flat cnf)),
+    Sat.num_vars s,
+    Sat.num_clauses s )
+
 let frame_tests =
   [
     QCheck_alcotest.to_alcotest
@@ -1268,6 +1341,19 @@ let frame_tests =
                and f = run_frame_stream Sat.frame ~subsume stream in
                let unsat ((_, clauses), _) = List.mem [] clauses in
                if unsat w || unsat f then unsat w && unsat f else w = f)
+             [ true; false ]));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"frame-sized streams: the same canonical digest and counts"
+         ~count:25 arb_big_frame_stream (fun stream ->
+           List.for_all
+             (fun subsume ->
+               let ((_, wu, _, _) as w) =
+                 run_big_stream Sat.create ~subsume stream
+               and ((_, fu, _, _) as f) =
+                 run_big_stream Sat.frame ~subsume stream
+               in
+               if wu || fu then wu && fu else w = f)
              [ true; false ]));
     t "solving a frame-only context raises" (fun () ->
         let s = Sat.frame () in
