@@ -110,10 +110,10 @@ let mem_abs_arg =
         ~doc:
           "Window-abstract memory-sorted state instead of bit-blasting \
            every word: $(b,auto) (the default — on exactly when the design \
-           has a memory wider than the window), $(b,on), or $(b,off).  \
-           Verdicts are identical in every mode; abstract counterexamples \
-           are replayed concretely and spurious ones refine the window \
-           (CEGAR).")
+           has a memory wider than the window; $(b,on) is a synonym) or \
+           $(b,off).  Verdicts are identical in every mode; abstract \
+           counterexamples are replayed concretely and spurious ones \
+           refine the window (CEGAR).")
 
 (* "auto" and "on" coincide in-process: the abstraction applies itself
    only to obligation groups with a wide memory *)

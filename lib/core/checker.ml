@@ -341,7 +341,6 @@ type shared = {
   sh_done : (verdict * stats) option array;
       (* memo: a checked property's cones are retired, so re-solving
          them would vacuously return Unsat *)
-  mutable sh_simplified : bool;
   mutable sh_frozen : (Sat.flat * int list list array) option;
       (* frame CNF + per-property selector lists, built on a throwaway
          context so the live solver can stay lazy *)
@@ -356,7 +355,6 @@ let prepare_shared ?(label = "") ?on_sat props =
     sh_label = label;
     sh_enc = Array.make n Pending;
     sh_done = Array.make n None;
-    sh_simplified = false;
     sh_frozen = None;
     sh_on_sat = on_sat;
   }
@@ -420,23 +418,6 @@ let encode_shared sh idx =
             ("n_activation_clauses", Ilv_obs.Obs.I activation);
           ]
         id
-
-(* The CNF pass runs once per shared context, after the bulk of the
-   encoding: either at freeze time (engine path, everything encoded) or
-   before the first solve (lazy path, where the first property's cone
-   already contains the common frame). *)
-let simplify_shared_once sh =
-  if not sh.sh_simplified then begin
-    sh.sh_simplified <- true;
-    let t0 = Unix.gettimeofday () in
-    let removed = Bitblast.simplify sh.sh_ctx in
-    if Ilv_obs.Obs.enabled () then
-      Ilv_obs.Obs.event "checker.simplify_cnf"
-        [
-          ("removed", Ilv_obs.Obs.I removed);
-          ("dur_s", Ilv_obs.Obs.F (Unix.gettimeofday () -. t0));
-        ]
-  end
 
 (* Freezing replays the full encoding — every property, in list order —
    on a throwaway frame-only context, runs the CNF pass on it, and
@@ -521,7 +502,6 @@ let check_shared ?(budget = unlimited) sh idx =
   | Some r -> r
   | None ->
     encode_shared sh idx;
-    simplify_shared_once sh;
     let p = sh.sh_props.(idx) in
     let r =
       match sh.sh_enc.(idx) with

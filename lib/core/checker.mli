@@ -177,9 +177,11 @@ type shared
 val prepare_shared :
   ?label:string -> ?on_sat:sat_hook -> Property.t list -> shared
 (** Creates the shared context.  Every formula goes through the
-    word-level simplifier, and each context runs the solver's CNF-level
-    pass ({!Ilv_sat.Sat.simplify}) once.  [label] names the frame in
-    observability output (the design, or design/port, it belongs to).
+    word-level simplifier.  The live solver runs only the linear
+    between-query cleanup ({!Ilv_sat.Sat.simplify} [~subsume:false]);
+    the full CNF pass runs on the frozen snapshot ({!shared_freeze}).
+    [label] names the frame in observability output (the design, or
+    design/port, it belongs to).
     [on_sat] interposes on every satisfying model (see {!sat_hook}); it
     also rides along the degradation ladder's fresh rung. *)
 

@@ -80,12 +80,14 @@ type build = {
 type t = {
   ab_props : Property.t array;  (* concrete originals *)
   ab_label : string;
-  ab_window_cap : int;
   mutable ab_windows : window list;
   mutable ab_refinements : int;
   mutable ab_generation : int;
   mutable ab_build : build option;
 }
+
+(* syntactic read addresses admitted per memory sort *)
+let window_cap = 12
 
 (* A memory is only worth abstracting when its array is larger than
    the window would be: below that, bit-blasting the whole array is
@@ -93,13 +95,9 @@ type t = {
    loses badly to a 12-slot window plus consistency assumptions).
    Arrays too wide for [lsl] are always abstracted — they cannot be
    bit-blasted at all ({!Ilv_sat.Bitblast.max_concrete_addr_width}). *)
-let abstractable_width cap addr_width =
-  addr_width >= Sys.int_size - 2 || 1 lsl addr_width > cap
-
-let abstracts t sort =
-  match sort with
+let abstracts = function
   | Sort.Mem { addr_width; _ } ->
-    abstractable_width t.ab_window_cap addr_width
+    addr_width >= Sys.int_size - 2 || 1 lsl addr_width > window_cap
   | Sort.Bool | Sort.Bitvec _ -> false
 
 let generation t = t.ab_generation
@@ -130,19 +128,10 @@ let slot_name base i = Printf.sprintf "%s$w%d" base i
 let havoc_name j = Printf.sprintf "$mem$r%d" j
 let witness_name j = Printf.sprintf "$mem$eqw%d" j
 
-let default_window_cap = 12
-
-let create ?(window = default_window_cap) ?(label = "") props =
+let create ?(label = "") props =
   let arr = Array.of_list props in
   let expr_has_wide_mem e =
-    Expr.fold
-      (fun acc n ->
-        acc
-        ||
-        match Expr.sort n with
-        | Sort.Mem { addr_width; _ } -> abstractable_width window addr_width
-        | Sort.Bool | Sort.Bitvec _ -> false)
-      false e
+    Expr.fold (fun acc n -> acc || abstracts (Expr.sort n)) false e
   in
   let property_has_wide_mem (p : Property.t) =
     List.exists expr_has_wide_mem p.Property.assumptions
@@ -158,7 +147,6 @@ let create ?(window = default_window_cap) ?(label = "") props =
       {
         ab_props = arr;
         ab_label = label;
-        ab_window_cap = window;
         ab_windows = [];
         ab_refinements = 0;
         ab_generation = 0;
@@ -171,7 +159,7 @@ let create ?(window = default_window_cap) ?(label = "") props =
        coverage only affects how much reads havoc). *)
     let add_addr w a =
       if
-        List.length w.w_addrs < window
+        List.length w.w_addrs < window_cap
         && not (List.exists (Expr.equal a) w.w_addrs)
       then w.w_addrs <- w.w_addrs @ [ a ]
     in
@@ -191,7 +179,7 @@ let create ?(window = default_window_cap) ?(label = "") props =
           (fun () n ->
             match Expr.node n with
             | Expr.Read { mem; addr }
-              when abstracts t (Expr.sort mem) && mem_free addr ->
+              when abstracts (Expr.sort mem) && mem_free addr ->
               add_addr (window_for t (Expr.sort mem)) addr
             | _ -> ())
           () e);
@@ -207,7 +195,7 @@ let create ?(window = default_window_cap) ?(label = "") props =
           (fun () n ->
             match Expr.node n with
             | Expr.Eq (a, _)
-              when abstracts t (Expr.sort a)
+              when abstracts (Expr.sort a)
                    && not (Hashtbl.mem seen (Expr.id n)) ->
               Hashtbl.add seen (Expr.id n) ();
               let w = window_for t (Expr.sort a) in
@@ -284,7 +272,7 @@ let build t =
         r
     and rewrite e =
       match Expr.node e with
-      | Expr.Read { mem; addr } when abstracts t (Expr.sort mem) ->
+      | Expr.Read { mem; addr } when abstracts (Expr.sort mem) ->
         let w, slots = go_mem mem in
         let addrs = addr_array w in
         let addr' = go addr in
@@ -297,7 +285,7 @@ let build t =
         done;
         !acc
       | Expr.Read { mem; addr } -> Build.read (go mem) (go addr)
-      | Expr.Eq (a, b) when abstracts t (Expr.sort a) ->
+      | Expr.Eq (a, b) when abstracts (Expr.sort a) ->
         let _, sa = go_mem a in
         let _, sb = go_mem b in
         Build.and_list
@@ -409,7 +397,7 @@ let replay t ~prop_index ~ob_index model =
     List.map
       (fun (nm, sort) ->
         match sort with
-        | Sort.Mem { addr_width; data_width } when abstracts t sort ->
+        | Sort.Mem { addr_width; data_width } when abstracts sort ->
           let w = window_for t sort in
           let m0 =
             Value.to_mem

@@ -22,7 +22,7 @@ open Ilv_expr
 
 type t
 
-val create : ?window:int -> ?label:string -> Property.t list -> t option
+val create : ?label:string -> Property.t list -> t option
 (** Builds abstraction state for a property group sharing one solver
     frame, or [None] when no property mentions a memory {e worth
     abstracting} (callers then use the concrete encoding unchanged).
@@ -30,8 +30,8 @@ val create : ?window:int -> ?label:string -> Property.t list -> t option
     [2^addr_width > window] — since below that, bit-blasting the whole
     array is both smaller and exact; smaller memories stay concrete in
     the rewritten properties even when a wide one triggers the
-    abstraction.  [window] caps how many syntactic read addresses are
-    admitted per memory sort (default 12); witness variables and
+    abstraction.  The window admits at most 12 syntactic read
+    addresses per memory sort; witness variables and
     refinement constants always ride on top.  The window is global to
     the group — data-slot variables are shared across properties,
     which is what makes the rewritten properties safe to encode into

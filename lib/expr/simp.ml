@@ -216,11 +216,11 @@ let simplify e =
   in
   go e
 
-let simplify_fix ?(max_rounds = 4) e =
+let simplify_fix e =
   let rec go n e =
     if n = 0 then e
     else
       let e' = simplify e in
       if Expr.equal e' e then e else go (n - 1) e'
   in
-  go max_rounds e
+  go 4 e

@@ -21,5 +21,5 @@
 
 val simplify : Expr.t -> Expr.t
 
-val simplify_fix : ?max_rounds:int -> Expr.t -> Expr.t
-(** Iterates {!simplify} until a fixpoint or [max_rounds] (default 4). *)
+val simplify_fix : Expr.t -> Expr.t
+(** Iterates {!simplify} until a fixpoint, at most 4 rounds. *)

@@ -157,7 +157,15 @@ let on_solver solver =
   in
   { ctx; compiler = C.compiler ctx ~fresh_var; vars }
 
-let create () = on_solver (Sat.create ())
+(* The true literal's unit is absorbed here, while the context is
+   empty: every later cleanup then sees only the units added after it,
+   and a between-query one whose units are all retired selectors keeps
+   to the retire pass. *)
+let create () =
+  let t = on_solver (Sat.create ()) in
+  ignore (Sat.simplify t.ctx.solver);
+  t
+
 let frame () = on_solver (Sat.frame ())
 
 let lit_of t e =

@@ -1,9 +1,5 @@
 type problem = { n_vars : int; clauses : int list list }
 
-let of_sat solver =
-  let n_vars, clauses = Sat.export solver in
-  { n_vars; clauses }
-
 let of_bitblast ctx =
   let n_vars, clauses = Sat.lists_of_flat (Bitblast.cnf ctx) in
   { n_vars; clauses }

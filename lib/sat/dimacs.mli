@@ -6,7 +6,6 @@
 
 type problem = { n_vars : int; clauses : int list list }
 
-val of_sat : Sat.t -> problem
 val of_bitblast : Bitblast.t -> problem
 
 val to_string : problem -> string

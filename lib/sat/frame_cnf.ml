@@ -457,16 +457,35 @@ let is_normal { offsets; lits; _ } =
   in
   from 0
 
-let normalize cnf =
-  if is_normal cnf then cnf
-  else begin
-    let t = create () in
-    for i = 0 to Array.length cnf.offsets - 2 do
-      let m = ref 0 in
-      for k = cnf.offsets.(i) to cnf.offsets.(i + 1) - 1 do
-        m := insert t !m cnf.lits.(k)
-      done;
-      append ~activation:false t !m
+(* A store holding the clauses of [cnf], oldest first, without
+   simplification: a clause's repeated literals are merged, level-0
+   values are not read or kept. *)
+let load (cnf : flat) =
+  let t = create () in
+  t.n_vars <- cnf.n_vars;
+  for i = 0 to Array.length cnf.offsets - 2 do
+    let m = ref 0 in
+    for k = cnf.offsets.(i) to cnf.offsets.(i + 1) - 1 do
+      m := insert t !m cnf.lits.(k)
     done;
-    { (export_flat t) with n_vars = cnf.n_vars }
+    append ~activation:false t !m
+  done;
+  t
+
+let normalize cnf = if is_normal cnf then cnf else export_flat (load cnf)
+
+(* Nothing is stripped, so the stream holds one header per clause of
+   [cnf], in its order. *)
+let redundant cnf =
+  if Array.length cnf.offsets < 3 then []
+  else begin
+    let t = load cnf in
+    dedup_and_subsume t;
+    let gone = ref [] and i = ref 0 and r = ref 0 in
+    while !r < t.top do
+      if not (live t !r) then gone := !i :: !gone;
+      incr i;
+      r := !r + 1 + length t !r
+    done;
+    !gone
   end

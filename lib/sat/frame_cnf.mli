@@ -41,3 +41,9 @@ val export_flat : t -> flat
 
 val normalize : flat -> flat
 (** As {!Sat.normalize}. *)
+
+val redundant : flat -> int list
+(** The clauses of a CNF that duplicate elimination and subsumption
+    remove, by the rule of {!Sat.simplify}, as indices into
+    [offsets] (clause [0] is the oldest).  Literals may come in any
+    order within a clause.  Costs nothing on fewer than two clauses. *)

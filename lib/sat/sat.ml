@@ -724,140 +724,54 @@ let add_clause ?(activation = false) s ext_lits =
 
 (* --- level-0 simplification --- *)
 
-(* Duplicate elimination and backward subsumption over the live problem
-   clauses.  The rule: of clauses with equal literal sets the newest
-   stays, and every clause with a strict subset of at most 8 literals
-   among the others goes.  That set does not depend on the order
-   clauses are visited in: a clause removed as a superset only has
-   supersets that its own (shorter, surviving) subsumer also removes.
-
-   Everything is flat arrays, so the pass allocates a handful of
-   blocks however many clauses there are: clause [i]'s sorted literals
-   are [lits.(off.(i)) .. lits.(off.(i + 1) - 1)] (clauses numbered
-   newest first); duplicates are found by open addressing on a
-   multiplicative hash; occurrence lists are one array indexed like
-   [lits] (CSR); and a 63-bit signature (one bit per literal modulo 63)
-   rules most candidate pairs out before the subset test reads them. *)
-let dedup_and_subsume s =
+(* A flat CNF in external literals: the empty clause if [empty], the
+   first [units] level-0 facts as unit clauses, then the live problem
+   clauses oldest first. *)
+let flat_clauses s ~empty ~units =
+  let ext l = if is_neg l then -var_of l else var_of l in
   let v = s.clauses and a = s.arena in
-  let n = ref 0 in
-  for k = 0 to v.size - 1 do
-    if not (is_deleted s v.data.(k)) then incr n
-  done;
-  let n = !n in
-  let cls = Array.make n no_clause in
-  let off = Array.make (n + 1) 0 in
-  let i = ref 0 in
-  for k = v.size - 1 downto 0 do
-    let c = v.data.(k) in
+  let n = ref (Bool.to_int empty + units) and size = ref units in
+  for i = 0 to v.size - 1 do
+    let c = v.data.(i) in
     if not (is_deleted s c) then begin
-      cls.(!i) <- c;
-      off.(!i + 1) <- off.(!i) + clause_size s c;
-      incr i
+      incr n;
+      size := !size + clause_size s c
     end
   done;
-  let lits = Array.make off.(n) 0 in
-  for i = 0 to n - 1 do
-    (* insertion sort while copying: clauses are short *)
-    let lo = off.(i) and c = cls.(i) in
-    for k = 0 to clause_size s c - 1 do
-      let x = a.(c + 2 + k) in
-      let j = ref (lo + k - 1) in
-      while !j >= lo && lits.(!j) > x do
-        lits.(!j + 1) <- lits.(!j);
-        decr j
+  let offsets = Array.make (!n + 1) 0 and lits = Array.make !size 0 in
+  let m = ref 0 and top = ref 0 in
+  let close () =
+    incr m;
+    offsets.(!m) <- !top
+  in
+  if empty then close ();
+  for i = 0 to units - 1 do
+    lits.(!top) <- ext s.trail.(i);
+    incr top;
+    close ()
+  done;
+  for i = 0 to v.size - 1 do
+    let c = v.data.(i) in
+    if not (is_deleted s c) then begin
+      for k = c + 2 to c + 1 + clause_size s c do
+        lits.(!top) <- ext a.(k);
+        incr top
       done;
-      lits.(!j + 1) <- x
-    done
-  done;
-  let len i = off.(i + 1) - off.(i) in
-  let equal i j =
-    len i = len j
-    &&
-    let d = off.(j) - off.(i) in
-    let rec go k = k = off.(i + 1) || (lits.(k) = lits.(k + d) && go (k + 1)) in
-    go off.(i)
-  in
-  (* is clause [i] a subset of clause [j]? (both sorted) *)
-  let subset i j =
-    let ei = off.(i + 1) and ej = off.(j + 1) in
-    let rec go a b =
-      if a = ei then true
-      else if ej - b < ei - a then false
-      else if lits.(a) = lits.(b) then go (a + 1) (b + 1)
-      else if lits.(a) > lits.(b) then go a (b + 1)
-      else false
-    in
-    go off.(i) off.(j)
-  in
-  (* duplicates: the first clause of each literal set claims its slot *)
-  let bits =
-    let rec log2 b = if 1 lsl b >= 2 * n then b else log2 (b + 1) in
-    log2 4
-  in
-  let table = Array.make (1 lsl bits) (-1) in
-  for i = 0 to n - 1 do
-    let h = ref (len i) in
-    for k = off.(i) to off.(i + 1) - 1 do
-      h := (!h lxor lits.(k)) * 0x9E3779B97F4A7C1
-    done;
-    let rec probe slot =
-      let j = table.(slot) in
-      if j < 0 then table.(slot) <- i
-      else if equal i j then delete s cls.(i)
-      else probe ((slot + 1) land ((1 lsl bits) - 1))
-    in
-    probe (!h lsr (63 - bits))
-  done;
-  (* occurrences of the survivors: literal [l] occurs in clauses
-     [occ.(start.(l)) .. occ.(start.(l + 1) - 1)] *)
-  let n_lits = (2 * s.n_vars) + 2 in
-  let start = Array.make (n_lits + 1) 0 in
-  for i = 0 to n - 1 do
-    if not (is_deleted s cls.(i)) then
-      for k = off.(i) to off.(i + 1) - 1 do
-        start.(lits.(k) + 1) <- start.(lits.(k) + 1) + 1
-      done
-  done;
-  for l = 1 to n_lits do
-    start.(l) <- start.(l) + start.(l - 1)
-  done;
-  let occ = Array.make start.(n_lits) 0 in
-  let fill = Array.sub start 0 n_lits in
-  for i = 0 to n - 1 do
-    if not (is_deleted s cls.(i)) then
-      for k = off.(i) to off.(i + 1) - 1 do
-        occ.(fill.(lits.(k))) <- i;
-        fill.(lits.(k)) <- fill.(lits.(k)) + 1
-      done
-  done;
-  let sigs =
-    Array.init n (fun i ->
-        let sg = ref 0 in
-        for k = off.(i) to off.(i + 1) - 1 do
-          sg := !sg lor (1 lsl (lits.(k) mod 63))
-        done;
-        !sg)
-  in
-  for i = 0 to n - 1 do
-    if (not (is_deleted s cls.(i))) && len i <= 8 then begin
-      let size l = start.(l + 1) - start.(l) in
-      let rarest = ref lits.(off.(i)) in
-      for k = off.(i) + 1 to off.(i + 1) - 1 do
-        if size lits.(k) < size !rarest then rarest := lits.(k)
-      done;
-      for o = start.(!rarest) to start.(!rarest + 1) - 1 do
-        let j = occ.(o) in
-        if
-          j <> i
-          && (not (is_deleted s cls.(j)))
-          && len j > len i
-          && sigs.(i) land lnot sigs.(j) = 0
-          && subset i j
-        then delete s cls.(j)
-      done
+      close ()
     end
-  done
+  done;
+  { Frame_cnf.n_vars = s.n_vars; offsets; lits }
+
+(* Duplicate elimination and backward subsumption over the live problem
+   clauses, by the frame store's rule ({!Frame_cnf.redundant}).  Which
+   clauses go does not depend on the order they are visited in, so the
+   survivors keep their places in the vector and the arena. *)
+let dedup_and_subsume s =
+  let v = s.clauses in
+  filter_vec (fun c -> not (is_deleted s c)) v;
+  List.iter
+    (fun i -> delete s v.data.(i))
+    (Frame_cnf.redundant (flat_clauses s ~empty:false ~units:0))
 
 (* The full linear pass: removal of satisfied clauses and stripping of
    false literals, repeated until strengthening stops producing new
@@ -1400,48 +1314,15 @@ let flat_of_lists (n_vars, clauses) =
   { n_vars; offsets; lits }
 
 (* A top-level conflict discovered during clause addition has no stored
-   witness clause: it is exported as the empty clause, first.  Then the
-   level-0 facts as units, then the live problem clauses oldest first. *)
+   witness clause: it is exported as the empty clause, first. *)
 let export_flat s =
   match s.frame with
   | Some f -> Frame_cnf.export_flat f
   | None ->
-    let ext l = if is_neg l then -var_of l else var_of l in
     let units =
       if s.trail_lim_size > 0 then s.trail_lim.(0) else s.trail_size
     in
-    let v = s.clauses and a = s.arena in
-    let n = ref (Bool.to_int s.unsat + units) and size = ref units in
-    for i = 0 to v.size - 1 do
-      let c = v.data.(i) in
-      if not (is_deleted s c) then begin
-        incr n;
-        size := !size + clause_size s c
-      end
-    done;
-    let offsets = Array.make (!n + 1) 0 and lits = Array.make !size 0 in
-    let m = ref 0 and top = ref 0 in
-    let close () =
-      incr m;
-      offsets.(!m) <- !top
-    in
-    if s.unsat then close ();
-    for i = 0 to units - 1 do
-      lits.(!top) <- ext s.trail.(i);
-      incr top;
-      close ()
-    done;
-    for i = 0 to v.size - 1 do
-      let c = v.data.(i) in
-      if not (is_deleted s c) then begin
-        for k = c + 2 to c + 1 + clause_size s c do
-          lits.(!top) <- ext a.(k);
-          incr top
-        done;
-        close ()
-      end
-    done;
-    { n_vars = s.n_vars; offsets; lits }
+    flat_clauses s ~empty:s.unsat ~units
 
 let export s = lists_of_flat (export_flat s)
 let normalize = Frame_cnf.normalize

@@ -113,10 +113,12 @@ val simplify : ?subsume:bool -> t -> int
     clauses goes.  Which clauses go does not depend on the order the
     pass visits them in.  Returns the number of clauses removed (net).
     Preserves satisfiability and all models; invalidates the previous
-    model like {!add_clause} does.  Near-linear in the size of the
-    problem (sorted literal copies, a hash table for duplicates,
-    occurrence arrays and a 63-bit signature filter for subsets), so
-    cheap enough to run once after loading a large problem.
+    model like {!add_clause} does.  Both kinds of context apply the
+    rule with one implementation, {!Frame_cnf.redundant}: the clauses
+    sorted into normal form, where duplicates are adjacent, and
+    occurrence lists built once for the subset tests.  Near-linear in
+    the size of the problem, so cheap enough to run once after loading
+    a large problem.
     [~subsume:false] skips the dedup/subsumption stage — the right
     setting for the between-query cleanups of an incremental session,
     where the goal is shedding clauses (problem and learnt) satisfied

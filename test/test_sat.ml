@@ -1184,9 +1184,12 @@ let arena_tests =
    problem and guard clauses (a guard holds its selector negatively),
    with units before, among and after them.  Every stream also holds a
    cascade three deep ([-a|b], [-b|c], [-c|d] and the unit [a], in any
-   order) and a clause satisfied by a later unit.  After [simplify]
-   both give the same canonical export and clause count; a stream with
-   a level-0 conflict leaves both unsat. *)
+   order), a clause satisfied by a later unit, and a problem clause
+   and an activation copy of it (literals reversed), in either order.
+   After [simplify] both give the same canonical export, clause count
+   and activation clause count (the newest of equal clauses stays, so
+   it says whether the copy does); a stream with a level-0 conflict
+   leaves both unsat. *)
 type frame_step = Clause of bool * int list (* activation? *) | Unit of int
 
 let pp_frame_step = function
@@ -1225,11 +1228,15 @@ let arb_frame_stream =
     let satisfied =
       [ (k, Clause (false, [ x; plain (); plain () ])); (k + 1 + int 1000, Unit x) ]
     in
+    let c = clause () in
+    let copies =
+      [ (int 1000, Clause (false, c)); (int 1000, Clause (true, List.rev c)) ]
+    in
     ( n_plain,
       n_sel,
       List.stable_sort
         (fun (i, _) (j, _) -> compare i j)
-        (keyed @ cascade @ satisfied)
+        (keyed @ cascade @ satisfied @ copies)
       |> List.map snd )
   in
   QCheck.make
@@ -1254,7 +1261,8 @@ let run_frame_stream make ~subsume (n_plain, n_sel, steps) =
   ignore (Sat.simplify ~subsume s);
   let n_vars, clauses = Sat.export s in
   ( (n_vars, List.sort compare (List.map (List.sort_uniq compare) clauses)),
-    Sat.num_clauses s )
+    Sat.num_clauses s,
+    Sat.num_activation_clauses s )
 
 (* Streams of frame size: thousands of variables, allocated as the
    clauses first use them, and mostly new ones as the stream goes on,
@@ -1304,7 +1312,7 @@ let arb_big_frame_stream =
 
 (* The stream on a fresh context, variables allocated on first use:
    after [simplify], the digest of the canonical export, the variable
-   count and the clause count. *)
+   count, the clause count and the activation clause count. *)
 let run_big_stream make ~subsume (_, steps) =
   let s = make () in
   let use l =
@@ -1327,7 +1335,8 @@ let run_big_stream make ~subsume (_, steps) =
   ( Ilv_engine.Proof_cache.digest (Ilv_engine.Proof_cache.canonical_frame cnf),
     List.mem [] (snd (Sat.lists_of_flat cnf)),
     Sat.num_vars s,
-    Sat.num_clauses s )
+    Sat.num_clauses s,
+    Sat.num_activation_clauses s )
 
 let frame_tests =
   [
@@ -1339,7 +1348,7 @@ let frame_tests =
              (fun subsume ->
                let w = run_frame_stream Sat.create ~subsume stream
                and f = run_frame_stream Sat.frame ~subsume stream in
-               let unsat ((_, clauses), _) = List.mem [] clauses in
+               let unsat ((_, clauses), _, _) = List.mem [] clauses in
                if unsat w || unsat f then unsat w && unsat f else w = f)
              [ true; false ]));
     QCheck_alcotest.to_alcotest
@@ -1348,9 +1357,9 @@ let frame_tests =
          ~count:25 arb_big_frame_stream (fun stream ->
            List.for_all
              (fun subsume ->
-               let ((_, wu, _, _) as w) =
+               let ((_, wu, _, _, _) as w) =
                  run_big_stream Sat.create ~subsume stream
-               and ((_, fu, _, _) as f) =
+               and ((_, fu, _, _, _) as f) =
                  run_big_stream Sat.frame ~subsume stream
                in
                if wu || fu then wu && fu else w = f)
