@@ -522,11 +522,9 @@ let check_shared ?(budget = unlimited) sh idx =
            too, then shed every clause the retire units satisfy — the
            guarded cones and any learnt clause mentioning a retired
            activation literal — so watch lists don't grow with each
-           finished property.  The subsumption stage is skipped: this
-           runs between every pair of properties and must stay
-           linear. *)
+           finished property *)
         Bitblast.retire sh.sh_ctx p_act;
-        ignore (Bitblast.simplify ~subsume:false sh.sh_ctx);
+        ignore (Bitblast.simplify sh.sh_ctx);
         Bitblast.age_activity sh.sh_ctx;
         let cnf_vars, cnf_clauses = Bitblast.cnf_size sh.sh_ctx in
         (verdict, { stats with cnf_vars; cnf_clauses })

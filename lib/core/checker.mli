@@ -177,9 +177,11 @@ type shared
 val prepare_shared :
   ?label:string -> ?on_sat:sat_hook -> Property.t list -> shared
 (** Creates the shared context.  Every formula goes through the
-    word-level simplifier.  The live solver runs only the linear
-    between-query cleanup ({!Ilv_sat.Sat.simplify} [~subsume:false]);
-    the full CNF pass runs on the frozen snapshot ({!shared_freeze}).
+    word-level simplifier.  Between properties the live solver runs
+    its retire pass ({!Ilv_sat.Sat.simplify} on a watched context),
+    which sheds the retired cones and nothing else; the frame store's
+    CNF pass (strengthening, dedup and subsumption) runs only on the
+    frozen snapshot ({!shared_freeze}).
     [label] names the frame in observability output (the design, or
     design/port, it belongs to).
     [on_sat] interposes on every satisfying model (see {!sat_hook}); it
@@ -197,7 +199,8 @@ val check_shared : ?budget:budget -> shared -> int -> verdict * stats
 val shared_freeze : shared -> unit
 (** Replays the full encoding — every property, in list order — on a
     throwaway frame-only context ({!Ilv_sat.Bitblast.frame}), runs the
-    CNF pass on it, and snapshots the CNF
+    store's CNF pass on it ({!Ilv_sat.Frame_cnf.simplify}), and
+    snapshots the CNF
     plus each property's selector lists.  The snapshot is the cache
     address of the frame: built on a pristine context it carries no
     solving residue, and its selector numbering is identical on every

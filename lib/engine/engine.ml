@@ -11,7 +11,7 @@ type job = {
 (* The jobs of one port share a lazy property generator, hence one
    unrolling of the RTL; a refinement-map error still surfaces only in
    the properties it breaks. *)
-let jobs_of ?only_ports ?(first_id = 0) ~name module_ila rtl
+let jobs_of ?only_ports ~name module_ila rtl
     ~refmap_for () =
   let generators =
     List.map
@@ -28,7 +28,7 @@ let jobs_of ?only_ports ?(first_id = 0) ~name module_ila rtl
       let instr = t.Verify.task_instr in
       let gen = List.assoc port.Ila.name generators in
       {
-        id = first_id + i;
+        id = i;
         design = name;
         port = port.Ila.name;
         instr = instr.Ila.instr_name;

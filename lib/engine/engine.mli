@@ -32,7 +32,6 @@ type job = {
 
 val jobs_of :
   ?only_ports:string list ->
-  ?first_id:int ->
   name:string ->
   Module_ila.t ->
   Ilv_rtl.Rtl.t ->
@@ -40,8 +39,8 @@ val jobs_of :
   unit ->
   job list
 (** One job per leaf (sub-)instruction, in {!Verify.enumerate} order,
-    ids starting at [first_id] (default 0) — pass a running offset to
-    concatenate several designs into one sweep. *)
+    ids from 0.  To concatenate several designs into one sweep,
+    renumber the concatenation ([{ j with id = i }] at position [i]). *)
 
 type result = {
   job_id : int;

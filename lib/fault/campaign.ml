@@ -57,8 +57,11 @@ let replay_kill (d : Design.t) mutant_rtl (ir : Verify.instr_result) =
 
 (* Budget exhausted on every checkable path: degrade to bounded random
    co-simulation and hunt for a concrete divergence before conceding
-   "inconclusive". *)
-let simulate_for_kill (d : Design.t) mutant_rtl ~sim_seeds ~sim_cycles =
+   "inconclusive": [sim_seeds] runs of [sim_cycles] cycles each. *)
+let sim_seeds = 3
+let sim_cycles = 300
+
+let simulate_for_kill (d : Design.t) mutant_rtl =
   let rec go s =
     if s > sim_seeds then None
     else
@@ -92,8 +95,8 @@ let classification_fields = function
       ("reason", Ilv_obs.Obs.S reason);
     ]
 
-let classify_mutant (d : Design.t) ~budget ~timeout_s ~fallback_sim ~sim_seeds
-    ~sim_cycles (m : Mutate.mutant) =
+let classify_mutant (d : Design.t) ~budget ~timeout_s ~fallback_sim
+    (m : Mutate.mutant) =
   let t0 = Unix.gettimeofday () in
   let rtl = m.Mutate.rtl in
   let span =
@@ -126,7 +129,7 @@ let classify_mutant (d : Design.t) ~budget ~timeout_s ~fallback_sim ~sim_seeds
            undetectable. *)
         ( (if not fallback_sim then Survived
            else
-             match simulate_for_kill d rtl ~sim_seeds ~sim_cycles with
+             match simulate_for_kill d rtl with
              | Some kill -> Killed kill
              | None -> Survived),
           None )
@@ -138,7 +141,7 @@ let classify_mutant (d : Design.t) ~budget ~timeout_s ~fallback_sim ~sim_seeds
         in
         if not fallback_sim then (Inconclusive reason, None)
         else
-          match simulate_for_kill d rtl ~sim_seeds ~sim_cycles with
+          match simulate_for_kill d rtl with
           | Some kill -> (Killed kill, None)
           | None -> (Inconclusive reason, None)))
   in
@@ -155,8 +158,7 @@ let classify_mutant (d : Design.t) ~budget ~timeout_s ~fallback_sim ~sim_seeds
   }
 
 let run ?(seed = 1) ?(max_mutants = 100) ?(budget = default_budget)
-    ?timeout_s ?(fallback_sim = true) ?(sim_seeds = 3) ?(sim_cycles = 300)
-    ?(jobs = 1) (d : Design.t) =
+    ?timeout_s ?(fallback_sim = true) ?(jobs = 1) (d : Design.t) =
   let t0 = Unix.gettimeofday () in
   let n_sites = List.length (Mutate.enumerate d.Design.rtl) in
   let mutants = Mutate.sample ~seed ~max_mutants d.Design.rtl in
@@ -184,8 +186,7 @@ let run ?(seed = 1) ?(max_mutants = 100) ?(budget = default_budget)
           })
       mutants
       (Ilv_engine.Pool.map ~jobs
-         (classify_mutant d ~budget ~timeout_s ~fallback_sim ~sim_seeds
-            ~sim_cycles)
+         (classify_mutant d ~budget ~timeout_s ~fallback_sim)
          mutants)
   in
   let count p = List.length (List.filter p reports) in

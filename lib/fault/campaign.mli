@@ -67,15 +67,13 @@ val run :
   ?budget:Ilv_core.Checker.budget ->
   ?timeout_s:float ->
   ?fallback_sim:bool ->
-  ?sim_seeds:int ->
-  ?sim_cycles:int ->
   ?jobs:int ->
   Design.t ->
   t
 (** Runs a campaign: sample up to [max_mutants] (default 100) mutants
     with [seed] (default 1), verify each under [budget], and classify.
     [fallback_sim] (default true) enables the bounded co-simulation
-    hunt ([sim_seeds] runs of [sim_cycles] cycles) for mutants the
+    hunt (3 seeded runs of 300 cycles) for mutants the
     bounded checker could not decide — and for mutants every property
     proved, where it is the only check that can catch reset faults.
     [timeout_s] puts a wall-clock deadline on each mutant's per-port

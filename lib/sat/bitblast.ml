@@ -157,14 +157,7 @@ let on_solver solver =
   in
   { ctx; compiler = C.compiler ctx ~fresh_var; vars }
 
-(* The true literal's unit is absorbed here, while the context is
-   empty: every later cleanup then sees only the units added after it,
-   and a between-query one whose units are all retired selectors keeps
-   to the retire pass. *)
-let create () =
-  let t = on_solver (Sat.create ()) in
-  ignore (Sat.simplify t.ctx.solver);
-  t
+let create () = on_solver (Sat.create ())
 
 let frame () = on_solver (Sat.frame ())
 
@@ -235,7 +228,7 @@ let check_assuming ?limit t ~assumptions =
   | Sat.Unknown reason -> Unknown reason
 
 let age_activity t = Sat.age_activity t.ctx.solver
-let simplify ?subsume t = Sat.simplify ?subsume t.ctx.solver
+let simplify t = Sat.simplify t.ctx.solver
 let cnf t = Sat.export_flat t.ctx.solver
 let cnf_size t = (Sat.num_vars t.ctx.solver, Sat.num_clauses t.ctx.solver)
 

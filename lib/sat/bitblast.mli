@@ -30,8 +30,7 @@ val create : unit -> t
 
 val frame : unit -> t
 (** A context on a frame-only solver ({!Sat.frame}): for encoding a CNF
-    to {!simplify} and export ({!cnf}), never to {!check}.  Its
-    {!simplify}d CNF is the one a {!create} context would give. *)
+    to {!simplify} and export ({!cnf}), never to {!check}. *)
 
 val assert_bool : t -> Expr.t -> unit
 (** Asserts a boolean expression to be true (permanently).
@@ -99,14 +98,14 @@ val age_activity : t -> unit
 (** {!Sat.age_activity} on the underlying solver: demote branching
     activity earned by earlier queries to a tie-break. *)
 
-val simplify : ?subsume:bool -> t -> int
-(** Runs the solver's level-0 simplification ({!Sat.simplify}) on the
-    accumulated CNF; returns the number of clauses removed.  Besides
-    level-0 propagation it removes duplicate clauses (the most
-    recently added stays) and every clause with a strict subset of at
-    most 8 literals.  Sound at any point; changes what {!cnf} reports.
-    [~subsume:false] restricts it to the linear passes (see
-    {!Sat.simplify}). *)
+val simplify : t -> int
+(** {!Sat.simplify} on the underlying solver; returns the number of
+    clauses removed.  On a {!create} context it is the between-query
+    cleanup: it sheds the clauses that {!retire} units satisfy, read
+    from the retired selectors' occurrence vectors.  On a {!frame}
+    context it is the frame store's one CNF pass (strengthening, dedup
+    and subsumption, normal form), which changes what {!cnf}
+    reports. *)
 
 val cnf : t -> Sat.flat
 (** The accumulated CNF ({!Sat.export_flat}), for freezing a frame and

@@ -329,10 +329,10 @@ let subset t a b =
   in
   go (a + 1) (b + 1)
 
-(* The rule of {!Sat.simplify}: of clauses with equal literal sets the
-   newest stays, and every clause with a strict subset of at most 8
-   literals among the others goes.  Duplicates are adjacent in normal
-   order; subsets are found through the occurrence list of the
+(* Duplicate elimination and subsumption: of clauses with equal literal
+   sets the newest stays, and every clause with a strict subset of at
+   most 8 literals among the others goes.  Duplicates are adjacent in
+   normal order; subsets are found through the occurrence list of the
    subsumer's rarest literal, one array indexed by literal slot: slot
    [x] occurs in [occ.(start.(x)) .. occ.(start.(x + 1) - 1)]. *)
 let dedup_and_subsume t =
@@ -378,11 +378,11 @@ let dedup_and_subsume t =
     order;
   t.sorted <- Some order
 
-let simplify ~subsume t =
+let simplify t =
   let before = t.n_clauses in
   if not t.unsat then begin
     strengthen t;
-    if subsume && not t.unsat then dedup_and_subsume t
+    if not t.unsat then dedup_and_subsume t
   end;
   max 0 (before - t.n_clauses)
 
@@ -473,19 +473,3 @@ let load (cnf : flat) =
   t
 
 let normalize cnf = if is_normal cnf then cnf else export_flat (load cnf)
-
-(* Nothing is stripped, so the stream holds one header per clause of
-   [cnf], in its order. *)
-let redundant cnf =
-  if Array.length cnf.offsets < 3 then []
-  else begin
-    let t = load cnf in
-    dedup_and_subsume t;
-    let gone = ref [] and i = ref 0 and r = ref 0 in
-    while !r < t.top do
-      if not (live t !r) then gone := !i :: !gone;
-      incr i;
-      r := !r + 1 + length t !r
-    done;
-    !gone
-  end

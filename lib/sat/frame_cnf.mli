@@ -12,10 +12,7 @@
 
     Normal form: each clause lists its literals in strictly increasing
     order, and the clauses are in [List.compare Int.compare] order, a
-    clause that is a prefix of another first.  {!Sat.simplify} and
-    {!Sat.export_flat} on a frame context are specified in sat.mli; a
-    watched context fed the same clauses holds the same set of clauses
-    and facts after either. *)
+    clause that is a prefix of another first. *)
 
 type flat = { n_vars : int; offsets : int array; lits : int array }
 
@@ -28,12 +25,28 @@ val num_clauses : t -> int
 val num_activation_clauses : t -> int
 
 val add_clause : activation:bool -> t -> int list -> unit
-(** As {!Sat.add_clause}.
+(** As {!Sat.add_clause}: tautologies are dropped, duplicate literals
+    merged, literals false at level 0 dropped, and a clause with a true
+    literal dropped.  A unit becomes a level-0 fact without being
+    propagated; the empty clause latches a level-0 conflict.
     @raise Invalid_argument on a literal whose variable was never
     allocated. *)
 
-val simplify : subsume:bool -> t -> int
-(** As {!Sat.simplify}: returns the number of clauses removed. *)
+val simplify : t -> int
+(** The store's one CNF pass, in three stages:
+    - strengthening: every clause a fact satisfies is deleted and every
+      false literal stripped, the clause shortened in place; a clause
+      stripped to one literal becomes a fact and to none a level-0
+      conflict; repeated until a round finds no new fact, so the facts
+      reach the unit closure of the clauses;
+    - dedup and subsumption, over all stored clauses (activation
+      clauses included): of clauses with equal literal sets the most
+      recently added stays, then every clause that has a strict subset
+      of at most 8 literals among the remaining clauses goes.  Which
+      clauses go does not depend on the order they are visited in;
+    - normal form: the survivors sorted for {!export_flat}.
+    Returns the number of stored clauses removed.  Preserves
+    satisfiability and all models. *)
 
 val export_flat : t -> flat
 (** The empty clause after a level-0 conflict, the level-0 facts as
@@ -41,9 +54,3 @@ val export_flat : t -> flat
 
 val normalize : flat -> flat
 (** As {!Sat.normalize}. *)
-
-val redundant : flat -> int list
-(** The clauses of a CNF that duplicate elimination and subsumption
-    remove, by the rule of {!Sat.simplify}, as indices into
-    [offsets] (clause [0] is the oldest).  Literals may come in any
-    order within a clause.  Costs nothing on fewer than two clauses. *)

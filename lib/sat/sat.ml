@@ -39,7 +39,7 @@ type t = {
   mutable n_acts : int;
   clauses : vec;
       (* problem clauses, oldest first; a deleted one stays until the
-         next full simplification pass or compaction *)
+         next compaction *)
   learnts : vec; (* learnt clauses, likewise *)
   mutable watches : vec array; (* indexed by internal literal *)
   mutable dirty : bool array;
@@ -71,7 +71,7 @@ type t = {
   mutable unsat : bool; (* top-level conflict detected *)
   mutable solved : result option;
   mutable seen : bool array; (* scratch for analyze *)
-  mutable intake : int array; (* scratch for add_clause and simplify *)
+  mutable intake : int array; (* scratch for add_clause *)
   (* statistics *)
   mutable n_clauses : int;
   mutable n_activation : int; (* activation clauses among n_clauses *)
@@ -257,7 +257,7 @@ let clause_size s c = s.arena.(c) lsr size_shift
 let is_deleted s c = s.arena.(c) land deleted_bit <> 0
 
 (* Appends a clause of the first [n] literals of [lits]. *)
-let alloc s flags lits n activity =
+let alloc s flags lits n =
   let c = s.arena_size in
   let top = c + 2 + n in
   s.arena <- grow_array s.arena top 0;
@@ -265,14 +265,14 @@ let alloc s flags lits n activity =
   let a = s.arena in
   a.(c) <- (n lsl size_shift) lor flags;
   a.(c + 1) <- s.n_acts;
-  s.acts.(s.n_acts) <- activity;
+  s.acts.(s.n_acts) <- 0.0;
   s.n_acts <- s.n_acts + 1;
   Array.blit lits 0 a (c + 2) n;
   s.arena_size <- top;
   c
 
 (* A selector's occurrence vector lists every clause that mentions it:
-   guard clauses at intake, learnt clauses and strengthened copies. *)
+   guard clauses at intake and learnt clauses. *)
 let note_selectors s c =
   let a = s.arena in
   for k = c + 2 to c + 1 + clause_size s c do
@@ -651,12 +651,6 @@ let propagate s =
    [unsat]. *)
 let propagate0 s = try propagate s with Conflict _ -> s.unsat <- true
 
-(* A new clause joins the search: its watchers and selector
-   occurrences. *)
-let hook s c =
-  attach s c;
-  note_selectors s c
-
 (* --- clause addition (level 0 only) --- *)
 
 (* Inserts the literals into [s.intake] after its first [n] (sorted)
@@ -714,12 +708,13 @@ let add_clause ?(activation = false) s ext_lits =
           propagate0 s
         | live ->
           let c =
-            alloc s (if activation then activation_bit else 0) buf live 0.0
+            alloc s (if activation then activation_bit else 0) buf live
           in
           push s.clauses c;
           s.n_clauses <- s.n_clauses + 1;
           if activation then s.n_activation <- s.n_activation + 1;
-          hook s c
+          attach s c;
+          note_selectors s c
     end
 
 (* --- level-0 simplification --- *)
@@ -762,151 +757,44 @@ let flat_clauses s ~empty ~units =
   done;
   { Frame_cnf.n_vars = s.n_vars; offsets; lits }
 
-(* Duplicate elimination and backward subsumption over the live problem
-   clauses, by the frame store's rule ({!Frame_cnf.redundant}).  Which
-   clauses go does not depend on the order they are visited in, so the
-   survivors keep their places in the vector and the arena. *)
-let dedup_and_subsume s =
-  let v = s.clauses in
-  filter_vec (fun c -> not (is_deleted s c)) v;
-  List.iter
-    (fun i -> delete s v.data.(i))
-    (Frame_cnf.redundant (flat_clauses s ~empty:false ~units:0))
-
-(* The full linear pass: removal of satisfied clauses and stripping of
-   false literals, repeated until strengthening stops producing new
-   level-0 units.  Each vector is walked newest first.  A strengthened
-   clause is a new clause, attached afresh (so the watch invariant
-   holds), that takes the old one's place in its vector and its
-   activity. *)
-let strengthen_all s =
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    let strengthen v =
-      for i = v.size - 1 downto 0 do
-        let c = v.data.(i) in
-        if not (s.unsat || is_deleted s c) then begin
-          let a = s.arena in
-          let n = clause_size s c in
-          let satisfied = ref false and n_false = ref 0 in
-          for k = c + 2 to c + 1 + n do
-            match lit_value s a.(k) with
-            | 1 -> satisfied := true
-            | 2 -> incr n_false
-            | _ -> ()
-          done;
-          if !satisfied then delete s c
-          else if !n_false > 0 then begin
-            delete s c;
-            changed := true;
-            s.intake <- grow_array s.intake n 0;
-            let live = s.intake and m = ref 0 in
-            for k = c + 2 to c + 1 + n do
-              if lit_value s a.(k) <> 2 then begin
-                live.(!m) <- a.(k);
-                incr m
-              end
-            done;
-            match !m with
-            | 0 -> s.unsat <- true
-            | 1 ->
-              enqueue s live.(0) no_clause;
-              propagate0 s
-            | m ->
-              let h = a.(c) in
-              let c' =
-                alloc s
-                  (h land (learnt_bit lor activation_bit))
-                  live m
-                  s.acts.(a.(c + 1))
-              in
-              if h land learnt_bit <> 0 then s.n_learnts <- s.n_learnts + 1
-              else begin
-                s.n_clauses <- s.n_clauses + 1;
-                if h land activation_bit <> 0 then
-                  s.n_activation <- s.n_activation + 1
-              end;
-              hook s c';
-              v.data.(i) <- c'
-          end
-        end
-      done
-    in
-    strengthen s.clauses;
-    strengthen s.learnts
-  done
-
-(* The retire pass.  Every live clause is free of level-0 literals once
-   a simplification has run: intake and learning drop them, and each
-   pass deletes or strengthens the clauses holding the units it sees.
-   So when every level-0 unit since the last pass is a selector, the
-   only clauses to touch are in those selectors' occurrence vectors.
-   Each one that a unit satisfies is deleted; one that would need
-   strengthening (it holds a selector's false literal and no true one)
-   makes the pass give up.  Returns whether it finished; when it did
-   not, the clauses it deleted were satisfied, so the full pass still
-   reaches the state it would have reached alone. *)
-let retire_units s =
-  let bound = s.trail_size in
-  let ok = ref true in
-  for i = s.simplified to bound - 1 do
-    if s.occ.(var_of s.trail.(i)) == no_occ then ok := false
-  done;
-  let i = ref s.simplified in
-  while !ok && !i < bound do
-    let o = s.occ.(var_of s.trail.(!i)) in
-    let k = ref 0 in
-    while !ok && !k < o.size do
-      let c = o.data.(!k) in
-      if not (is_deleted s c) then begin
-        let a = s.arena in
-        let satisfied = ref false in
-        for q = c + 2 to c + 1 + clause_size s c do
-          if lit_value s a.(q) = 1 then satisfied := true
-        done;
-        if !satisfied then delete s c else ok := false
-      end;
-      incr k
-    done;
-    incr i
-  done;
-  !ok
-
-(* SatELite-lite: runs only at decision level 0.  Unit propagation to
-   fixpoint, then either the retire pass ([~subsume:false] with only
-   selector units since the last call) or the full linear pass, then
-   (with [subsume]) duplicate elimination and backward subsumption over
-   the problem clauses ([dedup_and_subsume]).  Deleting a clause that
-   is the reason of a level-0 assignment is safe: conflict analysis
-   never dereferences level-0 reasons, and level 0 is never
-   backtracked; the new units' reasons are cleared anyway, so
-   [reduce_db] treats the clauses alike whichever pass deleted them.
-   A unit's occurrence vector is released once seen: no clause can
-   mention its variable again. *)
-let simplify ?(subsume = true) s =
+(* The retire pass, at decision level 0: unit propagation to fixpoint,
+   then, for each level-0 unit since the previous call whose variable
+   is a selector, the deletion of the clauses in its occurrence vector
+   that a unit satisfies.  Nothing else is touched: a clause satisfied
+   by any other unit, or holding a false literal, stays as it is, which
+   is sound because conflict analysis skips level-0 literals and intake
+   drops false ones.  Deleting a clause that is the reason of a level-0
+   assignment is safe too: conflict analysis never dereferences level-0
+   reasons, and level 0 is never backtracked; the new units' reasons
+   are cleared anyway, so no reason points at a deleted clause.  A
+   unit's occurrence vector is released once seen: intake and learning
+   drop level-0 literals, so no new clause mentions its variable, and
+   the vector is never read again. *)
+let simplify s =
   match s.frame with
-  | Some f -> Frame_cnf.simplify ~subsume f
+  | Some f -> Frame_cnf.simplify f
   | None ->
     cancel_until s 0;
     s.solved <- None;
     let before = s.n_clauses + s.n_learnts in
     if not s.unsat then begin
       propagate0 s;
-      if (not s.unsat) && (subsume || not (retire_units s)) then begin
-        if (not subsume) && Ilv_obs.Obs.enabled () then
-          Ilv_obs.Obs.count "sat.retire_fallbacks" 1;
-        strengthen_all s;
-        if subsume && not s.unsat then dedup_and_subsume s;
-        let live c = not (is_deleted s c) in
-        filter_vec live s.clauses;
-        filter_vec live s.learnts
-      end;
       for i = s.simplified to s.trail_size - 1 do
         let v = var_of s.trail.(i) in
         s.reason.(v) <- no_clause;
         let o = s.occ.(v) in
         if o != no_occ then begin
+          for k = 0 to o.size - 1 do
+            let c = o.data.(k) in
+            if not (is_deleted s c) then begin
+              let a = s.arena in
+              let satisfied = ref false in
+              for q = c + 2 to c + 1 + clause_size s c do
+                if lit_value s a.(q) = 1 then satisfied := true
+              done;
+              if !satisfied then delete s c
+            end
+          done;
           o.data <- [||];
           o.size <- 0
         end
@@ -998,7 +886,7 @@ let record_learnt s lits =
     let tmp = lits.(1) in
     lits.(1) <- lits.(!maxi);
     lits.(!maxi) <- tmp;
-    let c = alloc s learnt_bit lits (Array.length lits) 0.0 in
+    let c = alloc s learnt_bit lits (Array.length lits) in
     push s.learnts c;
     s.n_learnts <- s.n_learnts + 1;
     bump_clause s c;

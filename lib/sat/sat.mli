@@ -44,30 +44,27 @@ type result = Sat | Unsat
 val create : unit -> t
 
 val frame : unit -> t
-(** A frame-only context: the CNF is accumulated and {!simplify}d by
-    the rules of {!create}'s, in a store that keeps nothing a search
-    needs (no watchers, activities, occurrence vectors or per-variable
-    search state) and that grows without copying what it holds.  A
-    unit is not propagated when it is added: {!simplify} ([~subsume]
-    or not) strips and deletes clauses in place, repeated until no new
-    fact appears, and so reaches the unit closure without watchers.
-    After it, {!export_flat} holds the clauses and facts of a
-    {!create} context fed the same clauses, {!num_clauses} is that
-    context's, and a level-0 conflict shows as the empty clause in
-    both.  The export is in normal form ({!normalize}).  The context to
-    build a CNF for export, not to search.  {!solve} and
-    {!solve_bounded} on it raise [Invalid_argument]. *)
+(** A frame-only context: a CNF accumulated for export, in a store
+    ({!Frame_cnf}) that keeps nothing a search needs (no watchers,
+    activities, occurrence vectors or per-variable search state) and
+    that grows without copying what it holds.  A unit is not propagated
+    when it is added.  {!simplify} runs the store's one CNF pass
+    (strengthening to the unit closure, dedup and subsumption, normal
+    form; see {!Frame_cnf.simplify}).  {!export_flat} is in normal
+    form ({!normalize}), a level-0 conflict showing as the empty
+    clause.  The context to build a CNF for export, not to search.
+    {!solve} and {!solve_bounded} on it raise [Invalid_argument]. *)
 
 val new_var : t -> int
 (** Allocates a fresh variable and returns its (positive) index. *)
 
 val new_selector : t -> int
-(** Like {!new_var}, for an activation literal: the solver keeps an
-    occurrence vector of the clauses that mention the variable (guard
-    clauses as they are added, learnt clauses, strengthened copies).
-    When the selector is retired by a unit, {!simplify}
-    [~subsume:false] deletes what it satisfied from that vector alone,
-    instead of walking every clause.  The search is the same as with
+(** Like {!new_var}, for an activation literal.  On a {!create}
+    context the solver keeps an occurrence vector of the clauses that
+    mention the variable (guard clauses as they are added, and learnt
+    clauses), so that when a unit retires the selector {!simplify}
+    reads only that vector to delete what the unit satisfied.  The
+    search is the same as with {!new_var}.  On a {!frame} context it is
     {!new_var}. *)
 
 val num_vars : t -> int
@@ -103,34 +100,28 @@ val age_activity : t -> unit
     on what earlier, already-retired queries cared about.  Stale
     ranking survives only as a tie-break.  Cheap (O(1) amortised). *)
 
-val simplify : ?subsume:bool -> t -> int
-(** Level-0 simplification: propagates pending units to fixpoint,
-    removes satisfied clauses, strips false literals, then eliminates
-    duplicate and subsumed problem clauses (activation clauses
-    included, learnt clauses not) by this rule: of clauses with equal
-    literal sets, the most recently added stays; every clause that
-    has a strict subset of at most 8 literals among the remaining
-    clauses goes.  Which clauses go does not depend on the order the
-    pass visits them in.  Returns the number of clauses removed (net).
-    Preserves satisfiability and all models; invalidates the previous
-    model like {!add_clause} does.  Both kinds of context apply the
-    rule with one implementation, {!Frame_cnf.redundant}: the clauses
-    sorted into normal form, where duplicates are adjacent, and
-    occurrence lists built once for the subset tests.  Near-linear in
-    the size of the problem, so cheap enough to run once after loading
-    a large problem.
-    [~subsume:false] skips the dedup/subsumption stage — the right
-    setting for the between-query cleanups of an incremental session,
-    where the goal is shedding clauses (problem and learnt) satisfied
-    by retire units.  Its cost is then proportional to the retired
-    cones: when every level-0 unit since the previous call is a
-    selector ({!new_selector}), it reads only those units'
-    occurrence vectors, deletes the clauses they satisfy and purges
-    only the watch vectors that held them.  A unit on any other
-    variable, or a clause that would need strengthening (one holding
-    a retired selector positively), makes it run the full linear pass
-    instead: satisfied-clause removal and false-literal stripping over
-    every clause.  Either way the result is the same. *)
+val simplify : t -> int
+(** Level-0 cleanup between queries; returns the number of clauses
+    (problem, activation and learnt) removed, net.  Preserves
+    satisfiability and all models; invalidates the previous model like
+    {!add_clause} does.  The context kind decides what it does.
+
+    On a {!create} context it is the retire pass: it propagates pending
+    level-0 units to fixpoint, then, for each level-0 unit since the
+    previous call whose variable is a selector ({!new_selector}),
+    deletes the clauses in that selector's occurrence vector that a
+    unit satisfies, and releases the vector.  It reads nothing else, so
+    its cost is proportional to the retired cones.  It never
+    strengthens a clause and never removes duplicate or subsumed ones:
+    a clause satisfied by a unit on any other variable, or holding a
+    literal false at level 0, stays as it is.  That is sound: conflict
+    analysis skips level-0 literals, so learnt clauses hold none, and
+    {!add_clause} drops literals false at level 0 from new clauses.
+
+    On a {!frame} context it is the store's one CNF pass
+    ({!Frame_cnf.simplify}): strengthening to the unit closure,
+    duplicate elimination and subsumption over the stored clauses, and
+    normal form.  Near-linear in the size of the CNF. *)
 
 val solve : ?assumptions:int list -> t -> result
 (** Decides the conjunction of all added clauses, under the optional
@@ -205,9 +196,9 @@ type flat = { n_vars : int; offsets : int array; lits : int array }
 val export_flat : t -> flat
 (** The problem as a {!flat} CNF: the empty clause first after a
     level-0 conflict, then level-0 facts as unit clauses, then the live
-    problem and activation clauses, oldest first; on a {!frame} context
-    the same clauses in normal form.  Learnt clauses are not
-    included. *)
+    problem and activation clauses, oldest first, as they are stored;
+    on a {!frame} context the store's CNF in normal form
+    ({!Frame_cnf.export_flat}).  Learnt clauses are not included. *)
 
 val normalize : flat -> flat
 (** The CNF in normal form: each clause's literals in increasing order

@@ -67,16 +67,14 @@ let () = key_path_budget ()
 
 let design name = List.find (fun d -> d.Design.name = name) Catalog.all
 
-let jobs_of (d : Design.t) first_id =
-  Engine.jobs_of ~first_id ~name:d.Design.name d.Design.module_ila
-    d.Design.rtl
+let jobs_of (d : Design.t) =
+  Engine.jobs_of ~name:d.Design.name d.Design.module_ila d.Design.rtl
     ~refmap_for:(fun port -> d.Design.refmap_for d.Design.rtl port)
     ()
 
 let all_jobs () =
-  let d1 = design "AXI Slave" and d2 = design "Mem. Interface" in
-  let j1 = jobs_of d1 0 in
-  j1 @ jobs_of d2 (List.length j1)
+  jobs_of (design "AXI Slave") @ jobs_of (design "Mem. Interface")
+  |> List.mapi (fun i (j : Engine.job) -> { j with Engine.id = i })
 
 let () =
   let cache_dir =
@@ -143,7 +141,7 @@ let () =
   in
   List.iter
     (fun (d : Design.t) ->
-      let js = jobs_of d 0 in
+      let js = jobs_of d in
       let ri, si = Engine.run ~jobs:1 js in
       let rf, _ = Engine.run ~jobs:1 ~incremental:false js in
       let rp, _ = Engine.run ~jobs:2 js in

@@ -464,18 +464,15 @@ let cross_cache () =
 
 let engine_sweep cache =
   let d name = Option.get (Ilv_designs.Catalog.find name) in
-  let jobs, _ =
-    List.fold_left
-      (fun (acc, first_id) name ->
+  let jobs =
+    List.concat_map
+      (fun name ->
         let d = d name in
-        let js =
-          Engine.jobs_of ~first_id ~name:d.Design.name d.Design.module_ila
-            d.Design.rtl
-            ~refmap_for:(d.Design.refmap_for d.Design.rtl)
-            ()
-        in
-        (acc @ js, first_id + List.length js))
-      ([], 0) cross_designs
+        Engine.jobs_of ~name:d.Design.name d.Design.module_ila d.Design.rtl
+          ~refmap_for:(d.Design.refmap_for d.Design.rtl)
+          ())
+      cross_designs
+    |> List.mapi (fun i (j : Engine.job) -> { j with Engine.id = i })
   in
   let results, summary =
     Engine.run ~jobs:1 ~cache ~memory_abstraction:true jobs

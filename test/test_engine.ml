@@ -383,14 +383,8 @@ let canonical_tests =
            equal to its name. *)
         let cache = Proof_cache.open_ ~dir:(fresh_dir ()) () in
         let jobs =
-          List.fold_left
-            (fun acc (d : Design.t) ->
-              acc
-              @ Engine.jobs_of ~first_id:(List.length acc) ~name:d.Design.name
-                  d.Design.module_ila d.Design.rtl
-                  ~refmap_for:(fun port -> d.Design.refmap_for d.Design.rtl port)
-                  ())
-            [] Catalog.quick
+          List.concat_map jobs_of Catalog.quick
+          |> List.mapi (fun i (j : Engine.job) -> { j with Engine.id = i })
         in
         let _, summary = Engine.run ~cache ~memory_abstraction:true jobs in
         Alcotest.(check int) "every job proved" summary.Engine.n_jobs
@@ -1665,14 +1659,9 @@ let incremental_tests =
            shared context — not one fork per job.  Count the pool's
            spawn events through the trace sink. *)
         let d1 = design "AXI Slave" and d2 = design "Mem. Interface" in
-        let j1 = jobs_of d1 in
         let sweep =
-          j1
-          @ Engine.jobs_of ~first_id:(List.length j1)
-              ~name:d2.Design.name d2.Design.module_ila d2.Design.rtl
-              ~refmap_for:(fun port ->
-                d2.Design.refmap_for d2.Design.rtl port)
-              ()
+          jobs_of d1 @ jobs_of d2
+          |> List.mapi (fun i (j : Engine.job) -> { j with Engine.id = i })
         in
         let trace =
           Filename.concat

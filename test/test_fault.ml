@@ -290,7 +290,7 @@ let campaign_tests =
         let budget = Checker.budget ~wall_s:0.0 ~escalations:0 () in
         let c =
           Campaign.run ~seed:1 ~max_mutants:12 ~budget ~fallback_sim:true
-            ~sim_seeds:3 ~sim_cycles:200 Clock_gen.design
+            Clock_gen.design
         in
         Alcotest.(check int)
           "every kill came from simulation" c.Campaign.killed
