@@ -199,9 +199,4 @@ module Resolve = struct
                Build.ite (Build.eq_int counter i) w.update acc)
              first.update rest)
     end
-
-  let first_of resolvers c =
-    List.fold_left
-      (fun acc r -> match acc with Some _ -> acc | None -> r c)
-      None resolvers
 end

@@ -77,7 +77,4 @@ module Resolve : sig
       an expression over the integrated states (usually a state
       variable); advancing it is the design's job, via
       {!map_instructions}. *)
-
-  val first_of : resolver list -> resolver
-  (** Tries resolvers left to right. *)
 end

@@ -116,12 +116,6 @@ let find_state ila n = List.find_opt (fun s -> s.state_name = n) ila.states
 let find_instruction ila n =
   List.find_opt (fun i -> i.instr_name = n) ila.instructions
 
-let state_names ila = List.map (fun s -> s.state_name) ila.states
-let instruction_names ila = List.map (fun i -> i.instr_name) ila.instructions
-
-let top_instructions ila =
-  List.filter (fun i -> i.parent = None) ila.instructions
-
 let sub_instructions ila parent_name =
   List.filter (fun i -> i.parent = Some parent_name) ila.instructions
 

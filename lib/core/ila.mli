@@ -81,11 +81,6 @@ val zero_command :
 
 val find_state : t -> string -> state option
 val find_instruction : t -> string -> instruction option
-val state_names : t -> string list
-val instruction_names : t -> string list
-
-val top_instructions : t -> instruction list
-(** Instructions that are not sub-instructions. *)
 
 val sub_instructions : t -> string -> instruction list
 (** Sub-instructions of a given instruction, in declaration order. *)

@@ -8,7 +8,6 @@ type step_outcome =
   | Ambiguous of string list
 
 let create ila = { ila; state = Ila.init_env ila }
-let reset sim = sim.state <- Ila.init_env sim.ila
 let ila sim = sim.ila
 
 let state sim name =

@@ -17,7 +17,6 @@ type step_outcome =
   | Ambiguous of string list  (** several decodes true simultaneously *)
 
 val create : Ila.t -> t
-val reset : t -> unit
 val ila : t -> Ila.t
 
 val state : t -> string -> Value.t

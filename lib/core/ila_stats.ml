@@ -54,7 +54,3 @@ let of_module (m : Module_ila.t) =
       })
     { loc = 0; state_bits = 0; n_ports = 0; n_instructions = 0; n_inputs = 0 }
     m.Module_ila.ports
-
-let pp fmt s =
-  Format.fprintf fmt "loc=%d state_bits=%d ports=%d instructions=%d inputs=%d"
-    s.loc s.state_bits s.n_ports s.n_instructions s.n_inputs

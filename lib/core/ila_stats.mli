@@ -14,4 +14,3 @@ type t = {
 
 val of_port : Ila.t -> t
 val of_module : Module_ila.t -> t
-val pp : Format.formatter -> t -> unit

@@ -35,16 +35,6 @@ open Ilv_expr
 
 (* ---- detection ---- *)
 
-let expr_has_mem e =
-  Expr.fold (fun acc n -> acc || Sort.is_mem (Expr.sort n)) false e
-
-let property_has_mem (p : Property.t) =
-  List.exists expr_has_mem p.Property.assumptions
-  || List.exists
-       (fun (ob : Property.obligation) ->
-         expr_has_mem ob.Property.guard || expr_has_mem ob.Property.goal)
-       p.Property.obligations
-
 (* An address term usable as a window slot must be evaluable without
    any memory: no memory-sorted subterm and no [Read]. *)
 let mem_free e =
@@ -81,7 +71,6 @@ type t = {
   ab_props : Property.t array;  (* concrete originals *)
   ab_label : string;
   mutable ab_windows : window list;
-  mutable ab_refinements : int;
   mutable ab_generation : int;
   mutable ab_build : build option;
 }
@@ -101,12 +90,6 @@ let abstracts = function
   | Sort.Bool | Sort.Bitvec _ -> false
 
 let generation t = t.ab_generation
-let refinements t = t.ab_refinements
-let concrete_properties t = t.ab_props
-
-let window_sizes t =
-  List.map (fun w -> (Sort.to_string w.w_sort, List.length w.w_addrs))
-    t.ab_windows
 
 let window_for t sort =
   match List.find_opt (fun w -> Sort.equal w.w_sort sort) t.ab_windows with
@@ -148,7 +131,6 @@ let create ?(label = "") props =
         ab_props = arr;
         ab_label = label;
         ab_windows = [];
-        ab_refinements = 0;
         ab_generation = 0;
         ab_build = None;
       }
@@ -476,10 +458,7 @@ let replay t ~prop_index ~ob_index model =
             ("added", Ilv_obs.Obs.I !added);
           ])
     end;
-    if !added > 0 then begin
-      t.ab_refinements <- t.ab_refinements + !added;
-      t.ab_generation <- t.ab_generation + 1
-    end;
+    if !added > 0 then t.ab_generation <- t.ab_generation + 1;
     None
   end
 

@@ -37,24 +37,14 @@ val create : ?label:string -> Property.t list -> t option
     which is what makes the rewritten properties safe to encode into
     one shared context. *)
 
-val property_has_mem : Property.t -> bool
-
 val abstract_properties : t -> Property.t array
 (** The rewritten (memory-free) properties for the current window
     generation, index-aligned with the input list.  Re-call after a
     refinement (see {!generation}) to obtain the re-encoded group. *)
 
-val concrete_properties : t -> Property.t array
-
 val generation : t -> int
 (** Bumped by every successful refinement; a solver frame built from
     {!abstract_properties} is stale once the generation moves. *)
-
-val refinements : t -> int
-(** Total window addresses added by refinement so far. *)
-
-val window_sizes : t -> (string * int) list
-(** Current [(sort, slots)] per window, for diagnostics. *)
 
 val replay :
   t ->

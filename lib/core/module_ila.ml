@@ -68,9 +68,6 @@ let total_instructions m =
     (fun acc p -> acc + List.length (Ila.leaf_instructions p))
     0 m.ports
 
-let total_state_bits m =
-  List.fold_left (fun acc p -> acc + Ila.state_bits p) 0 m.ports
-
 let pp_sketch fmt m =
   Format.fprintf fmt "@[<v>module-ILA %s: [%s]@,@," m.name
     (String.concat ", " (List.map (fun (p : Ila.t) -> p.Ila.name) m.ports));

@@ -26,5 +26,4 @@ val total_instructions : t -> int
 (** Leaf (sub-)instruction count over all ports (the paper's "# of
     insts. (all ports)"). *)
 
-val total_state_bits : t -> int
 val pp_sketch : Format.formatter -> t -> unit

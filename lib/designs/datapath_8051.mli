@@ -16,12 +16,6 @@
     RAM; [design_abstract] the 16-byte abstraction — the benchmark
     harness reproduces the ablation with both. *)
 
-val rtl : ram_addr_width:int -> Ilv_rtl.Rtl.t
-(** The implementation alone (used by {!Soc_top} to build the composed
-    core). *)
-
-val alu_port : Ilv_core.Ila.t
-
 val make_design : ram_addr_width:int -> Design.t
 val design : Design.t  (** 256-byte internal RAM *)
 

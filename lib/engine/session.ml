@@ -32,8 +32,6 @@ let create ?cache ?memo pr =
     s_refined = None;
   }
 
-let prepared s = s.s_prepared
-
 (* the entry's slot in the frame, with its key *)
 let slot_key s name =
   let pr = s.s_prepared in

@@ -26,8 +26,6 @@ val create : ?cache:Proof_cache.t -> ?memo:memo -> Verify.prepared_port -> t
     and the frame blob stored beside the entries share that one result;
     without one the session keeps only the frame's digest. *)
 
-val prepared : t -> Verify.prepared_port
-
 val key : t -> string -> string option
 (** The proof-cache key of one entry ({!Proof_cache.key_of_shared}),
     taken from the {e generation-0} frozen frame

@@ -168,7 +168,6 @@ let ashr a b =
   if is_zero_const b then a else lift_binop Expr.Bv_ashr Bitvec.ashr_bv a b
 
 let shli a k = shl a (bv ~width:(Expr.width a) k)
-let lshri a k = lshr a (bv ~width:(Expr.width a) k)
 
 let lift_cmp op f a b =
   match (as_bv a, as_bv b) with

@@ -55,7 +55,6 @@ val shl : Expr.t -> Expr.t -> Expr.t
 val lshr : Expr.t -> Expr.t -> Expr.t
 val ashr : Expr.t -> Expr.t -> Expr.t
 val shli : Expr.t -> int -> Expr.t
-val lshri : Expr.t -> int -> Expr.t
 
 val ( <: ) : Expr.t -> Expr.t -> Expr.t
 (** Unsigned less-than (signed variants are {!slt}/{!sle}). *)

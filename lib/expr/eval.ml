@@ -102,5 +102,4 @@ let eval env e =
   go e
 
 let eval_bool env e = Value.to_bool (eval env e)
-let eval_bv env e = Value.to_bv (eval env e)
 let eval_int env e = Value.to_int (eval env e)

@@ -19,5 +19,4 @@ val eval : env -> Expr.t -> Value.t
     expressions built through {!Expr}/{!Build}). *)
 
 val eval_bool : env -> Expr.t -> bool
-val eval_bv : env -> Expr.t -> Bitvec.t
 val eval_int : env -> Expr.t -> int

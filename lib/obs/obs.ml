@@ -158,13 +158,6 @@ let counters () =
   List.sort compare
     (Hashtbl.fold (fun k v acc -> (k, v) :: acc) counter_tbl [])
 
-let pp_metrics fmt () =
-  Format.fprintf fmt "@[<v>obs counters:";
-  List.iter
-    (fun (name, n) -> Format.fprintf fmt "@,  %-32s %12d" name n)
-    (counters ());
-  Format.fprintf fmt "@]"
-
 (* ---- events and spans ---- *)
 
 let current_parent () =

@@ -86,6 +86,3 @@ val count : string -> int -> unit
 
 val counters : unit -> (string * int) list
 (** The in-memory counter totals of this process, sorted by name. *)
-
-val pp_metrics : Format.formatter -> unit -> unit
-(** Renders {!counters} as the [--metrics] summary block. *)

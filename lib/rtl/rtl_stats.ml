@@ -49,8 +49,3 @@ let of_design (d : Rtl.t) =
     n_wires = List.length d.Rtl.wires;
     n_expr_nodes = Hashtbl.length seen;
   }
-
-let pp fmt s =
-  Format.fprintf fmt
-    "loc=%d state_bits=%d inputs=%d registers=%d wires=%d expr_nodes=%d"
-    s.loc s.state_bits s.n_inputs s.n_registers s.n_wires s.n_expr_nodes

@@ -16,4 +16,3 @@ type t = {
 }
 
 val of_design : Rtl.t -> t
-val pp : Format.formatter -> t -> unit

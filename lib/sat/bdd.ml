@@ -87,7 +87,6 @@ let mk_and man a b = mk_ite man a b (Leaf false)
 let mk_or man a b = mk_ite man a (Leaf true) b
 let mk_xor man a b = mk_ite man a (neg man b) b
 let mk_iff man a b = mk_ite man a b (neg man b)
-let mk_imp man a b = mk_ite man a b (Leaf true)
 
 let quantify man ~combine vars f =
   let vars = List.sort_uniq compare vars in
@@ -209,5 +208,3 @@ let size f =
   in
   go f;
   Hashtbl.length seen + 2 (* the two leaves *)
-
-let node_count man = man.next_id

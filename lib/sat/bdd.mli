@@ -28,7 +28,6 @@ val mk_and : man -> t -> t -> t
 val mk_or : man -> t -> t -> t
 val mk_xor : man -> t -> t -> t
 val mk_iff : man -> t -> t -> t
-val mk_imp : man -> t -> t -> t
 val mk_ite : man -> t -> t -> t -> t
 
 val exists : man -> int list -> t -> t
@@ -55,6 +54,3 @@ val any_sat : t -> (int * bool) list option
 
 val size : t -> int
 (** Distinct nodes reachable from this root (including leaves). *)
-
-val node_count : man -> int
-(** Total nodes allocated in the manager. *)

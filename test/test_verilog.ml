@@ -40,7 +40,7 @@ let structure_tests =
         check_contains src "reg [1:0] status;";
         check_contains src "output [3:0] alu_op_q;");
     t "memories become unpacked arrays with indexed writes" (fun () ->
-        let src = Verilog.emit (Datapath_8051.rtl ~ram_addr_width:4) in
+        let src = Verilog.emit Datapath_8051.design_abstract.Design.rtl in
         check_contains src "reg [7:0] ram_q [0:15];";
         check_contains src "reg [7:0] sfr_q [0:7];";
         check_contains src "ram_q[";
@@ -51,11 +51,6 @@ let structure_tests =
     t "non-zero scalar resets are literal" (fun () ->
         let src = Verilog.emit Clock_gen.design.Design.rtl in
         check_contains src "down_q <= 4'b1011;");
-    t "the composed core emits" (fun () ->
-        let src = Verilog.emit Soc_top.rtl in
-        check_contains src "module oc8051_core";
-        check_contains src "dec_status";
-        check_contains src "dp_acc_q");
     t "emitted text is deterministic" (fun () ->
         Alcotest.(check string)
           "stable" (Verilog.emit Decoder_8051.rtl)
