@@ -821,22 +821,31 @@ let cosim_cmd =
   let run name cycles seeds bug =
     let d = or_die (find_design name) in
     let _, rtl = variant_or_die d bug in
-    let diverged = ref false in
-    for seed = 1 to seeds do
-      match Cosim.run_rtl ~cycles ~seed d rtl with
-      | Cosim.Agree { steps; _ } ->
-        Format.printf "seed %d: agree over %d cycles (%d steps)@." seed cycles
-          steps
-      | Cosim.Diverged { cycle; port; state; detail } ->
-        diverged := true;
-        Format.printf "seed %d: DIVERGED at cycle %d (port %s, state %s): %s@."
-          seed cycle port state detail
-    done;
-    if !diverged then exit 1
+    let sim = Cosim.compile d rtl in
+    let rec go seed diverged =
+      if seed > seeds then (if diverged then exit 1)
+      else
+        match Cosim.simulate ~cycles ~seed sim with
+        | Cosim.Agree { steps; _ } ->
+          Format.printf "seed %d: agree over %d cycles (%d steps)@." seed
+            cycles steps;
+          go (seed + 1) diverged
+        | Cosim.Diverged { cycle; port; state; detail } ->
+          Format.printf
+            "seed %d: DIVERGED at cycle %d (port %s, state %s): %s@." seed
+            cycle port state detail;
+          go (seed + 1) true
+        | Cosim.Inapplicable reason ->
+          Format.printf "inapplicable: %s@." reason;
+          exit 2
+    in
+    go 1 false
   in
   Cmd.v
     (Cmd.info "cosim"
-       ~doc:"Randomly co-simulate the RTL against the port-ILAs")
+       ~doc:
+         "Randomly co-simulate the RTL against the port-ILAs (exit 1 on a \
+          divergence, 2 when an instruction does not retire in one cycle)")
     Term.(const run $ design_arg $ cycles_arg $ seeds_arg $ bug_arg)
 
 (* ---- mutate ---- *)

@@ -26,6 +26,7 @@ type t = {
   survived : int;
   inconclusive : int;
   killed_by_simulation : int;
+  sim_inapplicable : string option;
   score : float;
   total_time_s : float;
   mutants : mutant_report list;
@@ -57,21 +58,42 @@ let replay_kill (d : Design.t) mutant_rtl (ir : Verify.instr_result) =
 
 (* Budget exhausted on every checkable path: degrade to bounded random
    co-simulation and hunt for a concrete divergence before conceding
-   "inconclusive": [sim_seeds] runs of [sim_cycles] cycles each. *)
+   "inconclusive": [sim_seeds] runs of [sim_cycles] cycles each, on one
+   compiled co-simulation.  [Inapplicable] is no evidence either way. *)
 let sim_seeds = 3
 let sim_cycles = 300
 
 let simulate_for_kill (d : Design.t) mutant_rtl =
-  let rec go s =
-    if s > sim_seeds then None
-    else
-      match Cosim.run_rtl ~cycles:sim_cycles ~seed:s d mutant_rtl with
-      | Cosim.Diverged { cycle; state; _ } ->
-        Some (By_simulation { sim_seed = s; cycle; state })
-      | Cosim.Agree _ -> go (s + 1)
-      | exception _ -> go (s + 1)
+  let span =
+    if Ilv_obs.Obs.enabled () then
+      Some
+        (Ilv_obs.Obs.span_begin "campaign.cosim"
+           [ ("design", Ilv_obs.Obs.S d.Design.name) ])
+    else None
   in
-  go 1
+  let rec go sim s =
+    if s > sim_seeds then (None, s - 1, "agree")
+    else
+      match Cosim.simulate ~cycles:sim_cycles ~seed:s sim with
+      | Cosim.Diverged { cycle; state; _ } ->
+        (Some (By_simulation { sim_seed = s; cycle; state }), s, "diverged")
+      | Cosim.Agree _ -> go sim (s + 1)
+      | Cosim.Inapplicable _ -> (None, s, "inapplicable")
+      | exception _ -> go sim (s + 1)
+  in
+  let kill, seeds, outcome =
+    match Cosim.compile d mutant_rtl with
+    | sim -> go sim 1
+    | exception _ -> (None, 0, "uncompiled")
+  in
+  (match span with
+  | None -> ()
+  | Some id ->
+    Ilv_obs.Obs.span_end
+      ~fields:
+        [ ("seeds", Ilv_obs.Obs.I seeds); ("outcome", Ilv_obs.Obs.S outcome) ]
+      id);
+  kill
 
 let classification_fields = function
   | Killed (By_property { instr; port }) ->
@@ -160,8 +182,30 @@ let classify_mutant (d : Design.t) ~budget ~timeout_s ~fallback_sim
 let run ?(seed = 1) ?(max_mutants = 100) ?(budget = default_budget)
     ?timeout_s ?(fallback_sim = true) ?(jobs = 1) (d : Design.t) =
   let t0 = Unix.gettimeofday () in
-  let n_sites = List.length (Mutate.enumerate d.Design.rtl) in
-  let mutants = Mutate.sample ~seed ~max_mutants d.Design.rtl in
+  let span =
+    if Ilv_obs.Obs.enabled () then
+      Some
+        (Ilv_obs.Obs.span_begin "campaign.enumerate"
+           [ ("design", Ilv_obs.Obs.S d.Design.name) ])
+    else None
+  in
+  (* one enumeration: the site count, and the RTL of the picked sites only *)
+  let sites = Mutate.sites d.Design.rtl in
+  let mutants = List.map Mutate.build (Mutate.pick ~seed ~max_mutants sites) in
+  (match span with
+  | None -> ()
+  | Some id ->
+    Ilv_obs.Obs.span_end
+      ~fields:
+        [
+          ("n_sites", Ilv_obs.Obs.I (Array.length sites));
+          ("n_mutants", Ilv_obs.Obs.I (List.length mutants));
+        ]
+      id);
+  let sim_inapplicable =
+    if fallback_sim then Cosim.inapplicable d d.Design.rtl else None
+  in
+  let fallback_sim = fallback_sim && sim_inapplicable = None in
   (* each mutant's whole classification (verify + replay + simulation
      fallback) is one job on the engine's worker pool; a crashed worker
      degrades to that one mutant being inconclusive *)
@@ -208,12 +252,13 @@ let run ?(seed = 1) ?(max_mutants = 100) ?(budget = default_budget)
   {
     design = d.Design.name;
     seed;
-    n_sites;
+    n_sites = Array.length sites;
     n_mutants = List.length reports;
     killed;
     survived;
     inconclusive;
     killed_by_simulation;
+    sim_inapplicable;
     score = score ~killed ~survived;
     total_time_s = Unix.gettimeofday () -. t0;
     mutants = reports;
@@ -243,6 +288,9 @@ let pp fmt c =
   fprintf fmt "@[<v>mutation campaign: %s (seed %d)@," c.design c.seed;
   fprintf fmt "  %d fault sites, %d mutants checked in %.2fs@," c.n_sites
     c.n_mutants c.total_time_s;
+  Option.iter
+    (fprintf fmt "  simulation fallback inapplicable: %s@,")
+    c.sim_inapplicable;
   List.iter
     (fun r ->
       let status =

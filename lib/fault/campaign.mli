@@ -11,7 +11,9 @@
       divergence.  The simulation hunt runs both when the budget ran
       out and when every property proved — transition-shaped
       properties cannot see reset-state faults, but from-reset
-      co-simulation can;
+      co-simulation can.  It applies only to designs whose
+      instructions all retire in one cycle ({!Ilv_designs.Cosim}); on
+      others it is skipped and gives no evidence either way;
     - {e survived} — every property proved and co-simulation found
       nothing: the fault is invisible to the whole dynamic+symbolic
       stack (either an equivalent mutant or a genuine coverage gap);
@@ -53,6 +55,10 @@ type t = {
   inconclusive : int;
   killed_by_simulation : int;
       (** of [killed], how many needed the co-simulation fallback *)
+  sim_inapplicable : string option;
+      (** why the co-simulation fallback did not run on this design
+          ({!Ilv_designs.Cosim.inapplicable}): an instruction that does
+          not retire in one cycle *)
   score : float;
   total_time_s : float;
   mutants : mutant_report list;
@@ -72,10 +78,16 @@ val run :
   t
 (** Runs a campaign: sample up to [max_mutants] (default 100) mutants
     with [seed] (default 1), verify each under [budget], and classify.
+    Sites are enumerated once ({!Mutate.sites}), and only the sampled
+    mutants' RTL is built; ids, [n_sites] and the sample are those of
+    {!Mutate.sample}.
     [fallback_sim] (default true) enables the bounded co-simulation
-    hunt (3 seeded runs of 300 cycles) for mutants the
-    bounded checker could not decide — and for mutants every property
-    proved, where it is the only check that can catch reset faults.
+    hunt (3 seeded runs of 300 cycles, on one co-simulation compiled per
+    mutant) for mutants the bounded checker could not decide — and for
+    mutants every property proved, where it is the only check that can
+    catch reset faults.  On a design where co-simulation is
+    inapplicable, the hunt is skipped ([sim_inapplicable] says why):
+    such mutants stay survived or inconclusive.
     [timeout_s] puts a wall-clock deadline on each mutant's per-port
     verification ({!Ilv_engine.Engine.verify}'s [timeout_s]); obligations
     past it classify as inconclusive (or fall to the simulation hunt)

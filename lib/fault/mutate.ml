@@ -194,7 +194,14 @@ let apply (d : Rtl.t) location mutated_expr init_value =
              else reg)
            d.Rtl.registers)
 
-let enumerate (d : Rtl.t) =
+type site = {
+  fault : mutation;
+  design : Rtl.t;
+  mutated_expr : Expr.t option;
+  init_value : Value.t option;
+}
+
+let sites (d : Rtl.t) =
   let faults = ref [] in
   (* deterministic site order: register nexts, register resets, wires *)
   let expr_site location e =
@@ -227,21 +234,30 @@ let enumerate (d : Rtl.t) =
       | None -> ())
     d.Rtl.registers;
   List.iter (fun (n, e) -> expr_site (Wire n) e) d.Rtl.wires;
-  let faults = List.rev !faults in
-  List.mapi
-    (fun i (location, operator, mutated_expr, init_value, detail) ->
-      {
-        mutation = { m_id = i; location; operator; detail };
-        rtl = apply d location mutated_expr init_value;
-      })
-    faults
+  Array.of_list
+    (List.mapi
+       (fun i (location, operator, mutated_expr, init_value, detail) ->
+         {
+           fault = { m_id = i; location; operator; detail };
+           design = d;
+           mutated_expr;
+           init_value;
+         })
+       (List.rev !faults))
 
-(* Stuck-at faults replace the whole site expression: drop those whose
-   site is already that constant (identity mutants). *)
+let site_mutation s = s.fault
 
-let sample ~seed ~max_mutants d =
+let build s =
+  {
+    mutation = s.fault;
+    rtl = apply s.design s.fault.location s.mutated_expr s.init_value;
+  }
+
+let enumerate d = Array.to_list (Array.map build (sites d))
+
+let pick ~seed ~max_mutants all =
   let max_mutants = max 0 max_mutants in
-  let all = Array.of_list (enumerate d) in
+  let all = Array.copy all in
   let n = Array.length all in
   if n <= max_mutants then Array.to_list all
   else begin
@@ -255,3 +271,6 @@ let sample ~seed ~max_mutants d =
     done;
     Array.to_list (Array.sub all 0 max_mutants)
   end
+
+let sample ~seed ~max_mutants d =
+  List.map build (pick ~seed ~max_mutants (sites d))

@@ -58,16 +58,37 @@ val operator_name : operator -> string
 val location_name : location -> string
 val describe : mutation -> string
 
+type site
+(** One fault, located and described, whose mutant RTL is not built
+    yet.  Enumerating sites computes every mutated expression (so the
+    identity filter applies) but validates no design; building one
+    costs a full {!Rtl.make}. *)
+
+val sites : Rtl.t -> site array
+(** Every single-fault site of the design, in deterministic order: the
+    [m_id] of each is its index.  Identity mutations (e.g. stuck-at-0 on
+    a constant-zero net) are skipped. *)
+
+val site_mutation : site -> mutation
+
+val build : site -> mutant
+(** The site's mutant.  Sort preservation is guaranteed because the
+    mutant is rebuilt through the checked constructors and re-validated
+    by {!Rtl.make}. *)
+
+val pick : seed:int -> max_mutants:int -> 'a array -> 'a list
+(** A seeded Fisher–Yates prefix of at most [max_mutants] elements, in
+    pick order; the whole array when it has no more.  Deterministic in
+    [seed] and the array's length; the array is not modified. *)
+
 val enumerate : Rtl.t -> mutant list
-(** Every single-fault mutant of the design, in deterministic order.
-    Identity mutations (e.g. stuck-at-0 on a constant-zero net) are
-    skipped; sort preservation is guaranteed because each mutant is
-    rebuilt through the checked constructors and re-validated by
-    {!Rtl.make}. *)
+(** {!build} of every site: every single-fault mutant, in site order. *)
 
 val sample : seed:int -> max_mutants:int -> Rtl.t -> mutant list
-(** A pseudo-random subset of {!enumerate} of size at most
-    [max_mutants], deterministic for a given [seed]. *)
+(** {!build} of the sites that {!pick} chooses: the same mutants, in the
+    same order, as a seeded pick over {!enumerate}, but only the picked
+    ones are built.  A campaign that needs the site count as well calls
+    {!sites} once and picks from that. *)
 
 val replace : target:Expr.t -> replacement:Expr.t -> Expr.t -> Expr.t
 (** [replace ~target ~replacement e] substitutes every occurrence of

@@ -38,6 +38,7 @@ type t = {
   counters : (string * int) list;
   run_wall_s : float option;
   span_total_s : float;
+  spans : (string * (int * float * float)) list;
 }
 
 let str ?(default = "?") key json =
@@ -45,6 +46,46 @@ let str ?(default = "?") key json =
 
 let fl key json = Option.bind (Json.member key json) Json.to_float
 let int_of key json = Option.bind (Json.member key json) Json.to_int
+
+(* per span name: count, summed duration, and self time (each span's
+   duration less its direct child spans', joined on (pid, parent)) *)
+let span_self lines =
+  let ends =
+    List.filter_map
+      (fun line ->
+        match (str "ev" line, int_of "pid" line, int_of "span" line) with
+        | "span_end", Some pid, Some span ->
+          Some
+            ( str "name" line,
+              pid,
+              span,
+              int_of "parent" line,
+              Option.value ~default:0.0 (fl "dur_s" line) )
+        | _ -> None)
+      lines
+  in
+  let sum tbl k x =
+    Hashtbl.replace tbl k (x +. Option.value ~default:0.0 (Hashtbl.find_opt tbl k))
+  in
+  let children = Hashtbl.create 64 in
+  List.iter
+    (fun (_, pid, _, parent, dur) ->
+      Option.iter (fun p -> sum children (pid, p) dur) parent)
+    ends;
+  let by_name = Hashtbl.create 16 in
+  List.iter
+    (fun (name, pid, span, _, dur) ->
+      let self =
+        dur -. Option.value ~default:0.0 (Hashtbl.find_opt children (pid, span))
+      in
+      let n, total, self_s =
+        Option.value ~default:(0, 0.0, 0.0) (Hashtbl.find_opt by_name name)
+      in
+      Hashtbl.replace by_name name (n + 1, total +. dur, self_s +. self))
+    ends;
+  Hashtbl.fold (fun k v acc -> (k, v) :: acc) by_name []
+  |> List.sort (fun (a, (_, _, x)) (b, (_, _, y)) ->
+         match compare y x with 0 -> compare a b | c -> c)
 
 let job_span = "engine.job"
 let frame_span = "checker.prepare_shared"
@@ -219,6 +260,7 @@ let of_trace lines =
         (Hashtbl.fold (fun k v acc -> (k, v) :: acc) counters []);
     run_wall_s = !run_wall;
     span_total_s = List.fold_left (fun acc r -> acc +. r.time_s) 0.0 rows;
+    spans = span_self lines;
   }
 
 let of_file path =
@@ -283,6 +325,15 @@ let pp fmt p =
           d.retries d.backoff_s
           (String.concat "; " d.crashes))
       disps);
+  (match p.spans with
+  | [] -> ()
+  | spans ->
+    fprintf fmt "@,@,spans (self = duration less nested spans):";
+    fprintf fmt "@,  %-32s %8s %10s %10s" "span" "n" "total_s" "self_s";
+    List.iter
+      (fun (name, (n, total_s, self_s)) ->
+        fprintf fmt "@,  %-32s %8d %10.4f %10.4f" name n total_s self_s)
+      spans);
   (match p.counters with
   | [] -> ()
   | counters ->

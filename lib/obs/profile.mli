@@ -16,7 +16,10 @@
     ["pool.retry"], ["pool.poisoned"]) are joined per job index into
     {!disposition} records, so a sweep that lost workers shows exactly
     which jobs were retried or quarantined, why, and at what backoff
-    cost. *)
+    cost.  Every span is also summed per name into {!t.spans}, with
+    its self time, so a trace shows which stage a run spent its time
+    in (a mutation campaign's [campaign.enumerate], [campaign.cosim]
+    and the verification below [campaign.mutant], say). *)
 
 type row = {
   design : string;
@@ -61,6 +64,10 @@ type t = {
   counters : (string * int) list;  (** summed across processes *)
   run_wall_s : float option;  (** ["engine.run"] span duration, if any *)
   span_total_s : float;  (** summed row time *)
+  spans : (string * (int * float * float)) list;
+      (** per span name: count, summed duration and self time (each
+          span's duration less its directly nested spans', same
+          process), sorted by descending self time *)
 }
 
 val of_trace : Json.t list -> t

@@ -65,6 +65,7 @@ let cosim_ok ?cycles ~seed d =
     Alcotest.(check bool) "made progress" true (steps > 0)
   | Cosim.Diverged { cycle; port; state; detail } ->
     Alcotest.failf "cycle %d, port %s, state %s: %s" cycle port state detail
+  | Cosim.Inapplicable reason -> Alcotest.failf "inapplicable: %s" reason
 
 (* Single-cycle designs only: the L2 pipelines retire an instruction
    every three/four cycles, so per-cycle lockstep does not apply. *)
@@ -108,7 +109,7 @@ let cosim_bug_tests =
                 Cosim.run_rtl ~cycles:500 ~seed d bug.Design.buggy_rtl
               with
               | Cosim.Diverged _ -> true
-              | Cosim.Agree _ -> false)
+              | Cosim.Agree _ | Cosim.Inapplicable _ -> false)
             [ 1; 2; 3 ]
         in
         Alcotest.(check bool) "diverged" true diverged);

@@ -266,6 +266,57 @@ let prop_tests =
            | Expr.Bv_const v -> Value.equal direct (Value.of_bv v)
            | _ -> false));
     QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"compiled program = eval" ~count:300 arb_env_expr
+         (fun (e, x, y) ->
+           (* [e] itself, both [ite] branches computed, and memory
+              reads, writes, equality and choice built around it *)
+           let m = Build.mem_var "m" ~addr_width:8 ~data_width:8 in
+           let x_e = Build.bv_var "x" 8 and y_e = Build.bv_var "y" 8 in
+           let w = Build.write (Build.write m x_e e) e y_e in
+           let es =
+             [
+               e;
+               Build.read w (Build.( ^: ) e x_e);
+               Build.eq w (Build.write m e y_e);
+               Build.ite (Build.bv_to_bool e) w m;
+               Build.( <: ) e y_e;
+             ]
+           in
+           let env =
+             Eval.env_of_list
+               [
+                 ("x", Value.of_int ~width:8 x);
+                 ("y", Value.of_int ~width:8 y);
+                 ( "m",
+                   Value.V_mem
+                     (Value.mem_write
+                        (Value.to_mem
+                           (Value.mem_const ~addr_width:8
+                              ~default:(Bitvec.of_int ~width:8 y)))
+                        (Bitvec.of_int ~width:8 x)
+                        (Bitvec.of_int ~width:8 (x + y))) );
+               ]
+           in
+           let layout = Eval.layout () in
+           let vars = Hashtbl.create 4 in
+           let var name =
+             match Hashtbl.find_opt vars name with
+             | Some s -> s
+             | None ->
+               let s = Eval.slot layout in
+               Hashtbl.add vars name s;
+               s
+           in
+           let program, slots = Eval.compile layout ~var es in
+           let frame = Eval.frame layout in
+           Hashtbl.iter
+             (fun name s -> frame.(s) <- Option.get (Eval.env_find name env))
+             vars;
+           Eval.run program frame;
+           List.for_all2
+             (fun e s -> Value.equal (Eval.eval env e) frame.(s))
+             es slots));
+    QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"pretty-printing never raises" ~count:200
          arb_env_expr (fun (e, _, _) ->
            ignore (Pp_expr.to_string e);

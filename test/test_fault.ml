@@ -328,10 +328,225 @@ let campaign_tests =
           ]);
   ]
 
+(* ---------- the compiled co-simulation ---------- *)
+
+(* The reference: Sim and Ila_sim in lockstep, every expression through
+   Eval.eval, with the inputs drawn in the same order as Cosim draws
+   them.  Outcomes must equal the compiled Cosim's on every RTL. *)
+let lockstep ~cycles ~seed (d : Design.t) rtl =
+  let open Ilv_expr in
+  let open Ilv_rtl in
+  let exception Stop of Cosim.outcome in
+  let rng = Random.State.make [| seed |] in
+  let random_value = function
+    | Sort.Bool -> Value.of_bool (Random.State.bool rng)
+    | Sort.Bitvec w ->
+      Value.of_bv (Bitvec.of_bits (List.init w (fun _ -> Random.State.bool rng)))
+    | Sort.Mem { addr_width; data_width } ->
+      Value.mem_const ~addr_width ~default:(Bitvec.zero data_width)
+  in
+  let rtl_sim = Sim.create rtl in
+  let steps = ref 0 in
+  let ports =
+    List.map
+      (fun (port : Ila.t) ->
+        let owned =
+          List.concat_map
+            (fun (i : Ila.instruction) -> List.map fst i.Ila.updates)
+            (Ila.leaf_instructions port)
+        in
+        (Ila_sim.create port, d.Design.refmap_for rtl port.Ila.name, owned))
+      d.Design.module_ila.Module_ila.ports
+  in
+  let mapped e = Eval.eval (Sim.registers_env rtl_sim) e in
+  let sync (ila_sim, (refmap : Refmap.t), _) =
+    Ila_sim.set_state ila_sim
+      (Eval.env_of_list
+         (List.map (fun (s, e) -> (s, mapped e)) refmap.Refmap.state_map))
+  in
+  let diverged cycle sim state detail =
+    Stop
+      (Cosim.Diverged
+         { cycle; port = (Ila_sim.ila sim).Ila.name; state; detail })
+  in
+  List.iter sync ports;
+  try
+    for cycle = 1 to cycles do
+      let inputs =
+        List.map (fun (n, sort) -> (n, random_value sort)) rtl.Rtl.inputs
+      in
+      let input_env = Eval.env_of_list inputs in
+      let stepped =
+        List.map
+          (fun ((sim, (refmap : Refmap.t), owned) as port) ->
+            Ila_sim.set_state sim
+              (List.fold_left
+                 (fun acc (s, e) ->
+                   if List.mem s owned then acc else Eval.env_add s (mapped e) acc)
+                 (Ila_sim.state_env sim) refmap.Refmap.state_map);
+            let command =
+              List.map
+                (fun (w, e) -> (w, Eval.eval input_env e))
+                refmap.Refmap.interface_map
+            in
+            match Ila_sim.step sim command with
+            | Ila_sim.Stepped _ ->
+              incr steps;
+              (port, true)
+            | Ila_sim.No_instruction -> (port, false)
+            | Ila_sim.Ambiguous names ->
+              raise
+                (diverged cycle sim "-"
+                   ("ambiguous decode: " ^ String.concat ", " names)))
+          ports
+      in
+      Sim.cycle rtl_sim inputs;
+      List.iter
+        (fun (((sim, (refmap : Refmap.t), owned) as port), did_step) ->
+          if did_step then
+            List.iter
+              (fun (s, e) ->
+                let expected = Ila_sim.state sim s and actual = mapped e in
+                if List.mem s owned && not (Value.equal expected actual) then
+                  raise
+                    (diverged cycle sim s
+                       (Printf.sprintf "ILA %s vs RTL %s"
+                          (Value.to_string expected) (Value.to_string actual))))
+              refmap.Refmap.state_map
+          else sync port)
+        stepped
+    done;
+    Cosim.Agree { cycles; steps = !steps }
+  with Stop outcome -> outcome
+
+let outcome_string = function
+  | Cosim.Agree { cycles; steps } ->
+    Printf.sprintf "agree over %d cycles, %d steps" cycles steps
+  | Cosim.Diverged { cycle; port; state; detail } ->
+    Printf.sprintf "diverged at %d, %s.%s: %s" cycle port state detail
+  | Cosim.Inapplicable reason -> "inapplicable: " ^ reason
+
+(* the ids of a seeded Fisher-Yates prefix over the full enumeration,
+   written out here as campaigns drew it before sites were built lazily *)
+let reference_sample ~seed ~max_mutants rtl =
+  let all = Array.of_list (Mutate.enumerate rtl) in
+  let n = Array.length all in
+  if n > max_mutants then begin
+    let rng = Random.State.make [| seed; n |] in
+    for i = 0 to max_mutants - 1 do
+      let j = i + Random.State.int rng (n - i) in
+      let tmp = all.(i) in
+      all.(i) <- all.(j);
+      all.(j) <- tmp
+    done
+  end;
+  Array.to_list (Array.sub all 0 (min n max_mutants))
+
+let same_rtl (a : Ilv_rtl.Rtl.t) (b : Ilv_rtl.Rtl.t) =
+  List.for_all2
+    (fun (n1, e1) (n2, e2) -> n1 = n2 && Ilv_expr.Expr.equal e1 e2)
+    a.Ilv_rtl.Rtl.wires b.Ilv_rtl.Rtl.wires
+  && List.for_all2
+       (fun (r1 : Ilv_rtl.Rtl.register) (r2 : Ilv_rtl.Rtl.register) ->
+         Ilv_expr.Expr.equal r1.Ilv_rtl.Rtl.next r2.Ilv_rtl.Rtl.next
+         && r1.Ilv_rtl.Rtl.init = r2.Ilv_rtl.Rtl.init)
+       a.Ilv_rtl.Rtl.registers b.Ilv_rtl.Rtl.registers
+
+let cosim_tests =
+  [
+    t "compiled co-simulation equals the Sim/Ila_sim lockstep on every mutant"
+      (fun () ->
+        List.iter
+          (fun (d : Design.t) ->
+            List.iter
+              (fun (name, rtl) ->
+                let sim = Cosim.compile d rtl in
+                List.iter
+                  (fun seed ->
+                    Alcotest.(check string)
+                      (Printf.sprintf "%s, %s, seed %d" d.Design.name name seed)
+                      (outcome_string (lockstep ~cycles:300 ~seed d rtl))
+                      (outcome_string (Cosim.simulate ~cycles:300 ~seed sim)))
+                  [ 1; 2; 3 ])
+              (("golden", d.Design.rtl)
+              :: List.map
+                   (fun (m : Mutate.mutant) ->
+                     (Mutate.describe m.Mutate.mutation, m.Mutate.rtl))
+                   (Mutate.enumerate d.Design.rtl)))
+          [ Clock_gen.design; Decoder_8051.design; Store_buffer.design_abstract ]);
+    t "sampling builds the mutants a pick over the full enumeration chooses"
+      (fun () ->
+        List.iter
+          (fun (d : Design.t) ->
+            let sites = Mutate.sites d.Design.rtl in
+            Alcotest.(check int)
+              (d.Design.name ^ " sites")
+              (List.length (Mutate.enumerate d.Design.rtl))
+              (Array.length sites);
+            for seed = 1 to 50 do
+              List.iter
+                (fun max_mutants ->
+                  let expected =
+                    reference_sample ~seed ~max_mutants d.Design.rtl
+                  and actual = Mutate.sample ~seed ~max_mutants d.Design.rtl in
+                  let ids =
+                    List.map (fun (m : Mutate.mutant) ->
+                        Mutate.describe m.Mutate.mutation)
+                  in
+                  let label =
+                    Printf.sprintf "%s seed %d, %d mutants" d.Design.name seed
+                      max_mutants
+                  in
+                  Alcotest.(check (list string)) label (ids expected) (ids actual);
+                  Alcotest.(check bool)
+                    (label ^ ": same RTL") true
+                    (List.for_all2
+                       (fun (a : Mutate.mutant) (b : Mutate.mutant) ->
+                         same_rtl a.Mutate.rtl b.Mutate.rtl)
+                       expected actual))
+                [ 2; 40 ]
+            done)
+          [ Uart_tx.design; Decoder_8051.design ]);
+    t "multi-cycle UART TX: co-simulation inapplicable, no simulation kills"
+      (fun () ->
+        (match Cosim.run ~seed:1 Uart_tx.design with
+        | Cosim.Inapplicable reason ->
+          Alcotest.(check bool)
+            ("names SEND: " ^ reason) true
+            (Cosim.inapplicable Uart_tx.design Uart_tx.design.Design.rtl
+             = Some reason)
+        | o -> Alcotest.failf "golden UART TX: %s" (outcome_string o));
+        (* the seed-1 default campaign's mutants that lockstep used to
+           "kill" at cycle 3 on tx_busy, a state SEND updates only when
+           its frame ends *)
+        let c = Campaign.run ~seed:1 ~max_mutants:40 Uart_tx.design in
+        Alcotest.(check bool)
+          "reason reported" true
+          (c.Campaign.sim_inapplicable <> None);
+        Alcotest.(check int) "no simulation kills" 0
+          c.Campaign.killed_by_simulation;
+        List.iter
+          (fun id ->
+            match
+              List.find_opt
+                (fun (r : Campaign.mutant_report) ->
+                  r.Campaign.mutation.Mutate.m_id = id)
+                c.Campaign.mutants
+            with
+            | Some r ->
+              Alcotest.(check bool)
+                (Printf.sprintf "#%d survived" id)
+                true
+                (r.Campaign.classification = Campaign.Survived)
+            | None -> Alcotest.failf "#%d not sampled" id)
+          [ 22; 50; 51; 52; 58 ]);
+  ]
+
 let suite =
   [
     ("fault:sat-budget", budget_tests);
     ("fault:verify-budget", verify_budget_tests);
     ("fault:mutate", mutate_tests);
     ("fault:campaign", campaign_tests);
+    ("fault:cosim", cosim_tests);
   ]
