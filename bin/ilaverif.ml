@@ -626,17 +626,7 @@ let dimacs_cmd =
     | Some (port, i) ->
       let refmap = d.Design.refmap_for d.Design.rtl port.Ila.name in
       let prop = Propgen.generate_for ~ila:port ~rtl:d.Design.rtl ~refmap i in
-      (* the first obligation's query: assumptions /\ guard /\ not goal *)
-      let ctx = Ilv_sat.Bitblast.create () in
-      List.iter (Ilv_sat.Bitblast.assert_bool ctx) prop.Property.assumptions;
-      (match prop.Property.obligations with
-      | [] -> ()
-      | ob :: _ ->
-        Ilv_sat.Bitblast.assert_bool ctx ob.Property.guard;
-        Ilv_sat.Bitblast.assert_not ctx ob.Property.goal);
-      let text =
-        Ilv_sat.Dimacs.to_string (Ilv_sat.Dimacs.of_bitblast ctx)
-      in
+      let text = Ilv_sat.Dimacs.to_string (Checker.query_cnf prop) in
       (match out with
       | None -> print_string text
       | Some file ->
@@ -648,8 +638,8 @@ let dimacs_cmd =
   Cmd.v
     (Cmd.info "dimacs"
        ~doc:
-         "Export the CNF of one instruction's refinement query (UNSAT = the \
-          property holds)")
+         "Export the CNF of one instruction's refinement property, every \
+          obligation in one query (UNSAT = the property holds)")
     Term.(const run $ design_arg $ instr_arg $ out_arg)
 
 (* ---- verilog ---- *)

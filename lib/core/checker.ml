@@ -288,11 +288,12 @@ let check_queries ~mode ~budget ~retire ~on_sat ctx (p : Property.t) queries =
       attempts = !attempts;
     } )
 
-(* The fresh path: the assumptions are asserted into a new bit-blasting
-   context, and every obligation's guard and negated goal are
-   pre-encoded to solver literals, before the SAT search starts.  The
-   solver sees the specialized property; models decode against [p]. *)
-let check ?(simplify = true) ?on_sat ?(budget = unlimited) (p : Property.t) =
+(* The fresh path's preparation: the assumptions are asserted into a
+   new bit-blasting context, and every obligation's guard and negated
+   goal are pre-encoded to solver literals, before the SAT search
+   starts.  The solver sees the specialized property; models decode
+   against [p]. *)
+let prepare_fresh ~simplify (p : Property.t) =
   let ctx = Bitblast.create () in
   let prep e = if simplify then Simp.simplify_fix e else e in
   let sp = Property.specialize p in
@@ -307,7 +308,29 @@ let check ?(simplify = true) ?on_sat ?(budget = unlimited) (p : Property.t) =
             [ prep sob.Property.guard; Build.not_ (prep sob.Property.goal) ] ))
       p.Property.obligations sp.Property.obligations
   in
+  (ctx, queries)
+
+let check ?(simplify = true) ?on_sat ?(budget = unlimited) (p : Property.t) =
+  let ctx, queries = prepare_fresh ~simplify p in
   check_queries ~mode:"fresh" ~budget ~retire:ignore ~on_sat ctx p queries
+
+(* One fresh variable per obligation implies that obligation's query
+   literals, and one clause asks for any of them: satisfiable iff some
+   query of [check] is. *)
+let query_cnf p =
+  let ctx, queries = prepare_fresh ~simplify:true p in
+  let { Dimacs.n_vars; clauses } = Dimacs.of_bitblast ctx in
+  let sel j = n_vars + j + 1 in
+  let implied =
+    List.concat
+      (List.mapi
+         (fun j (_, lits) -> List.map (fun l -> [ -sel j; l ]) lits)
+         queries)
+  in
+  {
+    Dimacs.n_vars = n_vars + List.length queries;
+    clauses = clauses @ implied @ [ List.mapi (fun j _ -> sel j) queries ];
+  }
 
 (* --- shared-frame incremental checking --- *)
 

@@ -154,6 +154,12 @@ val check :
     disabling it is only useful for measuring the simplifier's
     effect. *)
 
+val query_cnf : Property.t -> Ilv_sat.Dimacs.problem
+(** The whole property as one CNF, for an external solver: the
+    assumptions and [⋁ⱼ (guardⱼ ∧ ¬goalⱼ)] over every obligation,
+    prepared as {!check} prepares them (specialized, simplified).
+    UNSAT iff {!check} proves the property, given an unlimited budget. *)
+
 (** {1 Shared-frame incremental checking}
 
     All properties of one design are blasted into a {e single}

@@ -266,6 +266,3 @@ let simulate ?(cycles = 300) ~seed = function
       done;
       Agree { cycles; steps = !steps }
     with Stop outcome -> outcome)
-
-let run_rtl ?cycles ~seed d rtl = simulate ?cycles ~seed (compile d rtl)
-let run ?cycles ~seed (d : Design.t) = run_rtl ?cycles ~seed d d.Design.rtl

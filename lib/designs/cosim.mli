@@ -47,11 +47,3 @@ val compile : Design.t -> Ilv_rtl.Rtl.t -> t
 val simulate : ?cycles:int -> seed:int -> t -> outcome
 (** [cycles] (default 300) cycles from reset under the inputs of
     [seed]; stops at the first divergence. *)
-
-val run : ?cycles:int -> seed:int -> Design.t -> outcome
-(** {!simulate} of the design's own RTL. *)
-
-val run_rtl :
-  ?cycles:int -> seed:int -> Design.t -> Ilv_rtl.Rtl.t -> outcome
-(** Co-simulate a specific RTL (e.g. a buggy variant) against the
-    design's ILAs. *)

@@ -52,35 +52,6 @@ let rec mkdir_p dir =
     with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-(* Entries are sharded into 256 subdirectories by the first two hex
-   characters of the key ([<dir>/ab/<key>.proof]).  Sharding keeps any
-   single directory small, and — more importantly — gives each shard
-   its own advisory lock file, so concurrent writers only contend when
-   they race keys in the same 1/256th of the key space instead of
-   serializing the whole cache behind one global lock. *)
-let is_hex c = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')
-
-let shard_of key =
-  if String.length key >= 2 && is_hex key.[0] && is_hex key.[1] then
-    String.sub key 0 2
-  else "xx" (* defensive: keys are hex digests, but never crash on one
-               that is not *)
-
-let is_shard_name f =
-  f = "xx" || (String.length f = 2 && is_hex f.[0] && is_hex f.[1])
-
-let shard_dirs cache_dir =
-  match Sys.readdir cache_dir with
-  | exception Sys_error _ -> []
-  | files ->
-    Array.to_list files
-    |> List.filter (fun f ->
-           is_shard_name f
-           && try Sys.is_directory (Filename.concat cache_dir f)
-              with Sys_error _ -> false)
-    |> List.sort compare
-    |> List.map (Filename.concat cache_dir)
-
 (* Startup recovery, part 1: a [.tmp-<pid>-<key>] file whose writer is
    no longer alive is a torn write from a crashed process — it never
    made it through the rename, so it holds no information worth
@@ -116,8 +87,7 @@ let frames_dir_of cache_dir = Filename.concat cache_dir "frames"
 
 let sweep_dead_tmp cache_dir =
   sweep_dead_tmp_in cache_dir;
-  sweep_dead_tmp_in (frames_dir_of cache_dir);
-  List.iter sweep_dead_tmp_in (shard_dirs cache_dir)
+  sweep_dead_tmp_in (frames_dir_of cache_dir)
 
 let spare_dir_of cache_dir = Filename.concat cache_dir "spare"
 
@@ -157,60 +127,6 @@ let quarantined_count t =
   match Sys.readdir (quarantine_dir t) with
   | exception Sys_error _ -> 0
   | files -> Array.length files
-
-(* Concurrent writers to the same shard serialize on that shard's
-   advisory lock file.  Acquisition is *bounded*: [F_TLOCK] with a few
-   jittered retries, never [F_LOCK] — an unbounded blocking lock lets a
-   stalled or crashed-while-locked writer (or a lock file on a broken
-   network filesystem) wedge every later store, turning an accelerator
-   into a liveness hazard.  On sustained contention the writer proceeds
-   WITHOUT the lock: the write stays atomic either way (temp file +
-   rename), the lock only closes the benign window where two writers
-   race the same key with different temp files and one rename wins. *)
-let lock_attempts = 5
-
-(* Pure, like [Pool.backoff_delay]: capped exponential base with
-   deterministic jitter derived from [(key, attempt)], so the retry
-   schedule is reproducible and two writers racing the same shard are
-   still unlikely to retry in lock-step. *)
-let lock_retry_delay ~key ~attempt =
-  let base = Float.min (0.001 *. (2.0 ** float_of_int (attempt - 1))) 0.016 in
-  let d = Digest.string (Printf.sprintf "cache-lock:%s:%d" key attempt) in
-  let jitter = float_of_int (Char.code d.[0]) /. 255.0 *. 0.5 in
-  base *. (1.0 +. jitter)
-
-let with_lock t ~key f =
-  let shard = Filename.concat t.cache_dir (shard_of key) in
-  mkdir_p shard;
-  let lock_path = Filename.concat shard ".lock" in
-  match Unix.openfile lock_path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 with
-  | exception Unix.Unix_error _ -> f ()
-  | fd ->
-    let rec acquire attempt =
-      match Unix.lockf fd Unix.F_TLOCK 0 with
-      | () -> true
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EACCES), _, _) ->
-        if attempt >= lock_attempts then false
-        else begin
-          Unix.sleepf (lock_retry_delay ~key ~attempt);
-          acquire (attempt + 1)
-        end
-      | exception Unix.Unix_error _ ->
-        (* no lockf support here: fall through lock-free *)
-        false
-    in
-    let locked = acquire 1 in
-    if (not locked) && Ilv_obs.Obs.enabled () then begin
-      Ilv_obs.Obs.count "cache.lock_contended" 1;
-      Ilv_obs.Obs.event "cache.lock_contended"
-        [ ("key", Ilv_obs.Obs.S key) ]
-    end;
-    Fun.protect
-      ~finally:(fun () ->
-        (try if locked then Unix.lockf fd Unix.F_ULOCK 0
-         with Unix.Unix_error _ -> ());
-        try Unix.close fd with Unix.Unix_error _ -> ())
-      f
 
 (* ---- frames ----
 
@@ -398,9 +314,12 @@ let rec take_spare t tmp =
     | exception Sys_error _ -> take_spare t tmp)
 
 (* Written through a temp file in the target's directory and renamed
-   over it, so a reader sees the old file or the whole new one.  The
-   temp file is a spare when there is one, overwritten and cut to
-   length, so no inode is created. *)
+   over it, so a reader sees the old file or the whole new one.  Racing
+   writers of one name each rename a whole file of their own (the temp
+   name carries the pid) and the last rename wins; files stored under
+   one name are interchangeable, so no lock is taken.  The temp file is
+   a spare when there is one, overwritten and cut to length, so no
+   inode is created. *)
 let write_atomic t ~tmp path content =
   try
     let reused = take_spare t tmp in
@@ -502,10 +421,7 @@ let blob_checker t ~on_damaged =
 
 let entry_suffix = ".proof"
 
-let file_of t key =
-  Filename.concat
-    (Filename.concat t.cache_dir (shard_of key))
-    (key ^ entry_suffix)
+let file_of t key = Filename.concat t.cache_dir (key ^ entry_suffix)
 
 (* What an entry file holds: the entry with its frame replaced by the
    frame's digest. *)
@@ -650,32 +566,23 @@ let store t entry =
       let content =
         magic ^ Digest.to_hex (Digest.string payload) ^ "\n" ^ payload
       in
-      (* with_lock creates the shard directory; temp and final name
-         share it, keeping the rename atomic *)
-      let shard = Filename.concat t.cache_dir (shard_of entry.key) in
-      with_lock t ~key:entry.key (fun () ->
-          write_atomic t ~tmp:(tmp_name shard entry.key) (file_of t entry.key)
-            content)
+      write_atomic t
+        ~tmp:(tmp_name t.cache_dir entry.key)
+        (file_of t entry.key) content
     with _ -> ())
 
 (* ---- maintenance ---- *)
 
-let entry_files_in dir =
-  match Sys.readdir dir with
+(* Entry files sit directly under the root; the frames, spare and
+   quarantine directories are never walked. *)
+let entry_files t =
+  match Sys.readdir t.cache_dir with
   | exception _ -> []
   | files ->
     Array.to_list files
     |> List.filter (fun f -> Filename.check_suffix f entry_suffix)
     |> List.sort compare
-    |> List.map (Filename.concat dir)
-
-(* Shard directories first (the write path), then flat files under the
-   root, which no lookup reads but stats, clear and validate still see;
-   the quarantine and frames directories are not shards and are never
-   walked. *)
-let entry_files t =
-  List.concat_map entry_files_in (shard_dirs t.cache_dir)
-  @ entry_files_in t.cache_dir
+    |> List.map (Filename.concat t.cache_dir)
 
 let blob_files t = List.map (blob_path t) (blob_digests t)
 

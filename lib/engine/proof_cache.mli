@@ -34,32 +34,26 @@
 
     {2 Layout and crash safety}
 
-    Entries are sharded into 256 subdirectories by the first two hex
-    characters of the key ([<dir>/ab/<key>.proof]).  Files left
-    directly under [<dir>] by an older layout are never looked up, but
-    {!stats}, {!clear} and {!validate} still see them.
-    A frame blob lives at [<dir>/frames/<digest>.cnf] and holds the
-    canonical serialization {!frame_digest} hashes, so it verifies
-    itself: its MD5 is its name.  It is written once, before the first
-    entry that refers to it, and only when absent.  {!lookup} reads the
-    entry file alone and never a blob.
-    Writes are atomic (temp file + rename within the shard); the temp
-    file is one of {!clear}'s spares when there is one.
-    Concurrent writers serialize on a {e per-shard} advisory lock —
-    acquired with a {e bounded} [F_TLOCK]-and-retry loop, never an
-    unbounded blocking [F_LOCK]: on sustained contention the writer
-    proceeds lock-free (the rename is atomic regardless) rather than
-    wedging behind a stalled lock holder.  Every entry carries a
-    checksum of its payload that is verified on read — truncation and
-    bit-rot are detected before [Marshal] ever parses a byte.  Damaged
-    entries and blobs are
+    An entry lives at [<dir>/<key>.proof].  A frame blob lives at
+    [<dir>/frames/<digest>.cnf] and holds the canonical serialization
+    {!frame_digest} hashes, so it verifies itself: its MD5 is its name.
+    It is written once, before the first entry that refers to it, and
+    only when absent.  {!lookup} reads the entry file alone and never a
+    blob.  Writes are atomic: a pid-tagged temp file in the target's
+    directory is renamed over the target, so a reader sees the old file
+    or the whole new one.  The temp file is one of {!clear}'s spares
+    when there is one.  No lock is taken: when two writers race one key,
+    the last rename wins, and entries stored under one key are
+    interchangeable.  Every entry carries a checksum of its payload
+    that is verified on read — truncation and bit-rot are detected
+    before [Marshal] ever parses a byte.  Damaged entries and blobs are
     {e quarantined} into [<dir>/quarantine/], never deleted: an entry
     lazily on the first lookup that touches it, entries and blobs
     eagerly by {!recover} and {!validate}, which also quarantine an
-    entry whose blob is missing or damaged.  {!open_} additionally sweeps temp files left by
-    crashed writers (the owning pid is dead).  All of it is
-    best-effort: the cache is an accelerator, and no I/O failure in
-    this module is allowed to become a sweep failure. *)
+    entry whose blob is missing or damaged.  {!open_} additionally
+    sweeps temp files left by crashed writers (the owning pid is dead).
+    All of it is best-effort: the cache is an accelerator, and no I/O
+    failure in this module is allowed to become a sweep failure. *)
 
 type t
 
@@ -159,31 +153,19 @@ val lookup : t -> string -> entry option
     miss.  Only the entry file is read. *)
 
 val store : t -> entry -> unit
-(** Writes the entry's frame blob when it is absent, then the entry:
-    atomic (write-then-rename within the key's shard, serialized by the
-    shard's advisory lock when it can be acquired within the bounded
-    retry schedule), with a payload checksum in the file.  Entries with
-    an [Unknown] verdict are silently dropped; an entry whose blob
-    cannot be written is not written either.  I/O failures are
-    swallowed: the cache is an accelerator, never a correctness
-    dependency.  Contended stores that fall back to lock-free writes
-    bump the ["cache.lock_contended"] observability counter. *)
-
-val shard_of : string -> string
-(** The two-hex-character shard a key files under. *)
+(** Writes the entry's frame blob when it is absent, then the entry,
+    each atomically (write-then-rename), with a payload checksum in the
+    entry file.  Entries with an [Unknown] verdict are silently
+    dropped; an entry whose blob cannot be written is not written
+    either.  I/O failures are swallowed: the cache is an accelerator,
+    never a correctness dependency. *)
 
 val entry_files : t -> string list
-(** The paths of every entry file on disk that stats, clear and
-    validate see: the shards' in order, then flat files under the root. *)
+(** The paths of every entry file on disk, sorted: the [.proof] files
+    directly under [<dir>]. *)
 
 val blob_files : t -> string list
 (** The paths of every frame blob on disk, sorted by digest. *)
-
-val lock_retry_delay : key:string -> attempt:int -> float
-(** The sleep before lock-acquisition retry [attempt] (1-based), in
-    seconds: capped exponential backoff with deterministic jitter
-    derived from [(key, attempt)].  Pure — exposed so tests can pin the
-    schedule's bounds, like {!Pool.backoff_delay}. *)
 
 type cache_stats = {
   entries : int;
@@ -203,11 +185,13 @@ type cache_stats = {
 }
 
 val stats : t -> cache_stats
+(** Reads every entry file under [<dir>] and every frame blob; no
+    spare or quarantined file is read. *)
 
 val clear : t -> int
-(** Takes every entry file and every frame blob out of the store and
-    removes the [frames/] directory; returns how many entries were
-    removed.  Up to 4096 of the files, bytes and all, are moved to
+(** Takes every entry file under [<dir>] and every frame blob out of
+    the store and removes the [frames/] directory; returns how many
+    entries were removed.  Up to 4096 of the files, bytes and all, are moved to
     [<dir>/spare/] instead of deleted, and later stores overwrite them
     in place of creating files, so a clear-and-refill cycle creates no
     inode.  No lookup, {!stats} or {!validate} reads [spare/]. *)

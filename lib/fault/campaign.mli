@@ -78,9 +78,9 @@ val run :
   t
 (** Runs a campaign: sample up to [max_mutants] (default 100) mutants
     with [seed] (default 1), verify each under [budget], and classify.
-    Sites are enumerated once ({!Mutate.sites}), and only the sampled
-    mutants' RTL is built; ids, [n_sites] and the sample are those of
-    {!Mutate.sample}.
+    Sites are enumerated once ({!Mutate.sites}), {!Mutate.pick} draws
+    the sample from them, and only the sampled mutants' RTL is built
+    ({!Mutate.build}).
     [fallback_sim] (default true) enables the bounded co-simulation
     hunt (3 seeded runs of 300 cycles, on one co-simulation compiled per
     mutant) for mutants the bounded checker could not decide — and for

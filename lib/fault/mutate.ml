@@ -42,8 +42,13 @@ let describe m =
     (location_name m.location)
     (if m.detail = "" then "" else " (" ^ m.detail ^ ")")
 
+(* one line: each break Format made becomes one space, as if the
+   margin were never reached *)
 let truncated e =
-  let s = Pp_expr.infix_to_string e in
+  let s =
+    String.split_on_char '\n' (Pp_expr.infix_to_string e)
+    |> List.map String.trim |> String.concat " "
+  in
   if String.length s <= 32 then s else String.sub s 0 29 ^ "..."
 
 (* Replace every occurrence of the (hash-consed) node [target] inside
@@ -253,8 +258,6 @@ let build s =
     rtl = apply s.design s.fault.location s.mutated_expr s.init_value;
   }
 
-let enumerate d = Array.to_list (Array.map build (sites d))
-
 let pick ~seed ~max_mutants all =
   let max_mutants = max 0 max_mutants in
   let all = Array.copy all in
@@ -271,6 +274,3 @@ let pick ~seed ~max_mutants all =
     done;
     Array.to_list (Array.sub all 0 max_mutants)
   end
-
-let sample ~seed ~max_mutants d =
-  List.map build (pick ~seed ~max_mutants (sites d))

@@ -23,7 +23,7 @@
 
     Enumeration order is deterministic (register nexts in declaration
     order, then register resets, then wires in topological order;
-    bottom-up within an expression), and {!sample} draws a
+    bottom-up within an expression), and {!pick} draws a
     deterministic pseudo-random subset from a seed — campaigns are
     exactly reproducible. *)
 
@@ -80,15 +80,6 @@ val pick : seed:int -> max_mutants:int -> 'a array -> 'a list
 (** A seeded Fisher–Yates prefix of at most [max_mutants] elements, in
     pick order; the whole array when it has no more.  Deterministic in
     [seed] and the array's length; the array is not modified. *)
-
-val enumerate : Rtl.t -> mutant list
-(** {!build} of every site: every single-fault mutant, in site order. *)
-
-val sample : seed:int -> max_mutants:int -> Rtl.t -> mutant list
-(** {!build} of the sites that {!pick} chooses: the same mutants, in the
-    same order, as a seeded pick over {!enumerate}, but only the picked
-    ones are built.  A campaign that needs the site count as well calls
-    {!sites} once and picks from that. *)
 
 val replace : target:Expr.t -> replacement:Expr.t -> Expr.t -> Expr.t
 (** [replace ~target ~replacement e] substitutes every occurrence of

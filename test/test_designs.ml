@@ -60,7 +60,7 @@ let decode_tests = List.map decode_case Catalog.quick
    and designs, failing the test on any divergence. *)
 
 let cosim_ok ?cycles ~seed d =
-  match Cosim.run ?cycles ~seed d with
+  match Cosim.simulate ?cycles ~seed (Cosim.compile d d.Design.rtl) with
   | Cosim.Agree { steps; _ } ->
     Alcotest.(check bool) "made progress" true (steps > 0)
   | Cosim.Diverged { cycle; port; state; detail } ->
@@ -102,12 +102,11 @@ let cosim_bug_tests =
     t "buggy AXI slave diverges in co-simulation" (fun () ->
         let d = Axi_slave.design in
         let bug = List.hd d.Design.bugs in
+        let sim = Cosim.compile d bug.Design.buggy_rtl in
         let diverged =
           List.exists
             (fun seed ->
-              match
-                Cosim.run_rtl ~cycles:500 ~seed d bug.Design.buggy_rtl
-              with
+              match Cosim.simulate ~cycles:500 ~seed sim with
               | Cosim.Diverged _ -> true
               | Cosim.Agree _ | Cosim.Inapplicable _ -> false)
             [ 1; 2; 3 ]

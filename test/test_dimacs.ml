@@ -89,4 +89,84 @@ let prop_tests =
            | _, _ -> false));
   ]
 
-let suite = [ ("dimacs:unit", unit_tests); ("dimacs:props", prop_tests) ]
+(* [Checker.query_cnf] exports every obligation of a property in one
+   CNF; an independent solve of its DIMACS text must agree with
+   [Checker.check]. *)
+let export_agrees (p : Ilv_core.Property.t) =
+  let open Ilv_core in
+  let exported =
+    Dimacs.solve (Dimacs.of_string (Dimacs.to_string (Checker.query_cnf p)))
+  in
+  let expected =
+    match fst (Checker.check p) with
+    | Checker.Proved -> Sat.Unsat
+    | Checker.Failed _ -> Sat.Sat
+    | Checker.Unknown r -> Alcotest.failf "unknown: %s" r
+  in
+  Alcotest.check result p.Property.prop_name expected exported;
+  exported
+
+(* every property of a design variant, with its export's answer *)
+let exports (d : Ilv_designs.Design.t) rtl =
+  let open Ilv_core in
+  List.concat_map
+    (fun (port : Ila.t) ->
+      let refmap = d.Ilv_designs.Design.refmap_for rtl port.Ila.name in
+      List.map
+        (fun (p : Property.t) -> (p.Property.prop_name, export_agrees p))
+        (Propgen.generate ~ila:port ~rtl ~refmap))
+    d.Ilv_designs.Design.module_ila.Module_ila.ports
+
+let checker_tests =
+  let open Ilv_designs in
+  [
+    t "the export is UNSAT for every UART TX and Decoder instruction"
+      (fun () ->
+        List.iter
+          (fun (d : Design.t) ->
+            List.iter
+              (fun (name, r) ->
+                Alcotest.check result (d.Design.name ^ " " ^ name) Sat.Unsat r)
+              (exports d d.Design.rtl))
+          [ Uart_tx.design; Decoder_8051.design ]);
+    t "the export is SAT for the failing AXI Slave rd_burst property"
+      (fun () ->
+        let d = Axi_slave.design in
+        let rtl =
+          match Design.variant d (Some "rd_burst") with
+          | Ok (_, rtl) -> rtl
+          | Error e -> Alcotest.fail e
+        in
+        Alcotest.(check bool)
+          "some instruction's export is SAT" true
+          (List.exists (fun (_, r) -> r = Sat.Sat) (exports d rtl)));
+    t "a failure in the last obligation alone makes the export SAT"
+      (fun () ->
+        let open Ilv_core in
+        let d = Uart_tx.design in
+        let port = List.hd d.Design.module_ila.Module_ila.ports in
+        let p =
+          List.find
+            (fun (p : Property.t) ->
+              p.Property.instr.Ila.instr_name = "SEND")
+            (Propgen.generate ~ila:port ~rtl:d.Design.rtl
+               ~refmap:(d.Design.refmap_for d.Design.rtl port.Ila.name))
+        in
+        let obs = List.rev p.Property.obligations in
+        Alcotest.(check bool) "SEND has many obligations" true
+          (List.length obs > 2);
+        let failing =
+          { (List.hd obs) with guard = Build.bool true; goal = Build.bool false }
+        in
+        let p =
+          { p with obligations = List.rev (failing :: List.tl obs) }
+        in
+        Alcotest.check result "SAT" Sat.Sat (export_agrees p));
+  ]
+
+let suite =
+  [
+    ("dimacs:unit", unit_tests);
+    ("dimacs:props", prop_tests);
+    ("dimacs:checker", checker_tests);
+  ]

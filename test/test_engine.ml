@@ -439,10 +439,7 @@ let stored_entry (d : Design.t) cache =
   Proof_cache.store cache entry;
   entry
 
-let sharded_path dir key =
-  Filename.concat
-    (Filename.concat dir (Proof_cache.shard_of key))
-    (key ^ ".proof")
+let entry_path dir key = Filename.concat dir (key ^ ".proof")
 
 let cache_tests =
   [
@@ -461,7 +458,7 @@ let cache_tests =
         let dir = fresh_dir () in
         let cache = Proof_cache.open_ ~dir () in
         let e = stored_entry (design "AXI Slave") cache in
-        let path = sharded_path dir e.Proof_cache.key in
+        let path = entry_path dir e.Proof_cache.key in
         let size = (Unix.stat path).Unix.st_size in
         Unix.truncate path (size / 2);
         Alcotest.(check bool)
@@ -531,7 +528,7 @@ let cache_tests =
           digest;
         List.iter
           (fun key ->
-            let size = (Unix.stat (sharded_path dir key)).Unix.st_size in
+            let size = (Unix.stat (entry_path dir key)).Unix.st_size in
             Alcotest.(check bool)
               (Printf.sprintf "entry %s is %d B, under 1 KiB" key size)
               true (size < 1024))
@@ -549,8 +546,7 @@ let cache_tests =
         let dir = fresh_dir () in
         let cache = Proof_cache.open_ ~dir () in
         let e = entry_of (design "AXI Slave") in
-        let path = sharded_path dir e.Proof_cache.key in
-        Unix.mkdir (Filename.dirname path) 0o755;
+        let path = entry_path dir e.Proof_cache.key in
         let payload = Marshal.to_string (e.Proof_cache.key, "old CNF") [] in
         let oc = open_out_bin path in
         output_string oc
@@ -578,8 +574,7 @@ let cache_tests =
         (* a directory under the entry's name: opening it works, reading
            it fails with EISDIR, as a read under EMFILE or of a file a
            concurrent clear removed fails *)
-        let path = sharded_path dir e.Proof_cache.key in
-        Unix.mkdir (Filename.dirname path) 0o755;
+        let path = entry_path dir e.Proof_cache.key in
         Unix.mkdir path 0o755;
         Alcotest.(check bool)
           "miss" true
@@ -641,7 +636,7 @@ let cache_tests =
         Proof_cache.store cache { e with Proof_cache.key = "bb-sibling" };
         Alcotest.(check (float 0.0)) "the sibling left the blob alone" 1.0
           (mtime ());
-        Sys.remove (sharded_path dir "aa-writer");
+        Sys.remove (entry_path dir "aa-writer");
         (match Proof_cache.lookup cache "bb-sibling" with
         | Some got ->
           Alcotest.(check string)
@@ -731,88 +726,115 @@ let cache_tests =
         Alcotest.(check (list string))
           "the late-sorting rotted entry is caught" [ "zz-rotted" ]
           v.Proof_cache.mismatched);
-    t "a flat-layout file is a miss that stats counts and clear removes"
-      (fun () ->
+    t "entries sit directly under the root, blobs under frames/" (fun () ->
         let dir = fresh_dir () in
         let cache = Proof_cache.open_ ~dir () in
         let e = stored_entry (design "AXI Slave") cache in
-        (* move the entry directly under the cache root: lookups read
-           only the sharded path *)
-        Sys.rename
-          (sharded_path dir e.Proof_cache.key)
-          (Filename.concat dir (e.Proof_cache.key ^ ".proof"));
-        Alcotest.(check bool)
-          "miss" true
-          (Proof_cache.lookup cache e.Proof_cache.key = None);
-        Alcotest.(check int)
-          "stats walks the flat layout too" 1
+        let key = e.Proof_cache.key in
+        Alcotest.(check (list string))
+          "one entry file and the frames directory, nothing else"
+          [ key ^ ".proof"; "frames" ]
+          (List.sort compare (Array.to_list (Sys.readdir dir)));
+        Alcotest.(check (list string))
+          "entry_files lists it" [ entry_path dir key ]
+          (Proof_cache.entry_files cache);
+        (* a file in a two-hex-character subdirectory is not an entry:
+           no lookup, stats or clear reads one *)
+        let sub = Filename.concat dir (String.sub key 0 2) in
+        Unix.mkdir sub 0o755;
+        Sys.rename (entry_path dir key) (entry_path sub key);
+        Alcotest.(check bool) "a subdirectory file misses" true
+          (Proof_cache.lookup cache key = None);
+        Alcotest.(check int) "stats does not count it" 0
           (Proof_cache.stats cache).entries;
+        Sys.rename (entry_path sub key) (entry_path dir key);
+        Unix.rmdir sub;
+        Alcotest.(check bool) "back under the root, it hits" true
+          (Proof_cache.lookup cache key <> None);
         Alcotest.(check int) "clear removes it" 1 (Proof_cache.clear cache);
-        Alcotest.(check bool)
-          "the flat file is gone" false
-          (Sys.file_exists (Filename.concat dir (e.Proof_cache.key ^ ".proof"))));
-    t "lock retry schedule is positive, capped, and deterministic" (fun () ->
-        List.iter
-          (fun attempt ->
-            let d = Proof_cache.lock_retry_delay ~key:"deadbeef" ~attempt in
-            Alcotest.(check bool) "positive" true (d > 0.0);
-            Alcotest.(check bool) "capped" true (d <= 0.016 *. 1.5);
-            Alcotest.(check (float 0.0))
-              "deterministic" d
-              (Proof_cache.lock_retry_delay ~key:"deadbeef" ~attempt))
-          [ 1; 2; 3; 4; 5 ];
-        let total =
-          List.fold_left
-            (fun acc attempt ->
-              acc +. Proof_cache.lock_retry_delay ~key:"k" ~attempt)
-            0.0 [ 1; 2; 3; 4; 5 ]
-        in
-        Alcotest.(check bool)
-          "whole schedule stays well under 100ms" true (total < 0.1));
-    t "a held shard lock never blocks the store (regression)" (fun () ->
-        (* Pre-fix, [store] took the advisory lock with an unbounded
-           blocking [F_LOCK]: any process stalled while holding it
-           wedged every later store forever.  Now acquisition is
-           [F_TLOCK] with a bounded retry schedule, after which the
-           write proceeds lock-free (still atomic via rename).  The
-           holder must be a *different process* — lockf locks do not
-           conflict within one process. *)
+        Alcotest.(check bool) "the file is gone" false
+          (Sys.file_exists (entry_path dir key)));
+    t "two writers racing one key leave one whole entry" (fun () ->
+        (* No lock orders same-key writers: each renames a whole temp
+           file of its own over the entry and the last rename wins.  A
+           reader in the meantime must see a whole entry or none. *)
         let dir = fresh_dir () in
         let cache = Proof_cache.open_ ~dir () in
-        let entry = entry_of (design "AXI Slave") in
-        let shard =
-          Filename.concat dir (Proof_cache.shard_of entry.Proof_cache.key)
+        let e = entry_of (design "AXI Slave") in
+        let key = e.Proof_cache.key in
+        let rounds = 200 in
+        (* writer [w]'s round [i] stores conflicts [1000 w + i] and
+           created_s [i], so a hit names one whole store *)
+        let writer w =
+          match Unix.fork () with
+          | 0 ->
+            (try
+               for i = 1 to rounds do
+                 Proof_cache.store cache
+                   {
+                     e with
+                     Proof_cache.created_s = float_of_int i;
+                     stats =
+                       {
+                         e.Proof_cache.stats with
+                         Checker.conflicts = (1000 * w) + i;
+                       };
+                   }
+               done
+             with _ -> Unix._exit 1);
+            Unix._exit 0
+          | pid -> pid
         in
-        (try Unix.mkdir shard 0o755
-         with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-        let lock_path = Filename.concat shard ".lock" in
-        let r, w = Unix.pipe () in
-        match Unix.fork () with
-        | 0 ->
-          (* child: grab the shard lock, tell the parent, stall *)
-          Unix.close r;
-          let fd =
-            Unix.openfile lock_path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644
-          in
-          (try Unix.lockf fd Unix.F_LOCK 0 with Unix.Unix_error _ -> ());
-          ignore (Unix.write w (Bytes.of_string "L") 0 1);
-          Unix.sleepf 30.0;
-          Unix._exit 0
-        | pid ->
-          Unix.close w;
-          ignore (Unix.read r (Bytes.create 1) 0 1);
-          Unix.close r;
-          let t0 = Unix.gettimeofday () in
-          Proof_cache.store cache entry;
-          let elapsed = Unix.gettimeofday () -. t0 in
-          Unix.kill pid Sys.sigkill;
-          ignore (Unix.waitpid [] pid);
-          Alcotest.(check bool)
-            "store returned promptly despite the held lock" true
-            (elapsed < 5.0);
-          Alcotest.(check bool)
-            "entry landed via the lock-free fallback" true
-            (Proof_cache.lookup cache entry.Proof_cache.key <> None));
+        let pids = [ writer 1; writer 2 ] in
+        let whole (got : Proof_cache.entry) =
+          let i = got.Proof_cache.stats.Checker.conflicts mod 1000 in
+          got.Proof_cache.key = key
+          && got.Proof_cache.verdict = e.Proof_cache.verdict
+          && List.mem (got.Proof_cache.stats.Checker.conflicts / 1000) [ 1; 2 ]
+          && got.Proof_cache.created_s = float_of_int i
+        in
+        let torn = ref 0 in
+        let look () =
+          match Proof_cache.lookup cache key with
+          | None -> ()
+          | Some got -> if not (whole got) then incr torn
+        in
+        let running = ref pids and codes = ref [] in
+        while !running <> [] do
+          look ();
+          running :=
+            List.filter
+              (fun pid ->
+                match Unix.waitpid [ Unix.WNOHANG ] pid with
+                | 0, _ -> true
+                | _, Unix.WEXITED c ->
+                  codes := c :: !codes;
+                  false
+                | _, _ ->
+                  codes := -1 :: !codes;
+                  false)
+              !running
+        done;
+        Alcotest.(check (list int)) "both writers finished" [ 0; 0 ] !codes;
+        Alcotest.(check int) "no lookup saw a torn or mixed entry" 0 !torn;
+        Alcotest.(check bool) "the final lookup is a whole hit" true
+          (match Proof_cache.lookup cache key with
+          | Some got -> whole got
+          | None -> false);
+        Alcotest.(check int) "nothing quarantined" 0
+          (Proof_cache.quarantined_count cache);
+        Alcotest.(check (list string))
+          "one entry file and the frames directory, no temp file"
+          [ key ^ ".proof"; "frames" ]
+          (List.sort compare (Array.to_list (Sys.readdir dir)));
+        Alcotest.(check bool) "no temp file among the blobs" true
+          (Array.for_all
+             (fun f -> Filename.check_suffix f ".cnf")
+             (Sys.readdir (Filename.concat dir "frames")));
+        let v = Proof_cache.validate ~full:true cache in
+        Alcotest.(check int) "validate checks the entry" 1
+          v.Proof_cache.checked;
+        Alcotest.(check int) "and agrees" 1 v.Proof_cache.agreed);
     t "clear keeps its files as spares and a refill reuses them" (fun () ->
         let dir = fresh_dir () in
         let cache = Proof_cache.open_ ~dir () in

@@ -162,8 +162,11 @@ let verify_budget_tests =
           report.Verify.ports);
   ]
 
+(* Every single-fault mutant of a design, in site order. *)
+let all_mutants rtl = Array.to_list (Array.map Mutate.build (Mutate.sites rtl))
+
 (* Interface preservation: a mutant must keep the design's ports and
-   register sorts — {!Mutate.enumerate} promises every mutant passes
+   register sorts — {!Mutate.build} promises every mutant passes
    [Rtl.make], and the campaign relies on the interfaces matching. *)
 let same_interface (a : Ilv_rtl.Rtl.t) (b : Ilv_rtl.Rtl.t) =
   a.Ilv_rtl.Rtl.inputs = b.Ilv_rtl.Rtl.inputs
@@ -181,7 +184,7 @@ let mutate_tests =
     t "every Clock Gen mutant is well-sorted and interface-preserving"
       (fun () ->
         let rtl = Clock_gen.design.Design.rtl in
-        let mutants = Mutate.enumerate rtl in
+        let mutants = all_mutants rtl in
         Alcotest.(check bool) "found sites" true (List.length mutants > 10);
         List.iter
           (fun (m : Mutate.mutant) ->
@@ -199,7 +202,7 @@ let mutate_tests =
               (Mutate.describe m.Mutate.mutation)
               true
               (same_interface rtl m.Mutate.rtl))
-          (Mutate.enumerate rtl));
+          (all_mutants rtl));
     t "no mutant is the identity" (fun () ->
         (* each mutant must actually change the net it claims to: the
            verifier would otherwise count free kills *)
@@ -223,13 +226,26 @@ let mutate_tests =
             Alcotest.(check bool)
               (Mutate.describe m.Mutate.mutation)
               true changed)
-          (Mutate.enumerate rtl));
+          (all_mutants rtl));
+    t "every mutation's description is one line" (fun () ->
+        (* line-oriented readers of [mutate -v] take one mutant a line *)
+        List.iter
+          (fun (d : Design.t) ->
+            Array.iter
+              (fun site ->
+                let text = Mutate.describe (Mutate.site_mutation site) in
+                Alcotest.(check bool)
+                  (d.Design.name ^ " " ^ String.escaped text)
+                  false (String.contains text '\n'))
+              (Mutate.sites d.Design.rtl))
+          (Catalog.all @ Catalog.quick @ Catalog.extensions));
     t "sampling is deterministic in the seed" (fun () ->
         let rtl = Uart_tx.design.Design.rtl in
+        let sites = Mutate.sites rtl in
         let ids seed =
           List.map
-            (fun (m : Mutate.mutant) -> m.Mutate.mutation.Mutate.m_id)
-            (Mutate.sample ~seed ~max_mutants:10 rtl)
+            (fun site -> (Mutate.site_mutation site).Mutate.m_id)
+            (Mutate.pick ~seed ~max_mutants:10 sites)
         in
         Alcotest.(check (list int)) "same seed, same sample" (ids 3) (ids 3);
         Alcotest.(check int) "sample size" 10 (List.length (ids 3));
@@ -429,7 +445,7 @@ let outcome_string = function
 (* the ids of a seeded Fisher-Yates prefix over the full enumeration,
    written out here as campaigns drew it before sites were built lazily *)
 let reference_sample ~seed ~max_mutants rtl =
-  let all = Array.of_list (Mutate.enumerate rtl) in
+  let all = Array.of_list (all_mutants rtl) in
   let n = Array.length all in
   if n > max_mutants then begin
     let rng = Random.State.make [| seed; n |] in
@@ -472,23 +488,21 @@ let cosim_tests =
               :: List.map
                    (fun (m : Mutate.mutant) ->
                      (Mutate.describe m.Mutate.mutation, m.Mutate.rtl))
-                   (Mutate.enumerate d.Design.rtl)))
+                   (all_mutants d.Design.rtl)))
           [ Clock_gen.design; Decoder_8051.design; Store_buffer.design_abstract ]);
     t "sampling builds the mutants a pick over the full enumeration chooses"
       (fun () ->
         List.iter
           (fun (d : Design.t) ->
             let sites = Mutate.sites d.Design.rtl in
-            Alcotest.(check int)
-              (d.Design.name ^ " sites")
-              (List.length (Mutate.enumerate d.Design.rtl))
-              (Array.length sites);
             for seed = 1 to 50 do
               List.iter
                 (fun max_mutants ->
                   let expected =
                     reference_sample ~seed ~max_mutants d.Design.rtl
-                  and actual = Mutate.sample ~seed ~max_mutants d.Design.rtl in
+                  and actual =
+                    List.map Mutate.build (Mutate.pick ~seed ~max_mutants sites)
+                  in
                   let ids =
                     List.map (fun (m : Mutate.mutant) ->
                         Mutate.describe m.Mutate.mutation)
@@ -509,7 +523,10 @@ let cosim_tests =
           [ Uart_tx.design; Decoder_8051.design ]);
     t "multi-cycle UART TX: co-simulation inapplicable, no simulation kills"
       (fun () ->
-        (match Cosim.run ~seed:1 Uart_tx.design with
+        (match
+           Cosim.simulate ~seed:1
+             (Cosim.compile Uart_tx.design Uart_tx.design.Design.rtl)
+         with
         | Cosim.Inapplicable reason ->
           Alcotest.(check bool)
             ("names SEND: " ^ reason) true

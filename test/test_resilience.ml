@@ -333,26 +333,13 @@ let inject_tests =
 (* Crash-safe cache recovery                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* entries live in two-character shard subdirectories (plus, for
-   legacy layouts, the root); quarantine/ and tmp files are excluded
-   by the name-length filter and the .proof suffix *)
+(* entries live directly under the cache root; quarantine/, frames/
+   and temp files hold no [.proof] file there *)
 let entry_paths dir =
-  let files_in d =
-    match Sys.readdir d with
-    | fs -> Array.to_list fs |> List.map (Filename.concat d)
-    | exception Sys_error _ -> []
-  in
-  let top = files_in dir in
-  let shards =
-    List.filter
-      (fun d ->
-        String.length (Filename.basename d) = 2
-        && try Sys.is_directory d with Sys_error _ -> false)
-      top
-  in
-  List.concat_map files_in shards @ top
+  Array.to_list (Sys.readdir dir)
   |> List.filter (fun f -> Filename.check_suffix f ".proof")
   |> List.sort compare
+  |> List.map (Filename.concat dir)
 
 let recovery_tests =
   [
